@@ -311,8 +311,9 @@ fn main() {
     );
 
     // context multiplexing: thousands of concurrent logical-qubit streams
-    // interleaved on one stream's workers. The armed LUT pre-decoder defers
-    // round driving (fast-path shots never occupy a context bank); with the
+    // interleaved on one stream's workers. With the LUT pre-decoder armed
+    // the backend does not switch contexts: rounds buffer and each shot
+    // decodes whole at finish, never occupying a context bank. With the
     // pre-decoder off the backend banks contexts eagerly, exercising
     // save/restore on every interleaved switch.
     let stream_counts = if max_streams >= 10 {

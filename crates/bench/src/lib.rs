@@ -3,11 +3,9 @@
 //!
 //! Each `fig*`/`table*` function produces the rows/series the corresponding
 //! figure or table plots; the binaries in `src/bin/` print them as aligned
-//! text tables, and the Criterion benches in `benches/` exercise the same
-//! code paths under the timing harness. Shot counts default to values that
-//! finish in seconds on a laptop; pass larger counts for tighter error bars
-//! (EXPERIMENTS.md records which counts were used for the committed
-//! results).
+//! text tables. Shot counts default to values that finish in seconds on a
+//! laptop; pass larger counts for tighter error bars (EXPERIMENTS.md records
+//! which counts were used for the committed results).
 
 pub mod experiments;
 pub mod report;

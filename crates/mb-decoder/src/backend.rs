@@ -46,27 +46,33 @@ pub trait DecoderBackend: Send {
     /// backends.
     fn deterministic_latency(&self) -> bool;
 
-    /// Whether this backend can fold measurement rounds into a running
-    /// solution as they arrive (round-wise fusion, §6). When `false`, the
-    /// streaming front-end buffers the rounds and decodes the assembled
-    /// syndrome once the shot is complete, so every backend can be driven
-    /// round by round — a `true` backend merely starts its dual-phase work
-    /// before the last round has arrived.
-    fn supports_round_ingestion(&self) -> bool {
+    /// Whether this backend can bank its in-flight round-wise state per
+    /// context and switch between banks — the software analog of the
+    /// hardware's `contextBits`-selected `Mem[VertexPersistent]` memory.
+    /// When `true`, the streaming scheduler folds each round into the engine
+    /// as it arrives (§6 fusion via [`DecoderBackend::begin_rounds`],
+    /// [`DecoderBackend::ingest_round`] and [`DecoderBackend::finish_rounds`])
+    /// and interleaves many partially ingested shots on one backend instance
+    /// via [`DecoderBackend::context_save`]/[`DecoderBackend::context_restore`].
+    /// When `false`, it buffers each context's rounds and decodes the
+    /// assembled syndrome with [`DecoderBackend::decode`] once the shot is
+    /// complete — same result, no early start.
+    fn supports_context_switching(&self) -> bool {
         false
     }
 
     /// Begins a round-wise decode: clears per-shot state so the subsequent
     /// [`DecoderBackend::ingest_round`] calls start from a fresh solution.
     ///
-    /// Only meaningful when [`DecoderBackend::supports_round_ingestion`]
-    /// returns `true`.
+    /// The scheduler drives the round methods only when
+    /// [`DecoderBackend::supports_context_switching`] returns `true`.
     fn begin_rounds(&mut self) {
         self.reset();
     }
 
     /// Ingests one non-final measurement round (layer `layer` of the
-    /// decoding graph) and folds it into the running solution.
+    /// decoding graph) and folds it into the running solution. Driven only
+    /// when [`DecoderBackend::supports_context_switching`] returns `true`.
     fn ingest_round(&mut self, _layer: usize, _defects: &[VertexIndex]) {
         panic!("{} does not support round-wise ingestion", self.name());
     }
@@ -74,21 +80,10 @@ pub trait DecoderBackend: Send {
     /// Ingests the final round and completes the decode. Latency is
     /// measured from the arrival of this round, matching the batch
     /// stream-decoding semantics: the outcome is bit-identical to
-    /// [`DecoderBackend::decode`] on the full syndrome.
+    /// [`DecoderBackend::decode`] on the full syndrome. Driven only when
+    /// [`DecoderBackend::supports_context_switching`] returns `true`.
     fn finish_rounds(&mut self, _layer: usize, _defects: &[VertexIndex]) -> DecodeOutcome {
         panic!("{} does not support round-wise ingestion", self.name());
-    }
-
-    /// Whether this backend can bank its in-flight round-wise state per
-    /// context and switch between banks — the software analog of the
-    /// hardware's `contextBits`-selected `Mem[VertexPersistent]` memory.
-    /// When `true`, the streaming scheduler may interleave many partially
-    /// ingested shots on one backend instance via
-    /// [`DecoderBackend::context_save`]/[`DecoderBackend::context_restore`];
-    /// when `false`, it buffers each context's rounds and decodes only
-    /// complete shots.
-    fn supports_context_switching(&self) -> bool {
-        false
     }
 
     /// Banks the current in-flight round-wise state under `slot`. The
@@ -104,19 +99,6 @@ pub trait DecoderBackend: Send {
     /// calls continue that shot bit-identically to an uninterrupted one.
     fn context_restore(&mut self, _slot: usize) {
         panic!("{} does not support context switching", self.name());
-    }
-
-    /// Discards the state banked under `slot` (the shot was abandoned),
-    /// freeing the bank for reuse by another context.
-    fn context_discard(&mut self, _slot: usize) {}
-
-    /// Whether [`DecoderBackend::ingest_round`] merely *logs* rounds instead
-    /// of driving the engine (the LUT pre-decoder's arm-then-replay shape).
-    /// Such a backend gains nothing from eager per-round context switching —
-    /// the scheduler buffers its rounds and plays the whole shot at finish,
-    /// which also lets fast-path shots retire without ever occupying a bank.
-    fn defers_round_driving(&self) -> bool {
-        false
     }
 
     /// Arms (or clears, with `None`) a decode deadline. A backend that

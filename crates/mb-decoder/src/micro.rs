@@ -105,17 +105,15 @@ impl MicroBlossomConfig {
 }
 
 /// One banked context of an in-flight stream shot: the driver-level
-/// [`DualContext`] plus the decoder-level per-shot state (CPU primal trees,
-/// escalation flag, replay log). A bank is everything
-/// [`DecoderBackend::context_restore`] needs to continue the shot
-/// bit-identically to one that never left the engine.
+/// [`DualContext`] plus the decoder-level CPU primal trees. A bank is
+/// everything [`DecoderBackend::context_restore`] needs to continue the shot
+/// bit-identically to one that never left the engine. Only decoders without
+/// an armed LUT pre-decoder bank contexts, so there is no escalation state
+/// or replay log to carry.
 #[derive(Debug, Clone)]
 struct MicroContextBank {
     dual: DualContext,
     primal: PrimalModule,
-    escalated: bool,
-    round_log: Vec<Vec<VertexIndex>>,
-    rounds_logged: usize,
 }
 
 /// The Micro Blossom heterogeneous decoder.
@@ -626,13 +624,6 @@ impl DecoderBackend for MicroBlossomDecoder {
         self.aborted
     }
 
-    /// Round-wise fusion is what the stream configuration *is*: the decoder
-    /// folds each round into the running solution on arrival, so only the
-    /// post-last-round work sits on the latency path.
-    fn supports_round_ingestion(&self) -> bool {
-        self.config.stream_decoding
-    }
-
     fn ingest_round(&mut self, layer: usize, defects: &[VertexIndex]) {
         self.ingest_one_round(layer, defects);
     }
@@ -643,15 +634,23 @@ impl DecoderBackend for MicroBlossomDecoder {
         self.outcome_from(matching, breakdown)
     }
 
-    /// A stream decoder can bank its round-wise state per context: the
+    /// A stream decoder folds each round into the running solution on
+    /// arrival (§6 fusion) and banks that state per context: the
     /// accelerator's authoritative defect rows (O(active) to switch, thanks
     /// to the sparse active set), the driver's CPU node table, and the
-    /// decoder-level primal trees and escalation state.
+    /// decoder-level primal trees. With the LUT pre-decoder armed, rounds
+    /// are only loaded and logged until the final one, so such a decoder
+    /// gains nothing from early ingestion: the scheduler decodes its
+    /// assembled syndrome instead, and fast-path shots never occupy a bank.
     fn supports_context_switching(&self) -> bool {
-        self.config.stream_decoding
+        self.config.stream_decoding && self.predecoder.is_none()
     }
 
     fn context_save(&mut self, slot: usize) {
+        debug_assert!(
+            self.supports_context_switching(),
+            "banked a decoder that does not switch contexts"
+        );
         if self.banks.len() <= slot {
             self.banks.resize_with(slot + 1, || None);
         }
@@ -659,16 +658,10 @@ impl DecoderBackend for MicroBlossomDecoder {
             Box::new(MicroContextBank {
                 dual: DualContext::default(),
                 primal: PrimalModule::new(),
-                escalated: false,
-                round_log: Vec::new(),
-                rounds_logged: 0,
             })
         });
         self.driver.save_context_into(&mut bank.dual);
         std::mem::swap(&mut self.primal, &mut bank.primal);
-        std::mem::swap(&mut self.round_log, &mut bank.round_log);
-        bank.escalated = self.escalated;
-        bank.rounds_logged = self.rounds_logged;
     }
 
     fn context_restore(&mut self, slot: usize) {
@@ -679,24 +672,7 @@ impl DecoderBackend for MicroBlossomDecoder {
             .expect("context_restore of a slot that was never saved");
         self.driver.restore_context(&mut bank.dual);
         std::mem::swap(&mut self.primal, &mut bank.primal);
-        std::mem::swap(&mut self.round_log, &mut bank.round_log);
-        self.escalated = bank.escalated;
-        self.rounds_logged = bank.rounds_logged;
         self.bank_switches += 1;
-    }
-
-    fn context_discard(&mut self, slot: usize) {
-        if let Some(bank) = self.banks.get_mut(slot) {
-            *bank = None;
-        }
-    }
-
-    /// While the LUT pre-decoder is armed, `ingest_round` only loads and
-    /// logs — the dual phase starts at the final round (or not at all, on
-    /// the fast path). Buffering such shots outside the engine is strictly
-    /// cheaper than banking them.
-    fn defers_round_driving(&self) -> bool {
-        self.predecoder.is_some()
     }
 
     fn accel_observability(&self) -> Option<AccelObservability> {
@@ -877,7 +853,6 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(31);
         let mut reference = MicroBlossomDecoder::full(Arc::clone(&graph), Some(3));
         let mut incremental = MicroBlossomDecoder::full(Arc::clone(&graph), Some(3));
-        assert!(DecoderBackend::supports_round_ingestion(&incremental));
         for _ in 0..40 {
             let shot = sampler.sample(&mut rng);
             let want = reference.decode(&shot.syndrome);
@@ -894,14 +869,21 @@ mod tests {
 
     #[test]
     fn batch_configurations_do_not_claim_round_ingestion() {
+        // only a stream decoder whose rounds drive the engine on arrival
+        // (no armed LUT pre-decoder) is interleaved eagerly with banks
         let graph = Arc::new(PhenomenologicalCode::rotated(3, 3, 0.02).decoding_graph());
         let batch = MicroBlossomDecoder::new(
             Arc::clone(&graph),
             MicroBlossomConfig::with_parallel_primal(&graph, Some(3)),
         );
-        assert!(!DecoderBackend::supports_round_ingestion(&batch));
-        let stream = MicroBlossomDecoder::full(graph, Some(3));
-        assert!(DecoderBackend::supports_round_ingestion(&stream));
+        assert!(!batch.supports_context_switching());
+        let predecoded = MicroBlossomDecoder::full(Arc::clone(&graph), Some(3));
+        assert!(!predecoded.supports_context_switching());
+        let eager = MicroBlossomDecoder::new(
+            Arc::clone(&graph),
+            MicroBlossomConfig::full(&graph, Some(3)).without_predecoder(),
+        );
+        assert!(eager.supports_context_switching());
     }
 
     #[test]

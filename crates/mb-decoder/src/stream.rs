@@ -20,15 +20,17 @@
 //!   [`RoundFeeder`] backed by one slot of a [`ContextPool`], the software
 //!   analog of the hardware's context memory (`contextBits` selecting a
 //!   `Mem[VertexPersistent]` row set). Thousands of logical-qubit streams
-//!   can hold shots open concurrently: a pushed round routes to the worker
-//!   owning that context, which swaps the context's state bank into its
-//!   engine ([`DecoderBackend::context_restore`]), folds the round in
-//!   (§6 fusion via [`DecoderBackend::ingest_round`]), and banks the state
-//!   again when another context needs the engine. Shots complete out of
-//!   order; zero-defect shots and shots a backend defers (the LUT
-//!   pre-decoder's arm-then-replay shape) never occupy a bank. Backends
-//!   without native round support buffer the rounds and decode the
-//!   assembled syndrome — same result, no early start.
+//!   can hold shots open concurrently. On a backend that switches contexts
+//!   ([`DecoderBackend::supports_context_switching`]) a pushed round routes
+//!   to the worker owning that context, which swaps the context's state
+//!   bank into its engine ([`DecoderBackend::context_restore`]), folds the
+//!   round in (§6 fusion via [`DecoderBackend::ingest_round`]), and banks
+//!   the state again when another context needs the engine. Every other
+//!   backend — including the stream decoder with its LUT pre-decoder armed,
+//!   whose rounds only load and log until the last one — buffers the rounds
+//!   and decodes the assembled syndrome once the feeder finishes: same
+//!   result, no early start. Shots complete out of order; zero-defect shots
+//!   and buffered shots never occupy a bank.
 //! * **bit-identical to batch** — a shot decodes to exactly the same
 //!   [`ShotOutcome`] the batch pipeline produces for it, regardless of how
 //!   its rounds interleave with other contexts (restoring a bank rebuilds
@@ -155,12 +157,12 @@ impl OutcomeCell {
 struct OutcomeSender(Arc<OutcomeCell>);
 
 impl OutcomeSender {
-    /// Hands the outcome to the ticket; a second delivery (or one after
-    /// abandonment) is ignored.
-    fn deliver(&self, outcome: ShotOutcome) {
+    /// Resolves a still-pending shot and wakes a blocked `recv`; any later
+    /// resolution (or one after abandonment) is ignored.
+    fn resolve(&self, resolution: CellState) {
         let mut state = self.0.state.lock().expect("outcome cell mutex poisoned");
         if matches!(*state, CellState::Pending) {
-            *state = CellState::Ready(outcome);
+            *state = resolution;
             drop(state);
             if self.0.waiters.load(Ordering::Relaxed) > 0 {
                 self.0.ready.notify_all();
@@ -168,17 +170,14 @@ impl OutcomeSender {
         }
     }
 
-    /// Fails the shot with a typed error; like [`Self::deliver`], a second
-    /// resolution is ignored.
+    /// Hands the outcome to the ticket.
+    fn deliver(&self, outcome: ShotOutcome) {
+        self.resolve(CellState::Ready(outcome));
+    }
+
+    /// Fails the shot with a typed error.
     fn fail(&self, error: DecodeError) {
-        let mut state = self.0.state.lock().expect("outcome cell mutex poisoned");
-        if matches!(*state, CellState::Pending) {
-            *state = CellState::Failed(error);
-            drop(state);
-            if self.0.waiters.load(Ordering::Relaxed) > 0 {
-                self.0.ready.notify_all();
-            }
-        }
+        self.resolve(CellState::Failed(error));
     }
 }
 
@@ -192,14 +191,7 @@ impl Clone for OutcomeSender {
 impl Drop for OutcomeSender {
     fn drop(&mut self) {
         if self.0.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let mut state = self.0.state.lock().expect("outcome cell mutex poisoned");
-            if matches!(*state, CellState::Pending) {
-                *state = CellState::Abandoned;
-                drop(state);
-                if self.0.waiters.load(Ordering::Relaxed) > 0 {
-                    self.0.ready.notify_all();
-                }
-            }
+            self.resolve(CellState::Abandoned);
         }
     }
 }
@@ -680,31 +672,32 @@ impl StreamShared {
         }
     }
 
-    /// Enqueues a request, blocking while the queue is at capacity.
-    ///
-    /// The reply channel is a rendezvous-free `sync_channel(1)`: exactly one
-    /// outcome is ever sent per ticket, and the bounded flavor allocates its
-    /// slot buffer *here*, on the producer thread. An unbounded `channel()`
-    /// defers its first block allocation to the first `send` — which would
-    /// put that allocation (and its page faults) inside the worker's decode
-    /// loop, where it dominates per-shot cost at saturation.
-    fn push(
+    /// Admits one submission: waits while the queue is at capacity (or,
+    /// without `block`, gives up at once), takes the next submission index,
+    /// turns `payload` into the queued request with `into_request` (under
+    /// the lock, so it may claim a context slot) and wakes a parked worker.
+    /// Hands `payload` back when the stream is closed or, without `block`,
+    /// the queue is full.
+    fn enqueue<P, T>(
         &self,
-        request: Request,
+        block: bool,
+        payload: P,
         deadline: Option<ArmedDeadline>,
-    ) -> Result<Ticket, DecodeError> {
+        into_request: impl FnOnce(&mut StreamState, usize, &OutcomeSender, P) -> (Request, T),
+    ) -> Result<(Ticket, T), P> {
         let (reply, cell) = OutcomeCell::pair();
         let mut state = self.state.lock().expect("stream queue mutex poisoned");
-        while state.queue.len() >= self.capacity && !state.closed {
+        while block && state.queue.len() >= self.capacity && !state.closed {
             state.waiting_producers += 1;
             state = self.space.wait(state).expect("stream queue mutex poisoned");
             state.waiting_producers -= 1;
         }
-        if state.closed {
-            return Err(DecodeError::StreamClosed);
+        if state.closed || state.queue.len() >= self.capacity {
+            return Err(payload);
         }
         let index = state.next_index;
         state.next_index += 1;
+        let (request, claimed) = into_request(&mut state, index, &reply, payload);
         state.queue.push_back(StreamItem {
             index,
             request,
@@ -718,40 +711,33 @@ impl StreamShared {
         if wake_worker {
             self.work.notify_one();
         }
-        Ok(Ticket { index, cell })
+        Ok((Ticket { index, cell }, claimed))
+    }
+
+    /// Enqueues a whole-shot request, blocking while the queue is at
+    /// capacity.
+    fn push(
+        &self,
+        request: Request,
+        deadline: Option<ArmedDeadline>,
+    ) -> Result<Ticket, DecodeError> {
+        self.enqueue(true, request, deadline, |_, _, _, request| (request, ()))
+            .map(|(ticket, ())| ticket)
+            .map_err(|_| DecodeError::StreamClosed)
     }
 
     /// Enqueues a request if a slot is free; hands the request back when it
     /// cannot be queued right now — the queue is full (or forced full by an
     /// injected fault), or the stream is closed (permanently full).
     fn try_push(&self, request: Request) -> Result<Ticket, Request> {
-        let (reply, cell) = OutcomeCell::pair();
         #[cfg(any(test, feature = "chaos"))]
         if let Some(plan) = &self.faults {
             if plan.steal_queue_full() {
                 return Err(request);
             }
         }
-        let mut state = self.state.lock().expect("stream queue mutex poisoned");
-        if state.closed || state.queue.len() >= self.capacity {
-            return Err(request);
-        }
-        let index = state.next_index;
-        state.next_index += 1;
-        state.queue.push_back(StreamItem {
-            index,
-            request,
-            reply,
-            deadline: None,
-        });
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.events.fetch_add(1, Ordering::Relaxed);
-        let wake_worker = state.waiting_workers > 0;
-        drop(state);
-        if wake_worker {
-            self.work.notify_one();
-        }
-        Ok(Ticket { index, cell })
+        self.enqueue(false, request, None, |_, _, _, request| (request, ()))
+            .map(|(ticket, ())| ticket)
     }
 
     /// Allocates a context slot and enqueues its ownership claim, blocking
@@ -761,33 +747,12 @@ impl StreamShared {
         &self,
         expected: ObservableMask,
     ) -> Result<(Ticket, usize, u64), DecodeError> {
-        let (reply, cell) = OutcomeCell::pair();
-        let mut state = self.state.lock().expect("stream queue mutex poisoned");
-        while state.queue.len() >= self.capacity && !state.closed {
-            state.waiting_producers += 1;
-            state = self.space.wait(state).expect("stream queue mutex poisoned");
-            state.waiting_producers -= 1;
-        }
-        if state.closed {
-            return Err(DecodeError::StreamClosed);
-        }
-        let index = state.next_index;
-        state.next_index += 1;
-        let (slot, generation) = state.contexts.allocate(index, expected, reply.clone());
-        state.queue.push_back(StreamItem {
-            index,
-            request: Request::OpenRounds { slot },
-            reply,
-            deadline: None,
-        });
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.events.fetch_add(1, Ordering::Relaxed);
-        let wake_worker = state.waiting_workers > 0;
-        drop(state);
-        if wake_worker {
-            self.work.notify_one();
-        }
-        Ok((Ticket { index, cell }, slot, generation))
+        self.enqueue(true, expected, None, |state, index, reply, expected| {
+            let (slot, generation) = state.contexts.allocate(index, expected, reply.clone());
+            (Request::OpenRounds { slot }, (slot, generation))
+        })
+        .map(|(ticket, (slot, generation))| (ticket, slot, generation))
+        .map_err(|_| DecodeError::StreamClosed)
     }
 
     /// Routes one measurement round to context `slot`: buffers it (into a
@@ -1017,15 +982,10 @@ impl StreamShared {
         sampler: &ErrorSampler<'_>,
         graph: &Arc<DecodingGraph>,
     ) -> ServeOutcome {
-        let supports_rounds = backend.supports_round_ingestion();
-        // eager = interleave contexts on the engine via state banks. A
-        // backend that defers round driving (the LUT pre-decoder's
-        // arm-then-replay shape) gains nothing from early ingestion, so its
-        // shots buffer in the slot and replay at finish — they never
-        // occupy a bank.
-        let eager = supports_rounds
-            && backend.supports_context_switching()
-            && !backend.defers_round_driving();
+        // eager = interleave contexts on the engine via state banks; every
+        // other backend's shots buffer in the slot and decode whole at
+        // finish, never occupying a bank
+        let eager = backend.supports_context_switching();
         self.eager_routing.store(eager, Ordering::Relaxed);
         let num_layers = graph.num_layers();
         let mut seat = EngineSeat {
@@ -1034,6 +994,7 @@ impl StreamShared {
         };
         let mut items: VecDeque<StreamItem> = VecDeque::new();
         let mut scratch: VecDeque<Vec<VertexIndex>> = VecDeque::new();
+        let mut syndrome = SyndromePattern::empty();
         let mut used: Vec<Vec<VertexIndex>> = Vec::new();
         // union-find fallback for deadline-degraded shots, built on first
         // miss only — deadline-free streams never pay for it
@@ -1052,9 +1013,9 @@ impl StreamShared {
                             &mut seat,
                             slot,
                             eager,
-                            supports_rounds,
                             num_layers,
                             &mut scratch,
+                            &mut syndrome,
                             &mut used,
                         );
                     }));
@@ -1077,36 +1038,10 @@ impl StreamShared {
                             _ => None,
                         };
                         let caught = catch_unwind(AssertUnwindSafe(|| {
-                            match request {
-                                Request::Shot(shot) => {
-                                    #[cfg(any(test, feature = "chaos"))]
-                                    self.inject_shot_fault(server);
-                                    seat.park(self);
-                                    self.decode_queued(
-                                        seat.backend,
-                                        &mut fallback,
-                                        graph,
-                                        index,
-                                        &shot,
-                                        deadline,
-                                        &reply,
-                                    );
-                                }
+                            let shot = match request {
+                                Request::Shot(shot) => shot,
                                 Request::Seeded { seed } => {
-                                    #[cfg(any(test, feature = "chaos"))]
-                                    self.inject_shot_fault(server);
-                                    seat.park(self);
-                                    let mut rng = shot_rng(seed, index as u64);
-                                    let shot = sampler.sample(&mut rng);
-                                    self.decode_queued(
-                                        seat.backend,
-                                        &mut fallback,
-                                        graph,
-                                        index,
-                                        &shot,
-                                        deadline,
-                                        &reply,
-                                    );
+                                    sampler.sample(&mut shot_rng(seed, index as u64))
                                 }
                                 Request::OpenRounds { slot } => {
                                     {
@@ -1123,13 +1058,26 @@ impl StreamShared {
                                         &mut seat,
                                         slot,
                                         eager,
-                                        supports_rounds,
                                         num_layers,
                                         &mut scratch,
+                                        &mut syndrome,
                                         &mut used,
                                     );
+                                    return;
                                 }
-                            }
+                            };
+                            #[cfg(any(test, feature = "chaos"))]
+                            self.inject_shot_fault(server);
+                            seat.park(self);
+                            self.decode_queued(
+                                seat.backend,
+                                &mut fallback,
+                                graph,
+                                index,
+                                &shot,
+                                deadline,
+                                &reply,
+                            );
                         }));
                         if let Err(payload) = caught {
                             let message = crate::pipeline::panic_message(payload);
@@ -1374,23 +1322,23 @@ impl StreamShared {
         }
     }
 
-    /// Processes whatever work context `slot` has pending, on the path the
-    /// backend supports.
+    /// Processes whatever work context `slot` has pending: eager banked
+    /// ingestion, or whole-syndrome decode once the feeder finishes.
     #[allow(clippy::too_many_arguments)]
     fn pump(
         &self,
         seat: &mut EngineSeat<'_>,
         slot: usize,
         eager: bool,
-        supports_rounds: bool,
         num_layers: usize,
         scratch: &mut VecDeque<Vec<VertexIndex>>,
+        syndrome: &mut SyndromePattern,
         used: &mut Vec<Vec<VertexIndex>>,
     ) {
         if eager {
             self.pump_eager(seat, slot, num_layers, scratch, used);
         } else {
-            self.finish_buffered(seat, slot, supports_rounds, num_layers, scratch, used);
+            self.finish_buffered(&mut *seat.backend, slot, scratch, syndrome, used);
         }
         self.recycle_rounds(used);
     }
@@ -1523,19 +1471,19 @@ impl StreamShared {
         seat.current = Some(slot);
     }
 
-    /// Completion path for backends that do not interleave contexts:
-    /// nothing runs until the feeder finishes, then the buffered rounds
-    /// play in one sitting (round-ingesting backends, e.g. with an armed
-    /// LUT pre-decoder) or assemble into one syndrome (the rest). The
-    /// engine is never banked, so fast-path shots retire without ever
-    /// occupying a context bank.
+    /// Completion path for backends that do not switch contexts: nothing
+    /// runs until the feeder finishes, then the buffered rounds assemble
+    /// into one syndrome for [`DecoderBackend::decode`]. A round-wise
+    /// backend's decode splits that syndrome back into every layer (empty
+    /// ones included) and ingests them in order, so the outcome equals
+    /// feeding the rounds one by one. The engine is never banked, so
+    /// fast-path shots retire without ever occupying a context bank.
     fn finish_buffered(
         &self,
-        seat: &mut EngineSeat<'_>,
+        backend: &mut dyn DecoderBackend,
         slot: usize,
-        supports_rounds: bool,
-        num_layers: usize,
         scratch: &mut VecDeque<Vec<VertexIndex>>,
+        syndrome: &mut SyndromePattern,
         used: &mut Vec<Vec<VertexIndex>>,
     ) {
         debug_assert!(scratch.is_empty());
@@ -1550,46 +1498,15 @@ impl StreamShared {
             }
             std::mem::swap(&mut ctx.rounds, scratch);
         }
-        let backend = &mut *seat.backend;
-        let outcome = if !supports_rounds {
-            let mut defects: Vec<VertexIndex> = Vec::new();
-            for round in scratch.drain(..) {
-                defects.extend_from_slice(&round);
-                used.push(round);
-            }
-            backend.decode(&SyndromePattern::new(defects))
-        } else {
-            backend.begin_rounds();
-            let mut layer = 0usize;
-            while scratch.len() > 1 {
-                let round = scratch.pop_front().expect("len checked");
-                assert!(
-                    layer + 1 < num_layers,
-                    "round feeder pushed more rounds than the graph has layers ({num_layers})"
-                );
-                backend.ingest_round(layer, &round);
-                layer += 1;
-                used.push(round);
-            }
-            let last = scratch.pop_front();
-            let outcome = match &last {
-                Some(final_round) if layer + 1 == num_layers => {
-                    backend.finish_rounds(layer, final_round)
-                }
-                last => {
-                    if let Some(round) = last {
-                        backend.ingest_round(layer, round);
-                        layer += 1;
-                    }
-                    for t in layer..num_layers - 1 {
-                        backend.ingest_round(t, &[]);
-                    }
-                    backend.finish_rounds(num_layers - 1, &[])
-                }
-            };
-            used.extend(last);
-            outcome
-        };
+        // the feeder dedupes within a round and rounds sit in disjoint
+        // layers, so sorting the concatenation yields a valid syndrome
+        syndrome.defects.clear();
+        for round in scratch.drain(..) {
+            syndrome.defects.extend_from_slice(&round);
+            used.push(round);
+        }
+        syndrome.defects.sort_unstable();
+        let outcome = backend.decode(syndrome);
         self.complete_context(slot, outcome);
     }
 
@@ -1702,6 +1619,19 @@ pub enum TrySubmitError {
     Invalid(DecodeError),
 }
 
+/// Checks that `defect` names a physical (non-virtual) vertex of `graph`.
+fn check_defect(graph: &DecodingGraph, defect: VertexIndex) -> Result<(), DecodeError> {
+    let vertex_count = graph.vertex_count();
+    let reason = if defect >= vertex_count {
+        InvalidDefectReason::OutOfRange { vertex_count }
+    } else if graph.is_virtual(defect) {
+        InvalidDefectReason::Virtual
+    } else {
+        return Ok(());
+    };
+    Err(DecodeError::InvalidDefect { defect, reason })
+}
+
 /// Incremental submission of one shot, round by round.
 ///
 /// Created by [`StreamDecoder::begin_shot`]; the shot occupies a
@@ -1782,20 +1712,8 @@ impl RoundFeeder {
                 num_layers,
             });
         }
-        let vertex_count = self.graph.vertex_count();
         for &defect in defects {
-            if defect >= vertex_count {
-                return Err(DecodeError::InvalidDefect {
-                    defect,
-                    reason: InvalidDefectReason::OutOfRange { vertex_count },
-                });
-            }
-            if self.graph.is_virtual(defect) {
-                return Err(DecodeError::InvalidDefect {
-                    defect,
-                    reason: InvalidDefectReason::Virtual,
-                });
-            }
+            check_defect(&self.graph, defect)?;
             let layer = self.graph.layer_of(defect);
             if layer != self.pushed {
                 return Err(DecodeError::InvalidDefect {
@@ -1917,7 +1835,7 @@ pub struct StreamStats {
     pub contexts_peak: u64,
     /// Context-bank restores performed by the serving workers
     /// ([`DecoderBackend::context_restore`] calls). Zero when the backend
-    /// buffers or defers round driving — those shots never bank.
+    /// does not switch contexts — its shots buffer and never bank.
     pub bank_switches: u64,
     /// Measurement rounds routed into context slots over the stream's
     /// lifetime (rounds pushed after a close or force-finish are dropped
@@ -2089,22 +2007,10 @@ impl StreamDecoder {
     /// anything is queued: every defect must name a physical (non-virtual)
     /// vertex.
     fn validate_shot(&self, shot: &Shot) -> Result<(), DecodeError> {
-        let vertex_count = self.graph.vertex_count();
-        for &defect in &shot.syndrome.defects {
-            if defect >= vertex_count {
-                return Err(DecodeError::InvalidDefect {
-                    defect,
-                    reason: InvalidDefectReason::OutOfRange { vertex_count },
-                });
-            }
-            if self.graph.is_virtual(defect) {
-                return Err(DecodeError::InvalidDefect {
-                    defect,
-                    reason: InvalidDefectReason::Virtual,
-                });
-            }
-        }
-        Ok(())
+        shot.syndrome
+            .defects
+            .iter()
+            .try_for_each(|&defect| check_defect(&self.graph, defect))
     }
 
     /// Submits a fully materialized shot; blocks while the queue is full
@@ -2897,8 +2803,8 @@ mod tests {
         // the context-multiplexing differential: K streams round-robined
         // (with a per-layer shuffle) through one stream must be
         // bit-identical to K independent single-shot streams and to batch
-        // decoding, across backends (eager banked, deferring predecoder,
-        // buffering) and worker counts
+        // decoding, across backends (eager banked, and whole-syndrome decode
+        // with and without round-wise fusion) and worker counts
         let graph = Arc::new(PhenomenologicalCode::rotated(3, 4, 0.05).decoding_graph());
         let k = 12;
         let shots = sample_shots(&graph, k, 31);
@@ -2908,7 +2814,8 @@ mod tests {
             .collect();
         let num_layers = graph.num_layers();
         let specs = [
-            // LUT pre-decoder armed: shots defer round driving, never bank
+            // LUT pre-decoder armed: rounds buffer, whole-syndrome decode
+            // at finish, never bank
             BackendSpec::micro_full(Some(3)),
             // predecoder off: eager banked context interleaving
             BackendSpec::Micro(MicroBlossomConfig::full(&graph, Some(3)).without_predecoder()),

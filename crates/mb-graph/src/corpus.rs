@@ -575,7 +575,9 @@ impl TraceCorpus {
             } else {
                 0.0
             };
-            let mut rounds = Vec::with_capacity(num_layers);
+            // every round costs at least one byte (its count varint), so a
+            // damaged header cannot request more rounds than bytes remain
+            let mut rounds = Vec::with_capacity(num_layers.min(bytes.len() - r.offset));
             for _ in 0..num_layers {
                 let count_offset = r.offset;
                 let count = r.varint()? as usize;

@@ -71,7 +71,6 @@ fn sparse_round_ingestion_is_bit_identical_to_dense_batch() {
         let config = MicroBlossomConfig::full(&graph, Some(d));
         let mut sparse = MicroBlossomDecoder::new(Arc::clone(&graph), config.clone());
         let mut dense = MicroBlossomDecoder::new(Arc::clone(&graph), config.with_dense_reference());
-        assert!(sparse.supports_round_ingestion());
         let mut rng = ChaCha8Rng::seed_from_u64(0xF00D + d as u64);
         for _ in 0..40 {
             let shot = sampler.sample(&mut rng);
