@@ -16,21 +16,28 @@
 //! * **per-shot tickets** — every submission returns a [`Ticket`]; its
 //!   [`Ticket::recv`] blocks until that shot's [`ShotOutcome`] is decoded.
 //!   Producers and consumers can live on different threads.
-//! * **context multiplexing** — [`StreamDecoder::begin_shot`] opens a
-//!   [`RoundFeeder`] backed by one slot of a [`ContextPool`], the software
-//!   analog of the hardware's context memory (`contextBits` selecting a
-//!   `Mem[VertexPersistent]` row set). Thousands of logical-qubit streams
-//!   can hold shots open concurrently. On a backend that switches contexts
-//!   ([`DecoderBackend::supports_context_switching`]) a pushed round routes
-//!   to the worker owning that context, which swaps the context's state
-//!   bank into its engine ([`DecoderBackend::context_restore`]), folds the
-//!   round in (§6 fusion via [`DecoderBackend::ingest_round`]), and banks
-//!   the state again when another context needs the engine. Every other
-//!   backend — including the stream decoder with its LUT pre-decoder armed,
-//!   whose rounds only load and log until the last one — buffers the rounds
-//!   and decodes the assembled syndrome once the feeder finishes: same
-//!   result, no early start. Shots complete out of order; zero-defect shots
-//!   and buffered shots never occupy a bank.
+//! * **every shot is a context** — each submission occupies one slot of a
+//!   [`ContextPool`], the software analog of the hardware's context memory
+//!   (`contextBits` selecting a `Mem[VertexPersistent]` row set), from
+//!   admission to outcome; the queue carries only slot ids, each one the
+//!   ownership claim a worker pops. A whole shot ([`StreamDecoder::submit`],
+//!   [`StreamDecoder::submit_seeded`]) is *born finished*: its syndrome is
+//!   its single buffered round, or is sampled by the completing worker.
+//!   [`StreamDecoder::begin_shot`] opens a [`RoundFeeder`] whose context
+//!   stays open until the feeder finishes, so thousands of logical-qubit
+//!   streams can hold shots open concurrently. On a backend that switches
+//!   contexts ([`DecoderBackend::supports_context_switching`]) a pushed
+//!   round routes to the worker owning that context, which swaps the
+//!   context's state bank into its engine
+//!   ([`DecoderBackend::context_restore`]), folds the round in (§6 fusion
+//!   via [`DecoderBackend::ingest_round`]), and banks the state again when
+//!   another context needs the engine. Every other backend — including the
+//!   stream decoder with its LUT pre-decoder armed, whose rounds only load
+//!   and log until the last one — buffers the rounds. A finished context
+//!   whose state never reached the engine completes in one step: decode its
+//!   assembled syndrome — same result, no early start. Shots complete out
+//!   of order; whole shots, zero-defect shots and buffered shots never
+//!   occupy a bank.
 //! * **bit-identical to batch** — a shot decodes to exactly the same
 //!   [`ShotOutcome`] the batch pipeline produces for it, regardless of how
 //!   its rounds interleave with other contexts (restoring a bank rebuilds
@@ -71,16 +78,15 @@ use crate::backend::{BackendSpec, DecoderBackend};
 #[cfg(any(test, feature = "chaos"))]
 use crate::chaos::{FaultPlan, RoundFault, ShotFault};
 use crate::error::{DecodeError, InvalidDefectReason};
-use crate::outcome::DecodeOutcome;
 use crate::pipeline::{
     decode_one, default_shards, shot_rng, DecodePool, JobState, ShotOutcome, MAX_STEAL_CHUNK,
 };
-use mb_graph::syndrome::{ErrorSampler, Shot, SyndromePattern};
+use mb_graph::syndrome::{ErrorSampler, Shot};
 use mb_graph::{DecodingGraph, ObservableMask, VertexIndex};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// How long an idle serving worker parks on the work condvar before
@@ -88,21 +94,6 @@ use std::time::{Duration, Instant};
 /// batch jobs inline. Bounds the latency a batch job can see behind a
 /// fully-pinned pool without burning CPU on a spin loop.
 const IDLE_POLL: Duration = Duration::from_micros(500);
-
-/// How one queued shot is produced.
-enum Request {
-    /// An explicit, fully materialized shot.
-    Shot(Shot),
-    /// Sample the shot inside the worker from `shot_rng(seed, index)`, where
-    /// `index` is the submission index — the same derivation
-    /// [`crate::pipeline::ShardedPipeline::run_sampled`] uses, so seeded
-    /// streams are bit-identical to sampled batches.
-    Seeded { seed: u64 },
-    /// An incrementally fed shot: claims ownership of context `slot` for
-    /// the popping worker. The rounds themselves route through the
-    /// [`ContextPool`], not the queue.
-    OpenRounds { slot: usize },
-}
 
 /// One-shot outcome hand-off between a decoding worker and its
 /// [`Ticket`] — a single-allocation replacement for an `mpsc` channel pair.
@@ -212,7 +203,9 @@ pub enum DeadlineFallback {
 
 /// A per-shot decode deadline, attached at submit time
 /// ([`StreamDecoder::submit_with_deadline`] /
-/// [`StreamDecoder::submit_seeded_with_deadline`]).
+/// [`StreamDecoder::submit_seeded_with_deadline`]). Deadlines apply to
+/// whole-shot submissions only; a round-fed shot
+/// ([`StreamDecoder::begin_shot`]) has none.
 ///
 /// The clock starts at submission. A shot whose deadline passes while it is
 /// still queued skips the exact decode entirely; one whose deadline passes
@@ -264,46 +257,111 @@ impl ArmedDeadline {
     }
 }
 
-/// One queued submission.
-struct StreamItem {
+/// The facts a shot is admitted with; no worker changes them.
+#[derive(Clone, Copy)]
+struct Admission {
     /// Submission index (becomes [`ShotOutcome::shot_index`] and the seeded
     /// RNG derivation index).
     index: usize,
-    request: Request,
-    reply: OutcomeSender,
-    /// Decode deadline armed at submit time, if any.
+    /// Ground-truth observable recorded in the outcome (a seeded shot's
+    /// comes from its sample instead).
+    expected: ObservableMask,
+    /// A seeded shot: the completing worker samples it from
+    /// `shot_rng(seed, index)` — the derivation
+    /// [`crate::pipeline::ShardedPipeline::run_sampled`] uses, so seeded
+    /// streams are bit-identical to sampled batches.
+    seed: Option<u64>,
+    /// Decode deadline armed at submit time (whole shots only).
     deadline: Option<ArmedDeadline>,
 }
 
-/// One in-flight round-fed shot: the producer side buffers rounds here and
-/// the owning worker drains them into its engine.
-struct ContextSlot {
-    /// Submission index (becomes [`ShotOutcome::shot_index`]).
-    index: usize,
-    /// Ground-truth observable recorded in the outcome.
-    expected: ObservableMask,
-    reply: OutcomeSender,
-    /// Rounds pushed but not yet applied by the owning worker.
-    rounds: VecDeque<Vec<VertexIndex>>,
-    /// Total defects pushed so far (after per-round dedupe) — the shot's
-    /// tally in [`ShotOutcome::defects`].
-    defect_count: usize,
-    /// The feeder finished (or was force-finished): no more rounds.
-    finished: bool,
-    /// When the finish landed, for the finish→outcome latency histogram.
-    finished_at: Option<Instant>,
-    /// Serving worker that claimed this context, `None` until its
-    /// [`Request::OpenRounds`] item is popped.
-    owner: Option<usize>,
-    /// Already enqueued in the owner's mailbox (dedupes wake-ups).
-    queued: bool,
-    /// Owner-side progress, mirrored by [`Progress`] while the owner pumps
-    /// outside the lock: whether the engine has begun this shot, whether
-    /// its state currently sits in a bank, and how many layers have been
-    /// ingested (including deferred all-empty ones).
+/// The owner-side ingestion progress of one context: whether the engine has
+/// begun this shot, whether its state currently sits in a bank, and how
+/// many layers have been ingested (including deferred all-empty ones). Only
+/// the owning worker reads or writes it, so that worker may cache a copy
+/// outside the lock while it pumps the context.
+#[derive(Clone, Copy, Default)]
+struct Progress {
     started: bool,
     banked: bool,
     ingested: usize,
+}
+
+impl Progress {
+    /// Whether the context's state lives in the engine or a bank.
+    fn in_engine(&self) -> bool {
+        self.started || self.banked
+    }
+}
+
+/// One in-flight shot. A round-fed shot's producer buffers rounds here and
+/// the owning worker drains them into its engine; a whole shot is born
+/// finished, its syndrome the single buffered round (or, seeded, sampled at
+/// completion).
+struct ContextSlot {
+    admission: Admission,
+    reply: OutcomeSender,
+    /// Rounds pushed but not yet applied by the owning worker.
+    rounds: VecDeque<Vec<VertexIndex>>,
+    /// Total defects buffered so far (after per-round dedupe) — the shot's
+    /// tally in [`ShotOutcome::defects`].
+    defect_count: usize,
+    /// No more rounds: a whole shot, or a feeder that finished (or was
+    /// force-finished).
+    finished: bool,
+    /// When a feeder's finish landed, for the finish→outcome latency
+    /// histogram (`None` for whole shots).
+    finished_at: Option<Instant>,
+    /// Serving worker that claimed this context, `None` until its slot id is
+    /// popped from the queue.
+    owner: Option<usize>,
+    /// Already enqueued in the owner's mailbox (dedupes wake-ups).
+    queued: bool,
+    progress: Progress,
+}
+
+impl ContextSlot {
+    /// An open (round-fed) context with nothing buffered yet.
+    fn new(index: usize, reply: OutcomeSender) -> Self {
+        Self {
+            admission: Admission {
+                index,
+                expected: 0,
+                seed: None,
+                deadline: None,
+            },
+            reply,
+            rounds: VecDeque::new(),
+            defect_count: 0,
+            finished: false,
+            finished_at: None,
+            owner: None,
+            queued: false,
+            progress: Progress::default(),
+        }
+    }
+
+    /// Turns this context into a whole shot: born finished, its syndrome
+    /// `shot`'s defects as the single buffered round — or, without a shot,
+    /// sampled from `seed` at completion.
+    fn whole(&mut self, shot: Option<Shot>, seed: Option<u64>, deadline: Option<ArmedDeadline>) {
+        if let Some(shot) = shot {
+            self.admission.expected = shot.observable;
+            self.defect_count = shot.syndrome.len();
+            self.rounds.push_back(shot.syndrome.defects);
+        }
+        self.admission.seed = seed;
+        self.admission.deadline = deadline;
+        self.finished = true;
+    }
+
+    /// The owner whose mailbox should receive this context, once per
+    /// wake-up: `None` while the context is unclaimed or already queued.
+    fn wake_owner(&mut self) -> Option<usize> {
+        let owner = self.owner.filter(|_| !self.queued)?;
+        self.queued = true;
+        Some(owner)
+    }
 }
 
 struct SlotEntry {
@@ -315,12 +373,13 @@ struct SlotEntry {
 
 /// The software analog of the accelerator's hardware context memory
 /// (`contextBits` selecting a `Mem[VertexPersistent]` row set, §7): a slab
-/// of in-flight round-fed shots ("contexts") multiplexed over the pool
-/// workers serving one stream.
+/// of in-flight shots ("contexts") multiplexed over the pool workers
+/// serving one stream.
 ///
-/// Each open [`RoundFeeder`] owns one slot. Rounds buffer in the slot and
-/// route to the worker that claimed it; that worker save/restores
-/// per-context state banks on its decode engine
+/// Every admitted shot owns one slot from admission to outcome, whole or
+/// round-fed. A whole shot is born finished. An open [`RoundFeeder`]'s
+/// rounds buffer in its slot and route to the worker that claimed it; that
+/// worker save/restores per-context state banks on its decode engine
 /// ([`DecoderBackend::context_save`] / [`DecoderBackend::context_restore`],
 /// both O(active defects) for the accelerator backends), so thousands of
 /// concurrent logical-qubit streams interleave on a handful of engines.
@@ -358,43 +417,22 @@ impl ContextPool {
         }
     }
 
-    /// Allocates a context slot for a newly begun shot, reusing a freed
-    /// slot when one exists.
-    fn allocate(
-        &mut self,
-        index: usize,
-        expected: ObservableMask,
-        reply: OutcomeSender,
-    ) -> (usize, u64) {
-        let slot = match self.free_slots.pop() {
-            Some(slot) => slot,
-            None => {
-                self.entries.push(SlotEntry {
-                    generation: 0,
-                    ctx: None,
-                });
-                self.entries.len() - 1
-            }
-        };
-        let entry = &mut self.entries[slot];
-        debug_assert!(entry.ctx.is_none(), "allocated an occupied slot");
-        entry.ctx = Some(ContextSlot {
-            index,
-            expected,
-            reply,
-            rounds: VecDeque::new(),
-            defect_count: 0,
-            finished: false,
-            finished_at: None,
-            owner: None,
-            queued: false,
-            started: false,
-            banked: false,
-            ingested: 0,
+    /// Allocates a slot for a newly admitted shot's context, reusing a
+    /// freed slot when one exists.
+    fn allocate(&mut self, ctx: ContextSlot) -> (usize, u64) {
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            self.entries.push(SlotEntry {
+                generation: 0,
+                ctx: None,
+            });
+            self.entries.len() - 1
         });
         self.live += 1;
-        self.unfinished += 1;
+        self.unfinished += usize::from(!ctx.finished);
         self.peak = self.peak.max(self.live as u64);
+        let entry = &mut self.entries[slot];
+        debug_assert!(entry.ctx.is_none(), "allocated an occupied slot");
+        entry.ctx = Some(ctx);
         (slot, entry.generation)
     }
 
@@ -414,14 +452,15 @@ impl ContextPool {
             .and_then(|e| e.ctx.as_mut())
     }
 
-    /// Recycles a completed context's slot and returns the context (its
-    /// reply channel outlives the slot).
+    /// Recycles a context's slot and returns the context (its reply channel
+    /// outlives the slot).
     fn release(&mut self, slot: usize) -> Option<ContextSlot> {
         let entry = self.entries.get_mut(slot)?;
         let ctx = entry.ctx.take()?;
         entry.generation += 1;
         self.free_slots.push(slot);
         self.live -= 1;
+        self.unfinished -= usize::from(!ctx.finished);
         Some(ctx)
     }
 
@@ -445,11 +484,8 @@ impl ContextPool {
             ctx.finished = true;
             ctx.finished_at = Some(now);
             *unfinished -= 1;
-            if let Some(owner) = ctx.owner {
-                if !ctx.queued {
-                    ctx.queued = true;
-                    mailboxes[owner].push_back(slot);
-                }
+            if let Some(owner) = ctx.wake_owner() {
+                mailboxes[owner].push_back(slot);
             }
         }
     }
@@ -506,7 +542,8 @@ impl ContextPool {
 
 /// Queue state guarded by the mutex.
 struct StreamState {
-    queue: VecDeque<StreamItem>,
+    /// Slot ids of admitted contexts no worker has claimed yet.
+    queue: VecDeque<usize>,
     closed: bool,
     next_index: usize,
     /// Workers parked on the `work` condvar. Tracked so the hot submit path
@@ -516,7 +553,7 @@ struct StreamState {
     waiting_workers: usize,
     /// Producers parked on the `space` condvar (same reasoning, pop side).
     waiting_producers: usize,
-    /// The in-flight round-fed contexts and their per-server mailboxes.
+    /// Every in-flight shot's context and the per-server mailboxes.
     contexts: ContextPool,
     /// Recycled round buffers: [`StreamShared::push_context_round`] pops one
     /// here instead of allocating (the producer-side hot path is then
@@ -542,48 +579,47 @@ pub(crate) enum ServeOutcome {
     /// A decode panicked on this worker's backend. The failing shot's
     /// ticket already carries [`DecodeError::WorkerPanic`], this worker's
     /// banked contexts were failed and released, and any unprocessed
-    /// claimed items were re-queued. The caller must discard the backend
+    /// claimed slots were re-queued. The caller must discard the backend
     /// (its state is arbitrary) and call `serve` again on a fresh one.
     Poisoned,
 }
 
-/// What the serving worker found to do in one pass over the shared state.
-enum Work {
-    /// Drained a chunk of queued submissions.
-    Items,
-    /// A context in this worker's mailbox has routable rounds or finished.
-    Context(usize),
-    Closed,
-    Idle,
-}
-
-/// Worker-local view of which context currently occupies the decode engine.
-struct EngineSeat<'a> {
+/// One serving worker's side of the stream: its mailbox id, its decode
+/// engine and the context occupying it, and the buffers it reuses across
+/// shots.
+struct Server<'a> {
+    id: usize,
     backend: &'a mut dyn DecoderBackend,
+    /// The context whose state the engine holds, if any.
     current: Option<usize>,
+    /// Whether the backend interleaves contexts eagerly (banked round
+    /// ingestion); every other backend's contexts buffer until finished.
+    eager: bool,
+    sampler: &'a ErrorSampler<'a>,
+    graph: &'a Arc<DecodingGraph>,
+    /// The pumped context's rounds, swapped out of its slot.
+    rounds: VecDeque<Vec<VertexIndex>>,
+    /// Drained round buffers, returned to the recycle pool after each pump.
+    used: Vec<Vec<VertexIndex>>,
+    /// The syndrome assembled by the completion step.
+    shot: Shot,
+    /// Union-find fallback for deadline-degraded shots, built on first miss
+    /// only — deadline-free streams never pay for it.
+    fallback: Option<Box<dyn DecoderBackend>>,
 }
 
-impl EngineSeat<'_> {
+impl Server<'_> {
     /// Banks the engine-resident context, if any, freeing the engine for a
-    /// different context (or a plain batch shot, or an idle return).
+    /// different context (or a whole-syndrome decode, or an idle return).
     fn park(&mut self, shared: &StreamShared) {
         if let Some(slot) = self.current.take() {
             self.backend.context_save(slot);
-            let mut state = shared.state.lock().expect("stream queue mutex poisoned");
+            let mut state = shared.lock();
             if let Some(ctx) = state.contexts.ctx_mut(slot) {
-                ctx.banked = true;
+                ctx.progress.banked = true;
             }
         }
     }
-}
-
-/// The owner-side ingestion progress of one context, cached outside the
-/// lock while its worker pumps it. Only the owning worker reads or writes
-/// these fields, so caching them across engine calls is race-free.
-struct Progress {
-    started: bool,
-    banked: bool,
-    ingested: usize,
 }
 
 /// The live work queue shared between producers and the pool workers
@@ -591,7 +627,7 @@ struct Progress {
 /// source.
 pub(crate) struct StreamShared {
     state: Mutex<StreamState>,
-    /// Signalled when an item is queued, a round routes to a mailbox, or
+    /// Signalled when a slot id is queued, a round routes to a mailbox, or
     /// the stream closes (workers wait).
     work: Condvar,
     /// Signalled when queue slots free up or the stream closes (producers
@@ -672,21 +708,27 @@ impl StreamShared {
         }
     }
 
-    /// Admits one submission: waits while the queue is at capacity (or,
-    /// without `block`, gives up at once), takes the next submission index,
-    /// turns `payload` into the queued request with `into_request` (under
-    /// the lock, so it may claim a context slot) and wakes a parked worker.
-    /// Hands `payload` back when the stream is closed or, without `block`,
-    /// the queue is full.
-    fn enqueue<P, T>(
+    /// The shared state, locked.
+    fn lock(&self) -> MutexGuard<'_, StreamState> {
+        self.state.lock().expect("stream queue mutex poisoned")
+    }
+
+    /// The one admission path of every submission: waits while the queue is
+    /// at capacity (or, without `block`, gives up at once), takes the next
+    /// submission index, lets `open` fill the shot's new context from
+    /// `payload`, allocates the context's [`ContextPool`] slot and queues
+    /// the slot id — the ownership claim a worker pops. Returns the ticket
+    /// and the slot handle `(slot, generation)`. Hands `payload` back
+    /// untouched when the stream is closed or, without `block`, the queue is
+    /// full: the slot is allocated only once the capacity check passed.
+    fn admit<P>(
         &self,
         block: bool,
         payload: P,
-        deadline: Option<ArmedDeadline>,
-        into_request: impl FnOnce(&mut StreamState, usize, &OutcomeSender, P) -> (Request, T),
-    ) -> Result<(Ticket, T), P> {
+        open: impl FnOnce(&mut ContextSlot, P),
+    ) -> Result<(Ticket, usize, u64), P> {
         let (reply, cell) = OutcomeCell::pair();
-        let mut state = self.state.lock().expect("stream queue mutex poisoned");
+        let mut state = self.lock();
         while block && state.queue.len() >= self.capacity && !state.closed {
             state.waiting_producers += 1;
             state = self.space.wait(state).expect("stream queue mutex poisoned");
@@ -697,13 +739,10 @@ impl StreamShared {
         }
         let index = state.next_index;
         state.next_index += 1;
-        let (request, claimed) = into_request(&mut state, index, &reply, payload);
-        state.queue.push_back(StreamItem {
-            index,
-            request,
-            reply,
-            deadline,
-        });
+        let mut ctx = ContextSlot::new(index, reply);
+        open(&mut ctx, payload);
+        let (slot, generation) = state.contexts.allocate(ctx);
+        state.queue.push_back(slot);
         self.submitted.fetch_add(1, Ordering::Relaxed);
         self.events.fetch_add(1, Ordering::Relaxed);
         let wake_worker = state.waiting_workers > 0;
@@ -711,48 +750,7 @@ impl StreamShared {
         if wake_worker {
             self.work.notify_one();
         }
-        Ok((Ticket { index, cell }, claimed))
-    }
-
-    /// Enqueues a whole-shot request, blocking while the queue is at
-    /// capacity.
-    fn push(
-        &self,
-        request: Request,
-        deadline: Option<ArmedDeadline>,
-    ) -> Result<Ticket, DecodeError> {
-        self.enqueue(true, request, deadline, |_, _, _, request| (request, ()))
-            .map(|(ticket, ())| ticket)
-            .map_err(|_| DecodeError::StreamClosed)
-    }
-
-    /// Enqueues a request if a slot is free; hands the request back when it
-    /// cannot be queued right now — the queue is full (or forced full by an
-    /// injected fault), or the stream is closed (permanently full).
-    fn try_push(&self, request: Request) -> Result<Ticket, Request> {
-        #[cfg(any(test, feature = "chaos"))]
-        if let Some(plan) = &self.faults {
-            if plan.steal_queue_full() {
-                return Err(request);
-            }
-        }
-        self.enqueue(false, request, None, |_, _, _, request| (request, ()))
-            .map(|(ticket, ())| ticket)
-    }
-
-    /// Allocates a context slot and enqueues its ownership claim, blocking
-    /// while the queue is at capacity. Returns the ticket plus the slot
-    /// handle `(slot, generation)` for the feeder.
-    fn push_open_rounds(
-        &self,
-        expected: ObservableMask,
-    ) -> Result<(Ticket, usize, u64), DecodeError> {
-        self.enqueue(true, expected, None, |state, index, reply, expected| {
-            let (slot, generation) = state.contexts.allocate(index, expected, reply.clone());
-            (Request::OpenRounds { slot }, (slot, generation))
-        })
-        .map(|(ticket, (slot, generation))| (ticket, slot, generation))
-        .map_err(|_| DecodeError::StreamClosed)
+        Ok((Ticket { index, cell }, slot, generation))
     }
 
     /// Routes one measurement round to context `slot`: buffers it (into a
@@ -769,58 +767,48 @@ impl StreamShared {
         generation: u64,
         defects: &[VertexIndex],
     ) -> Result<(), DecodeError> {
-        let mut state = self.state.lock().expect("stream queue mutex poisoned");
-        if state.closed {
-            return Err(DecodeError::FeederClosed);
-        }
-        {
-            let Some(ctx) = state.contexts.ctx_mut_checked(slot, generation) else {
-                return Err(DecodeError::FeederClosed);
-            };
-            if ctx.finished {
-                return Err(DecodeError::FeederClosed);
-            }
-        }
-        let mut round = state.round_pool.pop().unwrap_or_default();
+        let mut state = self.lock();
+        let StreamState {
+            closed,
+            contexts,
+            round_pool,
+            ..
+        } = &mut *state;
+        let ctx = match contexts.ctx_mut_checked(slot, generation) {
+            Some(ctx) if !*closed && !ctx.finished => ctx,
+            _ => return Err(DecodeError::FeederClosed),
+        };
+        let mut round = round_pool.pop().unwrap_or_default();
         round.clear();
         for &d in defects {
             if !round.contains(&d) {
                 round.push(d);
             }
         }
+        ctx.defect_count += round.len();
+        ctx.rounds.push_back(round);
         let eager = self.eager_routing.load(Ordering::Relaxed);
-        let owner_to_wake = {
-            let ctx = state
-                .contexts
-                .ctx_mut_checked(slot, generation)
-                .expect("liveness checked above");
-            ctx.defect_count += round.len();
-            ctx.rounds.push_back(round);
-            match ctx.owner {
-                Some(owner) if eager && !ctx.queued => {
-                    ctx.queued = true;
-                    Some(owner)
-                }
-                _ => None,
-            }
-        };
-        state.contexts.rounds_routed += 1;
-        let wake = match owner_to_wake {
-            Some(owner) => {
-                state.contexts.mailboxes[owner].push_back(slot);
-                self.events.fetch_add(1, Ordering::Relaxed);
-                state.waiting_workers > 0
-            }
-            None => false,
-        };
-        drop(state);
-        if wake {
-            // notify_all: the owner must wake, and the condvar is shared by
-            // all servers — a notify_one could land on a different server
-            // that re-parks without draining this mailbox
-            self.work.notify_all();
+        let owner = if eager { ctx.wake_owner() } else { None };
+        contexts.rounds_routed += 1;
+        if let Some(owner) = owner {
+            contexts.mailboxes[owner].push_back(slot);
+            self.publish(state);
         }
         Ok(())
+    }
+
+    /// Publishes work the serving workers can act on: bumps the `events`
+    /// epoch and, once `state` is unlocked, wakes every parked worker —
+    /// notify_all, because a mailbox entry must reach its owner and the
+    /// condvar is shared by all servers (a notify_one could land on a
+    /// different server that re-parks without draining that mailbox).
+    fn publish(&self, state: MutexGuard<'_, StreamState>) {
+        self.events.fetch_add(1, Ordering::Relaxed);
+        let wake = state.waiting_workers > 0;
+        drop(state);
+        if wake {
+            self.work.notify_all();
+        }
     }
 
     /// Returns drained round buffers to the recycle pool in one batch (one
@@ -829,50 +817,32 @@ impl StreamShared {
         if used.is_empty() {
             return;
         }
-        let mut state = self.state.lock().expect("stream queue mutex poisoned");
-        while state.round_pool.len() < ROUND_POOL_CAP {
-            match used.pop() {
-                Some(mut round) => {
-                    round.clear();
-                    state.round_pool.push(round);
-                }
-                None => break,
-            }
+        let mut state = self.lock();
+        let room = ROUND_POOL_CAP.saturating_sub(state.round_pool.len());
+        for mut round in used.drain(..).take(room) {
+            round.clear();
+            state.round_pool.push(round);
         }
-        used.clear();
     }
 
     /// Marks context `slot` finished (no more rounds) and hands it to its
     /// owner for completion. Idempotent; a stale feeder handle is a no-op.
     fn finish_context(&self, slot: usize, generation: u64) {
-        let mut state = self.state.lock().expect("stream queue mutex poisoned");
-        let owner_to_wake = {
-            let Some(ctx) = state.contexts.ctx_mut_checked(slot, generation) else {
-                return;
-            };
-            if ctx.finished {
-                return;
-            }
-            ctx.finished = true;
-            ctx.finished_at = Some(Instant::now());
-            match ctx.owner {
-                Some(owner) if !ctx.queued => {
-                    ctx.queued = true;
-                    Some(owner)
-                }
-                _ => None,
-            }
+        let mut state = self.lock();
+        let contexts = &mut state.contexts;
+        let Some(ctx) = contexts.ctx_mut_checked(slot, generation) else {
+            return;
         };
-        state.contexts.unfinished -= 1;
-        if let Some(owner) = owner_to_wake {
-            state.contexts.mailboxes[owner].push_back(slot);
+        if ctx.finished {
+            return;
         }
-        self.events.fetch_add(1, Ordering::Relaxed);
-        let wake = state.waiting_workers > 0;
-        drop(state);
-        if wake {
-            self.work.notify_all();
+        ctx.finished = true;
+        ctx.finished_at = Some(Instant::now());
+        if let Some(owner) = ctx.wake_owner() {
+            contexts.mailboxes[owner].push_back(slot);
         }
+        contexts.unfinished -= 1;
+        self.publish(state);
     }
 
     /// Marks the stream closed and wakes everyone: workers drain the queue
@@ -882,46 +852,16 @@ impl StreamShared {
     /// rounds pushed so far — so a closing thread holding thousands of open
     /// feeders cannot deadlock against the workers waiting for more rounds.
     fn close(&self) {
-        let mut state = self.state.lock().expect("stream queue mutex poisoned");
+        let mut state = self.lock();
         state.closed = true;
         state.contexts.force_finish_all(Instant::now());
-        self.events.fetch_add(1, Ordering::Relaxed);
-        drop(state);
-        self.work.notify_all();
+        self.publish(state);
         self.space.notify_all();
-    }
-
-    /// Open round feeders (shots begun but not finished).
-    fn open_feeders(&self) -> usize {
-        self.state
-            .lock()
-            .expect("stream queue mutex poisoned")
-            .contexts
-            .unfinished
-    }
-
-    /// Live round-fed contexts (shots begun but not completed).
-    fn open_contexts(&self) -> usize {
-        self.state
-            .lock()
-            .expect("stream queue mutex poisoned")
-            .contexts
-            .live
-    }
-
-    /// Number of submissions waiting in the queue (not yet claimed by a
-    /// worker).
-    fn depth(&self) -> usize {
-        self.state
-            .lock()
-            .expect("stream queue mutex poisoned")
-            .queue
-            .len()
     }
 
     /// Aggregate counters; see [`StreamStats`].
     fn stats_snapshot(&self) -> StreamStats {
-        let state = self.state.lock().expect("stream queue mutex poisoned");
+        let state = self.lock();
         StreamStats {
             submitted: self.submitted.load(Ordering::Relaxed),
             decoded: self.decoded.load(Ordering::Relaxed),
@@ -947,13 +887,11 @@ impl StreamShared {
     /// a normal close the stream is already closed and drained, making this
     /// a no-op.
     pub(crate) fn abandon_pending(&self) {
-        let mut state = self.state.lock().expect("stream queue mutex poisoned");
+        let mut state = self.lock();
         state.closed = true;
         state.queue.clear();
         state.contexts.clear();
-        self.events.fetch_add(1, Ordering::Relaxed);
-        drop(state);
-        self.work.notify_all();
+        self.publish(state);
         self.space.notify_all();
     }
 
@@ -968,13 +906,13 @@ impl StreamShared {
         server
     }
 
-    /// One scheduling pass of a serving worker: drain queued submissions in
-    /// chunks, pump contexts routed to this worker's mailbox (switching
-    /// engine banks as needed), and return [`ServeOutcome::Idle`] after
-    /// [`IDLE_POLL`] without work — the caller may then run queued batch
-    /// jobs inline and call `serve` again. Returns
-    /// [`ServeOutcome::Closed`] once the stream is closed and this worker's
-    /// share of it is drained.
+    /// One scheduling pass of a serving worker: claim queued slot ids in
+    /// chunks and the contexts routed to this worker's mailbox, pump each
+    /// (switching engine banks as needed), and return
+    /// [`ServeOutcome::Idle`] after [`IDLE_POLL`] without work — the caller
+    /// may then run queued batch jobs inline and call `serve` again.
+    /// Returns [`ServeOutcome::Closed`] once the stream is closed and this
+    /// worker's share of it is drained.
     pub(crate) fn serve(
         &self,
         server: usize,
@@ -982,122 +920,40 @@ impl StreamShared {
         sampler: &ErrorSampler<'_>,
         graph: &Arc<DecodingGraph>,
     ) -> ServeOutcome {
-        // eager = interleave contexts on the engine via state banks; every
-        // other backend's shots buffer in the slot and decode whole at
-        // finish, never occupying a bank
         let eager = backend.supports_context_switching();
         self.eager_routing.store(eager, Ordering::Relaxed);
-        let num_layers = graph.num_layers();
-        let mut seat = EngineSeat {
+        let mut worker = Server {
+            id: server,
             backend,
             current: None,
+            eager,
+            sampler,
+            graph,
+            rounds: VecDeque::new(),
+            used: Vec::new(),
+            shot: sampler.shot_from_edges(Vec::new()),
+            fallback: None,
         };
-        let mut items: VecDeque<StreamItem> = VecDeque::new();
-        let mut scratch: VecDeque<Vec<VertexIndex>> = VecDeque::new();
-        let mut syndrome = SyndromePattern::empty();
-        let mut used: Vec<Vec<VertexIndex>> = Vec::new();
-        // union-find fallback for deadline-degraded shots, built on first
-        // miss only — deadline-free streams never pay for it
-        let mut fallback: Option<Box<dyn DecoderBackend>> = None;
+        let mut claimed: VecDeque<usize> = VecDeque::new();
         loop {
-            let work = self.next_work(server, &mut items);
-            match work {
-                Work::Closed => return ServeOutcome::Closed,
-                Work::Idle => {
-                    seat.park(self);
-                    return ServeOutcome::Idle;
-                }
-                Work::Context(slot) => {
-                    let caught = catch_unwind(AssertUnwindSafe(|| {
-                        self.pump(
-                            &mut seat,
-                            slot,
-                            eager,
-                            num_layers,
-                            &mut scratch,
-                            &mut syndrome,
-                            &mut used,
-                        );
-                    }));
-                    if let Err(payload) = caught {
-                        let message = crate::pipeline::panic_message(payload);
-                        self.poison_server(server, Some(slot), &mut items, &message);
-                        return ServeOutcome::Poisoned;
-                    }
-                }
-                Work::Items => {
-                    while let Some(item) = items.pop_front() {
-                        let StreamItem {
-                            index,
-                            request,
-                            reply,
-                            deadline,
-                        } = item;
-                        let pumped_slot = match &request {
-                            Request::OpenRounds { slot } => Some(*slot),
-                            _ => None,
-                        };
-                        let caught = catch_unwind(AssertUnwindSafe(|| {
-                            let shot = match request {
-                                Request::Shot(shot) => shot,
-                                Request::Seeded { seed } => {
-                                    sampler.sample(&mut shot_rng(seed, index as u64))
-                                }
-                                Request::OpenRounds { slot } => {
-                                    {
-                                        let mut state =
-                                            self.state.lock().expect("stream queue mutex poisoned");
-                                        if let Some(ctx) = state.contexts.ctx_mut(slot) {
-                                            ctx.owner = Some(server);
-                                        }
-                                    }
-                                    // rounds (or a finish) may already have
-                                    // buffered before the claim: process them
-                                    // now
-                                    self.pump(
-                                        &mut seat,
-                                        slot,
-                                        eager,
-                                        num_layers,
-                                        &mut scratch,
-                                        &mut syndrome,
-                                        &mut used,
-                                    );
-                                    return;
-                                }
-                            };
-                            #[cfg(any(test, feature = "chaos"))]
-                            self.inject_shot_fault(server);
-                            seat.park(self);
-                            self.decode_queued(
-                                seat.backend,
-                                &mut fallback,
-                                graph,
-                                index,
-                                &shot,
-                                deadline,
-                                &reply,
-                            );
-                        }));
-                        if let Err(payload) = caught {
-                            let message = crate::pipeline::panic_message(payload);
-                            // only the panicking shot's outcome is lost;
-                            // its ticket carries the typed error
-                            reply.fail(DecodeError::WorkerPanic {
-                                message: message.clone(),
-                            });
-                            self.poison_server(server, pumped_slot, &mut items, &message);
-                            return ServeOutcome::Poisoned;
-                        }
-                    }
+            if let Some(outcome) = self.next_work(server, &mut claimed) {
+                worker.park(self);
+                return outcome;
+            }
+            while let Some(slot) = claimed.pop_front() {
+                let caught = catch_unwind(AssertUnwindSafe(|| self.pump(&mut worker, slot)));
+                if let Err(payload) = caught {
+                    let message = crate::pipeline::panic_message(payload);
+                    self.poison_server(server, slot, &mut claimed, &message);
+                    return ServeOutcome::Poisoned;
                 }
             }
         }
     }
 
-    /// Consults the fault plan before decoding a queued shot; a scheduled
-    /// [`ShotFault::Panic`] unwinds into the per-item isolation scope
-    /// exactly like a backend bug would.
+    /// Consults the fault plan at a shot's completion step — once per shot,
+    /// whole or round-fed; a scheduled [`ShotFault::Panic`] unwinds into
+    /// the per-context isolation scope exactly like a backend bug would.
     #[cfg(any(test, feature = "chaos"))]
     fn inject_shot_fault(&self, server: usize) {
         if let Some(plan) = &self.faults {
@@ -1109,138 +965,49 @@ impl StreamShared {
         }
     }
 
-    /// Decodes one queued (materialized) shot, honoring its deadline:
-    /// already-expired shots skip the exact decode entirely, and shots whose
-    /// deadline passes mid-decode ([`DecoderBackend::deadline_was_hit`])
-    /// complete per their [`DeadlineFallback`] instead of stalling.
-    #[allow(clippy::too_many_arguments)]
-    fn decode_queued(
-        &self,
-        backend: &mut dyn DecoderBackend,
-        fallback: &mut Option<Box<dyn DecoderBackend>>,
-        graph: &Arc<DecodingGraph>,
-        index: usize,
-        shot: &Shot,
-        deadline: Option<ArmedDeadline>,
-        reply: &OutcomeSender,
-    ) {
-        let Some(dl) = deadline else {
-            let outcome = decode_one(backend, index, shot);
-            self.decoded.fetch_add(1, Ordering::Relaxed);
-            // the ticket may have been dropped; the decode still counts
-            reply.deliver(outcome);
-            return;
-        };
-        if Instant::now() >= dl.at {
-            // expired while queued: the exact decode cannot possibly land
-            self.miss_deadline(fallback, graph, index, shot, &dl, reply);
-            return;
-        }
-        backend.set_deadline(Some(dl.at));
-        let outcome = decode_one(backend, index, shot);
-        // read the abort flag before disarming: clearing the deadline also
-        // clears it
-        let missed = backend.deadline_was_hit();
-        backend.set_deadline(None);
-        if missed {
-            self.miss_deadline(fallback, graph, index, shot, &dl, reply);
-            return;
-        }
-        self.decoded.fetch_add(1, Ordering::Relaxed);
-        reply.deliver(outcome);
-    }
-
-    /// Completes a deadline-missed shot per its policy: a typed
-    /// [`DecodeError::DeadlineExceeded`] failure, or a bounded-latency
-    /// union-find decode tagged [`ShotOutcome::degraded`].
-    fn miss_deadline(
-        &self,
-        fallback: &mut Option<Box<dyn DecoderBackend>>,
-        graph: &Arc<DecodingGraph>,
-        index: usize,
-        shot: &Shot,
-        dl: &ArmedDeadline,
-        reply: &OutcomeSender,
-    ) {
-        self.deadline_misses.fetch_add(1, Ordering::Relaxed);
-        match dl.fallback {
-            DeadlineFallback::Fail => {
-                reply.fail(DecodeError::DeadlineExceeded {
-                    deadline: dl.budget,
-                });
-            }
-            DeadlineFallback::DegradeToUnionFind => {
-                let backend = fallback
-                    .get_or_insert_with(|| BackendSpec::union_find().build(Arc::clone(graph)));
-                let mut outcome = decode_one(backend.as_mut(), index, shot);
-                outcome.degraded = true;
-                self.degraded.fetch_add(1, Ordering::Relaxed);
-                self.decoded.fetch_add(1, Ordering::Relaxed);
-                reply.deliver(outcome);
-            }
-        }
-    }
-
     /// Contains the blast radius of a decode panic on `server`: unclaimed
-    /// queue items go back to the queue front (their decode on a healthy
-    /// backend is bit-identical), contexts whose engine or banked state died
-    /// with the poisoned backend fail typed, and untouched contexts owned by
-    /// this server are re-queued for the respawned backend. `in_flight`
-    /// names the context being pumped when the panic hit, if any — it is
-    /// always failed, so a context whose decode deterministically panics
-    /// cannot wedge the worker in a panic/respawn retry loop.
+    /// slot ids go back to the queue front (their decode on a healthy
+    /// backend is bit-identical), the `in_flight` context and every context
+    /// whose engine or banked state died with the poisoned backend fail
+    /// typed, and untouched contexts owned by this server are re-queued for
+    /// the respawned backend. Failing `in_flight` unconditionally means a
+    /// shot whose decode deterministically panics cannot wedge the worker in
+    /// a panic/respawn retry loop.
     fn poison_server(
         &self,
         server: usize,
-        in_flight: Option<usize>,
-        items: &mut VecDeque<StreamItem>,
+        in_flight: usize,
+        claimed: &mut VecDeque<usize>,
         message: &str,
     ) {
         self.worker_panics.fetch_add(1, Ordering::Relaxed);
         let mut casualties: Vec<OutcomeSender> = Vec::new();
         {
-            let mut state = self.state.lock().expect("stream queue mutex poisoned");
-            while let Some(item) = items.pop_back() {
-                state.queue.push_front(item);
+            let mut state = self.lock();
+            while let Some(slot) = claimed.pop_back() {
+                state.queue.push_front(slot);
             }
             // rebuild this server's mailbox from its surviving contexts
-            state.contexts.mailboxes[server].clear();
-            for slot in 0..state.contexts.entries.len() {
-                let Some(ctx) = state.contexts.entries[slot].ctx.as_ref() else {
+            let contexts = &mut state.contexts;
+            contexts.mailboxes[server].clear();
+            for slot in 0..contexts.entries.len() {
+                let Some(ctx) = contexts.entries[slot].ctx.as_mut() else {
                     continue;
                 };
                 if ctx.owner != Some(server) {
                     continue;
                 }
-                let doomed = in_flight == Some(slot) || ctx.started || ctx.banked;
-                if doomed {
-                    let was_finished = ctx.finished;
-                    let ctx = state
-                        .contexts
-                        .release(slot)
-                        .expect("occupancy checked above");
-                    if !was_finished {
-                        state.contexts.unfinished -= 1;
-                    }
+                if slot == in_flight || ctx.progress.in_engine() {
+                    let ctx = contexts.release(slot).expect("occupancy checked above");
                     casualties.push(ctx.reply);
                 } else {
-                    let has_work = ctx.finished || !ctx.rounds.is_empty();
-                    let ctx = state
-                        .contexts
-                        .ctx_mut(slot)
-                        .expect("occupancy checked above");
-                    ctx.queued = has_work;
-                    if has_work {
-                        state.contexts.mailboxes[server].push_back(slot);
+                    ctx.queued = ctx.finished || !ctx.rounds.is_empty();
+                    if ctx.queued {
+                        contexts.mailboxes[server].push_back(slot);
                     }
                 }
             }
-            self.events.fetch_add(1, Ordering::Relaxed);
-            let wake = state.waiting_workers > 0;
-            drop(state);
-            if wake {
-                self.work.notify_all();
-            }
+            self.publish(state);
         }
         // deliver failures after dropping the state lock (lock order:
         // state → outcome cell)
@@ -1252,10 +1019,10 @@ impl StreamShared {
         }
     }
 
-    /// Finds this worker's next piece of stream work: a context routed to
-    /// its mailbox, a chunk of queued submissions (drained into `items`),
-    /// the close signal, or — after [`IDLE_POLL`] without any of those —
-    /// [`Work::Idle`].
+    /// Finds this worker's next stream work and claims it into `claimed`:
+    /// a context routed to its mailbox, or a chunk of queued slot ids.
+    /// Returns `None` once something is claimed, otherwise the close signal
+    /// or — after [`IDLE_POLL`] without work — [`ServeOutcome::Idle`].
     ///
     /// When the queue runs dry the worker first spins on the lock-free
     /// `events` epoch (cheap CPU hints, then scheduler yields) before
@@ -1266,25 +1033,26 @@ impl StreamShared {
     /// producer's submit skips its futex-wake syscall and neither side
     /// pays the park/wake context switch that would otherwise dominate
     /// per-shot cost whenever the worker outruns the producer.
-    fn next_work(&self, server: usize, items: &mut VecDeque<StreamItem>) -> Work {
+    fn next_work(&self, server: usize, claimed: &mut VecDeque<usize>) -> Option<ServeOutcome> {
         const SPIN_CHEAP: u32 = 64;
         const SPIN_TOTAL: u32 = 256;
         loop {
             let seen = {
-                let mut state = self.state.lock().expect("stream queue mutex poisoned");
+                let mut state = self.lock();
                 if let Some(slot) = state.contexts.mailboxes[server].pop_front() {
-                    return Work::Context(slot);
+                    claimed.push_back(slot);
+                    return None;
                 }
                 if !state.queue.is_empty() {
                     let take = state.queue.len().min(MAX_STEAL_CHUNK);
-                    items.extend(state.queue.drain(..take));
+                    claimed.extend(state.queue.drain(..take));
                     if state.waiting_producers > 0 {
                         self.space.notify_all();
                     }
-                    return Work::Items;
+                    return None;
                 }
                 if state.closed {
-                    return Work::Closed;
+                    return Some(ServeOutcome::Closed);
                 }
                 self.events.load(Ordering::Relaxed)
             };
@@ -1298,7 +1066,7 @@ impl StreamShared {
                     std::thread::yield_now();
                 } else {
                     // park; producers notify once waiting_workers is set
-                    let mut state = self.state.lock().expect("stream queue mutex poisoned");
+                    let mut state = self.lock();
                     if self.events.load(Ordering::Relaxed) != seen {
                         break; // work raced in while acquiring the lock
                     }
@@ -1314,7 +1082,7 @@ impl StreamShared {
                         && state.queue.is_empty()
                         && !state.closed
                     {
-                        return Work::Idle;
+                        return Some(ServeOutcome::Idle);
                     }
                     break;
                 }
@@ -1322,106 +1090,106 @@ impl StreamShared {
         }
     }
 
-    /// Processes whatever work context `slot` has pending: eager banked
-    /// ingestion, or whole-syndrome decode once the feeder finishes.
-    #[allow(clippy::too_many_arguments)]
-    fn pump(
-        &self,
-        seat: &mut EngineSeat<'_>,
-        slot: usize,
-        eager: bool,
-        num_layers: usize,
-        scratch: &mut VecDeque<Vec<VertexIndex>>,
-        syndrome: &mut SyndromePattern,
-        used: &mut Vec<Vec<VertexIndex>>,
-    ) {
-        if eager {
-            self.pump_eager(seat, slot, num_layers, scratch, used);
-        } else {
-            self.finish_buffered(&mut *seat.backend, slot, scratch, syndrome, used);
-        }
-        self.recycle_rounds(used);
-    }
-
-    /// Eager (banked) path: applies the context's buffered rounds through
-    /// the engine — swapping context banks when the engine holds a
-    /// different context — and completes the shot once its feeder has
-    /// finished.
-    fn pump_eager(
-        &self,
-        seat: &mut EngineSeat<'_>,
-        slot: usize,
-        num_layers: usize,
-        scratch: &mut VecDeque<Vec<VertexIndex>>,
-        used: &mut Vec<Vec<VertexIndex>>,
-    ) {
-        debug_assert!(scratch.is_empty());
-        let (finished, mut prog) = {
-            let mut state = self.state.lock().expect("stream queue mutex poisoned");
+    /// The one step a worker runs on a claimed context: takes ownership of
+    /// it, folds its routable rounds into the engine (eager backends, once
+    /// the context's state lives there or more rounds are coming), and,
+    /// once the context has finished, completes it — through the engine if
+    /// its state already lives there (started or banked), otherwise by
+    /// decoding its assembled syndrome. Finishing the rounds through the
+    /// engine is bit-identical to that decode, so every context whose state
+    /// never reached the engine — whole shots, buffered shots, and round-fed
+    /// shots that finished before their owner pumped them — takes the same
+    /// completion path.
+    fn pump(&self, worker: &mut Server<'_>, slot: usize) {
+        debug_assert!(worker.rounds.is_empty());
+        let (admission, defects, finished, mut prog) = {
+            let mut state = self.lock();
             let Some(ctx) = state.contexts.ctx_mut(slot) else {
                 return; // abandoned mid-flight
             };
+            ctx.owner = Some(worker.id);
             ctx.queued = false;
-            std::mem::swap(&mut ctx.rounds, scratch);
-            (
-                ctx.finished,
-                Progress {
-                    started: ctx.started,
-                    banked: ctx.banked,
-                    ingested: ctx.ingested,
-                },
-            )
+            if !ctx.finished && !worker.eager {
+                return; // rounds keep buffering until the feeder finishes
+            }
+            std::mem::swap(&mut ctx.rounds, &mut worker.rounds);
+            (ctx.admission, ctx.defect_count, ctx.finished, ctx.progress)
         };
-        if !finished {
+        if !finished || prog.in_engine() {
             // one round of lookahead: a round is only known to be non-final
             // once its successor (or the finish) has arrived
-            while scratch.len() > 1 {
-                let round = scratch.pop_front().expect("len checked");
-                self.apply_nonfinal(seat, slot, &mut prog, &round, num_layers);
-                used.push(round);
+            while worker.rounds.len() > 1 {
+                let round = worker.rounds.pop_front().expect("len checked");
+                self.apply_nonfinal(worker, slot, &mut prog, &round);
+                worker.used.push(round);
             }
-            let leftover = scratch.pop_front();
-            let mut state = self.state.lock().expect("stream queue mutex poisoned");
+        }
+        if !finished {
+            let leftover = worker.rounds.pop_front();
+            let mut state = self.lock();
             if let Some(ctx) = state.contexts.ctx_mut(slot) {
+                // rounds pushed meanwhile queue behind the lookahead
                 if let Some(round) = leftover {
                     ctx.rounds.push_front(round);
                 }
-                ctx.started = prog.started;
-                ctx.banked = prog.banked;
-                ctx.ingested = prog.ingested;
+                ctx.progress = prog;
             }
-            return;
+        } else {
+            #[cfg(any(test, feature = "chaos"))]
+            self.inject_shot_fault(worker.id);
+            let result = if prog.in_engine() {
+                let outcome = self.finish_rounds(worker, slot, &mut prog);
+                Ok(ShotOutcome {
+                    shot_index: admission.index,
+                    defects,
+                    decoded_observable: outcome.observable,
+                    expected_observable: admission.expected,
+                    latency_ns: outcome.latency_ns,
+                    breakdown: outcome.breakdown,
+                    degraded: false,
+                })
+            } else {
+                self.decode_assembled(worker, admission)
+            };
+            self.complete_context(slot, result);
         }
-        while scratch.len() > 1 {
-            let round = scratch.pop_front().expect("len checked");
-            self.apply_nonfinal(seat, slot, &mut prog, &round, num_layers);
-            used.push(round);
-        }
-        let last = scratch.pop_front();
+        self.recycle_rounds(&mut worker.used);
+    }
+
+    /// Feeds the engine-resident context's last buffered round (or, with
+    /// fewer rounds than layers, the empty padding) and completes its decode.
+    fn finish_rounds(
+        &self,
+        worker: &mut Server<'_>,
+        slot: usize,
+        prog: &mut Progress,
+    ) -> crate::outcome::DecodeOutcome {
+        let num_layers = worker.graph.num_layers();
+        let last = worker.rounds.pop_front();
         let outcome = match &last {
             Some(final_round) if prog.ingested + 1 == num_layers => {
                 // the final layer carries the latency-measurement snapshot
-                self.ensure_loaded(seat, slot, &mut prog);
-                seat.backend.finish_rounds(prog.ingested, final_round)
+                self.ensure_loaded(worker, slot, prog);
+                worker.backend.finish_rounds(prog.ingested, final_round)
             }
             last => {
                 if let Some(round) = last {
-                    self.apply_nonfinal(seat, slot, &mut prog, round, num_layers);
+                    self.apply_nonfinal(worker, slot, prog, round);
                 }
                 // fewer rounds than layers: pad with empty rounds so the
                 // result is bit-identical to batch-decoding the same
                 // (partial) syndrome
-                self.ensure_loaded(seat, slot, &mut prog);
+                self.ensure_loaded(worker, slot, prog);
                 for t in prog.ingested..num_layers - 1 {
-                    seat.backend.ingest_round(t, &[]);
+                    worker.backend.ingest_round(t, &[]);
                 }
-                seat.backend.finish_rounds(num_layers - 1, &[])
+                worker.backend.finish_rounds(num_layers - 1, &[])
             }
         };
-        used.extend(last);
+        worker.used.extend(last);
         // the engine now holds completed-shot state, owned by no context
-        seat.current = None;
-        self.complete_context(slot, outcome);
+        worker.current = None;
+        outcome
     }
 
     /// Feeds one non-final round into the engine. While the prefix is
@@ -1430,12 +1198,12 @@ impl StreamShared {
     /// engine or a bank.
     fn apply_nonfinal(
         &self,
-        seat: &mut EngineSeat<'_>,
+        worker: &mut Server<'_>,
         slot: usize,
         prog: &mut Progress,
         round: &[VertexIndex],
-        num_layers: usize,
     ) {
+        let num_layers = worker.graph.num_layers();
         assert!(
             prog.ingested + 1 < num_layers,
             "round feeder pushed more rounds than the graph has layers ({num_layers})"
@@ -1444,8 +1212,8 @@ impl StreamShared {
             prog.ingested += 1;
             return;
         }
-        self.ensure_loaded(seat, slot, prog);
-        seat.backend.ingest_round(prog.ingested, round);
+        self.ensure_loaded(worker, slot, prog);
+        worker.backend.ingest_round(prog.ingested, round);
         prog.ingested += 1;
     }
 
@@ -1453,89 +1221,114 @@ impl StreamShared {
     /// holds the engine, then restores `slot`'s bank — or begins it fresh,
     /// replaying any deferred all-empty prefix so the instruction sequence
     /// is identical to uninterrupted ingestion.
-    fn ensure_loaded(&self, seat: &mut EngineSeat<'_>, slot: usize, prog: &mut Progress) {
-        if seat.current == Some(slot) {
+    fn ensure_loaded(&self, worker: &mut Server<'_>, slot: usize, prog: &mut Progress) {
+        if worker.current == Some(slot) {
             return;
         }
-        seat.park(self);
+        worker.park(self);
         if prog.banked {
-            seat.backend.context_restore(slot);
+            worker.backend.context_restore(slot);
             self.bank_switches.fetch_add(1, Ordering::Relaxed);
         } else {
-            seat.backend.begin_rounds();
+            worker.backend.begin_rounds();
             for t in 0..prog.ingested {
-                seat.backend.ingest_round(t, &[]);
+                worker.backend.ingest_round(t, &[]);
             }
             prog.started = true;
         }
-        seat.current = Some(slot);
+        worker.current = Some(slot);
     }
 
-    /// Completion path for backends that do not switch contexts: nothing
-    /// runs until the feeder finishes, then the buffered rounds assemble
-    /// into one syndrome for [`DecoderBackend::decode`]. A round-wise
-    /// backend's decode splits that syndrome back into every layer (empty
-    /// ones included) and ingests them in order, so the outcome equals
-    /// feeding the rounds one by one. The engine is never banked, so
-    /// fast-path shots retire without ever occupying a context bank.
-    fn finish_buffered(
+    /// Completion step of a finished context whose state never reached the
+    /// engine: assembles its syndrome and decodes it with
+    /// [`DecoderBackend::decode`], honoring the shot's deadline. The
+    /// syndrome is the buffered rounds — a whole shot's single round, or a
+    /// feeder's rounds, which it deduped and which sit in disjoint layers,
+    /// so their sorted concatenation is a valid syndrome — or, for a seeded
+    /// shot, a fresh sample. A round-wise backend's decode splits the
+    /// syndrome back into every layer (empty ones included) and ingests them
+    /// in order, so the outcome equals feeding the rounds one by one.
+    fn decode_assembled(
         &self,
-        backend: &mut dyn DecoderBackend,
-        slot: usize,
-        scratch: &mut VecDeque<Vec<VertexIndex>>,
-        syndrome: &mut SyndromePattern,
-        used: &mut Vec<Vec<VertexIndex>>,
-    ) {
-        debug_assert!(scratch.is_empty());
-        {
-            let mut state = self.state.lock().expect("stream queue mutex poisoned");
-            let Some(ctx) = state.contexts.ctx_mut(slot) else {
-                return;
-            };
-            ctx.queued = false;
-            if !ctx.finished {
-                return; // rounds keep buffering until the feeder finishes
+        worker: &mut Server<'_>,
+        admission: Admission,
+    ) -> Result<ShotOutcome, DecodeError> {
+        worker.park(self);
+        let shot = &mut worker.shot;
+        match admission.seed {
+            Some(seed) => {
+                *shot = worker
+                    .sampler
+                    .sample(&mut shot_rng(seed, admission.index as u64))
             }
-            std::mem::swap(&mut ctx.rounds, scratch);
+            None => {
+                shot.syndrome.defects.clear();
+                for round in worker.rounds.drain(..) {
+                    shot.syndrome.defects.extend_from_slice(&round);
+                    worker.used.push(round);
+                }
+                shot.syndrome.defects.sort_unstable();
+                shot.observable = admission.expected;
+            }
         }
-        // the feeder dedupes within a round and rounds sit in disjoint
-        // layers, so sorting the concatenation yields a valid syndrome
-        syndrome.defects.clear();
-        for round in scratch.drain(..) {
-            syndrome.defects.extend_from_slice(&round);
-            used.push(round);
+        let shot = &worker.shot;
+        let backend = &mut *worker.backend;
+        let index = admission.index;
+        let Some(dl) = admission.deadline else {
+            return Ok(decode_one(backend, index, shot));
+        };
+        // a shot already expired while queued skips the exact decode, which
+        // cannot possibly land in time
+        if Instant::now() < dl.at {
+            backend.set_deadline(Some(dl.at));
+            let outcome = decode_one(backend, index, shot);
+            // read the abort flag before disarming: clearing the deadline
+            // also clears it
+            let missed = backend.deadline_was_hit();
+            backend.set_deadline(None);
+            if !missed {
+                return Ok(outcome);
+            }
         }
-        syndrome.defects.sort_unstable();
-        let outcome = backend.decode(syndrome);
-        self.complete_context(slot, outcome);
+        self.deadline_misses.fetch_add(1, Ordering::Relaxed);
+        match dl.fallback {
+            DeadlineFallback::Fail => Err(DecodeError::DeadlineExceeded {
+                deadline: dl.budget,
+            }),
+            DeadlineFallback::DegradeToUnionFind => {
+                let fallback = worker.fallback.get_or_insert_with(|| {
+                    BackendSpec::union_find().build(Arc::clone(worker.graph))
+                });
+                let mut outcome = decode_one(fallback.as_mut(), index, shot);
+                outcome.degraded = true;
+                self.degraded.fetch_add(1, Ordering::Relaxed);
+                Ok(outcome)
+            }
+        }
     }
 
-    /// Retires a completed context: records its finish→outcome latency,
-    /// recycles its slot (freeing the bank id for reuse) and sends the
-    /// outcome to the ticket.
-    fn complete_context(&self, slot: usize, outcome: DecodeOutcome) {
-        let ctx = {
-            let mut state = self.state.lock().expect("stream queue mutex poisoned");
+    /// Retires a completed context: records a round-fed shot's
+    /// finish→outcome latency, recycles the slot (freeing the bank id for
+    /// reuse) and resolves the ticket.
+    fn complete_context(&self, slot: usize, result: Result<ShotOutcome, DecodeError>) {
+        let reply = {
+            let mut state = self.lock();
             let Some(ctx) = state.contexts.release(slot) else {
                 return; // abandoned while decoding
             };
             if let Some(at) = ctx.finished_at {
                 state.contexts.record_finish_latency(at.elapsed());
             }
-            ctx
+            ctx.reply
         };
-        let shot = ShotOutcome {
-            shot_index: ctx.index,
-            defects: ctx.defect_count,
-            decoded_observable: outcome.observable,
-            expected_observable: ctx.expected,
-            latency_ns: outcome.latency_ns,
-            breakdown: outcome.breakdown,
-            degraded: false,
-        };
-        self.decoded.fetch_add(1, Ordering::Relaxed);
-        // the ticket may have been dropped; the decode still counts
-        ctx.reply.deliver(shot);
+        match result {
+            Ok(outcome) => {
+                self.decoded.fetch_add(1, Ordering::Relaxed);
+                // the ticket may have been dropped; the decode still counts
+                reply.deliver(outcome);
+            }
+            Err(error) => reply.fail(error),
+        }
     }
 }
 
@@ -1830,8 +1623,10 @@ pub struct StreamStats {
     pub submitted: u64,
     /// Shots decoded (equals `submitted` after a clean close).
     pub decoded: u64,
-    /// Peak number of concurrently open round-fed contexts — how much of
-    /// the [`ContextPool`] was ever in use at once.
+    /// Peak number of concurrently in-flight shots — how much of the
+    /// [`ContextPool`] was ever in use at once. Every shot holds a context
+    /// from admission to outcome, so queued whole shots count as well as
+    /// open round-fed ones.
     pub contexts_peak: u64,
     /// Context-bank restores performed by the serving workers
     /// ([`DecoderBackend::context_restore`] calls). Zero when the backend
@@ -1972,8 +1767,8 @@ impl std::fmt::Debug for StreamDecoder {
             .field("backend", &self.spec.name())
             .field("workers", &self.workers)
             .field("queue_capacity", &self.shared.capacity)
-            .field("queue_depth", &self.shared.depth())
-            .field("open_contexts", &self.shared.open_contexts())
+            .field("queue_depth", &self.queue_depth())
+            .field("open_contexts", &self.open_contexts())
             .finish()
     }
 }
@@ -2013,14 +1808,30 @@ impl StreamDecoder {
             .try_for_each(|&defect| check_defect(&self.graph, defect))
     }
 
+    /// Admits a whole shot — explicit, or sampled from `seed` — whose
+    /// context is born finished.
+    fn submit_whole(
+        &self,
+        shot: Option<Shot>,
+        seed: Option<u64>,
+        deadline: Option<ArmedDeadline>,
+    ) -> Result<Ticket, DecodeError> {
+        if let Some(shot) = &shot {
+            self.validate_shot(shot)?;
+        }
+        self.shared
+            .admit(true, shot, |ctx, shot| ctx.whole(shot, seed, deadline))
+            .map(|(ticket, ..)| ticket)
+            .map_err(|_| DecodeError::StreamClosed)
+    }
+
     /// Submits a fully materialized shot; blocks while the queue is full
     /// (backpressure). Defect indices are validated up front
     /// ([`DecodeError::InvalidDefect`]) so a malformed shot never reaches a
     /// decoding worker; a closed stream reports
     /// [`DecodeError::StreamClosed`].
     pub fn submit(&self, shot: Shot) -> Result<Ticket, DecodeError> {
-        self.validate_shot(&shot)?;
-        self.shared.push(Request::Shot(shot), None)
+        self.submit_whole(Some(shot), None, None)
     }
 
     /// [`Self::submit`] with a per-shot [`DeadlinePolicy`]: the clock starts
@@ -2032,9 +1843,7 @@ impl StreamDecoder {
         shot: Shot,
         policy: DeadlinePolicy,
     ) -> Result<Ticket, DecodeError> {
-        self.validate_shot(&shot)?;
-        self.shared
-            .push(Request::Shot(shot), Some(ArmedDeadline::arm(policy)))
+        self.submit_whole(Some(shot), None, Some(ArmedDeadline::arm(policy)))
     }
 
     /// Non-blocking [`Self::submit`]: hands the shot back inside
@@ -2045,12 +1854,16 @@ impl StreamDecoder {
         if let Err(error) = self.validate_shot(&shot) {
             return Err(TrySubmitError::Invalid(error));
         }
+        #[cfg(any(test, feature = "chaos"))]
+        if let Some(plan) = &self.shared.faults {
+            if plan.steal_queue_full() {
+                return Err(TrySubmitError::Full(shot));
+            }
+        }
         self.shared
-            .try_push(Request::Shot(shot))
-            .map_err(|request| match request {
-                Request::Shot(shot) => TrySubmitError::Full(shot),
-                _ => unreachable!("try_submit only queues explicit shots"),
-            })
+            .admit(false, shot, |ctx, shot| ctx.whole(Some(shot), None, None))
+            .map(|(ticket, ..)| ticket)
+            .map_err(TrySubmitError::Full)
     }
 
     /// Submits a shot to be sampled inside the worker from
@@ -2060,7 +1873,7 @@ impl StreamDecoder {
     /// Blocks while the queue is full; a closed stream reports
     /// [`DecodeError::StreamClosed`].
     pub fn submit_seeded(&self, seed: u64) -> Result<Ticket, DecodeError> {
-        self.shared.push(Request::Seeded { seed }, None)
+        self.submit_whole(None, Some(seed), None)
     }
 
     /// [`Self::submit_seeded`] with a per-shot [`DeadlinePolicy`] (see
@@ -2070,8 +1883,7 @@ impl StreamDecoder {
         seed: u64,
         policy: DeadlinePolicy,
     ) -> Result<Ticket, DecodeError> {
-        self.shared
-            .push(Request::Seeded { seed }, Some(ArmedDeadline::arm(policy)))
+        self.submit_whole(None, Some(seed), Some(ArmedDeadline::arm(policy)))
     }
 
     /// Opens a round-wise submission: allocates a [`ContextPool`] slot and
@@ -2085,7 +1897,12 @@ impl StreamDecoder {
     /// (pass 0 when unknown; [`ShotOutcome::is_logical_error`] is then
     /// meaningless for this shot).
     pub fn begin_shot(&self, expected: ObservableMask) -> Result<RoundFeeder, DecodeError> {
-        let (ticket, slot, generation) = self.shared.push_open_rounds(expected)?;
+        let (ticket, slot, generation) = self
+            .shared
+            .admit(true, expected, |ctx, expected| {
+                ctx.admission.expected = expected
+            })
+            .map_err(|_| DecodeError::StreamClosed)?;
         #[cfg(any(test, feature = "chaos"))]
         let feeder_seq = self
             .shared
@@ -2127,13 +1944,7 @@ impl StreamDecoder {
         config: crate::WindowConfig,
         expected: ObservableMask,
     ) -> Result<crate::WindowedFeeder, DecodeError> {
-        if self
-            .shared
-            .state
-            .lock()
-            .expect("stream queue mutex poisoned")
-            .closed
-        {
+        if self.shared.lock().closed {
             return Err(DecodeError::StreamClosed);
         }
         let plan = {
@@ -2162,13 +1973,13 @@ impl StreamDecoder {
 
     /// Round feeders currently open (shots begun but not finished).
     pub fn open_feeders(&self) -> usize {
-        self.shared.open_feeders()
+        self.shared.lock().contexts.unfinished
     }
 
-    /// Round-fed contexts currently live (shots begun but not completed) —
-    /// the occupancy of the stream's [`ContextPool`].
+    /// Shots currently in flight (admitted but not completed), whole or
+    /// round-fed — the occupancy of the stream's [`ContextPool`].
     pub fn open_contexts(&self) -> usize {
-        self.shared.open_contexts()
+        self.shared.lock().contexts.live
     }
 
     /// Context-bank restores performed by the serving workers so far.
@@ -2181,7 +1992,7 @@ impl StreamDecoder {
     /// are being throttled, ~0 under sustained load means workers are
     /// starved between submissions.
     pub fn queue_depth(&self) -> usize {
-        self.shared.depth()
+        self.shared.lock().queue.len()
     }
 
     /// The configured queue capacity.
@@ -2269,6 +2080,7 @@ mod tests {
     use crate::micro::MicroBlossomConfig;
     use crate::pipeline::ShardedPipeline;
     use mb_graph::codes::{CodeCapacityRotatedCode, PhenomenologicalCode};
+    use mb_graph::syndrome::SyndromePattern;
 
     fn rotated() -> Arc<DecodingGraph> {
         Arc::new(CodeCapacityRotatedCode::new(3, 0.04).decoding_graph())
@@ -2878,12 +2690,9 @@ mod tests {
     /// Rounds buffered in context slots, not yet consumed by a pump (a
     /// non-finished context retains at most its one-round lookahead).
     fn pending_rounds(stream: &StreamDecoder) -> usize {
-        let state = stream
+        stream
             .shared
-            .state
             .lock()
-            .expect("stream queue mutex poisoned");
-        state
             .contexts
             .entries
             .iter()

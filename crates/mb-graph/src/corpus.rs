@@ -862,6 +862,21 @@ mod tests {
     }
 
     #[test]
+    fn over_deep_provenance_fails_typed() {
+        let (mut corpus, _) = sample_corpus(2, 11);
+        let nested = |depth: usize| {
+            (0..depth).fold(JsonValue::Null, |inner, _| JsonValue::Array(vec![inner]))
+        };
+        corpus.header.provenance = nested(crate::json::MAX_DEPTH);
+        assert_eq!(TraceCorpus::decode(&corpus.encode()).unwrap(), corpus);
+        corpus.header.provenance = nested(crate::json::MAX_DEPTH + 1);
+        assert!(matches!(
+            TraceCorpus::decode(&corpus.encode()),
+            Err(CorpusError::Corrupt { .. })
+        ));
+    }
+
+    #[test]
     fn flagless_corpus_drops_truth_and_weights() {
         let (mut corpus, _) = sample_corpus(4, 8);
         corpus.header.has_truth = false;

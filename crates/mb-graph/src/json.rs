@@ -196,15 +196,22 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so without a bound a hostile document (a corpus's
+/// provenance, say) of a million `[` would overflow the stack and abort.
+pub(crate) const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document.
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] with the byte offset of the first problem.
+/// Returns a [`JsonError`] with the byte offset of the first problem,
+/// including arrays and objects nested deeper than 128 levels.
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut parser = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     parser.skip_whitespace();
     let value = parser.parse_value()?;
@@ -218,6 +225,8 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -249,8 +258,8 @@ impl Parser<'_> {
 
     fn parse_value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(JsonValue::String(self.parse_string()?)),
             Some(b't') => self.parse_keyword("true", JsonValue::Bool(true)),
             Some(b'f') => self.parse_keyword("false", JsonValue::Bool(false)),
@@ -258,6 +267,20 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object, one nesting level below the current.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_keyword(&mut self, keyword: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
@@ -467,6 +490,21 @@ mod tests {
         assert!(err.offset >= 6, "offset {}", err.offset);
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("[1] trailing").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |open: &str, close: &str, depth: usize| {
+            format!("{}null{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nest("{\"a\":", "}", MAX_DEPTH)).is_ok());
+        let err = parse(&nest("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(parse(&nest("{\"a\":", "}", MAX_DEPTH + 1)).is_err());
+        // deep enough to overflow the stack without the bound
+        assert!(parse(&"[".repeat(1_000_000)).is_err());
+        assert!(parse(&"{\"a\":".repeat(1_000_000)).is_err());
     }
 
     #[test]

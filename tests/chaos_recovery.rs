@@ -153,6 +153,45 @@ fn stream_panic_storm_spares_unaffected_shots() {
 }
 
 #[test]
+fn round_fed_shots_draw_shot_faults_too() {
+    // every shot draws exactly one shot fault at its completion step,
+    // round-fed ones included: with shots fed one at a time through one
+    // worker, its k-th shot panics whether the context buffered its rounds
+    // (pre-decoder armed) or banked them, and only that shot fails
+    let graph = graph();
+    let shots = sample_shots(&graph, 12, 0xFEE0);
+    let k = 5;
+    for (name, spec) in specs(&graph) {
+        if name == "union-find" {
+            continue;
+        }
+        let reference = ShardedPipeline::new(spec.clone(), Arc::clone(&graph)).run_shots(&shots);
+        let stream = StreamDecoder::builder(spec, Arc::clone(&graph))
+            .pool(Arc::new(DecodePool::new(1)))
+            .workers(1)
+            .fault_plan(Arc::new(FaultPlan::new().panic_worker(0, k)))
+            .start();
+        for (i, shot) in shots.iter().enumerate() {
+            let mut feeder = stream.begin_shot(shot.observable).unwrap();
+            for round in shot.syndrome.split_by_layer(&graph) {
+                feeder.push_round(&round).unwrap();
+            }
+            match feeder.finish().recv() {
+                Ok(outcome) if i as u64 != k => {
+                    assert_eq!(outcome, reference[i], "{name}: shot {i} diverged")
+                }
+                Err(DecodeError::WorkerPanic { message }) if i as u64 == k => {
+                    assert!(message.contains("chaos: injected panic"), "{message}")
+                }
+                other => panic!("{name}: shot {i}: unexpected {other:?}"),
+            }
+        }
+        let stats = stream.close();
+        assert_eq!(stats.worker_panics, 1, "{name}");
+    }
+}
+
+#[test]
 fn round_fault_storms_never_deadlock() {
     // drop/corrupt/duplicate/reorder storms across worker counts and
     // backends: every faulted delivery either lands or bounces off the

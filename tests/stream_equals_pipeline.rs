@@ -7,7 +7,7 @@
 
 use mb_decoder::pipeline::{shot_rng, DecodePool, ShardedPipeline, ShotOutcome};
 use mb_decoder::stream::StreamDecoder;
-use mb_decoder::BackendSpec;
+use mb_decoder::{BackendSpec, MicroBlossomConfig};
 use mb_graph::codes::{CodeCapacityRotatedCode, PhenomenologicalCode};
 use mb_graph::syndrome::{ErrorSampler, Shot};
 use mb_graph::DecodingGraph;
@@ -180,56 +180,67 @@ fn seeded_streams_are_bit_identical_to_run_sampled() {
 #[test]
 fn round_fed_streams_match_run_shots() {
     // producers feed each shot round by round (the §6 ingestion path) while
-    // other producers interleave their own shots; results still equal batch
+    // other producers interleave their own shots — one of them whole shots
+    // through `submit` — on both the buffered backend (pre-decoder armed)
+    // and the banked one, where whole shots arrive while banked contexts
+    // hold the engine; results still equal batch
     let graph = Arc::new(PhenomenologicalCode::rotated(3, 5, 0.02).decoding_graph());
     let shots = sample_shots(&graph, 36, 0xC0DE);
-    let spec = BackendSpec::micro_full(Some(3));
-    let reference = ShardedPipeline::new(spec.clone(), Arc::clone(&graph)).run_shots(&shots);
-    for workers in WORKER_COUNTS {
-        let stream = StreamDecoder::builder(spec.clone(), Arc::clone(&graph))
-            .pool(Arc::new(DecodePool::new(workers)))
-            .workers(workers)
-            .queue_capacity(4)
-            .start();
-        let mut outcomes: Vec<(usize, ShotOutcome)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..SUBMITTERS)
-                .map(|submitter| {
-                    let stream = &stream;
-                    let shots = &shots;
-                    let graph = &graph;
-                    scope.spawn(move || {
-                        shots
-                            .iter()
-                            .enumerate()
-                            .filter(|(i, _)| i % SUBMITTERS == submitter)
-                            .map(|(i, shot)| {
-                                let mut feeder = stream.begin_shot(shot.observable).unwrap();
-                                for round in shot.syndrome.split_by_layer(graph) {
-                                    feeder.push_round(&round).unwrap();
-                                }
-                                (i, feeder.finish().recv().unwrap())
-                            })
-                            .collect::<Vec<_>>()
+    let banked = MicroBlossomConfig::full(&graph, Some(3)).without_predecoder();
+    for spec in [BackendSpec::micro_full(Some(3)), BackendSpec::Micro(banked)] {
+        let reference = ShardedPipeline::new(spec.clone(), Arc::clone(&graph)).run_shots(&shots);
+        for workers in WORKER_COUNTS {
+            let stream = StreamDecoder::builder(spec.clone(), Arc::clone(&graph))
+                .pool(Arc::new(DecodePool::new(workers)))
+                .workers(workers)
+                .queue_capacity(4)
+                .start();
+            let mut outcomes: Vec<(usize, ShotOutcome)> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..SUBMITTERS)
+                    .map(|submitter| {
+                        let stream = &stream;
+                        let shots = &shots;
+                        let graph = &graph;
+                        scope.spawn(move || {
+                            shots
+                                .iter()
+                                .enumerate()
+                                .filter(|(i, _)| i % SUBMITTERS == submitter)
+                                .map(|(i, shot)| {
+                                    if submitter == 0 {
+                                        return (
+                                            i,
+                                            stream.submit(shot.clone()).unwrap().recv().unwrap(),
+                                        );
+                                    }
+                                    let mut feeder = stream.begin_shot(shot.observable).unwrap();
+                                    for round in shot.syndrome.split_by_layer(graph) {
+                                        feeder.push_round(&round).unwrap();
+                                    }
+                                    (i, feeder.finish().recv().unwrap())
+                                })
+                                .collect::<Vec<_>>()
+                        })
                     })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("submitter thread panicked"))
-                .collect()
-        });
-        outcomes.sort_by_key(|(i, _)| *i);
-        for ((i, streamed), batch) in outcomes.iter().zip(&reference) {
-            assert_eq!(
-                (
-                    decode_view(streamed),
-                    streamed.latency_ns,
-                    streamed.breakdown
-                ),
-                (decode_view(batch), batch.latency_ns, batch.breakdown),
-                "workers={workers} / shot {i}"
-            );
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("submitter thread panicked"))
+                    .collect()
+            });
+            outcomes.sort_by_key(|(i, _)| *i);
+            for ((i, streamed), batch) in outcomes.iter().zip(&reference) {
+                assert_eq!(
+                    (
+                        decode_view(streamed),
+                        streamed.latency_ns,
+                        streamed.breakdown
+                    ),
+                    (decode_view(batch), batch.latency_ns, batch.breakdown),
+                    "workers={workers} / shot {i}"
+                );
+            }
+            stream.close();
         }
-        stream.close();
     }
 }
