@@ -13,7 +13,8 @@ pub const MEASUREMENT_CYCLE_NS: f64 = 1000.0;
 
 /// Builds the evaluation decoding graph for distance `d`: `d` rounds of the
 /// rotated surface code under uniform `p` noise (the paper uses circuit-level
-/// noise on the same lattice; see DESIGN.md for the substitution note).
+/// noise on the same lattice; see the README's "Reproducing the paper's
+/// figures" for the substitution note).
 pub fn evaluation_graph(d: usize, p: f64) -> Arc<DecodingGraph> {
     Arc::new(PhenomenologicalCode::rotated(d, d, p).decoding_graph())
 }

@@ -19,6 +19,18 @@
 //! costs O(defect neighbourhood) per instruction, not O(|V| + |E|), and
 //! `reset` clears in O(active).
 //!
+//! The per-visit work is kept to what the hardware's wiring gives a PU for
+//! free. The incident edges and their far endpoints come from the graph's
+//! shared neighbour table ([`DecodingGraph::neighbors`]), never from the
+//! edge records. The Update stage only offers a cover to a vertex it will
+//! write back (never to a boundary or defect vertex), does not expand a
+//! vertex whose residual cannot pay its cheapest edge to a non-virtual
+//! neighbour, and drops a cover no better than the best already offered.
+//! Pre-matching and the convergecast fold each edge once, from an active
+//! endpoint with that endpoint's state read once per vertex, and the
+//! convergecast reduces the conflict, the vertex pass and the growth
+//! limit in a single sweep.
+//!
 //! PU state lives in a struct-of-arrays layout (separate `speed`,
 //! `residual`, `node`, `touch` arrays plus flag bitsets) so the remaining
 //! sweeps are cache-dense; [`VertexPu`]/[`EdgePu`] are assembled *views* of
@@ -30,7 +42,7 @@
 //! sparse path to the dense reference across codes, configurations, and
 //! ingestion orders.
 //!
-//! ## Fidelity notes (see DESIGN.md)
+//! ## Fidelity notes (see the README's "Complexity & sparse activation")
 //!
 //! * The per-vertex state after the hardware's *Update* pipeline stage is a
 //!   stabilized fixed point of the local propagation rules of Table 1. The
@@ -46,9 +58,13 @@
 //!   views consistent (the hardware equivalent is a per-vPU "CPU-owned"
 //!   flag set by the first instruction addressed to its node).
 //! * Round-wise fusion (§6): unloaded vertices (`b_v = 1`) behave exactly
-//!   like virtual vertices. Loadedness is tracked per fusion layer and the
-//!   §6.3 temporary fusion-boundary weight reduction is *derived* from it on
-//!   the fly, so `load Defects` costs O(new defects), not O(|V| + |E|).
+//!   like virtual vertices. Layers always load in order, so loadedness is
+//!   one count `loaded` and each vertex carries a fusion key (its layer, or
+//!   `u32::MAX` if virtual): `b_v` is `key >= loaded`, one load and one
+//!   compare, and an out-of-order `load Defects` is asserted as a driver
+//!   bug. The §6.3 temporary fusion-boundary weight reduction is *derived*
+//!   from the keys on the fly, so `load Defects` costs O(new defects), not
+//!   O(|V| + |E|).
 
 use crate::instruction::{HwNodeId, Instruction};
 use mb_graph::{DecodingGraph, EdgeIndex, VertexIndex, Weight};
@@ -60,6 +76,9 @@ use std::sync::Arc;
 const NO_NODE: HwNodeId = HwNodeId::MAX;
 /// Sentinel for "no touch stored" in the SoA `touch` array.
 const NO_TOUCH: u32 = u32::MAX;
+/// Fusion key of a virtual vertex: at or above every loaded-layer count,
+/// so a virtual vertex is a boundary whatever has been loaded.
+const VIRTUAL_KEY: u32 = u32::MAX;
 
 /// Static configuration of an accelerator instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -181,10 +200,9 @@ struct VertexSoa {
     node: Vec<HwNodeId>,
     /// `t_v`: defect vertex whose circle realizes `r_v` (`NO_TOUCH`).
     touch: Vec<u32>,
-    /// Fusion layer of each vertex.
-    layer: Vec<u32>,
-    /// Permanent virtual (code boundary) vertices.
-    virt: BitSet,
+    /// Fusion key: the vertex's layer, or [`VIRTUAL_KEY`] for a virtual
+    /// vertex. `b_v` is [`Fusion::is_boundary`] of it.
+    fusion_key: Vec<u32>,
     /// `d_v`: carries a defect.
     defect: BitSet,
     /// CPU has materialized this vertex's node; disables pre-matching.
@@ -196,22 +214,22 @@ struct VertexSoa {
 impl VertexSoa {
     fn new(graph: &DecodingGraph) -> Self {
         let len = graph.vertex_count();
-        let mut virt = BitSet::new(len);
-        let mut layer = Vec::with_capacity(len);
-        for v in 0..len {
-            if graph.is_virtual(v) {
-                virt.set(v);
-            }
-            layer.push(graph.layer_of(v) as u32);
-        }
+        let fusion_key = (0..len)
+            .map(|v| {
+                if graph.is_virtual(v) {
+                    VIRTUAL_KEY
+                } else {
+                    graph.layer_of(v) as u32
+                }
+            })
+            .collect();
         Self {
             len,
             speed: vec![0; len],
             residual: vec![0; len],
             node: vec![NO_NODE; len],
             touch: vec![NO_TOUCH; len],
-            layer,
-            virt,
+            fusion_key,
             defect: BitSet::new(len),
             cpu_owned: BitSet::new(len),
             frozen: BitSet::new(len),
@@ -231,38 +249,97 @@ impl VertexSoa {
     fn covered(&self, v: VertexIndex) -> bool {
         self.node[v] != NO_NODE
     }
+
+    /// Effective growth speed of the cover stored at `v`: zero when `v` is
+    /// uncovered or the cover's defect is frozen by a pre-match.
+    #[inline]
+    fn effective_speed(&self, v: VertexIndex) -> i8 {
+        if !self.covered(v) {
+            return 0;
+        }
+        let touch = self.touch[v];
+        if touch != NO_TOUCH && self.frozen.get(touch as usize) {
+            0
+        } else {
+            self.speed[v]
+        }
+    }
+
+    /// What the sweeps read of an active vertex, read once per vertex
+    /// rather than once per incident edge.
+    #[inline]
+    fn active_pu(&self, v: VertexIndex) -> ActivePu {
+        ActivePu {
+            key: self.fusion_key[v],
+            residual: self.residual[v],
+            node: self.node[v],
+            speed: self.effective_speed(v),
+        }
+    }
+
+    /// The touch of a covered vertex.
+    fn touch_of(&self, v: VertexIndex) -> VertexIndex {
+        let touch = self.touch[v];
+        assert!(touch != NO_TOUCH, "covered vertex has a touch");
+        touch as VertexIndex
+    }
 }
 
-/// Round-wise fusion state: which layers have been loaded.
-#[derive(Debug, Clone)]
+/// An active vertex PU: covered, in a loaded layer. Every edge that can be
+/// tight, conflict or bound growth has one as an endpoint, so the sweeps
+/// fold each such edge from an active endpoint.
+#[derive(Debug, Clone, Copy)]
+struct ActivePu {
+    key: u32,
+    residual: Weight,
+    node: HwNodeId,
+    /// Effective growth speed (zero when frozen by a pre-match).
+    speed: i8,
+}
+
+/// Round-wise fusion state (§6). Layers always load in order — the
+/// driver's `load_round`, the batch loop and a context restore all load a
+/// prefix — so the loaded layers are `0..loaded`, and `b_v` is one compare
+/// of the vertex's fusion key against `loaded`.
+#[derive(Debug, Clone, Copy)]
 struct Fusion {
-    layer_loaded: Vec<bool>,
-    unloaded: usize,
+    /// Layers `0..loaded` are loaded.
+    loaded: u32,
+    /// Layers of the decoding graph.
+    layers: u32,
+    /// The §6.3 weight of an edge across the temporary fusion boundary, or
+    /// `None` when the reduction is off.
+    reduced_weight: Option<Weight>,
 }
 
 impl Fusion {
-    fn new(num_layers: usize) -> Self {
-        Self {
-            layer_loaded: vec![false; num_layers],
-            unloaded: num_layers,
-        }
-    }
-
+    /// `b_v`: a vertex with this fusion key behaves as a boundary — it is
+    /// virtual, or its layer is not loaded yet.
     #[inline]
-    fn loaded(&self, layer: u32) -> bool {
-        self.layer_loaded[layer as usize]
+    fn is_boundary(self, key: u32) -> bool {
+        key >= self.loaded
     }
 
-    fn mark_loaded(&mut self, layer: usize) {
-        if !self.layer_loaded[layer] {
-            self.layer_loaded[layer] = true;
-            self.unloaded -= 1;
+    /// A non-virtual vertex whose layer is not loaded yet.
+    #[inline]
+    fn is_unloaded(self, key: u32) -> bool {
+        self.is_boundary(key) && key != VIRTUAL_KEY
+    }
+
+    /// Current weight of an edge with original weight `original` between
+    /// vertices with fusion keys `a` and `b`: reduced (§6.3) across the
+    /// temporary fusion boundary while a layer is unloaded, derived on the
+    /// fly so no `load Defects` sweeps the edges.
+    #[inline]
+    fn weight(self, original: Weight, a: u32, b: u32) -> Weight {
+        match self.reduced_weight {
+            Some(reduced)
+                if self.loaded < self.layers && self.is_unloaded(a) != self.is_unloaded(b) =>
+            {
+                reduced
+            }
+            _ => original,
         }
-    }
-
-    fn reset(&mut self) {
-        self.layer_loaded.iter_mut().for_each(|l| *l = false);
-        self.unloaded = self.layer_loaded.len();
     }
 }
 
@@ -272,7 +349,8 @@ impl Fusion {
 #[derive(Debug, Clone)]
 struct Scratch {
     epoch: u64,
-    /// Per-vertex best-cover table (valid iff `best_epoch[v] == epoch`).
+    /// Per-vertex best cover offered so far (valid iff
+    /// `best_epoch[v] == epoch`).
     best_epoch: Vec<u64>,
     best_residual: Vec<Weight>,
     best_speed: Vec<i8>,
@@ -309,54 +387,109 @@ impl Scratch {
             candidates: Vec::new(),
         }
     }
+
+    /// Offers `v` the cover `(residual, speed, touch)`: recorded and queued
+    /// for expansion if it beats the best cover `v` was offered so far,
+    /// dropped otherwise — a cover no better than the best can never be
+    /// written back.
+    #[inline]
+    fn offer(&mut self, v: VertexIndex, residual: Weight, speed: i8, touch: VertexIndex) {
+        if self.best_epoch[v] == self.epoch {
+            let best = (
+                self.best_residual[v],
+                self.best_speed[v],
+                Reverse(self.best_touch[v] as VertexIndex),
+            );
+            if (residual, speed, Reverse(touch)) <= best {
+                return;
+            }
+        } else {
+            self.best_epoch[v] = self.epoch;
+            self.touched.push(v);
+        }
+        self.best_residual[v] = residual;
+        self.best_speed[v] = speed;
+        self.best_touch[v] = touch as u32;
+        self.heap.push((residual, speed, Reverse(touch), v));
+    }
+
+    /// Whether a popped frontier entry is still `v`'s best cover (a better
+    /// one may have been offered after it was queued).
+    #[inline]
+    fn is_best(&self, v: VertexIndex, residual: Weight, speed: i8, touch: VertexIndex) -> bool {
+        (
+            self.best_residual[v],
+            self.best_speed[v],
+            self.best_touch[v],
+        ) == (residual, speed, touch as u32)
+    }
 }
 
-/// Whether a vertex behaves as a boundary (true virtual or not loaded).
+/// Whether `v` is active: covered, in a loaded layer. Every covered vertex
+/// is active (boundary vertices never store a cover), so on the sparse path
+/// this is active-set membership.
 #[inline]
-fn virtualish(vs: &VertexSoa, fusion: &Fusion, v: VertexIndex) -> bool {
-    vs.virt.get(v) || !fusion.loaded(vs.layer[v])
+fn is_active(vs: &VertexSoa, fusion: Fusion, v: VertexIndex) -> bool {
+    vs.covered(v) && !fusion.is_boundary(vs.fusion_key[v])
 }
 
-/// Current weight of edge `e`, with the §6.3 fusion-boundary reduction
-/// derived from layer loadedness (no per-round edge sweep needed).
+/// The edges the sparse sweeps fold from active vertex `v`, with their far
+/// endpoints: an edge between two active vertices is folded once, from the
+/// lower-indexed one.
 #[inline]
-fn edge_weight(
-    config: &AcceleratorConfig,
+fn edges_from<'a>(
+    graph: &'a DecodingGraph,
+    vs: &'a VertexSoa,
+    fusion: Fusion,
+    v: VertexIndex,
+) -> impl Iterator<Item = (EdgeIndex, VertexIndex)> + 'a {
+    graph
+        .incident_edges(v)
+        .iter()
+        .zip(graph.neighbors(v))
+        .map(|(&e, &u)| (e, u))
+        .filter(move |&(_, u)| u > v || !is_active(vs, fusion, u))
+}
+
+/// The active endpoint of edge `e` to fold it from, and the far endpoint;
+/// `None` when neither is active, so the edge can be neither tight, nor
+/// conflicting, nor bound growth.
+#[inline]
+fn active_end(
     graph: &DecodingGraph,
     vs: &VertexSoa,
-    fusion: &Fusion,
-    original: &[Weight],
+    fusion: Fusion,
     e: EdgeIndex,
-) -> Weight {
-    if config.fusion_weight_reduction && fusion.unloaded > 0 {
-        let (u, v) = graph.edge(e).vertices;
-        let unloaded = |x: VertexIndex| !vs.virt.get(x) && !fusion.loaded(vs.layer[x]);
-        if unloaded(u) != unloaded(v) {
-            return config.fusion_reduced_weight;
-        }
+) -> Option<(VertexIndex, VertexIndex)> {
+    let (a, b) = graph.edge(e).vertices;
+    if is_active(vs, fusion, a) {
+        Some((a, b))
+    } else if is_active(vs, fusion, b) {
+        Some((b, a))
+    } else {
+        None
     }
-    original[e]
 }
 
-/// Whether edge `e` is currently tight (`t_e` in §5.2).
-fn edge_is_tight(
-    config: &AcceleratorConfig,
-    graph: &DecodingGraph,
-    vs: &VertexSoa,
-    fusion: &Fusion,
-    original: &[Weight],
-    e: EdgeIndex,
-) -> bool {
-    let (u, v) = graph.edge(e).vertices;
-    let weight = edge_weight(config, graph, vs, fusion, original, e);
-    match (virtualish(vs, fusion, u), virtualish(vs, fusion, v)) {
-        (true, true) => false,
-        (true, false) => vs.covered(v) && vs.residual[v] >= weight,
-        (false, true) => vs.covered(u) && vs.residual[u] >= weight,
-        (false, false) => {
-            vs.covered(u) && vs.covered(v) && vs.residual[u] + vs.residual[v] >= weight
-        }
+/// Whether the edge from active `x` to `y` with original weight `original`
+/// is tight (`t_e` in §5.2). Between two loaded vertices an edge has its
+/// original weight.
+#[inline]
+fn is_tight(vs: &VertexSoa, fusion: Fusion, original: Weight, x: ActivePu, y: VertexIndex) -> bool {
+    let ky = vs.fusion_key[y];
+    if fusion.is_boundary(ky) {
+        x.residual >= fusion.weight(original, x.key, ky)
+    } else {
+        vs.covered(y) && x.residual + vs.residual[y] >= original
     }
+}
+
+/// What the convergecast tree reduces to: the lowest-indexed conflicting
+/// edge, whether any cover grows, and the maximum safe growth.
+struct Convergecast {
+    conflict: Option<EdgeIndex>,
+    growing: bool,
+    limit: Weight,
 }
 
 /// Snapshot view of one vertex PU's state (Table 2, compact), assembled
@@ -367,7 +500,8 @@ pub struct VertexPu {
     pub is_virtual: bool,
     /// Fusion layer this vertex belongs to.
     pub layer: usize,
-    /// `b_v`: this vertex's layer is not yet loaded (round-wise fusion).
+    /// `b_v`: this vertex behaves as a boundary — it is virtual, or its
+    /// layer is not yet loaded (round-wise fusion).
     pub is_boundary: bool,
     /// `d_v`: carries a defect.
     pub is_defect: bool,
@@ -470,7 +604,7 @@ pub struct AcceleratorStats {
 ///
 /// Only the *authoritative* state is banked: the per-defect rows
 /// `(vertex, residual, speed, node)` (a defect always touches itself), the
-/// CPU-owned flags, and which fusion layers have been loaded. Everything
+/// CPU-owned flags, and how many fusion layers have been loaded. Everything
 /// else a vPU stores — the covers of non-defect vertices, the freezes and
 /// pre-match flags — is a fixed point of the local update rules and is
 /// recomputed bit-identically by the next Update/Pre-Match pass, so a bank
@@ -481,8 +615,8 @@ pub struct AcceleratorContext {
     defects: Vec<(VertexIndex, Weight, i8, HwNodeId)>,
     /// Vertices with the CPU-owned flag set, in set order.
     cpu_owned: Vec<VertexIndex>,
-    /// Fusion layers already loaded (ascending in stream decoding).
-    loaded_layers: Vec<u32>,
+    /// Fusion layers already loaded (always the prefix `0..loaded_layers`).
+    loaded_layers: u32,
 }
 
 impl AcceleratorContext {
@@ -508,11 +642,15 @@ pub struct MicroBlossomAccelerator {
     /// Vertex PU state, struct-of-arrays.
     vs: VertexSoa,
     /// Edge PU weights from the decoding graph (current weights are derived;
-    /// see [`edge_weight`]).
+    /// see [`Fusion::weight`]).
     e_original_weight: Vec<Weight>,
+    /// Per vertex: the minimum weight of an edge to a non-virtual neighbour
+    /// (`Weight::MAX` if none). A cover whose residual is below it reaches
+    /// no vertex the Update stage writes back, so it is not expanded.
+    min_regular_weight: Vec<Weight>,
     /// Edge PU pre-match flags `m_e`.
     e_prematch: BitSet,
-    /// Which fusion layers have been loaded.
+    /// How many fusion layers have been loaded.
     fusion: Fusion,
     /// Defects staged per layer, loaded by `load Defects` (deduplicated).
     staged_syndrome: Vec<Vec<VertexIndex>>,
@@ -545,8 +683,26 @@ impl MicroBlossomAccelerator {
         let convergecast_cycles = ((graph.vertex_count() + edge_count).max(2) as f64)
             .log2()
             .ceil() as u64;
+        let min_regular_weight = (0..graph.vertex_count())
+            .map(|v| {
+                graph
+                    .incident_edges(v)
+                    .iter()
+                    .zip(graph.neighbors(v))
+                    .filter(|&(_, &u)| !graph.is_virtual(u))
+                    .map(|(&e, _)| e_original_weight[e])
+                    .min()
+                    .unwrap_or(Weight::MAX)
+            })
+            .collect();
         let staged_syndrome = vec![Vec::new(); graph.num_layers()];
-        let fusion = Fusion::new(graph.num_layers());
+        let fusion = Fusion {
+            loaded: 0,
+            layers: graph.num_layers() as u32,
+            reduced_weight: config
+                .fusion_weight_reduction
+                .then_some(config.fusion_reduced_weight),
+        };
         let scratch = Scratch::new(graph.vertex_count(), edge_count);
         let active = ActiveSet::new(graph.vertex_count());
         Self {
@@ -554,6 +710,7 @@ impl MicroBlossomAccelerator {
             config,
             vs,
             e_original_weight,
+            min_regular_weight,
             e_prematch: BitSet::new(edge_count),
             fusion,
             staged_syndrome,
@@ -588,9 +745,9 @@ impl MicroBlossomAccelerator {
     pub fn vertex_pu(&self, v: VertexIndex) -> VertexPu {
         let vs = &self.vs;
         VertexPu {
-            is_virtual: vs.virt.get(v),
-            layer: vs.layer[v] as usize,
-            is_boundary: !self.fusion.loaded(vs.layer[v]),
+            is_virtual: vs.fusion_key[v] == VIRTUAL_KEY,
+            layer: self.graph.layer_of(v),
+            is_boundary: self.is_boundary(v),
             is_defect: vs.defect.get(v),
             speed: vs.speed[v],
             residual: vs.residual[v],
@@ -603,8 +760,12 @@ impl MicroBlossomAccelerator {
 
     /// Snapshot of an edge PU.
     pub fn edge_pu(&self, e: EdgeIndex) -> EdgePu {
+        let (a, b) = self.graph.edge(e).vertices;
+        let key = &self.vs.fusion_key;
         EdgePu {
-            weight: self.edge_weight(e),
+            weight: self
+                .fusion
+                .weight(self.e_original_weight[e], key[a], key[b]),
             original_weight: self.e_original_weight[e],
             prematch: self.e_prematch.get(e),
         }
@@ -693,43 +854,11 @@ impl MicroBlossomAccelerator {
         self.vs.residual[vertex]
     }
 
-    /// Whether a vertex behaves as a boundary (true virtual or not loaded).
-    fn is_virtualish(&self, v: VertexIndex) -> bool {
-        virtualish(&self.vs, &self.fusion, v)
-    }
-
-    /// Current weight of edge `e` (original or §6.3-reduced).
-    fn edge_weight(&self, e: EdgeIndex) -> Weight {
-        edge_weight(
-            &self.config,
-            &self.graph,
-            &self.vs,
-            &self.fusion,
-            &self.e_original_weight,
-            e,
-        )
-    }
-
-    /// Effective growth speed of the cover stored at vertex `v` (zero when
-    /// frozen by a pre-match).
-    fn effective_speed(&self, v: VertexIndex) -> i8 {
-        if !self.vs.covered(v) {
-            return 0;
-        }
-        let touch = self.vs.touch[v];
-        let frozen = touch != NO_TOUCH && self.vs.frozen.get(touch as usize);
-        if frozen {
-            0
-        } else {
-            self.vs.speed[v]
-        }
-    }
-
-    /// The touch of a covered vertex.
-    fn touch_of(&self, v: VertexIndex) -> VertexIndex {
-        let touch = self.vs.touch[v];
-        assert!(touch != NO_TOUCH, "covered vertex has a touch");
-        touch as VertexIndex
+    /// `b_v`: whether vertex `v` behaves as a boundary (virtual, or in a
+    /// layer not loaded yet).
+    #[inline]
+    fn is_boundary(&self, v: VertexIndex) -> bool {
+        self.fusion.is_boundary(self.vs.fusion_key[v])
     }
 
     /// Executes one instruction; `find Conflict` produces a response.
@@ -795,7 +924,7 @@ impl MicroBlossomAccelerator {
                 };
                 if self.config.dense_reference {
                     for v in 0..self.vs.len {
-                        if !self.vs.defect.get(v) || self.is_virtualish(v) {
+                        if !self.vs.defect.get(v) || self.is_boundary(v) {
                             continue;
                         }
                         grow(&mut self.vs, v);
@@ -816,8 +945,16 @@ impl MicroBlossomAccelerator {
                 Some(self.convergecast())
             }
             Instruction::LoadDefects { layer } => {
+                // loading a layer past the loaded prefix would leave a gap
+                // the one-compare `b_v` cannot represent; the driver only
+                // ever loads in order
+                assert!(
+                    layer <= self.fusion.loaded,
+                    "layer {layer} loaded before layer {}: layers load in order",
+                    self.fusion.loaded
+                );
+                self.fusion.loaded = self.fusion.loaded.max(layer + 1);
                 let layer = layer as usize;
-                self.fusion.mark_loaded(layer);
                 for i in 0..self.staged_syndrome[layer].len() {
                     let d = self.staged_syndrome[layer][i];
                     if self.vs.defect.get(d) {
@@ -871,7 +1008,7 @@ impl MicroBlossomAccelerator {
         self.cpu_owned_list.clear();
         self.frozen_list.clear();
         self.prematch_list.clear();
-        self.fusion.reset();
+        self.fusion.loaded = 0;
         for layer in &mut self.staged_syndrome {
             layer.clear();
         }
@@ -887,7 +1024,8 @@ impl MicroBlossomAccelerator {
     /// analog of writing back `Mem[VertexPersistent]` before the hardware
     /// switches `contextBits`. O(defects); reuses `ctx`'s capacity.
     ///
-    /// Only defect rows, CPU-owned flags, and loaded layers are saved: a
+    /// Only defect rows, CPU-owned flags, and the loaded-layer count are
+    /// saved: a
     /// defect's `(residual, speed, node)` triple is the authoritative dual
     /// state ([`Instruction::SetCover`] only ever retargets `node`, so
     /// `touch[d] == d` is an invariant for defects), and every other vertex's
@@ -902,12 +1040,7 @@ impl MicroBlossomAccelerator {
         }
         ctx.cpu_owned.clear();
         ctx.cpu_owned.extend_from_slice(&self.cpu_owned_list);
-        ctx.loaded_layers.clear();
-        for (layer, &loaded) in self.fusion.layer_loaded.iter().enumerate() {
-            if loaded {
-                ctx.loaded_layers.push(layer as u32);
-            }
-        }
+        ctx.loaded_layers = self.fusion.loaded;
     }
 
     /// Restores a previously banked context — the `Mem[VertexPersistent]`
@@ -935,9 +1068,7 @@ impl MicroBlossomAccelerator {
                 self.cpu_owned_list.push(v);
             }
         }
-        for &layer in &ctx.loaded_layers {
-            self.fusion.mark_loaded(layer as usize);
-        }
+        self.fusion.loaded = ctx.loaded_layers;
         self.dirty = true;
     }
 
@@ -963,13 +1094,21 @@ impl MicroBlossomAccelerator {
     /// propagates from the defect list, and rebuilds the active set from the
     /// vertices the frontier touched; the dense reference sweeps the full
     /// arrays. Allocation-free in steady state either way.
+    ///
+    /// The propagation only ever offers covers to vertices the write-back
+    /// keeps: boundary and defect vertices are never offered one, a vertex
+    /// whose residual cannot pay its cheapest edge to a non-virtual
+    /// neighbour is not expanded, and a cover no better than the best
+    /// already offered is dropped before it reaches the frontier. Between
+    /// two loaded, non-virtual endpoints an edge always has its original
+    /// weight, so the expansion reads no fusion state but the keys.
     fn stabilize(&mut self) {
         let dense = self.config.dense_reference;
         let Self {
             graph,
-            config,
             vs,
             e_original_weight,
+            min_regular_weight,
             fusion,
             defects,
             active,
@@ -977,6 +1116,7 @@ impl MicroBlossomAccelerator {
             stats,
             ..
         } = self;
+        let fusion = *fusion;
         // clear derived state (defect vertices always store themselves)
         if dense {
             for v in 0..vs.len {
@@ -1001,46 +1141,27 @@ impl MicroBlossomAccelerator {
         scratch.touched.clear();
         scratch.heap.clear();
         for &d in defects.iter() {
-            scratch
-                .heap
-                .push((vs.residual[d], vs.speed[d], Reverse(d), d));
+            scratch.offer(d, vs.residual[d], vs.speed[d], d);
         }
         while let Some((residual, speed, Reverse(touch), vertex)) = scratch.heap.pop() {
-            let fresh = scratch.best_epoch[vertex] != epoch;
-            let better = fresh
-                || (residual, speed, Reverse(touch))
-                    > (
-                        scratch.best_residual[vertex],
-                        scratch.best_speed[vertex],
-                        Reverse(scratch.best_touch[vertex] as VertexIndex),
-                    );
-            if !better {
+            if !scratch.is_best(vertex, residual, speed, touch) {
+                continue; // superseded by a better cover offered later
+            }
+            debug_assert!(!fusion.is_boundary(vs.fusion_key[vertex]));
+            if residual < min_regular_weight[vertex] {
                 continue;
             }
-            if fresh {
-                scratch.best_epoch[vertex] = epoch;
-                scratch.touched.push(vertex);
-            }
-            scratch.best_residual[vertex] = residual;
-            scratch.best_speed[vertex] = speed;
-            scratch.best_touch[vertex] = touch as u32;
-            if virtualish(vs, fusion, vertex) {
-                continue; // boundary vertices do not propagate covers
-            }
-            for &e in graph.incident_edges(vertex) {
-                let next = graph.edge(e).other(vertex);
-                let next_residual =
-                    residual - edge_weight(config, graph, vs, fusion, e_original_weight, e);
-                if next_residual < 0 {
+            let edges = graph.incident_edges(vertex);
+            for (&e, &next) in edges.iter().zip(graph.neighbors(vertex)) {
+                // boundary vertices do not store covers and defect vertices
+                // keep their own circle
+                if fusion.is_boundary(vs.fusion_key[next]) || vs.defect.get(next) {
                     continue;
                 }
-                // defect vertices keep their own circle; do not overwrite
-                if vs.defect.get(next) {
-                    continue;
+                let next_residual = residual - e_original_weight[e];
+                if next_residual >= 0 {
+                    scratch.offer(next, next_residual, speed, touch);
                 }
-                scratch
-                    .heap
-                    .push((next_residual, speed, Reverse(touch), next));
             }
         }
         // write-back and active-set rebuild
@@ -1059,7 +1180,7 @@ impl MicroBlossomAccelerator {
         };
         if dense {
             for v in 0..vs.len {
-                if vs.defect.get(v) || virtualish(vs, fusion, v) {
+                if vs.defect.get(v) || fusion.is_boundary(vs.fusion_key[v]) {
                     continue;
                 }
                 if scratch.best_epoch[v] != epoch {
@@ -1072,7 +1193,7 @@ impl MicroBlossomAccelerator {
         } else {
             for i in 0..scratch.touched.len() {
                 let v = scratch.touched[i];
-                if vs.defect.get(v) || virtualish(vs, fusion, v) {
+                if vs.defect.get(v) {
                     continue;
                 }
                 write_back(vs, scratch, v);
@@ -1109,7 +1230,6 @@ impl MicroBlossomAccelerator {
         let dense = self.config.dense_reference;
         let Self {
             graph,
-            config,
             vs,
             e_original_weight,
             e_prematch,
@@ -1121,25 +1241,26 @@ impl MicroBlossomAccelerator {
             stats,
             ..
         } = self;
+        let fusion = *fusion;
         scratch.epoch += 1;
         let epoch = scratch.epoch;
         // tightness t_e
         scratch.tight_list.clear();
         if dense {
-            for e in 0..graph.edge_count() {
-                if edge_is_tight(config, graph, vs, fusion, e_original_weight, e) {
+            for (e, &original) in e_original_weight.iter().enumerate() {
+                let Some((x, y)) = active_end(graph, vs, fusion, e) else {
+                    continue;
+                };
+                if is_tight(vs, fusion, original, vs.active_pu(x), y) {
                     scratch.tight_epoch[e] = epoch;
                     scratch.tight_list.push(e);
                 }
             }
         } else {
-            for i in 0..active.items.len() {
-                let v = active.items[i];
-                for &e in graph.incident_edges(v) {
-                    if scratch.tight_epoch[e] == epoch {
-                        continue;
-                    }
-                    if edge_is_tight(config, graph, vs, fusion, e_original_weight, e) {
+            for &v in active.as_slice() {
+                let x = vs.active_pu(v);
+                for (e, y) in edges_from(graph, vs, fusion, v) {
+                    if is_tight(vs, fusion, e_original_weight[e], x, y) {
                         scratch.tight_epoch[e] = epoch;
                         scratch.tight_list.push(e);
                     }
@@ -1163,41 +1284,36 @@ impl MicroBlossomAccelerator {
         // candidate evaluation (ascending edge order, as the dense fold)
         let tight = |e: EdgeIndex| scratch.tight_epoch[e] == epoch;
         let q = |x: VertexIndex| scratch.tdeg_epoch[x] == epoch && scratch.tdeg[x] == 1;
+        let boundary = |x: VertexIndex| fusion.is_boundary(vs.fusion_key[x]);
         let mut candidates = std::mem::take(&mut scratch.candidates);
         candidates.clear();
         for &e in &scratch.tight_list {
             let (a, b) = graph.edge(e).vertices;
             let eligible_defect =
                 |x: VertexIndex| vs.defect.get(x) && vs.speed[x] > 0 && !vs.cpu_owned.get(x);
-            let m = if !virtualish(vs, fusion, a) && !virtualish(vs, fusion, b) {
+            let m = if !boundary(a) && !boundary(b) {
                 // Equation 1: regular edge between two isolated defects
                 eligible_defect(a) && q(a) && eligible_defect(b) && q(b)
             } else {
                 // one side is a boundary (virtual or unloaded)
-                let (boundary, defect) = if virtualish(vs, fusion, a) {
-                    (a, b)
-                } else {
-                    (b, a)
-                };
-                if virtualish(vs, fusion, defect) || !eligible_defect(defect) {
+                let (bound, defect) = if boundary(a) { (a, b) } else { (b, a) };
+                let mut around = graph
+                    .incident_edges(defect)
+                    .iter()
+                    .zip(graph.neighbors(defect));
+                if boundary(defect) || !eligible_defect(defect) {
                     false
-                } else if vs.virt.get(boundary) {
+                } else if vs.fusion_key[bound] == VIRTUAL_KEY {
                     // Equation 2: true boundary edge
-                    graph.incident_edges(defect).iter().all(|&e2| {
-                        if e2 == e {
-                            return true;
-                        }
-                        let other = graph.edge(e2).other(defect);
-                        !tight(e2) || (!vs.defect.get(other) && q(other))
+                    around.all(|(&e2, &other)| {
+                        e2 == e || !tight(e2) || (!vs.defect.get(other) && q(other))
                     })
                 } else {
-                    // Equation 3: fusion-boundary edge; require no
-                    // non-volatile tight edge around the defect
-                    graph.incident_edges(defect).iter().all(|&e2| {
-                        let other = graph.edge(e2).other(defect);
-                        let non_volatile = fusion.loaded(vs.layer[other]) || vs.virt.get(other);
-                        !(tight(e2) && non_volatile)
-                    })
+                    // Equation 3: fusion-boundary edge; every tight edge
+                    // around the defect must be volatile (to an unloaded
+                    // vertex)
+                    around
+                        .all(|(&e2, &other)| !tight(e2) || fusion.is_unloaded(vs.fusion_key[other]))
                 }
             };
             if m {
@@ -1208,15 +1324,15 @@ impl MicroBlossomAccelerator {
         // only the first (the hardware convergecast picks one arbitrarily)
         for &e in &candidates {
             let (a, b) = graph.edge(e).vertices;
-            let claimed_a = !virtualish(vs, fusion, a) && vs.frozen.get(a);
-            let claimed_b = !virtualish(vs, fusion, b) && vs.frozen.get(b);
-            if claimed_a || claimed_b {
+            let key = &vs.fusion_key;
+            let (ba, bb) = (fusion.is_boundary(key[a]), fusion.is_boundary(key[b]));
+            if (!ba && vs.frozen.get(a)) || (!bb && vs.frozen.get(b)) {
                 continue;
             }
             e_prematch.set(e);
             prematch_list.push(e);
-            for x in [a, b] {
-                if !virtualish(vs, fusion, x) && !vs.frozen.get(x) {
+            for (x, bx) in [(a, ba), (b, bb)] {
+                if !bx && !vs.frozen.get(x) {
                     vs.frozen.set(x);
                     frozen_list.push(x);
                 }
@@ -1225,173 +1341,144 @@ impl MicroBlossomAccelerator {
         scratch.candidates = candidates;
     }
 
-    /// The conflict (if any) reported by edge `e`'s PU.
-    fn conflict_at(&self, e: EdgeIndex) -> Option<HwResponse> {
-        if self.e_prematch.get(e) {
-            return None;
-        }
-        let (a, b) = self.graph.edge(e).vertices;
-        let weight = self.edge_weight(e);
-        match (self.is_virtualish(a), self.is_virtualish(b)) {
-            (false, false) => {
-                let (na, nb) = (self.vs.node[a], self.vs.node[b]);
-                if na == NO_NODE || nb == NO_NODE || na == nb {
-                    return None;
-                }
-                if self.vs.residual[a] + self.vs.residual[b] < weight {
-                    return None;
-                }
-                let sum = self.effective_speed(a) as Weight + self.effective_speed(b) as Weight;
-                if sum <= 0 {
-                    return None;
-                }
-                Some(HwResponse::Conflict {
-                    node_1: na,
-                    node_2: nb,
-                    touch_1: self.touch_of(a),
-                    touch_2: self.touch_of(b),
-                    vertex_1: a,
-                    vertex_2: b,
-                })
-            }
-            (true, false) | (false, true) => {
-                let (boundary, side) = if self.is_virtualish(a) {
-                    (a, b)
-                } else {
-                    (b, a)
-                };
-                let node = self.vs.node[side];
-                if node == NO_NODE {
-                    return None;
-                }
-                if self.vs.residual[side] < weight {
-                    return None;
-                }
-                if self.effective_speed(side) <= 0 {
-                    return None;
-                }
-                Some(HwResponse::ConflictVirtual {
-                    node,
-                    touch: self.touch_of(side),
-                    vertex: side,
-                    virtual_vertex: boundary,
-                })
-            }
-            (true, true) => None,
+    /// Folds active vertex `x` into the convergecast: whether its cover
+    /// grows, and the bound a shrinking cover puts on growth.
+    #[inline]
+    fn fold_vertex(x: ActivePu, cc: &mut Convergecast) {
+        if x.speed > 0 {
+            cc.growing = true;
+        } else if x.speed < 0 && x.residual > 0 {
+            // shrinking fronts stop at vertices so local updates stay valid
+            cc.limit = cc.limit.min(x.residual);
         }
     }
 
-    /// Folds edge `e` into the maximum-growth computation.
-    fn edge_growth_limit(&self, e: EdgeIndex, limit: &mut Weight) {
-        let (a, b) = self.graph.edge(e).vertices;
-        let weight = self.edge_weight(e);
-        for (side, other) in [(a, b), (b, a)] {
-            if self.is_virtualish(side) || !self.vs.covered(side) {
-                continue;
-            }
-            if self.effective_speed(side) <= 0 {
-                continue;
-            }
-            let other_empty = self.is_virtualish(other) || !self.vs.covered(other);
-            if other_empty {
-                *limit = (*limit).min(weight - self.vs.residual[side]);
-            }
-        }
-        if !self.is_virtualish(a)
-            && !self.is_virtualish(b)
-            && self.vs.covered(a)
-            && self.vs.covered(b)
-            && self.vs.node[a] != self.vs.node[b]
-        {
-            let sum = self.effective_speed(a) as Weight + self.effective_speed(b) as Weight;
-            if sum > 0 {
-                let gap = weight - self.vs.residual[a] - self.vs.residual[b];
-                *limit = (*limit).min(gap.div_euclid(sum));
-            }
-        }
-    }
-
-    /// The convergecast: pick the lowest-indexed conflict if any (skipping
-    /// pre-matched ones), otherwise compute the maximum safe growth. The
-    /// sparse fold visits only edges incident to the active set — every edge
-    /// that can conflict or bound growth has a covered endpoint — and
-    /// selects the minimum edge index so the reported conflict is identical
-    /// to the dense scan's.
-    fn convergecast(&mut self) -> HwResponse {
-        let dense = self.config.dense_reference;
-        // conflict detection (Theorem: Conflict Detection)
-        if dense {
-            self.stats.pus_touched += (self.vs.len + self.graph.edge_count()) as u64;
-            for e in 0..self.graph.edge_count() {
-                if let Some(conflict) = self.conflict_at(e) {
-                    return conflict;
-                }
-            }
-        } else {
-            self.stats.pus_touched += self.active.len() as u64;
-            let mut first: Option<(EdgeIndex, HwResponse)> = None;
-            for &v in self.active.as_slice() {
-                for &e in self.graph.incident_edges(v) {
-                    // min-index tracking also skips the duplicate visit of
-                    // an edge whose other endpoint is active
-                    if first.as_ref().is_some_and(|(f, _)| e >= *f) {
-                        continue;
-                    }
-                    if let Some(conflict) = self.conflict_at(e) {
-                        first = Some((e, conflict));
-                    }
-                }
-            }
-            if let Some((_, conflict)) = first {
-                return conflict;
-            }
-        }
-        // maximum growth (Theorem: Local Length to Grow)
-        let mut any_growing = false;
-        let mut limit = Weight::MAX;
-        let vertex_pass = |accel: &Self, v: VertexIndex, any: &mut bool, limit: &mut Weight| {
-            if accel.is_virtualish(v) || !accel.vs.covered(v) {
+    /// Folds edge `e` from active vertex `x` to `y` into the convergecast:
+    /// records `e` when its PU reports a conflict (Theorem: Conflict
+    /// Detection; a pre-matched edge reports none), otherwise the bound it
+    /// puts on growth (Theorem: Local Length to Grow). Callers skip edges
+    /// at or above a recorded conflict, so the conflict kept is the
+    /// lowest-indexed.
+    #[inline]
+    fn fold_edge(&self, e: EdgeIndex, x: ActivePu, y: VertexIndex, cc: &mut Convergecast) {
+        let vs = &self.vs;
+        let original = self.e_original_weight[e];
+        let ky = vs.fusion_key[y];
+        if self.fusion.is_boundary(ky) {
+            // a cover growing into a boundary
+            if x.speed <= 0 {
                 return;
             }
-            let speed = accel.effective_speed(v);
-            if speed > 0 {
-                *any = true;
-            } else if speed < 0 && accel.vs.residual[v] > 0 {
-                // shrinking fronts stop at vertices so local updates stay valid
-                *limit = (*limit).min(accel.vs.residual[v]);
+            let gap = self.fusion.weight(original, x.key, ky) - x.residual;
+            if gap <= 0 && !self.e_prematch.get(e) {
+                cc.conflict = Some(e);
+            } else {
+                cc.limit = cc.limit.min(gap);
             }
+        } else if vs.covered(y) {
+            // two covers growing toward each other
+            let sum = x.speed as Weight + vs.effective_speed(y) as Weight;
+            if vs.node[y] == x.node || sum <= 0 {
+                return;
+            }
+            let gap = original - x.residual - vs.residual[y];
+            if gap <= 0 && !self.e_prematch.get(e) {
+                cc.conflict = Some(e);
+            } else {
+                cc.limit = cc.limit.min(gap.div_euclid(sum));
+            }
+        } else if x.speed > 0 {
+            // a cover growing into an empty vertex
+            cc.limit = cc.limit.min(original - x.residual);
+        }
+    }
+
+    /// The response of conflicting edge `e`'s PU, sides in the edge's own
+    /// endpoint order.
+    fn conflict_response(&self, e: EdgeIndex) -> HwResponse {
+        let (a, b) = self.graph.edge(e).vertices;
+        let vs = &self.vs;
+        match (self.is_boundary(a), self.is_boundary(b)) {
+            (false, false) => HwResponse::Conflict {
+                node_1: vs.node[a],
+                node_2: vs.node[b],
+                touch_1: vs.touch_of(a),
+                touch_2: vs.touch_of(b),
+                vertex_1: a,
+                vertex_2: b,
+            },
+            (true, false) | (false, true) => {
+                let (boundary, side) = if self.is_boundary(a) { (a, b) } else { (b, a) };
+                HwResponse::ConflictVirtual {
+                    node: vs.node[side],
+                    touch: vs.touch_of(side),
+                    vertex: side,
+                    virtual_vertex: boundary,
+                }
+            }
+            (true, true) => unreachable!("an edge between two boundaries never conflicts"),
+        }
+    }
+
+    /// The convergecast: the lowest-indexed conflict if any (skipping
+    /// pre-matched ones), otherwise the maximum safe growth. One sweep folds
+    /// all three reductions. The sparse sweep visits the active set and its
+    /// incident edges — every edge that can conflict or bound growth has an
+    /// active endpoint — and keeps the minimum conflicting edge index, so
+    /// the reported conflict is identical to the dense scan's.
+    fn convergecast(&mut self) -> HwResponse {
+        let mut cc = Convergecast {
+            conflict: None,
+            growing: false,
+            limit: Weight::MAX,
         };
-        if dense {
-            for v in 0..self.vs.len {
-                vertex_pass(self, v, &mut any_growing, &mut limit);
+        let (graph, vs, fusion) = (&self.graph, &self.vs, self.fusion);
+        if self.config.dense_reference {
+            for v in 0..vs.len {
+                if is_active(vs, fusion, v) {
+                    Self::fold_vertex(vs.active_pu(v), &mut cc);
+                }
+            }
+            for e in 0..graph.edge_count() {
+                if cc.conflict.is_some() {
+                    break;
+                }
+                if let Some((x, y)) = active_end(graph, vs, fusion, e) {
+                    self.fold_edge(e, vs.active_pu(x), y, &mut cc);
+                }
             }
         } else {
             for &v in self.active.as_slice() {
-                vertex_pass(self, v, &mut any_growing, &mut limit);
-            }
-        }
-        if !any_growing {
-            return HwResponse::Idle;
-        }
-        if dense {
-            for e in 0..self.graph.edge_count() {
-                self.edge_growth_limit(e, &mut limit);
-            }
-        } else {
-            // every bounding edge has a covered (hence active) endpoint;
-            // visiting an edge twice is harmless (min is idempotent)
-            for &v in self.active.as_slice() {
-                for &e in self.graph.incident_edges(v) {
-                    self.edge_growth_limit(e, &mut limit);
+                let x = vs.active_pu(v);
+                Self::fold_vertex(x, &mut cc);
+                for (e, y) in edges_from(graph, vs, fusion, v) {
+                    if cc.conflict.is_some_and(|c| e >= c) {
+                        continue;
+                    }
+                    self.fold_edge(e, x, y, &mut cc);
                 }
             }
         }
+        self.stats.pus_touched += if self.config.dense_reference {
+            (self.vs.len + self.graph.edge_count()) as u64
+        } else {
+            self.active.len() as u64
+        };
+        if let Some(e) = cc.conflict {
+            return self.conflict_response(e);
+        }
+        if !cc.growing {
+            return HwResponse::Idle;
+        }
         assert!(
-            limit < Weight::MAX,
+            cc.limit < Weight::MAX,
             "a growing cover must be bounded by the boundary or another cover"
         );
-        assert!(limit > 0, "zero growth without a conflict indicates a bug");
-        HwResponse::GrowLength { length: limit }
+        assert!(
+            cc.limit > 0,
+            "zero growth without a conflict indicates a bug"
+        );
+        HwResponse::GrowLength { length: cc.limit }
     }
 
     /// Currently pre-matched defects and what they are matched to; read out
@@ -1409,7 +1496,7 @@ impl MicroBlossomAccelerator {
     pub fn prematched_pairs_into(&self, pairs: &mut Vec<(VertexIndex, PrematchPartner)>) {
         for &e in &self.prematch_list {
             let (a, b) = self.graph.edge(e).vertices;
-            match (self.is_virtualish(a), self.is_virtualish(b)) {
+            match (self.is_boundary(a), self.is_boundary(b)) {
                 (false, false) => pairs.push((a, PrematchPartner::Defect(b))),
                 (true, false) => pairs.push((b, PrematchPartner::Boundary(a))),
                 (false, true) => pairs.push((a, PrematchPartner::Boundary(b))),
@@ -1420,12 +1507,12 @@ impl MicroBlossomAccelerator {
 
     /// The pre-match partner of a specific defect vertex, if any.
     pub fn prematch_partner_of(&self, vertex: VertexIndex) -> Option<PrematchPartner> {
-        for &e in self.graph.incident_edges(vertex) {
+        let edges = self.graph.incident_edges(vertex);
+        for (&e, &other) in edges.iter().zip(self.graph.neighbors(vertex)) {
             if !self.e_prematch.get(e) {
                 continue;
             }
-            let other = self.graph.edge(e).other(vertex);
-            return Some(if self.is_virtualish(other) {
+            return Some(if self.is_boundary(other) {
                 PrematchPartner::Boundary(other)
             } else {
                 PrematchPartner::Defect(other)
@@ -1441,7 +1528,7 @@ impl MicroBlossomAccelerator {
 
     /// Whether every fusion layer has been loaded.
     pub fn fully_loaded(&self) -> bool {
-        self.fusion.unloaded == 0
+        self.fusion.loaded == self.fusion.layers
     }
 }
 

@@ -33,6 +33,16 @@
 //! The table entry for a cluster is therefore bit-identical to what the
 //! escalated path would produce for it.
 //!
+//! Candidates that can never be stored are not decoded at all. Each defect
+//! `x` of a valid matching is matched either to the boundary, on a path of
+//! weight at least `bd(x)` (its distance to the nearest virtual vertex), or
+//! to another member `y`, on a path of weight at least `d(x, y)`; every
+//! path serves at most two defects, so the matching weighs at least
+//! `½ Σ_x min(bd(x), min_{y≠x} d(x, y))`. A cluster whose sum exceeds
+//! `2R` would weigh more than the `R` cap and is skipped. Anchor distances
+//! come from the anchor's ball; between two other members the triangle
+//! bound `d(y, z) ≥ |d(a, y) − d(a, z)|` stands in.
+//!
 //! # Size / memory trade-off
 //!
 //! With the default [`PredecoderConfig::max_cluster_size`] of 2 the table
@@ -49,6 +59,7 @@
 use crate::accelerator::{AcceleratorConfig, MicroBlossomAccelerator, PrematchPartner};
 use crate::driver::{AcceleratedDual, PollEvent};
 use mb_blossom::{DualModule, PerfectMatching, PrimalModule};
+use mb_graph::dijkstra::boundary_distances;
 use mb_graph::{DecodingGraph, SyndromePattern, VertexIndex, Weight};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -170,30 +181,62 @@ impl PreDecoder {
             graph,
         };
 
-        // neighbourhood lists: bounded Dijkstra ball around every anchor
+        // per anchor: its neighbourhood list (a bounded Dijkstra ball) and
+        // its local match table entries, decoded by the real machinery;
+        // candidates whose weight bound already exceeds the cap are never
+        // decoded
         let graph = Arc::clone(&this.graph);
+        let boundary: Vec<Weight> = boundary_distances(&graph)
+            .into_iter()
+            .map(|d| d.unwrap_or(Weight::MAX))
+            .collect();
+        let mut builder = EntryBuilder::new(&graph, accel_config, stream_driving);
+        let (mut reached, mut distances, mut cluster) = (Vec::new(), Vec::new(), Vec::new());
         for anchor in 0..n {
             if graph.is_virtual(anchor) {
                 continue;
             }
-            let mut near = Vec::new();
+            reached.clear();
             ball_around(
                 &graph,
                 &mut this.ball,
                 &mut this.heap,
                 anchor,
                 reach,
-                |v, _| {
+                |v, dist| {
                     if v > anchor && !graph.is_virtual(v) {
-                        near.push(v);
+                        reached.push((v, dist));
                     }
                 },
             );
-            near.sort_unstable();
-            if near.len() > MASK_BITS || entry_count(near.len(), max_cluster - 1).is_none() {
+            reached.sort_unstable();
+            if reached.len() > MASK_BITS || entry_count(reached.len(), max_cluster - 1).is_none() {
                 this.overflowed[anchor] = true;
                 continue;
             }
+            let near: Vec<VertexIndex> = reached.iter().map(|&(v, _)| v).collect();
+            distances.clear();
+            distances.extend(reached.iter().map(|&(_, dist)| dist));
+            for_each_subset(near.len(), max_cluster - 1, |subset| {
+                let bound = matching_weight_bound(anchor, &near, &distances, subset, &boundary);
+                if bound > 2 * this.entry_cap {
+                    return;
+                }
+                cluster.clear();
+                cluster.push(anchor);
+                let mut mask = 0u64;
+                for (bit, &v) in near.iter().enumerate() {
+                    if subset >> bit & 1 == 1 {
+                        cluster.push(v);
+                        mask |= 1 << bit;
+                    }
+                }
+                cluster.sort_unstable();
+                let matching = builder.decode(&cluster);
+                if matching.weight(&graph) <= this.entry_cap {
+                    this.table.insert((anchor, mask), matching);
+                }
+            });
             this.neighborhoods[anchor] = near;
         }
 
@@ -218,33 +261,6 @@ impl PreDecoder {
             );
             near.sort_unstable();
             this.link_neighbors[v] = near;
-        }
-
-        // the local match table, decoded by the real machinery
-        let mut builder = EntryBuilder::new(&this.graph, accel_config, stream_driving);
-        let mut cluster = Vec::new();
-        for anchor in 0..n {
-            if this.graph.is_virtual(anchor) || this.overflowed[anchor] {
-                continue;
-            }
-            let near = std::mem::take(&mut this.neighborhoods[anchor]);
-            for_each_subset(near.len(), max_cluster - 1, |subset| {
-                cluster.clear();
-                cluster.push(anchor);
-                let mut mask = 0u64;
-                for (bit, &v) in near.iter().enumerate() {
-                    if subset >> bit & 1 == 1 {
-                        cluster.push(v);
-                        mask |= 1 << bit;
-                    }
-                }
-                cluster.sort_unstable();
-                let matching = builder.decode(&cluster);
-                if matching.weight(&this.graph) <= this.entry_cap {
-                    this.table.insert((anchor, mask), matching);
-                }
-            });
-            this.neighborhoods[anchor] = near;
         }
         this
     }
@@ -439,8 +455,7 @@ fn ball_around(
         if graph.is_virtual(v) && v != source {
             continue;
         }
-        for &e in graph.incident_edges(v) {
-            let u = graph.edge(e).other(v);
+        for (&e, &u) in graph.incident_edges(v).iter().zip(graph.neighbors(v)) {
             let next = dist + graph.edge(e).weight;
             if next <= radius && best.get(&u).is_none_or(|&d| next < d) {
                 best.insert(u, next);
@@ -466,6 +481,34 @@ fn union(parent: &mut [u32], a: usize, b: usize) {
     } else {
         parent[ra] = rb as u32;
     }
+}
+
+/// Twice a lower bound on the weight of any valid matching of the cluster
+/// `anchor` + the members of `near` selected by `subset`:
+/// `Σ_x min(bd(x), min_{y≠x} d(x, y))` over the cluster's defects (see the
+/// module docs). `near_distances[i]` is the anchor's distance to `near[i]`
+/// and `boundary[v]` is `bd(v)` (`Weight::MAX` when no virtual vertex is
+/// reachable); two non-anchor members are at least
+/// `|d(a, y) − d(a, z)|` apart.
+fn matching_weight_bound(
+    anchor: VertexIndex,
+    near: &[VertexIndex],
+    near_distances: &[Weight],
+    subset: u64,
+    boundary: &[Weight],
+) -> Weight {
+    let members = || (0..near.len()).filter(move |&bit| subset >> bit & 1 == 1);
+    let anchor_share = members()
+        .map(|bit| near_distances[bit])
+        .fold(boundary[anchor], Weight::min);
+    members().fold(anchor_share, |sum, bit| {
+        let to_anchor = near_distances[bit];
+        let share = members()
+            .filter(|&other| other != bit)
+            .map(|other| (to_anchor - near_distances[other]).abs())
+            .fold(boundary[near[bit]].min(to_anchor), Weight::min);
+        sum.saturating_add(share)
+    })
 }
 
 /// Number of subsets of ≤ `max_bits` elements from `len` candidates, or
@@ -734,6 +777,74 @@ mod tests {
                 assert!(!pre.would_fast_path(&defects));
             }
         }
+    }
+
+    /// The table a build without the weight bound stores: every candidate
+    /// decoded, kept when within the cap. Also counts the candidates the
+    /// bound rules out.
+    fn unpruned_table(
+        pre: &PreDecoder,
+        config: &AcceleratorConfig,
+        stream: bool,
+    ) -> (HashMap<(VertexIndex, u64), PerfectMatching>, usize) {
+        let graph = &pre.graph;
+        let boundary: Vec<Weight> = boundary_distances(graph)
+            .into_iter()
+            .map(|d| d.unwrap_or(Weight::MAX))
+            .collect();
+        let mut builder = EntryBuilder::new(graph, config, stream);
+        let mut table = HashMap::new();
+        let mut ruled_out = 0;
+        for anchor in 0..graph.vertex_count() {
+            if graph.is_virtual(anchor) || pre.overflowed[anchor] {
+                continue;
+            }
+            let near = &pre.neighborhoods[anchor];
+            let distances: Vec<Weight> = near
+                .iter()
+                .map(|&v| mb_graph::dijkstra::distance_between(graph, anchor, v).unwrap())
+                .collect();
+            for_each_subset(near.len(), pre.config.max_cluster_size - 1, |subset| {
+                if matching_weight_bound(anchor, near, &distances, subset, &boundary)
+                    > 2 * pre.entry_cap
+                {
+                    ruled_out += 1;
+                }
+                let mut cluster = vec![anchor];
+                cluster.extend(
+                    (0..near.len())
+                        .filter(|&bit| subset >> bit & 1 == 1)
+                        .map(|bit| near[bit]),
+                );
+                cluster.sort_unstable();
+                let matching = builder.decode(&cluster);
+                if matching.weight(graph) <= pre.entry_cap {
+                    table.insert((anchor, subset), matching);
+                }
+            });
+        }
+        (table, ruled_out)
+    }
+
+    #[test]
+    fn weight_bound_skips_no_storable_candidate() {
+        let mut total_ruled_out = 0;
+        for d in [3, 5] {
+            let circuit = mb_graph::circuit::CircuitLevelCode::rotated(d, d, 0.01).compile();
+            let graph = Arc::clone(circuit.graph());
+            let config = AcceleratorConfig::default();
+            for stream in [true, false] {
+                let pre = PreDecoder::build(Arc::clone(&graph), &config, stream);
+                let (unpruned, ruled_out) = unpruned_table(&pre, &config, stream);
+                total_ruled_out += ruled_out;
+                assert_eq!(pre.table_len(), unpruned.len(), "d={d} stream={stream}");
+                assert!(
+                    pre.table == unpruned,
+                    "d={d} stream={stream}: pruned table differs from the full enumeration"
+                );
+            }
+        }
+        assert!(total_ruled_out > 0, "the bound must rule out candidates");
     }
 
     #[test]

@@ -2557,6 +2557,88 @@ mod tests {
     }
 
     #[test]
+    fn no_round_feeder_input_reaches_the_load_order_assert() {
+        // the accelerator asserts that layers load in order; every round a
+        // producer can push — wrong layer, out-of-range or virtual
+        // vertices, duplicates, too many rounds, shots finished or dropped
+        // early — is either delivered in order or rejected typed first, on
+        // the context-switching engine and on the buffering one
+        use rand::Rng;
+        let graph = Arc::new(PhenomenologicalCode::rotated(3, 4, 0.02).decoding_graph());
+        let layers = graph.num_layers();
+        let in_layer: Vec<Vec<VertexIndex>> = (0..layers)
+            .map(|t| {
+                graph
+                    .vertices_in_layer(t)
+                    .filter(|&v| !graph.is_virtual(v))
+                    .collect()
+            })
+            .collect();
+        let virtual_vertex = (0..graph.vertex_count())
+            .find(|&v| graph.is_virtual(v))
+            .unwrap();
+        let specs = [
+            BackendSpec::Micro(MicroBlossomConfig::full(&graph, Some(3)).without_predecoder()),
+            BackendSpec::micro_full(Some(3)),
+        ];
+        for (s, spec) in specs.into_iter().enumerate() {
+            let stream = StreamDecoder::builder(spec, Arc::clone(&graph))
+                .pool(Arc::new(DecodePool::new(1)))
+                .workers(1)
+                .queue_capacity(64)
+                .start();
+            let mut rng = shot_rng(0x10AD, s as u64);
+            let mut feeders: Vec<RoundFeeder> = Vec::new();
+            let mut tickets = Vec::new();
+            for _ in 0..600 {
+                if feeders.len() < 3 {
+                    feeders.push(stream.begin_shot(0).unwrap());
+                }
+                let f = rng.gen_range_u64(feeders.len() as u64) as usize;
+                let layer = rng.gen_range_u64(layers as u64 + 1) as usize;
+                let defects: Vec<VertexIndex> = (0..rng.gen_range_u64(4))
+                    .map(|_| match rng.gen_range_u64(8) {
+                        0 => graph.vertex_count() + rng.gen_range_u64(5) as usize,
+                        1 => virtual_vertex,
+                        _ if layer < layers => {
+                            let pick = rng.gen_range_u64(in_layer[layer].len() as u64);
+                            in_layer[layer][pick as usize]
+                        }
+                        _ => rng.gen_range_u64(graph.vertex_count() as u64) as usize,
+                    })
+                    .collect();
+                let feeder = &mut feeders[f];
+                let pushed = feeder.rounds_pushed();
+                match feeder.push_round(&defects) {
+                    Ok(()) => assert_eq!(feeder.rounds_pushed(), pushed + 1),
+                    Err(error) => {
+                        assert!(
+                            matches!(
+                                error,
+                                DecodeError::InvalidDefect { .. }
+                                    | DecodeError::LayerOverflow { .. }
+                            ),
+                            "{error:?}"
+                        );
+                        assert_eq!(feeder.rounds_pushed(), pushed);
+                    }
+                }
+                if rng.gen_range_u64(6) == 0 {
+                    let feeder = feeders.swap_remove(f);
+                    if rng.gen_bool(0.5) {
+                        tickets.push(feeder.finish());
+                    }
+                }
+            }
+            tickets.extend(feeders.into_iter().map(RoundFeeder::finish));
+            for ticket in tickets {
+                ticket.recv().expect("every admitted shot decodes");
+            }
+            assert_eq!(stream.close().worker_panics, 0, "spec {s}");
+        }
+    }
+
+    #[test]
     fn rounds_after_close_report_feeder_closed() {
         let graph = Arc::new(PhenomenologicalCode::rotated(3, 3, 0.02).decoding_graph());
         let stream = StreamDecoder::builder(BackendSpec::micro_full(Some(3)), Arc::clone(&graph))

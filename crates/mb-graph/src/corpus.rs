@@ -38,10 +38,12 @@
 //!   checksum   u64      FNV-1a 64 over every preceding byte of the file
 //! ```
 //!
-//! The explicit record/end markers make truncation detectable mid-file
-//! ([`CorpusError::Truncated`]), the trailer count catches dropped
-//! records, and the checksum catches bit corruption
-//! ([`CorpusError::ChecksumMismatch`]). The graph fingerprint stops a
+//! The checksum catches bit corruption and truncation
+//! ([`CorpusError::ChecksumMismatch`]); the decoder verifies it right after
+//! the magic, version and flags, before the provenance or any record is
+//! parsed, so a damaged file never reaches the parsers. The explicit
+//! record/end markers and the trailer count then catch a well-summed file
+//! whose structure is wrong. The graph fingerprint stops a
 //! corpus recorded for one code from being silently replayed on another
 //! ([`CorpusError::GraphMismatch`]).
 //!
@@ -525,8 +527,10 @@ impl TraceCorpus {
         writer.finish().expect("writing to a Vec cannot fail")
     }
 
-    /// Parses the version-1 binary format, verifying structure, record
-    /// count, and checksum.
+    /// Parses the version-1 binary format, verifying checksum, structure
+    /// and record count. The checksum is verified first, right after the
+    /// magic, version and flags; every allocation is bounded by the bytes
+    /// left to parse.
     pub fn decode(bytes: &[u8]) -> Result<Self, CorpusError> {
         let mut r = Reader { bytes, offset: 0 };
         if r.take(4)? != CORPUS_MAGIC {
@@ -540,6 +544,24 @@ impl TraceCorpus {
         if flags & !(FLAG_HAS_TRUTH | FLAG_HAS_WEIGHTS) != 0 {
             return Err(CorpusError::UnknownFlags { flags });
         }
+        // the trailing checksum covers every byte before it
+        let body_len = bytes
+            .len()
+            .checked_sub(8)
+            .filter(|&len| len >= r.offset)
+            .ok_or(CorpusError::Truncated {
+                offset: bytes.len(),
+            })?;
+        let (body, checksum) = bytes.split_at(body_len);
+        let stored = u64::from_le_bytes(checksum.try_into().unwrap());
+        let computed = fnv1a_bytes(FNV_OFFSET, body);
+        if stored != computed {
+            return Err(CorpusError::ChecksumMismatch { stored, computed });
+        }
+        let mut r = Reader {
+            bytes: body,
+            offset: r.offset,
+        };
         let has_truth = flags & FLAG_HAS_TRUTH != 0;
         let has_weights = flags & FLAG_HAS_WEIGHTS != 0;
         let num_layers = r.u32()? as usize;
@@ -577,11 +599,12 @@ impl TraceCorpus {
             };
             // every round costs at least one byte (its count varint), so a
             // damaged header cannot request more rounds than bytes remain
-            let mut rounds = Vec::with_capacity(num_layers.min(bytes.len() - r.offset));
+            let mut rounds = Vec::with_capacity(num_layers.min(body.len() - r.offset));
             for _ in 0..num_layers {
                 let count_offset = r.offset;
                 let count = r.varint()? as usize;
-                let mut round = Vec::with_capacity(count.min(1 << 16));
+                // and every defect at least one byte (its delta varint)
+                let mut round = Vec::with_capacity(count.min(1 << 16).min(body.len() - r.offset));
                 let mut previous: Option<u64> = None;
                 for _ in 0..count {
                     let raw = r.varint()?;
@@ -618,15 +641,10 @@ impl TraceCorpus {
                 ),
             });
         }
-        let computed = fnv1a_bytes(FNV_OFFSET, &bytes[..r.offset]);
-        let stored = r.u64()?;
-        if stored != computed {
-            return Err(CorpusError::ChecksumMismatch { stored, computed });
-        }
-        if r.offset != bytes.len() {
+        if r.offset != body.len() {
             return Err(CorpusError::Corrupt {
                 offset: r.offset,
-                message: format!("{} trailing bytes after trailer", bytes.len() - r.offset),
+                message: format!("{} trailing bytes after trailer", body.len() - r.offset),
             });
         }
         Ok(Self {
@@ -873,6 +891,54 @@ mod tests {
         assert!(matches!(
             TraceCorpus::decode(&corpus.encode()),
             Err(CorpusError::Corrupt { .. })
+        ));
+    }
+
+    /// Replaces the trailing checksum of `bytes` with the right one.
+    fn reseal(bytes: &mut Vec<u8>) {
+        let body = bytes.len() - 8;
+        bytes.truncate(body);
+        let checksum = fnv1a_bytes(FNV_OFFSET, bytes);
+        bytes.extend_from_slice(&checksum.to_le_bytes());
+    }
+
+    #[test]
+    fn checksum_is_verified_before_the_provenance_is_parsed() {
+        let (corpus, _) = sample_corpus(3, 12);
+        let mut bytes = corpus.encode();
+        // the provenance starts after magic, version, flags, layers,
+        // fingerprint and its length: make its first byte invalid UTF-8
+        bytes[4 + 2 + 2 + 4 + 8 + 4] = 0xFF;
+        assert!(matches!(
+            TraceCorpus::decode(&bytes),
+            Err(CorpusError::ChecksumMismatch { .. })
+        ));
+        // with a matching checksum the same damage reaches the parser
+        reseal(&mut bytes);
+        assert!(matches!(
+            TraceCorpus::decode(&bytes),
+            Err(CorpusError::Corrupt { .. })
+        ));
+    }
+
+    #[test]
+    fn huge_declared_counts_fail_typed_without_allocating_them() {
+        let (mut corpus, _) = sample_corpus(0, 13);
+        corpus.header.num_layers = u32::MAX as usize;
+        corpus.header.has_truth = false;
+        corpus.header.has_weights = false;
+        let mut bytes = corpus.encode();
+        // swap the empty trailer for one record whose first round declares
+        // 2^40 defects, then end the file; the checksum matches
+        let trailer = bytes.len() - 8 - 2;
+        bytes.truncate(trailer);
+        bytes.push(RECORD_MARKER);
+        write_varint(&mut bytes, 1 << 40);
+        bytes.extend_from_slice(&[0; 8]);
+        reseal(&mut bytes);
+        assert!(matches!(
+            TraceCorpus::decode(&bytes),
+            Err(CorpusError::Truncated { .. })
         ));
     }
 

@@ -64,8 +64,7 @@ pub fn dijkstra(graph: &DecodingGraph, source: VertexIndex) -> ShortestPaths {
         if graph.is_virtual(v) && v != source {
             continue; // boundary vertices terminate paths
         }
-        for &e in graph.incident_edges(v) {
-            let u = graph.edge(e).other(v);
+        for (&e, &u) in graph.incident_edges(v).iter().zip(graph.neighbors(v)) {
             let next = dist + graph.edge(e).weight;
             if distance[u].is_none_or(|d| next < d) {
                 distance[u] = Some(next);
@@ -114,8 +113,7 @@ fn settle_target(
         if graph.is_virtual(v) && v != source {
             continue; // boundary vertices terminate paths
         }
-        for &e in graph.incident_edges(v) {
-            let u = graph.edge(e).other(v);
+        for (&e, &u) in graph.incident_edges(v).iter().zip(graph.neighbors(v)) {
             let next = dist + graph.edge(e).weight;
             let improves = match best.get(&u) {
                 None => true,
@@ -166,6 +164,33 @@ pub fn distance_to_boundary(
         .min()
 }
 
+/// Distance from every vertex to its nearest virtual vertex, along paths
+/// that never pass *through* a virtual vertex — `distance_to_boundary` for
+/// all vertices at once, by one multi-source Dijkstra seeded at every
+/// virtual vertex (a path crossing a virtual vertex is never shorter than
+/// the path starting there). `None` where no virtual vertex is reachable.
+pub fn boundary_distances(graph: &DecodingGraph) -> Vec<Option<Weight>> {
+    let mut distance: Vec<Option<Weight>> = vec![None; graph.vertex_count()];
+    let mut heap: BinaryHeap<Reverse<(Weight, VertexIndex)>> = BinaryHeap::new();
+    for v in (0..graph.vertex_count()).filter(|&v| graph.is_virtual(v)) {
+        distance[v] = Some(0);
+        heap.push(Reverse((0, v)));
+    }
+    while let Some(Reverse((dist, v))) = heap.pop() {
+        if distance[v] != Some(dist) {
+            continue;
+        }
+        for (&e, &u) in graph.incident_edges(v).iter().zip(graph.neighbors(v)) {
+            let next = dist + graph.edge(e).weight;
+            if distance[u].is_none_or(|d| next < d) {
+                distance[u] = Some(next);
+                heap.push(Reverse((next, u)));
+            }
+        }
+    }
+    distance
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,6 +235,20 @@ mod tests {
         assert_eq!((d, v), (2, 0));
         let (d, v) = distance_to_boundary(&g, 2).unwrap();
         assert_eq!((d, v), (2, 3));
+    }
+
+    #[test]
+    fn boundary_distances_match_per_vertex_searches() {
+        let graphs = [
+            line_graph(),
+            crate::codes::PhenomenologicalCode::rotated(3, 3, 0.02).decoding_graph(),
+        ];
+        for g in &graphs {
+            let all = boundary_distances(g);
+            for (v, &d) in all.iter().enumerate() {
+                assert_eq!(d, distance_to_boundary(g, v).map(|(d, _)| d), "vertex {v}");
+            }
+        }
     }
 
     #[test]

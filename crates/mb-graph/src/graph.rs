@@ -69,8 +69,14 @@ impl EdgeInfo {
 pub struct DecodingGraph {
     vertices: Vec<VertexInfo>,
     edges: Vec<EdgeInfo>,
-    /// `adjacency[v]` lists the edges incident to vertex `v`.
-    adjacency: Vec<Vec<EdgeIndex>>,
+    /// Adjacency in compressed sparse row form, built once per graph and
+    /// shared by every decoder through the graph's `Arc`: the edges
+    /// incident to `v` are `adj_edge[adj_start[v]..adj_start[v + 1]]` in
+    /// ascending edge order, and `adj_vertex` holds the opposite endpoint of
+    /// each at the same position.
+    adj_start: Vec<usize>,
+    adj_edge: Vec<EdgeIndex>,
+    adj_vertex: Vec<VertexIndex>,
     /// Number of distinct `t` layers (measurement rounds).
     num_layers: usize,
     /// Number of logical observables tracked in `observable_mask` bits.
@@ -128,9 +134,17 @@ impl DecodingGraph {
         &self.edges
     }
 
-    /// Edges incident to `v`.
+    /// Edges incident to `v`, in ascending edge order.
     pub fn incident_edges(&self, v: VertexIndex) -> &[EdgeIndex] {
-        &self.adjacency[v]
+        &self.adj_edge[self.adj_start[v]..self.adj_start[v + 1]]
+    }
+
+    /// The opposite endpoint of each edge of [`Self::incident_edges`], at
+    /// the same position: `neighbors(v)[i]` is
+    /// `edge(incident_edges(v)[i]).other(v)`, read without touching the
+    /// edge table.
+    pub fn neighbors(&self, v: VertexIndex) -> &[VertexIndex] {
+        &self.adj_vertex[self.adj_start[v]..self.adj_start[v + 1]]
     }
 
     /// Whether vertex `v` is virtual.
@@ -168,10 +182,11 @@ impl DecodingGraph {
     /// Finds an edge connecting `u` and `v`, if one exists. When parallel
     /// edges exist the minimum-weight one is returned.
     pub fn find_edge(&self, u: VertexIndex, v: VertexIndex) -> Option<EdgeIndex> {
-        self.adjacency[u]
+        self.incident_edges(u)
             .iter()
-            .copied()
-            .filter(|&e| self.edges[e].other(u) == v)
+            .zip(self.neighbors(u))
+            .filter(|&(_, &w)| w == v)
+            .map(|(&e, _)| e)
             .min_by_key(|&e| self.edges[e].weight)
     }
 
@@ -200,13 +215,13 @@ impl DecodingGraph {
                 return Err(format!("edge {i} connects two virtual vertices"));
             }
         }
-        for (v, adj) in self.adjacency.iter().enumerate() {
-            for &e in adj {
+        for v in 0..self.vertex_count() {
+            for (&e, &u) in self.incident_edges(v).iter().zip(self.neighbors(v)) {
                 if e >= self.edge_count() {
                     return Err(format!("vertex {v} lists missing edge {e}"));
                 }
                 let (a, b) = self.edges[e].vertices;
-                if a != v && b != v {
+                if (a, b) != (v, u) && (a, b) != (u, v) {
                     return Err(format!("vertex {v} lists non-incident edge {e}"));
                 }
             }
@@ -297,12 +312,28 @@ impl DecodingGraphBuilder {
         self.vertices.len()
     }
 
-    /// Finalizes the graph, computing adjacency lists and layer count.
+    /// Finalizes the graph, computing the adjacency table and layer count.
     pub fn build(self) -> DecodingGraph {
-        let mut adjacency = vec![Vec::new(); self.vertices.len()];
+        // counting sort of the edge endpoints by vertex; filling in edge
+        // order keeps each vertex's incident edges ascending
+        let mut adj_start = vec![0; self.vertices.len() + 1];
+        for edge in &self.edges {
+            adj_start[edge.vertices.0 + 1] += 1;
+            adj_start[edge.vertices.1 + 1] += 1;
+        }
+        for v in 0..self.vertices.len() {
+            adj_start[v + 1] += adj_start[v];
+        }
+        let mut fill = adj_start.clone();
+        let mut adj_edge = vec![0; 2 * self.edges.len()];
+        let mut adj_vertex = vec![0; 2 * self.edges.len()];
         for (i, edge) in self.edges.iter().enumerate() {
-            adjacency[edge.vertices.0].push(i);
-            adjacency[edge.vertices.1].push(i);
+            let (u, v) = edge.vertices;
+            for (from, to) in [(u, v), (v, u)] {
+                adj_edge[fill[from]] = i;
+                adj_vertex[fill[from]] = to;
+                fill[from] += 1;
+            }
         }
         let num_layers = self
             .vertices
@@ -313,7 +344,9 @@ impl DecodingGraphBuilder {
         let graph = DecodingGraph {
             vertices: self.vertices,
             edges: self.edges,
-            adjacency,
+            adj_start,
+            adj_edge,
+            adj_vertex,
             num_layers,
             num_observables: self.num_observables.max(1),
         };
@@ -355,6 +388,9 @@ mod tests {
         let g = small_graph();
         assert_eq!(g.incident_edges(1), &[0, 1]);
         assert_eq!(g.incident_edges(2), &[1, 2]);
+        assert_eq!(g.neighbors(1), &[0, 2]);
+        assert_eq!(g.neighbors(2), &[1, 3]);
+        assert_eq!(g.neighbors(0), &[1]);
         assert_eq!(g.edge(1).other(1), 2);
         assert_eq!(g.edge(1).other(2), 1);
     }

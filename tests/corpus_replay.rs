@@ -18,12 +18,18 @@
 //!   by CI's record/replay smoke) still loads, matches its recorded
 //!   provenance, and replays deterministically — guarding the on-disk
 //!   format against accidental version drift.
+//! * **Pinned outcomes**: every record of the golden fixture and of a
+//!   2,000-shot d=5 circuit-level corpus decodes through
+//!   `BackendSpec::micro_full` to a committed digest of
+//!   `(observable, breakdown, latency_ns)` — a performance change to the
+//!   accelerator simulator must leave every decode bit-identical.
 
 use mb_decoder::pipeline::{DecodePool, ShardedPipeline};
 use mb_decoder::replay::{record_circuit_run, record_tilted_run, replay_corpus, ReplayMode};
-use mb_decoder::{BackendSpec, ShotOutcome, WindowConfig};
+use mb_decoder::{BackendSpec, DecodeOutcome, ShotOutcome, WindowConfig};
 use mb_graph::circuit::{CircuitLevelCode, MechanismTilt};
 use mb_graph::corpus::{graph_fingerprint, CorpusError, CorpusWriter, TraceCorpus};
+use mb_graph::DecodingGraph;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
@@ -266,5 +272,72 @@ fn golden_fixture_still_loads_and_replays() {
     assert_eq!(
         regenerated.records, corpus.records,
         "fixture records regenerate from their recorded seed"
+    );
+}
+
+/// FNV-1a 64 over the bit-exact decode result of one shot.
+fn fold_outcome(mut hash: u64, outcome: &DecodeOutcome) -> u64 {
+    let b = &outcome.breakdown;
+    let words = [
+        outcome.observable,
+        b.hardware_cycles,
+        b.bus_reads,
+        b.bus_writes,
+        b.cpu_obstacles,
+        outcome.latency_ns.to_bits(),
+    ];
+    for word in words {
+        for byte in word.to_le_bytes() {
+            hash ^= byte as u64;
+            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    }
+    hash
+}
+
+/// Decodes every record of `corpus` on one reused `micro_full(Some(d))`
+/// backend and digests the outcomes in record order.
+fn outcome_digest(d: usize, graph: &Arc<DecodingGraph>, corpus: &TraceCorpus) -> u64 {
+    let mut backend = BackendSpec::micro_full(Some(d)).build(Arc::clone(graph));
+    corpus
+        .records
+        .iter()
+        .fold(0xCBF2_9CE4_8422_2325, |hash, record| {
+            fold_outcome(hash, &backend.decode(&record.syndrome()))
+        })
+}
+
+/// Pins the exact decode result of `micro_full` — observable, latency
+/// breakdown and modeled latency of every shot — on the golden fixture and
+/// on a recorded d=5, p=1% circuit-level corpus.
+///
+/// The digests were taken before the simulator's per-poll fast paths (the
+/// shared neighbour table, the one-compare `b_v`, the pruned Update stage
+/// and the single convergecast sweep) and must not change with any change
+/// that only makes the simulator faster. The round-wise fusion exactness
+/// fix changes what `micro_full` decodes, so it will change both constants
+/// knowingly and must say so.
+#[test]
+fn micro_full_outcomes_are_pinned() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../bench/fixtures/golden_d3.mbtc"
+    );
+    let golden = TraceCorpus::load(path).expect("committed golden corpus decodes");
+    let meta = &golden.header.provenance;
+    let field = |key: &str| meta.get(key).and_then(|v| v.as_u64()).expect(key) as usize;
+    let p = meta.get("p").and_then(|v| v.as_f64()).expect("p recorded");
+    let d = field("d");
+    let circuit = Arc::new(CircuitLevelCode::rotated(d, field("rounds"), p).compile());
+    let golden_digest = outcome_digest(d, circuit.graph(), &golden);
+
+    let circuit = Arc::new(CircuitLevelCode::rotated(5, 5, 0.01).compile());
+    let corpus = record_circuit_run(&circuit, 2_000, 0x5EED);
+    let corpus_digest = outcome_digest(5, circuit.graph(), &corpus);
+
+    assert_eq!(
+        (golden_digest, corpus_digest),
+        (0x5714_66B8_B3E0_28CC, 0xE868_B720_4CA0_6D0A),
+        "micro_full decode outcomes drifted"
     );
 }

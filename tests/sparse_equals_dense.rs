@@ -8,7 +8,9 @@
 //! **bit-identical** `DecodeOutcome`s — matching, observable, latency
 //! counters, everything — across:
 //!
-//! * code distances d ∈ {3, 5, 9},
+//! * code distances d ∈ {3, 5, 9} on phenomenological graphs, and a d=5
+//!   circuit-level graph whose degree-10 diagonal edges are what the
+//!   large-distance sweeps run on,
 //! * decoder configurations with and without pre-matching (and with
 //!   round-wise stream fusion),
 //! * batch decoding vs round-wise ingestion,
@@ -16,6 +18,7 @@
 
 use mb_decoder::pipeline::ShardedPipeline;
 use mb_decoder::{BackendSpec, DecoderBackend, MicroBlossomConfig, MicroBlossomDecoder};
+use mb_graph::circuit::{CircuitErrorSampler, CircuitLevelCode};
 use mb_graph::codes::PhenomenologicalCode;
 use mb_graph::syndrome::ErrorSampler;
 use mb_graph::DecodingGraph;
@@ -59,6 +62,29 @@ fn sparse_decode_is_bit_identical_to_dense_reference() {
                     shot.syndrome
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn sparse_decode_is_bit_identical_to_dense_reference_on_circuit_level_graph() {
+    let d = 5;
+    let circuit = Arc::new(CircuitLevelCode::rotated(d, d, 0.01).compile());
+    let graph = circuit.graph();
+    let sampler = CircuitErrorSampler::new(&circuit);
+    for (c, config) in configs(graph, d).into_iter().enumerate() {
+        let mut sparse = MicroBlossomDecoder::new(Arc::clone(graph), config.clone());
+        let mut dense = MicroBlossomDecoder::new(Arc::clone(graph), config.with_dense_reference());
+        let mut rng = ChaCha8Rng::seed_from_u64(0xC1C + c as u64);
+        for shot_index in 0..60 {
+            let shot = sampler.sample(&mut rng);
+            let got = sparse.decode(&shot.syndrome);
+            let want = dense.decode(&shot.syndrome);
+            assert_eq!(
+                got, want,
+                "circuit d={d} config={c} shot={shot_index} syndrome={:?}",
+                shot.syndrome
+            );
         }
     }
 }
