@@ -32,5 +32,8 @@ fn main() {
             &table
         )
     );
-    println!("(LUTs and frequency use the paper-calibrated model; |E| differs from the paper's circuit-level graphs, see EXPERIMENTS.md)");
+    println!(
+        "(LUTs and frequency use the paper-calibrated model; |V| and |E| are of the \
+         phenomenological evaluation graphs, not the paper's circuit-level ones)"
+    );
 }

@@ -4,8 +4,7 @@
 //! Each `fig*`/`table*` function produces the rows/series the corresponding
 //! figure or table plots; the binaries in `src/bin/` print them as aligned
 //! text tables. Shot counts default to values that finish in seconds on a
-//! laptop; pass larger counts for tighter error bars (EXPERIMENTS.md records
-//! which counts were used for the committed results).
+//! laptop; pass larger counts for tighter error bars.
 
 pub mod experiments;
 pub mod report;

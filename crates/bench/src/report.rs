@@ -1,8 +1,9 @@
 //! Machine-readable benchmark output.
 //!
-//! Every bench binary emits its measurements as JSON lines on stdout so a
-//! human can grep a run; [`BenchReport`] additionally collects those lines
-//! and, on [`BenchReport::finish`], writes them to `BENCH_<bin>.json` at the
+//! The trace-corpus binaries (`record`, `replay`, `report`) emit their
+//! measurements as JSON lines on stdout so a human can grep a run;
+//! [`BenchReport`] additionally collects those lines and, on
+//! [`BenchReport::finish`], writes them to `BENCH_<bin>.json` at the
 //! repository root — one JSON object per line, overwritten on every run —
 //! so the benchmark trajectory of a checkout can be diffed across PRs
 //! without scraping terminal output.

@@ -4,10 +4,10 @@
 //! [`MicroBlossomDecoder`], the all-software [`ParityBlossomDecoder`], and
 //! the [`UnionFindDecoderAdapter`] — implements the object-safe
 //! [`DecoderBackend`] trait, so the evaluation harness, the sharded
-//! [`pipeline`](crate::pipeline), and the bench binaries can treat them
-//! interchangeably. Construction is factored into [`BackendSpec`], a
-//! cloneable, thread-shareable recipe that builds one backend instance per
-//! pipeline worker.
+//! [`pipeline`](crate::pipeline), the stream and windowed front-ends and
+//! the benchmark can treat them interchangeably. Construction is factored
+//! into [`BackendSpec`], a cloneable, thread-shareable recipe that builds
+//! one backend instance per pipeline worker.
 
 use crate::micro::{MicroBlossomConfig, MicroBlossomDecoder};
 use crate::outcome::DecodeOutcome;
@@ -126,7 +126,8 @@ pub trait DecoderBackend: Send {
     /// backed by the simulated PU array (`None` for pure-software decoders).
     /// The decode pool folds per-job deltas of these into its own
     /// [`crate::pipeline::DecodePool::accel_pus_touched`]-style counters, so
-    /// the sparse-activation win is observable from the bench binaries.
+    /// the sparse-activation win is observable from the running system; the
+    /// benchmark reports it as `accel.pus_touched_per_shot`.
     fn accel_observability(&self) -> Option<AccelObservability> {
         None
     }

@@ -176,9 +176,9 @@ pub fn default_shards() -> usize {
 /// union of four sampled error patterns each (a mixed effective `p`).
 ///
 /// Contiguous chunking would pin the expensive tail on the last worker;
-/// the work-stealing scheduler spreads it. Shared by the
-/// `pipeline_throughput` bench and the pipeline equivalence tests so both
-/// exercise the same workload shape.
+/// the work-stealing scheduler spreads it. The pipeline equivalence tests
+/// decode it across worker counts to check that stealing never changes a
+/// result.
 pub fn skewed_workload(graph: &DecodingGraph, easy: usize, hard: usize) -> Vec<Shot> {
     let sampler = ErrorSampler::new(graph);
     let mut shots: Vec<Shot> = (0..easy)

@@ -2854,6 +2854,65 @@ mod tests {
     }
 
     #[test]
+    fn thousands_of_round_robin_streams_complete_with_bounded_finish_latency() {
+        // 1,000 streams each holding a round-fed shot open, rounds routed
+        // round-robin layer by layer, two waves: the eager backend (no
+        // pre-decoder) banks contexts, the armed one buffers and takes the
+        // LUT fast path at finish
+        let graph = Arc::new(PhenomenologicalCode::rotated(3, 3, 0.01).decoding_graph());
+        let (streams, waves) = (1000usize, 2usize);
+        let eager =
+            BackendSpec::Micro(MicroBlossomConfig::full(&graph, Some(3)).without_predecoder());
+        for (spec, banked) in [(eager, true), (BackendSpec::micro_full(Some(3)), false)] {
+            let pool = Arc::new(DecodePool::new(2));
+            let stream = StreamDecoder::builder(spec.clone(), Arc::clone(&graph))
+                .pool(Arc::clone(&pool))
+                .queue_capacity(streams)
+                .start();
+            for wave in 0..waves {
+                let shots = sample_shots(&graph, streams, 0xBE9C ^ wave as u64);
+                let layers: Vec<Vec<Vec<VertexIndex>>> = shots
+                    .iter()
+                    .map(|s| s.syndrome.split_by_layer(&graph))
+                    .collect();
+                let mut feeders: Vec<RoundFeeder> = shots
+                    .iter()
+                    .map(|shot| stream.begin_shot(shot.observable).unwrap())
+                    .collect();
+                for layer in 0..graph.num_layers() {
+                    for (shot_layers, feeder) in layers.iter().zip(feeders.iter_mut()) {
+                        feeder.push_round(&shot_layers[layer]).unwrap();
+                    }
+                    // an eager context keeps at most its one-round lookahead
+                    // buffered: waiting for that before the next layer makes
+                    // every context's rounds interleave on the engines, as
+                    // they would if rounds arrived at hardware pace
+                    while banked && pending_rounds(&stream) > streams {
+                        std::thread::yield_now();
+                    }
+                }
+                let tickets: Vec<Ticket> = feeders.drain(..).map(RoundFeeder::finish).collect();
+                for ticket in tickets {
+                    ticket.recv().unwrap();
+                }
+            }
+            let stats = stream.close();
+            let name = spec.name();
+            assert_eq!(stats.decoded, (streams * waves) as u64, "{name}");
+            assert_eq!(stats.contexts_peak, streams as u64, "{name}");
+            let p99_us = stats.finish_p99_us.expect("round-fed shots completed");
+            assert!(p99_us < 2_000_000.0, "{name}: finish p99 {p99_us:.0} us");
+            // every stream shot is an accelerator shot in the pool's counters
+            assert_eq!(pool.accel_shots(), stats.decoded, "{name}");
+            if banked {
+                assert!(stats.bank_switches > 0, "interleaving must bank-switch");
+            } else {
+                assert!(pool.accel_fast_path_rate().unwrap() > 0.0);
+            }
+        }
+    }
+
+    #[test]
     fn dropping_a_feeder_mid_stream_frees_its_context_slot() {
         let graph = Arc::new(PhenomenologicalCode::rotated(3, 3, 0.02).decoding_graph());
         let defect = (0..graph.vertex_count())

@@ -1074,6 +1074,41 @@ mod tests {
     }
 
     #[test]
+    fn long_sessions_keep_resident_rounds_and_ingestion_latency_bounded() {
+        // one 1,000-round stream through a 20 + 2×2-round window: resident
+        // state stays within the window however long the stream runs, and
+        // the feeder's backpressure keeps every push and the finish bounded
+        let (commit, overlap, rounds) = (20usize, 2usize, 1000usize);
+        let graph = phenomenological(rounds, 0.01);
+        let shot = ErrorSampler::new(&graph).sample(&mut crate::pipeline::shot_rng(0xBE9C, 0));
+        let decoder = WindowedDecoder::new(
+            BackendSpec::micro_full(Some(3)),
+            Arc::clone(&graph),
+            WindowConfig::new(commit, overlap),
+        )
+        .with_pool(Arc::new(DecodePool::new(2)));
+        let mut feeder = decoder.begin_shot(shot.observable);
+        let mut push_us: Vec<f64> = Vec::with_capacity(rounds);
+        for round in shot.syndrome.split_by_layer(&graph) {
+            let start = std::time::Instant::now();
+            feeder.push_round(&round);
+            push_us.push(start.elapsed().as_secs_f64() * 1e6);
+            drop(feeder.take_committed());
+        }
+        let start = std::time::Instant::now();
+        let outcome = feeder.finish();
+        let finish_us = start.elapsed().as_secs_f64() * 1e6;
+        push_us.sort_by(f64::total_cmp);
+        let push_p99_us = push_us[((push_us.len() - 1) as f64 * 0.99).round() as usize];
+        assert_eq!(outcome.rounds, rounds);
+        assert!(outcome.max_resident_rounds <= commit + 2 * overlap);
+        assert!(
+            push_p99_us < 2_000_000.0 && finish_us < 30_000_000.0,
+            "push p99 {push_p99_us:.0} us, finish {finish_us:.0} us"
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "matching-producing backend")]
     fn union_find_cannot_window() {
         let graph = phenomenological(8, 0.05);

@@ -82,7 +82,7 @@ fn main() {
     println!(
         "\ncircuit-level p_L = {:.4} over {shots} shots; the same physical p under \
          phenomenological noise flips every qubit and measurement with the full p, \
-         an upper bound on this workload (see `cargo run -r -p bench --bin circuit_sweep`)",
+         an upper bound on this workload (tests/circuit_level.rs checks the ordering)",
         errors as f64 / shots as f64,
     );
 }

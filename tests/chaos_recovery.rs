@@ -287,6 +287,49 @@ fn deadline_misses_degrade_without_stalling() {
 }
 
 #[test]
+fn panic_storm_with_mixed_deadlines_fails_typed_and_self_heals() {
+    // a scripted panic storm on one stream whose shots alternate between an
+    // already-expired degrade deadline (a guaranteed miss, answered by the
+    // union-find fallback) and a generous one: the storm costs exactly the
+    // shots it hits, typed, and the pool respawns the lost capacity
+    let graph = Arc::new(PhenomenologicalCode::rotated(3, 3, 0.01).decoding_graph());
+    let shots = 200u64;
+    let plan = Arc::new(FaultPlan::new().panic_worker(0, 3).panic_worker(1, 5));
+    let pool = Arc::new(DecodePool::new(2));
+    let stream = StreamDecoder::builder(BackendSpec::micro_full(Some(3)), Arc::clone(&graph))
+        .pool(Arc::clone(&pool))
+        .workers(2)
+        .queue_capacity(32)
+        .fault_plan(plan)
+        .start();
+    let miss = DeadlinePolicy::degrade_after(Duration::ZERO);
+    let make = DeadlinePolicy::degrade_after(Duration::from_secs(5));
+    let tickets: Vec<_> = (0..shots)
+        .map(|i| {
+            let policy = if i % 2 == 1 { miss } else { make };
+            stream.submit_seeded_with_deadline(0xC405, policy).unwrap()
+        })
+        .collect();
+    let mut failed = 0u64;
+    for ticket in tickets {
+        match ticket.recv() {
+            Ok(_) => {}
+            Err(DecodeError::WorkerPanic { .. }) => failed += 1,
+            Err(other) => panic!("unexpected error {other}"),
+        }
+    }
+    let stats = stream.close();
+    assert_eq!(stats.decoded + failed, shots, "every ticket resolved");
+    assert_eq!(stats.worker_panics, failed, "panics fail typed, never hang");
+    assert!((1..=2).contains(&failed), "the storm fired {failed} panics");
+    assert!(pool.worker_respawns() >= failed, "capacity self-heals");
+    assert!(
+        stats.degraded_shots >= shots / 2 - failed,
+        "expired shots degrade"
+    );
+}
+
+#[test]
 fn ticket_drop_storms_never_leak_under_panics() {
     // fire-and-forget producers that also suffer a panic storm: abandoned
     // outcome cells are reclaimed, close() balances, the stream never hangs

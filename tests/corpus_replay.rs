@@ -8,7 +8,9 @@
 //! * **Robustness** (property): truncating an encoded corpus at any
 //!   prefix length, flipping any single byte, or rewriting the version
 //!   yields a typed [`CorpusError`] — never a panic, never a silently
-//!   wrong corpus.
+//!   wrong corpus. Seeded mutations of the golden fixture, re-sealed with a
+//!   fresh checksum so they reach the parser, decode `Ok` or fail typed
+//!   too, under an allocator that fails any allocation over 64 MiB.
 //! * **Differential replay**: one corpus replays bit-identically across
 //!   3 backends × 1/2/8-worker pools × batch/stream/windowed ingestion,
 //!   and the batch replay equals the original in-process sampled run at
@@ -32,7 +34,40 @@ use mb_graph::corpus::{graph_fingerprint, CorpusError, CorpusWriter, TraceCorpus
 use mb_graph::DecodingGraph;
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::Arc;
+
+/// Largest single allocation any test in this binary may make.
+const ALLOCATION_CAP: usize = 64 << 20;
+
+/// The system allocator, except that any single request over
+/// [`ALLOCATION_CAP`] fails, which aborts the test binary
+/// (`handle_alloc_error`). A decoder that sizes a buffer from damaged input
+/// then fails the same way on every host, instead of succeeding on a large
+/// machine and being killed for memory on a small one. The default
+/// `alloc_zeroed` and `realloc` go through `alloc`, so they are capped too.
+struct CappedAlloc;
+
+unsafe impl GlobalAlloc for CappedAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if layout.size() > ALLOCATION_CAP {
+            return std::ptr::null_mut();
+        }
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: CappedAlloc = CappedAlloc;
+
+const GOLDEN_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../bench/fixtures/golden_d3.mbtc"
+);
 
 /// The decode triple that must be invariant across every replay
 /// configuration (latency is wall-clock for some backends).
@@ -116,6 +151,90 @@ fn damaged_corpora_fail_typed_never_panic() {
         TraceCorpus::decode(&[]),
         Err(CorpusError::Truncated { .. })
     ));
+}
+
+/// splitmix64: the seeded stream behind the mutation loop.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Appends the trailing FNV-1a 64 checksum of `body`, as the encoder does.
+fn seal(mut body: Vec<u8>) -> Vec<u8> {
+    let hash = body.iter().fold(0xCBF2_9CE4_8422_2325u64, |hash, &byte| {
+        (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01B3)
+    });
+    body.extend_from_slice(&hash.to_le_bytes());
+    body
+}
+
+/// Applies one seeded mutation to `body`: a byte overwrite, an insert, a
+/// delete, or a byte replaced by the LEB128 varint of a large value.
+fn mutate(body: &mut Vec<u8>, state: &mut u64) {
+    let at = (splitmix64(state) % (body.len() as u64 + 1)) as usize;
+    let value = splitmix64(state);
+    match splitmix64(state) % 4 {
+        0 if at < body.len() => body[at] = value as u8,
+        1 => body.insert(at, value as u8),
+        2 if at < body.len() => {
+            body.remove(at);
+        }
+        _ => {
+            // a random bit width from 14 to 64 bits, so the value ranges
+            // from slightly too large to u64::MAX-sized
+            let mut big = value >> (value % 51);
+            let mut varint = Vec::new();
+            while big >= 0x80 {
+                varint.push(big as u8 | 0x80);
+                big >>= 7;
+            }
+            varint.push(big as u8);
+            let end = (at + 1).min(body.len());
+            body.splice(at..end, varint);
+        }
+    }
+}
+
+#[test]
+fn resealed_mutations_of_the_golden_corpus_fail_typed() {
+    // every single-byte flip above dies at the trailer checksum; re-sealing
+    // each mutated copy sends the damage into the header, provenance and
+    // record parsers instead
+    let golden = std::fs::read(GOLDEN_PATH).expect("golden fixture is readable");
+    let body = &golden[..golden.len() - 8];
+    assert_eq!(seal(body.to_vec()), golden, "sealing matches the encoder");
+    let mut state = 0x5EA1_5EA1;
+    let (mut accepted, mut corrupt) = (0usize, 0usize);
+    for case in 0..10_000 {
+        let mut damaged = body.to_vec();
+        for _ in 0..1 + splitmix64(&mut state) % 3 {
+            mutate(&mut damaged, &mut state);
+        }
+        match TraceCorpus::decode(&seal(damaged)) {
+            Ok(corpus) => {
+                // whatever decodes re-encodes to a corpus that decodes back
+                accepted += 1;
+                let again = corpus.encode();
+                assert_eq!(
+                    TraceCorpus::decode(&again).unwrap().encode(),
+                    again,
+                    "case {case}"
+                );
+            }
+            Err(CorpusError::ChecksumMismatch { .. }) => panic!("case {case}: seal rejected"),
+            Err(CorpusError::Corrupt { .. }) => corrupt += 1,
+            Err(_) => {}
+        }
+    }
+    // the loop reached past the checksum: some damage is benign, and some
+    // is caught structurally by the record parser
+    assert!(
+        accepted > 0 && corrupt > 0,
+        "{accepted} ok, {corrupt} corrupt"
+    );
 }
 
 #[test]
@@ -236,11 +355,7 @@ fn one_corpus_replays_identically_across_backends_workers_and_modes() {
 
 #[test]
 fn golden_fixture_still_loads_and_replays() {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../bench/fixtures/golden_d3.mbtc"
-    );
-    let corpus = TraceCorpus::load(path).expect("committed golden corpus decodes");
+    let corpus = TraceCorpus::load(GOLDEN_PATH).expect("committed golden corpus decodes");
     let meta = &corpus.header.provenance;
     let d = meta.get("d").and_then(|v| v.as_u64()).expect("d recorded") as usize;
     let rounds = meta
@@ -319,11 +434,7 @@ fn outcome_digest(d: usize, graph: &Arc<DecodingGraph>, corpus: &TraceCorpus) ->
 /// knowingly and must say so.
 #[test]
 fn micro_full_outcomes_are_pinned() {
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../bench/fixtures/golden_d3.mbtc"
-    );
-    let golden = TraceCorpus::load(path).expect("committed golden corpus decodes");
+    let golden = TraceCorpus::load(GOLDEN_PATH).expect("committed golden corpus decodes");
     let meta = &golden.header.provenance;
     let field = |key: &str| meta.get(key).and_then(|v| v.as_u64()).expect(key) as usize;
     let p = meta.get("p").and_then(|v| v.as_f64()).expect("p recorded");
