@@ -2,7 +2,7 @@
 
 use mb_accel::{estimate_resources, ResourceEstimate};
 use mb_decoder::{
-    evaluate_decoder, phase_profile, BackendSpec, EvaluationResult, MicroBlossomConfig,
+    evaluate_decoder, phase_profile, BackendSpec, EvaluationResult, MicroBlossomConfig, Stage,
 };
 use mb_graph::codes::PhenomenologicalCode;
 use mb_graph::DecodingGraph;
@@ -160,17 +160,14 @@ pub fn fig10a_ablation(d_list: &[usize], p: f64, shots: usize) -> Vec<AblationRo
         .iter()
         .map(|&d| {
             let graph = evaluation_graph(d, p);
-            let configs = [
-                MicroBlossomConfig::parallel_dual_only(&graph, Some(d)),
-                MicroBlossomConfig::with_parallel_primal(&graph, Some(d)),
-                MicroBlossomConfig::full(&graph, Some(d)),
-            ];
-            let mut latencies = [0.0f64; 3];
-            for (i, config) in configs.into_iter().enumerate() {
+            // the LUT pre-decoder is not one of the paper's ideas: every
+            // rung runs without it, so each step measures one idea alone
+            let latencies = [Stage::DualOnly, Stage::Prematch, Stage::Full].map(|stage| {
+                let config = MicroBlossomConfig::new(stage, &graph, Some(d)).without_predecoder();
                 let eval =
                     evaluate_decoder(&BackendSpec::Micro(config), &graph, shots, 0x000F_1610);
-                latencies[i] = eval.mean_latency_ns() / 1000.0;
-            }
+                eval.mean_latency_ns() / 1000.0
+            });
             let parity_eval = evaluate_decoder(&BackendSpec::Parity, &graph, shots, 0x000F_1610);
             AblationRow {
                 d,
@@ -202,9 +199,13 @@ pub fn fig10b_stream(d: usize, p: f64, rounds_list: &[usize], shots: usize) -> V
         .iter()
         .map(|&rounds| {
             let graph = Arc::new(PhenomenologicalCode::rotated(d, rounds, p).decoding_graph());
-            let batch_spec =
-                BackendSpec::Micro(MicroBlossomConfig::with_parallel_primal(&graph, Some(d)));
-            let stream_spec = BackendSpec::Micro(MicroBlossomConfig::full(&graph, Some(d)));
+            // both without the LUT pre-decoder, as in Figure 10a
+            let spec = |stage| {
+                BackendSpec::Micro(
+                    MicroBlossomConfig::new(stage, &graph, Some(d)).without_predecoder(),
+                )
+            };
+            let (batch_spec, stream_spec) = (spec(Stage::Prematch), spec(Stage::Full));
             let batch_eval = evaluate_decoder(&batch_spec, &graph, shots, 0x000F_160B);
             let stream_eval = evaluate_decoder(&stream_spec, &graph, shots, 0x000F_160B);
             StreamPoint {

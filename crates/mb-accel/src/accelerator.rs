@@ -79,6 +79,11 @@ const NO_TOUCH: u32 = u32::MAX;
 /// Fusion key of a virtual vertex: at or above every loaded-layer count,
 /// so a virtual vertex is a boundary whatever has been loaded.
 const VIRTUAL_KEY: u32 = u32::MAX;
+/// Weight of an edge across the temporary fusion boundary while the §6.3
+/// reduction applies.
+const FUSION_REDUCED_WEIGHT: Weight = 0;
+/// Pipeline depth (FE, PM, EX, UP, WR in the prototype).
+const PIPELINE_STAGES: u64 = 5;
 
 /// Static configuration of an accelerator instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,16 +92,12 @@ pub struct AcceleratorConfig {
     pub prematch_enabled: bool,
     /// Apply the temporary fusion-boundary weight reduction of §6.3.
     pub fusion_weight_reduction: bool,
-    /// Weight used for fusion-boundary edges while reduced.
-    pub fusion_reduced_weight: Weight,
-    /// Pipeline depth (FE, PM, EX, UP, WR in the prototype).
-    pub pipeline_stages: u64,
     /// Debug reference mode: run every sweep over the full PU arrays (the
     /// original O(|V| + |E|)-per-instruction fold) instead of the sparse
     /// active set. Bit-identical to the sparse path; kept for differential
     /// testing (`tests/sparse_equals_dense.rs`).
     pub dense_reference: bool,
-    /// LUT pre-decoder knob (see [`crate::predecoder`]). The accelerator
+    /// LUT pre-decoder configuration (see [`crate::predecoder`]). The accelerator
     /// itself ignores it — the owning decoder builds and consults the
     /// table — but carrying it here ties the table to the `(graph, config)`
     /// cache key alongside the PU arrays.
@@ -108,8 +109,6 @@ impl Default for AcceleratorConfig {
         Self {
             prematch_enabled: true,
             fusion_weight_reduction: true,
-            fusion_reduced_weight: 0,
-            pipeline_stages: 5,
             dense_reference: false,
             predecoder: crate::predecoder::PredecoderConfig::default(),
         }
@@ -307,9 +306,9 @@ struct Fusion {
     loaded: u32,
     /// Layers of the decoding graph.
     layers: u32,
-    /// The §6.3 weight of an edge across the temporary fusion boundary, or
-    /// `None` when the reduction is off.
-    reduced_weight: Option<Weight>,
+    /// Whether the §6.3 reduction to [`FUSION_REDUCED_WEIGHT`] applies to
+    /// edges across the temporary fusion boundary.
+    reduce: bool,
 }
 
 impl Fusion {
@@ -332,13 +331,10 @@ impl Fusion {
     /// fly so no `load Defects` sweeps the edges.
     #[inline]
     fn weight(self, original: Weight, a: u32, b: u32) -> Weight {
-        match self.reduced_weight {
-            Some(reduced)
-                if self.loaded < self.layers && self.is_unloaded(a) != self.is_unloaded(b) =>
-            {
-                reduced
-            }
-            _ => original,
+        if self.reduce && self.loaded < self.layers && self.is_unloaded(a) != self.is_unloaded(b) {
+            FUSION_REDUCED_WEIGHT
+        } else {
+            original
         }
     }
 }
@@ -699,9 +695,7 @@ impl MicroBlossomAccelerator {
         let fusion = Fusion {
             loaded: 0,
             layers: graph.num_layers() as u32,
-            reduced_weight: config
-                .fusion_weight_reduction
-                .then_some(config.fusion_reduced_weight),
+            reduce: config.fusion_weight_reduction,
         };
         let scratch = Scratch::new(graph.vertex_count(), edge_count);
         let active = ActiveSet::new(graph.vertex_count());
@@ -940,7 +934,7 @@ impl MicroBlossomAccelerator {
             }
             Instruction::FindConflict => {
                 self.ensure_stable();
-                self.stats.cycles += self.convergecast_cycles + self.config.pipeline_stages;
+                self.stats.cycles += self.convergecast_cycles + PIPELINE_STAGES;
                 self.stats.responses += 1;
                 Some(self.convergecast())
             }

@@ -45,15 +45,17 @@
 //!
 //! # Size / memory trade-off
 //!
-//! With the default [`PredecoderConfig::max_cluster_size`] of 2 the table
-//! holds one entry per defect vertex (the boundary-matched singleton, when
-//! it is cheap enough) plus one per close defect pair — `O(|V| · k)`
-//! entries for neighbourhood size `k`, built once per `(graph, config)`
-//! alongside the PU arrays and cached with the backend in the decode pool's
-//! per-worker LRU. Raising `max_cluster_size` grows the table by a factor
-//! of roughly `k` per step and the neighbourhood radius linearly; clusters
-//! whose anchor neighbourhood overflows the 64-bit mask simply escalate, so
-//! the knob trades memory and build time for fast-path coverage, never for
+//! Clusters of at most [`MAX_CLUSTER_SIZE`] = 2 defects are tabulated, so
+//! the table holds one entry per defect vertex (the boundary-matched
+//! singleton, when it is cheap enough) plus one per close defect pair —
+//! `O(|V| · k)` entries for neighbourhood size `k`, built once per
+//! `(graph, config)` alongside the PU arrays and cached with the backend in
+//! the decode pool's per-worker LRU. Each extra defect per cluster would
+//! grow the table by a factor of roughly `k` and the neighbourhood radius
+//! linearly, for shots that are already rare at the paper's error rates;
+//! the size is a constant rather than a knob. Clusters whose anchor
+//! neighbourhood overflows the 64-bit mask simply escalate, so the limit
+//! trades fast-path coverage for memory and build time, never for
 //! correctness.
 
 use crate::accelerator::{AcceleratorConfig, MicroBlossomAccelerator, PrematchPartner};
@@ -69,34 +71,28 @@ use std::sync::Arc;
 const MASK_BITS: usize = 64;
 /// Per-anchor table-entry budget; anchors that would exceed it escalate.
 const MAX_ENTRIES_PER_ANCHOR: usize = 512;
+/// Largest defect cluster resolved from the table; bigger clusters escalate
+/// the shot.
+pub const MAX_CLUSTER_SIZE: usize = 2;
 
-/// Configuration knob of the LUT pre-decoder.
+/// Configuration of the LUT pre-decoder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PredecoderConfig {
     /// Enable the pre-decoder fast path. When disabled no table is built
     /// and every shot takes the unconditional dual phase.
     pub enabled: bool,
-    /// Largest defect cluster resolved from the table; bigger clusters
-    /// escalate the shot. Raising this grows the table combinatorially.
-    pub max_cluster_size: usize,
 }
 
 impl Default for PredecoderConfig {
     fn default() -> Self {
-        Self {
-            enabled: true,
-            max_cluster_size: 2,
-        }
+        Self { enabled: true }
     }
 }
 
 impl PredecoderConfig {
     /// A disabled pre-decoder (the unconditional path for every shot).
     pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            ..Self::default()
-        }
+        Self { enabled: false }
     }
 }
 
@@ -110,13 +106,12 @@ impl PredecoderConfig {
 #[derive(Debug, Clone)]
 pub struct PreDecoder {
     graph: Arc<DecodingGraph>,
-    config: PredecoderConfig,
     /// Two defects at distance ≤ `link_radius` belong to one cluster (2R).
     link_radius: Weight,
     /// Only clusters with matching weight ≤ `entry_cap` (R) are stored.
     entry_cap: Weight,
     /// Per anchor vertex: sorted candidate co-members (`u > anchor`, within
-    /// `(max_cluster_size - 1) · 2R`). Empty for virtual or overflowed
+    /// `(MAX_CLUSTER_SIZE - 1) · 2R`). Empty for virtual or overflowed
     /// anchors.
     neighborhoods: Vec<Vec<VertexIndex>>,
     /// Per vertex: every non-virtual vertex within `link_radius`, sorted.
@@ -154,16 +149,11 @@ impl PreDecoder {
         stream_driving: bool,
     ) -> Self {
         let n = graph.vertex_count();
-        let max_cluster = accel_config.predecoder.max_cluster_size.max(1);
         let entry_cap = graph.max_weight();
         let link_radius = 2 * entry_cap;
-        let reach = (max_cluster as Weight - 1) * link_radius;
+        let reach = (MAX_CLUSTER_SIZE as Weight - 1) * link_radius;
 
         let mut this = Self {
-            config: PredecoderConfig {
-                enabled: accel_config.predecoder.enabled,
-                max_cluster_size: max_cluster,
-            },
             link_radius,
             entry_cap,
             neighborhoods: vec![Vec::new(); n],
@@ -210,14 +200,16 @@ impl PreDecoder {
                 },
             );
             reached.sort_unstable();
-            if reached.len() > MASK_BITS || entry_count(reached.len(), max_cluster - 1).is_none() {
+            if reached.len() > MASK_BITS
+                || entry_count(reached.len(), MAX_CLUSTER_SIZE - 1).is_none()
+            {
                 this.overflowed[anchor] = true;
                 continue;
             }
             let near: Vec<VertexIndex> = reached.iter().map(|&(v, _)| v).collect();
             distances.clear();
             distances.extend(reached.iter().map(|&(_, dist)| dist));
-            for_each_subset(near.len(), max_cluster - 1, |subset| {
+            for_each_subset(near.len(), MAX_CLUSTER_SIZE - 1, |subset| {
                 let bound = matching_weight_bound(anchor, &near, &distances, subset, &boundary);
                 if bound > 2 * this.entry_cap {
                     return;
@@ -265,11 +257,6 @@ impl PreDecoder {
         this
     }
 
-    /// The configuration this table was built with.
-    pub fn config(&self) -> &PredecoderConfig {
-        &self.config
-    }
-
     /// Distance below which two defects share a cluster (`2R`).
     pub fn link_radius(&self) -> Weight {
         self.link_radius
@@ -309,7 +296,7 @@ impl PreDecoder {
         let mut eligible = true;
         'clusters: for c in 0..clusters {
             let (start, len) = self.cluster_bounds(c);
-            if len > self.config.max_cluster_size {
+            if len > MAX_CLUSTER_SIZE {
                 eligible = false;
                 break;
             }
@@ -763,8 +750,8 @@ mod tests {
     fn oversized_clusters_escalate() {
         let graph = Arc::new(CodeCapacityRotatedCode::new(5, 0.05).decoding_graph());
         let mut pre = build(&graph, false);
-        // three mutually close defects form one cluster above the default
-        // max_cluster_size of 2
+        // three mutually close defects form one cluster above
+        // MAX_CLUSTER_SIZE (2)
         let anchor = (0..graph.vertex_count())
             .find(|&v| !graph.is_virtual(v) && !pre.neighborhoods[v].is_empty())
             .expect("some anchor has neighbours");
@@ -804,7 +791,7 @@ mod tests {
                 .iter()
                 .map(|&v| mb_graph::dijkstra::distance_between(graph, anchor, v).unwrap())
                 .collect();
-            for_each_subset(near.len(), pre.config.max_cluster_size - 1, |subset| {
+            for_each_subset(near.len(), MAX_CLUSTER_SIZE - 1, |subset| {
                 if matching_weight_bound(anchor, near, &distances, subset, &boundary)
                     > 2 * pre.entry_cap
                 {

@@ -9,7 +9,7 @@
 //! into [`BackendSpec`], a cloneable, thread-shareable recipe that builds
 //! one backend instance per pipeline worker.
 
-use crate::micro::{MicroBlossomConfig, MicroBlossomDecoder};
+use crate::micro::{MicroBlossomConfig, MicroBlossomDecoder, Stage};
 use crate::outcome::DecodeOutcome;
 use crate::parity::ParityBlossomDecoder;
 use crate::uf::{HeliosLatencyModel, UnionFindDecoderAdapter};
@@ -171,10 +171,12 @@ pub struct AccelObservability {
 ///
 /// A spec is independent of any particular backend *instance*: it can be
 /// cloned, shared across threads, and materialized once per pipeline worker
-/// with [`BackendSpec::build`].
-#[derive(Debug, Clone)]
+/// with [`BackendSpec::build`]. Two equal specs build behaviourally
+/// identical backends for the same graph, so the pipeline keys its backend
+/// pool on the spec itself.
+#[derive(Debug, Clone, PartialEq)]
 pub enum BackendSpec {
-    /// Micro Blossom with an explicit configuration (ablation knobs, timing
+    /// Micro Blossom with an explicit configuration (ablation stage, timing
     /// model already derived from the target graph).
     Micro(MicroBlossomConfig),
     /// Micro Blossom in the full configuration; the timing model is derived
@@ -234,23 +236,13 @@ impl BackendSpec {
     /// The name the built backend will report, without building it.
     pub fn name(&self) -> &'static str {
         match self {
-            Self::Micro(config) => MicroBlossomDecoder::name_of(config),
-            Self::MicroFull { .. } => "micro-blossom-stream",
+            Self::Micro(config) => config.stage.name(),
+            Self::MicroFull { .. } => Stage::Full.name(),
             Self::Parity => "parity-blossom-cpu",
             Self::UnionFind(_) => "union-find-helios",
             #[cfg(any(test, feature = "chaos"))]
             Self::PanicOnDecode => "panic-on-decode",
         }
-    }
-
-    /// A stable textual identity of the backend this spec builds, used
-    /// (together with the graph address) as the pipeline's backend-pool key.
-    ///
-    /// Derived from the full `Debug` representation, which covers every
-    /// configuration field of every variant — two specs with equal keys
-    /// build behaviourally identical backends for the same graph.
-    pub fn cache_key(&self) -> String {
-        format!("{self:?}")
     }
 
     /// Whether the built backend's latencies come from a deterministic
@@ -296,7 +288,7 @@ mod tests {
     fn all_specs(graph: &DecodingGraph) -> Vec<BackendSpec> {
         vec![
             BackendSpec::micro_full(Some(5)),
-            BackendSpec::Micro(MicroBlossomConfig::parallel_dual_only(graph, Some(5))),
+            BackendSpec::Micro(MicroBlossomConfig::new(Stage::DualOnly, graph, Some(5))),
             BackendSpec::Parity,
             BackendSpec::union_find(),
         ]

@@ -8,8 +8,8 @@
 //!   construction recipe;
 //! * [`MicroBlossomDecoder`] — the heterogeneous decoder of the paper:
 //!   software primal phase + simulated hardware accelerator, with batch or
-//!   stream (round-wise fusion) decoding and the ablation knobs of
-//!   Figure 10a;
+//!   stream (round-wise fusion) decoding at each [`Stage`] of the
+//!   Figure 10a ablation ladder;
 //! * [`ParityBlossomDecoder`] — the all-software exact MWPM baseline;
 //! * [`UnionFindDecoderAdapter`] — the Helios-style Union-Find baseline of
 //!   Figure 11;
@@ -88,7 +88,7 @@ pub use evaluation::{
     evaluate_circuit, evaluate_circuit_sharded, evaluate_corpus, evaluate_decoder,
     evaluate_decoder_sharded, phase_profile, EvaluationResult, PhaseProfile,
 };
-pub use micro::{MicroBlossomConfig, MicroBlossomDecoder};
+pub use micro::{MicroBlossomConfig, MicroBlossomDecoder, Stage};
 pub use outcome::{DecodeOutcome, LatencyBreakdown};
 pub use parity::ParityBlossomDecoder;
 pub use pipeline::{DecodePool, ShardedPipeline, ShotOutcome};

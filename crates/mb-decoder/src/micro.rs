@@ -2,14 +2,22 @@
 //! hardware accelerator, with batch or stream (round-wise fusion) decoding.
 //!
 //! This is the top-level object a user instantiates to decode syndromes the
-//! way the paper's prototype does (§3–§7). The three key ideas are exposed
-//! as configuration knobs so the ablation of Figure 10a can be reproduced:
+//! way the paper's prototype does (§3–§7). The three key ideas build on each
+//! other, and [`Stage`] names the rung of the Figure 10a ablation ladder a
+//! decoder runs:
 //!
-//! * **parallel dual phase** — always on (it *is* the accelerator);
-//! * **parallel primal phase** — [`MicroBlossomConfig::prematch_enabled`]
-//!   plus lazy CPU node materialization
-//!   (`materialize_all_defects = false`);
-//! * **round-wise fusion** — [`MicroBlossomConfig::stream_decoding`].
+//! * [`Stage::DualOnly`] — the **parallel dual phase** alone: the CPU
+//!   materializes every defect up front and the accelerator neither
+//!   pre-matches nor fuses rounds;
+//! * [`Stage::Prematch`] — adds the **parallel primal phase**: hardware
+//!   pre-matching of isolated conflicts (§5) plus lazy CPU node
+//!   materialization;
+//! * [`Stage::Full`] — adds **round-wise fusion** (§6) with the §6.3
+//!   fusion-boundary weight reduction.
+//!
+//! Every accelerator flag, the driving policy and the backend name follow
+//! from the stage, so a configuration the paper never measured (such as
+//! the weight reduction without pre-matching) cannot be built.
 
 use crate::backend::{AccelObservability, DecoderBackend};
 use crate::outcome::{DecodeOutcome, LatencyBreakdown};
@@ -21,71 +29,69 @@ use mb_blossom::{PerfectMatching, PrimalModule};
 use mb_graph::{DecodingGraph, SyndromePattern, VertexIndex};
 use std::sync::Arc;
 
+/// A rung of the Figure 10a ablation ladder: each stage keeps the ideas of
+/// the one before it and adds one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// Only the parallel dual phase; every defect is materialized on the
+    /// CPU before the dual phase starts.
+    DualOnly,
+    /// Parallel dual and primal phases: hardware pre-matching and lazy node
+    /// materialization, with the whole syndrome loaded before decoding.
+    Prematch,
+    /// All three ideas: stream decoding with round-wise fusion, each round
+    /// folded into the running solution as it arrives.
+    Full,
+}
+
+impl Stage {
+    /// The backend name of a decoder running this stage.
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::DualOnly => "micro-blossom-dual-only",
+            Self::Prematch => "micro-blossom-batch",
+            Self::Full => "micro-blossom-stream",
+        }
+    }
+}
+
 /// Configuration of a [`MicroBlossomDecoder`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MicroBlossomConfig {
-    /// Offload isolated conflicts to the accelerator (§5).
-    pub prematch_enabled: bool,
-    /// Stream decoding with round-wise fusion (§6); when false the whole
-    /// syndrome is loaded before decoding starts (batch).
-    pub stream_decoding: bool,
-    /// Apply the §6.3 fusion-boundary weight reduction while streaming.
-    pub fusion_weight_reduction: bool,
-    /// Force the CPU to materialize every defect up front (disables the
-    /// lazy-node optimization; used by the Figure 10a ablation).
-    pub materialize_all_defects: bool,
+    /// The ablation rung: which of the paper's three ideas are on.
+    pub stage: Stage,
     /// Debug reference mode: run the accelerator's sweeps over the full PU
     /// arrays instead of the sparse active set. Bit-identical results;
     /// retained for differential testing (`tests/sparse_equals_dense.rs`).
     pub dense_reference: bool,
     /// LUT pre-decoder fast path (see [`mb_accel::predecoder`]): resolve
     /// isolated defect clusters from a precomputed local match table and
-    /// escalate only hard shots to the dual phase. Ignored (treated as
-    /// disabled) when `materialize_all_defects` is set, since eagerly
-    /// materialized defects cannot bypass the primal module.
+    /// escalate only hard shots to the dual phase. Ignored at
+    /// [`Stage::DualOnly`], whose eagerly materialized defects cannot
+    /// bypass the primal module.
     pub predecoder: PredecoderConfig,
     /// Hardware timing model used to convert counters into latency.
     pub timing: TimingModel,
 }
 
 impl MicroBlossomConfig {
+    /// The configuration of `stage` for `graph`. The pre-decoder is on at
+    /// [`Stage::Full`] only, so the lower rungs measure the paper's ideas
+    /// alone.
+    pub fn new(stage: Stage, graph: &DecodingGraph, code_distance: Option<usize>) -> Self {
+        Self {
+            stage,
+            dense_reference: false,
+            predecoder: PredecoderConfig {
+                enabled: stage == Stage::Full,
+            },
+            timing: TimingModel::for_graph(graph, code_distance),
+        }
+    }
+
     /// The full Micro Blossom configuration (all three ideas enabled).
     pub fn full(graph: &DecodingGraph, code_distance: Option<usize>) -> Self {
-        Self {
-            prematch_enabled: true,
-            stream_decoding: true,
-            fusion_weight_reduction: true,
-            materialize_all_defects: false,
-            dense_reference: false,
-            predecoder: PredecoderConfig::default(),
-            timing: TimingModel::for_graph(graph, code_distance),
-        }
-    }
-
-    /// Ablation step 1 of Figure 10a: only the parallel dual phase.
-    pub fn parallel_dual_only(graph: &DecodingGraph, code_distance: Option<usize>) -> Self {
-        Self {
-            prematch_enabled: false,
-            stream_decoding: false,
-            fusion_weight_reduction: false,
-            materialize_all_defects: true,
-            dense_reference: false,
-            predecoder: PredecoderConfig::disabled(),
-            timing: TimingModel::for_graph(graph, code_distance),
-        }
-    }
-
-    /// Ablation step 2 of Figure 10a: parallel dual + parallel primal phase.
-    pub fn with_parallel_primal(graph: &DecodingGraph, code_distance: Option<usize>) -> Self {
-        Self {
-            prematch_enabled: true,
-            stream_decoding: false,
-            fusion_weight_reduction: false,
-            materialize_all_defects: false,
-            dense_reference: false,
-            predecoder: PredecoderConfig::disabled(),
-            timing: TimingModel::for_graph(graph, code_distance),
-        }
+        Self::new(Stage::Full, graph, code_distance)
     }
 
     /// The same configuration with the accelerator's dense-reference sweeps
@@ -109,7 +115,7 @@ impl MicroBlossomConfig {
 /// everything [`DecoderBackend::context_restore`] needs to continue the shot
 /// bit-identically to one that never left the engine. Only decoders without
 /// an armed LUT pre-decoder bank contexts, so there is no escalation state
-/// or replay log to carry.
+/// to carry.
 #[derive(Debug, Clone)]
 struct MicroContextBank {
     dual: DualContext,
@@ -128,16 +134,8 @@ pub struct MicroBlossomDecoder {
     /// Reusable per-conflict buffer for not-yet-materialized defects.
     unknown_scratch: Vec<VertexIndex>,
     /// LUT pre-decoder (table + classifier), `Some` when the configuration
-    /// enables it and lazy node materialization is in effect.
+    /// enables it above [`Stage::DualOnly`].
     predecoder: Option<PreDecoder>,
-    /// Whether the current shot already escalated past the pre-decoder.
-    escalated: bool,
-    /// Ingested rounds of the current (deferred) stream shot, so an
-    /// escalated shot can be replayed exactly as the unconditional path
-    /// would have driven it. Outer capacity is retained across shots.
-    round_log: Vec<Vec<VertexIndex>>,
-    /// Number of `round_log` entries valid for the current shot.
-    rounds_logged: usize,
     /// Reusable buffer for the sorted, deduplicated shot defect list.
     predecode_scratch: Vec<VertexIndex>,
     /// Shots (cumulative over this decoder's lifetime) whose syndrome was
@@ -166,17 +164,17 @@ pub struct MicroBlossomDecoder {
 impl MicroBlossomDecoder {
     /// Builds a decoder for `graph` with the given configuration.
     pub fn new(graph: Arc<DecodingGraph>, config: MicroBlossomConfig) -> Self {
+        let stream = config.stage == Stage::Full;
         let accel_config = AcceleratorConfig {
-            prematch_enabled: config.prematch_enabled,
-            fusion_weight_reduction: config.fusion_weight_reduction && config.stream_decoding,
+            prematch_enabled: config.stage != Stage::DualOnly,
+            fusion_weight_reduction: stream,
             dense_reference: config.dense_reference,
             predecoder: config.predecoder,
-            ..AcceleratorConfig::default()
         };
         // eager materialization routes every defect through the primal
         // module, which the table path bypasses — treat it as disabled
-        let predecoder = (config.predecoder.enabled && !config.materialize_all_defects)
-            .then(|| PreDecoder::build(Arc::clone(&graph), &accel_config, config.stream_decoding));
+        let predecoder = (config.predecoder.enabled && config.stage != Stage::DualOnly)
+            .then(|| PreDecoder::build(Arc::clone(&graph), &accel_config, stream));
         let accel = MicroBlossomAccelerator::new(Arc::clone(&graph), accel_config);
         Self {
             driver: AcceleratedDual::new(accel),
@@ -186,9 +184,6 @@ impl MicroBlossomDecoder {
             layers_scratch: Vec::new(),
             unknown_scratch: Vec::new(),
             predecoder,
-            escalated: false,
-            round_log: Vec::new(),
-            rounds_logged: 0,
             predecode_scratch: Vec::new(),
             zero_defect_shots: 0,
             predecoded_shots: 0,
@@ -216,26 +211,17 @@ impl MicroBlossomDecoder {
         &self.config
     }
 
-    /// The backend name a decoder with `config` reports (used by
-    /// [`crate::BackendSpec`] to name results without building a backend).
-    pub fn name_of(config: &MicroBlossomConfig) -> &'static str {
-        if config.stream_decoding {
-            "micro-blossom-stream"
-        } else if config.prematch_enabled {
-            "micro-blossom-batch"
-        } else {
-            "micro-blossom-dual-only"
-        }
-    }
-
     /// Decodes a syndrome and returns the perfect matching together with the
     /// latency breakdown.
     ///
-    /// In the stream configuration this is expressed through the same
-    /// round-wise session primitives (`ingest_one_round` /
-    /// `finish_session`) the incremental
-    /// [`DecoderBackend::ingest_round`] path uses, so feeding rounds as they
-    /// arrive is bit-identical to decoding the assembled syndrome.
+    /// At [`Stage::Full`] this is expressed through the same round-wise
+    /// session primitives (`ingest_one_round` / `finish_session`) the
+    /// incremental [`DecoderBackend::ingest_round`] path uses, so feeding
+    /// rounds as they arrive is bit-identical to decoding the assembled
+    /// syndrome. With the LUT pre-decoder armed, every round is loaded
+    /// first and the table tried on the complete defect set; a miss starts
+    /// over and folds the rounds in one by one, exactly as the unarmed
+    /// decoder does.
     pub fn decode_matching(
         &mut self,
         syndrome: &SyndromePattern,
@@ -245,55 +231,68 @@ impl MicroBlossomDecoder {
         // reuse the layer buffer across decodes (no steady-state allocation)
         let mut layers = std::mem::take(&mut self.layers_scratch);
         syndrome.split_by_layer_into(&self.graph, &mut layers);
-        let last_layer = layers.len() - 1;
-        let result = if self.config.stream_decoding {
-            for (t, defects) in layers[..last_layer].iter().enumerate() {
-                self.ingest_one_round(t, defects);
-            }
-            self.finish_session(last_layer, &layers[last_layer])
+        let result = if self.config.stage == Stage::Full {
+            self.decode_rounds(&layers)
         } else {
             for (t, defects) in layers.iter().enumerate() {
                 self.driver.load_layer(t, defects);
             }
-            self.materialize_if_configured(&syndrome.defects);
+            if self.config.stage == Stage::DualOnly {
+                self.materialize_all(&syndrome.defects);
+            }
             // measured window starts here, after the syndrome transfer —
             // exactly where the unconditional batch path starts it
-            if let Some(matching) = self.try_predecode() {
-                let snapshot = self.counters();
-                (matching, self.breakdown_since(snapshot))
-            } else {
-                let snapshot = self.counters();
-                if self.drive_dual_phase() {
-                    self.zero_defect_shots += 1;
-                }
-                self.complete_matching(snapshot)
+            let matching = self.try_predecode();
+            let snapshot = self.counters();
+            match matching {
+                Some(matching) => (matching, self.breakdown_since(snapshot)),
+                None => self.drive_and_complete(snapshot),
             }
         };
         self.layers_scratch = layers;
         result
     }
 
+    /// The [`Stage::Full`] decode of a whole shot, split into `layers`.
+    fn decode_rounds(
+        &mut self,
+        layers: &[Vec<VertexIndex>],
+    ) -> (PerfectMatching, LatencyBreakdown) {
+        if self.predecoder.is_some() {
+            for defects in layers {
+                self.driver.load_round(defects);
+            }
+            let matching = self.try_predecode();
+            // the measured window opens with the final round's load
+            let mut snapshot = self.counters();
+            snapshot.bus_writes -= 1;
+            if let Some(matching) = matching {
+                return (matching, self.breakdown_since(snapshot));
+            }
+            if self.driver.accelerator().defect_count() == 0 {
+                // driving the empty rounds one by one would do nothing
+                return self.drive_and_complete(snapshot);
+            }
+            // table miss: start over and fold the rounds in on arrival
+            DecoderBackend::reset(self);
+        }
+        let last = layers.len() - 1;
+        for (t, defects) in layers[..last].iter().enumerate() {
+            self.ingest_one_round(t, defects);
+        }
+        self.finish_session(last, &layers[last])
+    }
+
     /// One non-final round of a stream decode: load the round, fold it into
     /// the running solution (§6 fusion). The driver tracks the round index
     /// itself ([`AcceleratedDual::load_round`]); `layer` only asserts the
     /// caller is feeding rounds in layer order.
-    ///
-    /// While the LUT pre-decoder is armed, driving is deferred: the round
-    /// is loaded into the accelerator (so the final-round classification
-    /// sees the complete defect set) and logged, but the dual phase does
-    /// not start — a fast-path shot never polls the hardware, and an
-    /// escalated shot replays the log through the unconditional path.
     fn ingest_one_round(&mut self, layer: usize, defects: &[VertexIndex]) {
         let loaded = self.driver.load_round(defects);
         assert_eq!(loaded, layer, "rounds must be ingested in layer order");
         if self.aborted {
             // deadline hit on an earlier round: keep the round counter in
             // sync but stop feeding the abandoned solve
-            return;
-        }
-        self.materialize_if_configured(defects);
-        if self.predecoder_armed() {
-            self.log_round(defects);
             return;
         }
         self.drive_dual_phase();
@@ -308,53 +307,24 @@ impl MicroBlossomDecoder {
     ) -> (PerfectMatching, LatencyBreakdown) {
         let loaded = self.driver.load_round(defects);
         assert_eq!(loaded, layer, "rounds must be ingested in layer order");
+        let mut snapshot = self.counters();
         if self.aborted {
             // the solve was already abandoned mid-stream; hand back a
             // placeholder immediately — the caller re-decodes with its
             // fallback backend
-            let snapshot = self.counters();
             return (PerfectMatching::new(), self.breakdown_since(snapshot));
         }
-        self.materialize_if_configured(defects);
-        if self.predecoder_armed() {
-            self.log_round(defects);
-            if self.driver.accelerator().defect_count() > 0 {
-                if let Some(matching) = self.try_predecode() {
-                    let mut snapshot = self.counters();
-                    // re-charge the final load instruction, as below
-                    snapshot.bus_writes -= 1;
-                    return (matching, self.breakdown_since(snapshot));
-                }
-                self.escalated = true;
-                return self.replay_logged_rounds();
-            }
-            // zero-defect shot: the deferred per-round drives would have
-            // been no-ops, so falling through is the unchanged fast path
-        }
-        let mut snapshot = self.counters();
         // re-charge the final load instruction to the measured window
         snapshot.bus_writes -= 1;
-        if self.drive_dual_phase() {
-            self.zero_defect_shots += 1;
-        }
-        self.complete_matching(snapshot)
+        self.drive_and_complete(snapshot)
     }
 
-    /// Whether rounds of the current shot are being deferred for the LUT
-    /// pre-decoder (configured, and the shot has not escalated).
-    fn predecoder_armed(&self) -> bool {
-        self.predecoder.is_some() && !self.escalated
-    }
-
-    /// Appends one round to the shot's replay log, reusing inner buffers.
-    fn log_round(&mut self, defects: &[VertexIndex]) {
-        if self.rounds_logged == self.round_log.len() {
-            self.round_log.push(Vec::new());
+    /// Panics, as the trait's default round methods do, unless the
+    /// scheduler would drive this decoder round by round.
+    fn assert_round_ingestion(&self) {
+        if !self.supports_context_switching() {
+            panic!("{} does not support round-wise ingestion", self.name());
         }
-        let slot = &mut self.round_log[self.rounds_logged];
-        slot.clear();
-        slot.extend_from_slice(defects);
-        self.rounds_logged += 1;
     }
 
     /// Attempts the LUT fast path on the fully loaded shot: classifies the
@@ -382,34 +352,17 @@ impl MicroBlossomDecoder {
         Some(matching)
     }
 
-    /// Escalation of a deferred stream shot: resets the dual state and
-    /// re-drives every logged round exactly as the unconditional
-    /// configuration would have on arrival, so escalated shots are
-    /// bit-identical — matching, dual objective *and* latency breakdown —
-    /// to the pre-decoder-off path. The driver's bus counters restart from
-    /// the reset (accelerator cycle counters are lifetime-cumulative but
-    /// the breakdown is a delta, so the measured window matches too).
-    fn replay_logged_rounds(&mut self) -> (PerfectMatching, LatencyBreakdown) {
-        use mb_blossom::DualModule;
-        self.driver.reset();
-        self.primal.clear();
-        let rounds = std::mem::take(&mut self.round_log);
-        let last = self.rounds_logged - 1;
-        for defects in &rounds[..last] {
-            self.driver.load_round(defects);
-            self.materialize_if_configured(defects);
-            self.drive_dual_phase();
-        }
-        self.driver.load_round(&rounds[last]);
-        self.materialize_if_configured(&rounds[last]);
-        let mut snapshot = self.counters();
-        snapshot.bus_writes -= 1;
+    /// Runs the dual phase on the loaded shot (counting the zero-defect
+    /// fast path) and completes the matching, charging everything since
+    /// `snapshot`.
+    fn drive_and_complete(
+        &mut self,
+        snapshot: LatencyBreakdown,
+    ) -> (PerfectMatching, LatencyBreakdown) {
         if self.drive_dual_phase() {
             self.zero_defect_shots += 1;
         }
-        let result = self.complete_matching(snapshot);
-        self.round_log = rounds;
-        result
+        self.complete_matching(snapshot)
     }
 
     /// Runs the dual phase unless the shot is (so far) defect-free, in which
@@ -497,10 +450,8 @@ impl MicroBlossomDecoder {
             .is_some_and(|at| std::time::Instant::now() >= at)
     }
 
-    fn materialize_if_configured(&mut self, defects: &[VertexIndex]) {
-        if !self.config.materialize_all_defects {
-            return;
-        }
+    /// Materializes every defect on the CPU up front ([`Stage::DualOnly`]).
+    fn materialize_all(&mut self, defects: &[VertexIndex]) {
         for &d in defects {
             if self.primal.singleton_of(d).is_none() {
                 self.primal.load_defect(d, &mut self.driver);
@@ -588,7 +539,7 @@ impl MicroBlossomDecoder {
 
 impl DecoderBackend for MicroBlossomDecoder {
     fn name(&self) -> &'static str {
-        Self::name_of(&self.config)
+        self.config.stage.name()
     }
 
     fn graph(&self) -> &Arc<DecodingGraph> {
@@ -604,8 +555,6 @@ impl DecoderBackend for MicroBlossomDecoder {
         use mb_blossom::DualModule;
         self.driver.reset();
         self.primal.clear();
-        self.escalated = false;
-        self.rounds_logged = 0;
         // `abort_at` deliberately survives: the scheduler arms the deadline
         // immediately before `decode`, whose implicit reset runs afterwards
         self.aborted = false;
@@ -625,10 +574,12 @@ impl DecoderBackend for MicroBlossomDecoder {
     }
 
     fn ingest_round(&mut self, layer: usize, defects: &[VertexIndex]) {
+        self.assert_round_ingestion();
         self.ingest_one_round(layer, defects);
     }
 
     fn finish_rounds(&mut self, layer: usize, defects: &[VertexIndex]) -> DecodeOutcome {
+        self.assert_round_ingestion();
         self.accel_shots += 1;
         let (matching, breakdown) = self.finish_session(layer, defects);
         self.outcome_from(matching, breakdown)
@@ -638,12 +589,12 @@ impl DecoderBackend for MicroBlossomDecoder {
     /// arrival (§6 fusion) and banks that state per context: the
     /// accelerator's authoritative defect rows (O(active) to switch, thanks
     /// to the sparse active set), the driver's CPU node table, and the
-    /// decoder-level primal trees. With the LUT pre-decoder armed, rounds
-    /// are only loaded and logged until the final one, so such a decoder
+    /// decoder-level primal trees. With the LUT pre-decoder armed, the
+    /// table needs every round before anything is driven, so such a decoder
     /// gains nothing from early ingestion: the scheduler decodes its
     /// assembled syndrome instead, and fast-path shots never occupy a bank.
     fn supports_context_switching(&self) -> bool {
-        self.config.stream_decoding && self.predecoder.is_none()
+        self.config.stage == Stage::Full && self.predecoder.is_none()
     }
 
     fn context_save(&mut self, slot: usize) {
@@ -698,11 +649,9 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
 
     fn all_configs(graph: &DecodingGraph) -> Vec<MicroBlossomConfig> {
-        vec![
-            MicroBlossomConfig::parallel_dual_only(graph, None),
-            MicroBlossomConfig::with_parallel_primal(graph, None),
-            MicroBlossomConfig::full(graph, None),
-        ]
+        [Stage::DualOnly, Stage::Prematch, Stage::Full]
+            .map(|stage| MicroBlossomConfig::new(stage, graph, None))
+            .to_vec()
     }
 
     #[test]
@@ -792,11 +741,11 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let mut without = MicroBlossomDecoder::new(
             Arc::clone(&graph),
-            MicroBlossomConfig::parallel_dual_only(&graph, Some(5)),
+            MicroBlossomConfig::new(Stage::DualOnly, &graph, Some(5)),
         );
         let mut with = MicroBlossomDecoder::new(
             Arc::clone(&graph),
-            MicroBlossomConfig::with_parallel_primal(&graph, Some(5)),
+            MicroBlossomConfig::new(Stage::Prematch, &graph, Some(5)),
         );
         let mut reads_without = 0u64;
         let mut reads_with = 0u64;
@@ -824,7 +773,7 @@ mod tests {
         );
         let mut batch = MicroBlossomDecoder::new(
             Arc::clone(&graph),
-            MicroBlossomConfig::with_parallel_primal(&graph, Some(3)),
+            MicroBlossomConfig::new(Stage::Prematch, &graph, Some(3)),
         );
         let mut stream_cycles = 0u64;
         let mut batch_cycles = 0u64;
@@ -851,8 +800,10 @@ mod tests {
         let graph = Arc::new(PhenomenologicalCode::rotated(3, 5, 0.02).decoding_graph());
         let sampler = ErrorSampler::new(&graph);
         let mut rng = ChaCha8Rng::seed_from_u64(31);
-        let mut reference = MicroBlossomDecoder::full(Arc::clone(&graph), Some(3));
-        let mut incremental = MicroBlossomDecoder::full(Arc::clone(&graph), Some(3));
+        // the decoder the stream scheduler round-feeds: no armed LUT
+        let config = MicroBlossomConfig::full(&graph, Some(3)).without_predecoder();
+        let mut reference = MicroBlossomDecoder::new(Arc::clone(&graph), config.clone());
+        let mut incremental = MicroBlossomDecoder::new(Arc::clone(&graph), config);
         for _ in 0..40 {
             let shot = sampler.sample(&mut rng);
             let want = reference.decode(&shot.syndrome);
@@ -874,7 +825,7 @@ mod tests {
         let graph = Arc::new(PhenomenologicalCode::rotated(3, 3, 0.02).decoding_graph());
         let batch = MicroBlossomDecoder::new(
             Arc::clone(&graph),
-            MicroBlossomConfig::with_parallel_primal(&graph, Some(3)),
+            MicroBlossomConfig::new(Stage::Prematch, &graph, Some(3)),
         );
         assert!(!batch.supports_context_switching());
         let predecoded = MicroBlossomDecoder::full(Arc::clone(&graph), Some(3));
@@ -884,6 +835,15 @@ mod tests {
             MicroBlossomConfig::full(&graph, Some(3)).without_predecoder(),
         );
         assert!(eager.supports_context_switching());
+    }
+
+    #[test]
+    #[should_panic(expected = "micro-blossom-stream does not support round-wise ingestion")]
+    fn an_armed_decoder_refuses_round_ingestion() {
+        let graph = Arc::new(PhenomenologicalCode::rotated(3, 3, 0.02).decoding_graph());
+        let mut armed = MicroBlossomDecoder::full(Arc::clone(&graph), Some(3));
+        armed.begin_rounds();
+        armed.ingest_round(0, &[]);
     }
 
     #[test]
@@ -921,7 +881,10 @@ mod tests {
     fn zero_defect_round_ingestion_matches_batch_fast_path() {
         let graph = Arc::new(PhenomenologicalCode::rotated(3, 4, 0.01).decoding_graph());
         let mut batch = MicroBlossomDecoder::full(Arc::clone(&graph), Some(3));
-        let mut incremental = MicroBlossomDecoder::full(Arc::clone(&graph), Some(3));
+        let mut incremental = MicroBlossomDecoder::new(
+            Arc::clone(&graph),
+            MicroBlossomConfig::full(&graph, Some(3)).without_predecoder(),
+        );
         let want = batch.decode(&SyndromePattern::empty());
         incremental.begin_rounds();
         for t in 0..graph.num_layers() - 1 {

@@ -438,10 +438,24 @@ impl AccelTelemetry {
 /// backend holds an `Arc` of its graph: as long as an entry lives, its graph
 /// allocation cannot be freed, so a matching address always means the same
 /// graph.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 struct BackendKey {
-    spec: String,
+    spec: BackendSpec,
     graph: usize,
+}
+
+impl BackendKey {
+    fn new(spec: &BackendSpec, graph: &Arc<DecodingGraph>) -> Self {
+        Self {
+            spec: spec.clone(),
+            graph: Arc::as_ptr(graph) as usize,
+        }
+    }
+
+    /// Whether this is the key of `(spec, graph)`, compared in place.
+    fn is(&self, spec: &BackendSpec, graph: &Arc<DecodingGraph>) -> bool {
+        self.graph == Arc::as_ptr(graph) as usize && self.spec == *spec
+    }
 }
 
 struct CacheEntry {
@@ -476,18 +490,11 @@ impl BackendCache {
         }
     }
 
-    fn key_for(spec: &BackendSpec, graph: &Arc<DecodingGraph>) -> BackendKey {
-        BackendKey {
-            spec: spec.cache_key(),
-            graph: Arc::as_ptr(graph) as usize,
-        }
-    }
-
     /// Protects the `(spec, graph)` entry from LRU eviction until
     /// [`Self::unpin`]. At most one entry is pinned per worker (one live
     /// stream job at a time).
     fn pin(&mut self, spec: &BackendSpec, graph: &Arc<DecodingGraph>) {
-        self.pinned = Some(Self::key_for(spec, graph));
+        self.pinned = Some(BackendKey::new(spec, graph));
     }
 
     fn unpin(&mut self) {
@@ -499,8 +506,7 @@ impl BackendCache {
     /// constructs a fresh one, so the worker's capacity self-heals instead
     /// of decoding on poisoned state.
     fn discard(&mut self, spec: &BackendSpec, graph: &Arc<DecodingGraph>) {
-        let key = Self::key_for(spec, graph);
-        self.entries.retain(|entry| entry.key != key);
+        self.entries.retain(|entry| !entry.key.is(spec, graph));
     }
 
     /// Returns the cached backend for `(spec, graph)`, building (and caching)
@@ -513,8 +519,7 @@ impl BackendCache {
         graph: &Arc<DecodingGraph>,
     ) -> &mut dyn DecoderBackend {
         self.tick += 1;
-        let key = Self::key_for(spec, graph);
-        let pos = match self.entries.iter().position(|e| e.key == key) {
+        let pos = match self.entries.iter().position(|e| e.key.is(spec, graph)) {
             Some(pos) => pos,
             None => {
                 if self.entries.len() >= self.capacity {
@@ -531,7 +536,7 @@ impl BackendCache {
                 }
                 self.builds.fetch_add(1, Ordering::Relaxed);
                 self.entries.push(CacheEntry {
-                    key,
+                    key: BackendKey::new(spec, graph),
                     backend: spec.build(Arc::clone(graph)),
                     last_used: 0,
                 });
@@ -698,9 +703,10 @@ impl DecodePool {
 
     /// Window (and seam) decode jobs this pool's workers executed for
     /// windowed sessions (see [`crate::window::WindowedDecoder`]). Zero for
-    /// purely batch/stream workloads.
+    /// purely batch/stream workloads. A window is counted once its job has
+    /// completed, so every counted window's outcome is ready to take.
     pub fn windows_decoded(&self) -> u64 {
-        self.telemetry.windows_decoded.load(Ordering::Relaxed)
+        self.telemetry.windows_decoded.load(Ordering::Acquire)
     }
 
     /// Seam re-decodes windowed sessions on this pool performed — deferred
@@ -1084,7 +1090,6 @@ fn run_job(
                 let before = backend.accel_observability();
                 let outcome = backend.decode(&window.syndrome);
                 telemetry.fold(before, backend.accel_observability());
-                telemetry.windows_decoded.fetch_add(1, Ordering::Relaxed);
                 *window
                     .outcome
                     .lock()
@@ -1139,6 +1144,9 @@ fn run_job(
         // also on a panicked serve: the banks are gone either way
         cache.unpin();
     }
+    // a window counts as decoded only once its job has completed, so a
+    // caller that sees the count can also take the outcome
+    let window_decoded = matches!(job.source, WorkSource::Window(_)) && result.is_ok();
     let mut done = job.done.lock().expect("decode pool mutex poisoned");
     if let Err(payload) = result {
         // job-level (infrastructure) panic: nothing shot-scoped to blame, so
@@ -1153,6 +1161,10 @@ fn run_job(
         job.finished.notify_all();
     }
     drop(done);
+    if window_decoded {
+        // pairs with the acquire in `DecodePool::windows_decoded`
+        telemetry.windows_decoded.fetch_add(1, Ordering::Release);
+    }
     if last_participant {
         if let WorkSource::Stream(stream) = &job.source {
             // if every participant died on a panic, undecodable shots may

@@ -11,7 +11,7 @@
 use mb_blossom::PerfectMatching;
 use mb_decoder::{
     BackendSpec, DecodePool, DecoderBackend, MicroBlossomConfig, MicroBlossomDecoder,
-    ShardedPipeline,
+    ShardedPipeline, Stage,
 };
 use mb_graph::codes::{CodeCapacityRotatedCode, PhenomenologicalCode};
 use mb_graph::syndrome::ErrorSampler;
@@ -74,8 +74,8 @@ fn ingestion_modes(
     graph: &DecodingGraph,
 ) -> Vec<(&'static str, MicroBlossomConfig, MicroBlossomConfig)> {
     let stream = MicroBlossomConfig::full(graph, Some(3));
-    let mut batch = MicroBlossomConfig::full(graph, Some(3));
-    batch.stream_decoding = false;
+    let mut batch = MicroBlossomConfig::new(Stage::Prematch, graph, Some(3));
+    batch.predecoder.enabled = true;
     vec![
         ("round-wise", stream.clone(), stream.without_predecoder()),
         ("batch", batch.clone(), batch.without_predecoder()),

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run -r --example stream_decoding`
 
-use mb_decoder::{DecoderBackend, MicroBlossomConfig, MicroBlossomDecoder};
+use mb_decoder::{DecoderBackend, MicroBlossomConfig, MicroBlossomDecoder, Stage};
 use mb_graph::codes::PhenomenologicalCode;
 use mb_graph::syndrome::ErrorSampler;
 use rand::SeedableRng;
@@ -26,7 +26,7 @@ fn main() {
         );
         let mut batch = MicroBlossomDecoder::new(
             Arc::clone(&graph),
-            MicroBlossomConfig::with_parallel_primal(&graph, Some(d)),
+            MicroBlossomConfig::new(Stage::Prematch, &graph, Some(d)),
         );
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let (mut stream_ns, mut batch_ns) = (0.0, 0.0);

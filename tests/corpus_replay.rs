@@ -22,13 +22,16 @@
 //!   format against accidental version drift.
 //! * **Pinned outcomes**: every record of the golden fixture and of a
 //!   2,000-shot d=5 circuit-level corpus decodes through
-//!   `BackendSpec::micro_full` to a committed digest of
+//!   `BackendSpec::micro_full`, and through every ablation stage without
+//!   the LUT pre-decoder, to a committed digest of
 //!   `(observable, breakdown, latency_ns)` — a performance change to the
 //!   accelerator simulator must leave every decode bit-identical.
 
 use mb_decoder::pipeline::{DecodePool, ShardedPipeline};
 use mb_decoder::replay::{record_circuit_run, record_tilted_run, replay_corpus, ReplayMode};
-use mb_decoder::{BackendSpec, DecodeOutcome, ShotOutcome, WindowConfig};
+use mb_decoder::{
+    BackendSpec, DecodeOutcome, MicroBlossomConfig, ShotOutcome, Stage, WindowConfig,
+};
 use mb_graph::circuit::{CircuitLevelCode, MechanismTilt};
 use mb_graph::corpus::{graph_fingerprint, CorpusError, CorpusWriter, TraceCorpus};
 use mb_graph::DecodingGraph;
@@ -410,16 +413,43 @@ fn fold_outcome(mut hash: u64, outcome: &DecodeOutcome) -> u64 {
     hash
 }
 
-/// Decodes every record of `corpus` on one reused `micro_full(Some(d))`
-/// backend and digests the outcomes in record order.
-fn outcome_digest(d: usize, graph: &Arc<DecodingGraph>, corpus: &TraceCorpus) -> u64 {
-    let mut backend = BackendSpec::micro_full(Some(d)).build(Arc::clone(graph));
+/// Decodes every record of `corpus` on one reused backend built from
+/// `spec` and digests the outcomes in record order.
+fn outcome_digest(spec: &BackendSpec, graph: &Arc<DecodingGraph>, corpus: &TraceCorpus) -> u64 {
+    let mut backend = spec.build(Arc::clone(graph));
     corpus
         .records
         .iter()
         .fold(0xCBF2_9CE4_8422_2325, |hash, record| {
             fold_outcome(hash, &backend.decode(&record.syndrome()))
         })
+}
+
+/// The two pinned corpora, each with its code distance and graph: the
+/// golden fixture and a recorded d=5, p=1% circuit-level corpus.
+fn pinned_corpora() -> [(usize, Arc<DecodingGraph>, TraceCorpus); 2] {
+    let golden = TraceCorpus::load(GOLDEN_PATH).expect("committed golden corpus decodes");
+    let meta = &golden.header.provenance;
+    let field = |key: &str| meta.get(key).and_then(|v| v.as_u64()).expect(key) as usize;
+    let p = meta.get("p").and_then(|v| v.as_f64()).expect("p recorded");
+    let d = field("d");
+    let golden_circuit = CircuitLevelCode::rotated(d, field("rounds"), p).compile();
+
+    let circuit = Arc::new(CircuitLevelCode::rotated(5, 5, 0.01).compile());
+    let corpus = record_circuit_run(&circuit, 2_000, 0x5EED);
+    [
+        (d, Arc::clone(golden_circuit.graph()), golden),
+        (5, Arc::clone(circuit.graph()), corpus),
+    ]
+}
+
+/// The digests of `spec(d)` on both [`pinned_corpora`].
+fn pinned_digests(spec: impl Fn(&DecodingGraph, usize) -> BackendSpec) -> (u64, u64) {
+    let [(d0, g0, c0), (d1, g1, c1)] = pinned_corpora();
+    (
+        outcome_digest(&spec(&g0, d0), &g0, &c0),
+        outcome_digest(&spec(&g1, d1), &g1, &c1),
+    )
 }
 
 /// Pins the exact decode result of `micro_full` — observable, latency
@@ -434,21 +464,35 @@ fn outcome_digest(d: usize, graph: &Arc<DecodingGraph>, corpus: &TraceCorpus) ->
 /// knowingly and must say so.
 #[test]
 fn micro_full_outcomes_are_pinned() {
-    let golden = TraceCorpus::load(GOLDEN_PATH).expect("committed golden corpus decodes");
-    let meta = &golden.header.provenance;
-    let field = |key: &str| meta.get(key).and_then(|v| v.as_u64()).expect(key) as usize;
-    let p = meta.get("p").and_then(|v| v.as_f64()).expect("p recorded");
-    let d = field("d");
-    let circuit = Arc::new(CircuitLevelCode::rotated(d, field("rounds"), p).compile());
-    let golden_digest = outcome_digest(d, circuit.graph(), &golden);
-
-    let circuit = Arc::new(CircuitLevelCode::rotated(5, 5, 0.01).compile());
-    let corpus = record_circuit_run(&circuit, 2_000, 0x5EED);
-    let corpus_digest = outcome_digest(5, circuit.graph(), &corpus);
-
     assert_eq!(
-        (golden_digest, corpus_digest),
+        pinned_digests(|_, d| BackendSpec::micro_full(Some(d))),
         (0x5714_66B8_B3E0_28CC, 0xE868_B720_4CA0_6D0A),
         "micro_full decode outcomes drifted"
     );
+}
+
+/// Pins the same digests for the decoders without the LUT pre-decoder:
+/// each lower rung of the Figure 10a ladder, and the full stage as the
+/// stream scheduler round-feeds it. Recorded before the configuration
+/// became a [`Stage`], so the refactor provably left every rung's decode
+/// bit-identical.
+#[test]
+fn every_rung_outcome_is_pinned() {
+    let rungs = [
+        (
+            Stage::DualOnly,
+            (0xCBD9_1788_83AB_51FE, 0xE71B_AC36_C649_D30C),
+        ),
+        (
+            Stage::Prematch,
+            (0x6343_352C_347F_A48A, 0x042C_45DF_F882_06DF),
+        ),
+        (Stage::Full, (0x57D3_FD03_A7D9_A036, 0x1A4B_0870_D4AA_9BCD)),
+    ];
+    for (stage, pinned) in rungs {
+        let digests = pinned_digests(|graph, d| {
+            BackendSpec::Micro(MicroBlossomConfig::new(stage, graph, Some(d)).without_predecoder())
+        });
+        assert_eq!(digests, pinned, "{stage:?} decode outcomes drifted");
+    }
 }

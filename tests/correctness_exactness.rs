@@ -4,7 +4,7 @@
 
 use mb_blossom::exact::minimum_matching_weight;
 use mb_blossom::SolverSerial;
-use mb_decoder::{MicroBlossomConfig, MicroBlossomDecoder};
+use mb_decoder::{MicroBlossomConfig, MicroBlossomDecoder, Stage};
 use mb_graph::codes::{
     CodeCapacityPlanarCode, CodeCapacityRepetitionCode, CodeCapacityRotatedCode,
     PhenomenologicalCode,
@@ -110,11 +110,11 @@ fn micro_blossom_ablation_configurations_are_exact() {
         for (cname, config) in [
             (
                 "dual-only",
-                MicroBlossomConfig::parallel_dual_only(&graph, None),
+                MicroBlossomConfig::new(Stage::DualOnly, &graph, None),
             ),
             (
                 "prematch",
-                MicroBlossomConfig::with_parallel_primal(&graph, None),
+                MicroBlossomConfig::new(Stage::Prematch, &graph, None),
             ),
         ] {
             let mut decoder = MicroBlossomDecoder::new(Arc::clone(&graph), config);

@@ -17,7 +17,7 @@
 //! * serial decoding vs the work-stealing pool at several worker counts.
 
 use mb_decoder::pipeline::ShardedPipeline;
-use mb_decoder::{BackendSpec, DecoderBackend, MicroBlossomConfig, MicroBlossomDecoder};
+use mb_decoder::{BackendSpec, DecoderBackend, MicroBlossomConfig, MicroBlossomDecoder, Stage};
 use mb_graph::circuit::{CircuitErrorSampler, CircuitLevelCode};
 use mb_graph::codes::PhenomenologicalCode;
 use mb_graph::syndrome::ErrorSampler;
@@ -35,8 +35,8 @@ fn graph_for(d: usize) -> Arc<DecodingGraph> {
 
 fn configs(graph: &DecodingGraph, d: usize) -> Vec<MicroBlossomConfig> {
     vec![
-        MicroBlossomConfig::parallel_dual_only(graph, Some(d)),
-        MicroBlossomConfig::with_parallel_primal(graph, Some(d)),
+        MicroBlossomConfig::new(Stage::DualOnly, graph, Some(d)),
+        MicroBlossomConfig::new(Stage::Prematch, graph, Some(d)),
         MicroBlossomConfig::full(graph, Some(d)),
     ]
 }
@@ -94,7 +94,8 @@ fn sparse_round_ingestion_is_bit_identical_to_dense_batch() {
     for d in [3usize, 5] {
         let graph = graph_for(d);
         let sampler = ErrorSampler::new(&graph);
-        let config = MicroBlossomConfig::full(&graph, Some(d));
+        // the decoder the stream scheduler round-feeds: no armed LUT
+        let config = MicroBlossomConfig::full(&graph, Some(d)).without_predecoder();
         let mut sparse = MicroBlossomDecoder::new(Arc::clone(&graph), config.clone());
         let mut dense = MicroBlossomDecoder::new(Arc::clone(&graph), config.with_dense_reference());
         let mut rng = ChaCha8Rng::seed_from_u64(0xF00D + d as u64);

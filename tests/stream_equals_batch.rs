@@ -6,7 +6,7 @@
 
 use mb_decoder::pipeline::ShardedPipeline;
 use mb_decoder::stream::StreamDecoder;
-use mb_decoder::{BackendSpec, MicroBlossomConfig, MicroBlossomDecoder};
+use mb_decoder::{BackendSpec, MicroBlossomConfig, MicroBlossomDecoder, Stage};
 use mb_graph::codes::PhenomenologicalCode;
 use mb_graph::syndrome::ErrorSampler;
 use rand::SeedableRng;
@@ -24,7 +24,7 @@ fn stream_and_batch_agree_on_matching_weight() {
         );
         let mut batch = MicroBlossomDecoder::new(
             Arc::clone(&graph),
-            MicroBlossomConfig::with_parallel_primal(&graph, Some(d)),
+            MicroBlossomConfig::new(Stage::Prematch, &graph, Some(d)),
         );
         let sampler = ErrorSampler::new(&graph);
         let mut rng = ChaCha8Rng::seed_from_u64(77);
