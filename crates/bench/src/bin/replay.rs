@@ -95,7 +95,8 @@ fn main() {
                     );
                 }
                 let summary = summarize_replay(&corpus, &outcomes);
-                let fast_path = pool.accel_fast_path_rate().unwrap_or(0.0);
+                let accel = pool.stats().accel;
+                let fast_path = accel.fast_path_rate().unwrap_or(0.0);
                 report.line(format!(
                     "{{\"bench\":\"replay\",\"backend\":\"{}\",\"mode\":\"{mode_name}\",\
                      \"workers\":{n},\"shots\":{},\"p_l\":{:.6},\"weighted_p_l\":{:.6e},\
@@ -108,7 +109,7 @@ fn main() {
                     summary.weighted_error_rate,
                     summary.latency_p50_ns,
                     summary.latency_p99_ns,
-                    pool.accel_pus_touched(),
+                    accel.pus_touched,
                     summary.mean_defects,
                 ));
                 if n == workers[0] && mode_name == "batch" {

@@ -136,7 +136,8 @@ fn main() {
                     );
                 }
                 let summary = summarize_replay(&corpus, &outcomes);
-                let fast_path = pool.accel_fast_path_rate().unwrap_or(0.0);
+                let accel = pool.stats().accel;
+                let fast_path = accel.fast_path_rate().unwrap_or(0.0);
                 report.line(format!(
                     "{{\"bench\":\"report\",\"date\":\"{date}\",\"section\":\"replay_matrix\",\
                      \"backend\":\"{}\",\"mode\":\"{mode_name}\",\"workers\":{workers},\
@@ -148,8 +149,8 @@ fn main() {
                     summary.logical_error_rate,
                     summary.latency_p50_ns,
                     summary.latency_p99_ns,
-                    pool.accel_pus_touched(),
-                    pool.accel_active_peak(),
+                    accel.pus_touched,
+                    accel.active_peak,
                     summary.mean_defects,
                 ));
                 if workers == 1 {

@@ -124,10 +124,10 @@ pub trait DecoderBackend: Send {
 
     /// Cumulative accelerator-activity counters of this backend, when it is
     /// backed by the simulated PU array (`None` for pure-software decoders).
-    /// The decode pool folds per-job deltas of these into its own
-    /// [`crate::pipeline::DecodePool::accel_pus_touched`]-style counters, so
-    /// the sparse-activation win is observable from the running system; the
-    /// benchmark reports it as `accel.pus_touched_per_shot`.
+    /// The decode pool folds per-job deltas of these into
+    /// [`crate::pipeline::PoolStats::accel`], so the sparse-activation win
+    /// is observable from the running system; the benchmark reports it as
+    /// `accel.pus_touched_per_shot`.
     fn accel_observability(&self) -> Option<AccelObservability> {
         None
     }
@@ -136,14 +136,11 @@ pub trait DecoderBackend: Send {
 /// Activity counters of an accelerator-backed backend, cumulative since the
 /// backend was built (monotone, so per-job deltas are meaningful).
 ///
-/// Windowed-decoding counters (`windows_decoded`, `seam_redecodes`,
-/// `max_resident_rounds`) are *not* part of this struct: windows are a
+/// Windowed-decoding counters are *not* part of this struct: windows are a
 /// front-end concept the backend never sees (each window decode looks like
 /// an ordinary shot on a sub-graph). They live at the level that observes
-/// them — [`crate::DecodePool::windows_decoded`] /
-/// [`crate::DecodePool::seam_redecodes`] on the pool, and
-/// [`crate::StreamStats`] for sessions opened through
-/// [`crate::StreamDecoder::begin_windowed_shot`].
+/// them — [`crate::pipeline::PoolStats::window_jobs`] on the pool, and
+/// [`crate::WindowOutcome`] per windowed session.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccelObservability {
     /// Peak active-set size (most vertex PUs awake at once).
@@ -159,12 +156,34 @@ pub struct AccelObservability {
     /// a software `Mem[VertexPersistent]` fetch; see
     /// [`DecoderBackend::context_restore`]).
     pub bank_switches: u64,
-    /// Total shots this backend decoded. The denominator for
-    /// `fast_path_rate = (zero_defect_shots + predecoded_shots) /
-    /// accel_shots`; tracked here (rather than reusing the pool's decode
-    /// count) so mixed-backend runs don't dilute the rate with shots that
-    /// never touched an accelerator.
+    /// Total shots this backend decoded. The denominator of
+    /// [`Self::fast_path_rate`]; tracked here (rather than reusing the
+    /// pool's decode count) so mixed-backend runs don't dilute the rate
+    /// with shots that never touched an accelerator.
     pub accel_shots: u64,
+}
+
+impl AccelObservability {
+    /// Fraction of accelerator shots that skipped the dual phase — the
+    /// zero-defect skip plus the LUT pre-decoder fast path. `None` until at
+    /// least one shot was decoded.
+    pub fn fast_path_rate(&self) -> Option<f64> {
+        (self.accel_shots > 0).then(|| {
+            (self.zero_defect_shots + self.predecoded_shots) as f64 / self.accel_shots as f64
+        })
+    }
+
+    /// Adds what a backend's cumulative counters grew by from `before` to
+    /// `after`; `active_peak` keeps the maximum instead.
+    pub(crate) fn add_growth(&mut self, before: &Self, after: &Self) {
+        let grew = |before: u64, after: u64| after.saturating_sub(before);
+        self.active_peak = self.active_peak.max(after.active_peak);
+        self.pus_touched += grew(before.pus_touched, after.pus_touched);
+        self.zero_defect_shots += grew(before.zero_defect_shots, after.zero_defect_shots);
+        self.predecoded_shots += grew(before.predecoded_shots, after.predecoded_shots);
+        self.bank_switches += grew(before.bank_switches, after.bank_switches);
+        self.accel_shots += grew(before.accel_shots, after.accel_shots);
+    }
 }
 
 /// Construction recipe for a [`DecoderBackend`].

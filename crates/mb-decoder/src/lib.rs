@@ -91,7 +91,7 @@ pub use evaluation::{
 pub use micro::{MicroBlossomConfig, MicroBlossomDecoder, Stage};
 pub use outcome::{DecodeOutcome, LatencyBreakdown};
 pub use parity::ParityBlossomDecoder;
-pub use pipeline::{DecodePool, ShardedPipeline, ShotOutcome};
+pub use pipeline::{DecodePool, PoolStats, ShardedPipeline, ShotOutcome};
 pub use rare::{
     direct_estimate, importance_estimate, splitting_estimate, RareEventEstimate, SplittingConfig,
 };
@@ -107,7 +107,3 @@ pub use uf::{HeliosLatencyModel, UnionFindDecoderAdapter};
 pub use window::{
     CommittedCorrection, WindowConfig, WindowOutcome, WindowPlan, WindowedDecoder, WindowedFeeder,
 };
-
-/// Backwards-compatible alias: the decoder interface was renamed to
-/// [`DecoderBackend`] when construction/reset/stats moved into the trait.
-pub use backend::DecoderBackend as Decoder;

@@ -361,74 +361,61 @@ impl JobState {
     }
 }
 
-/// Pool-wide accelerator-activity counters, folded from per-job deltas of
-/// each backend's cumulative [`AccelObservability`]. The
-/// [`DecodePool::backends_built`]-style observability surface for the
-/// sparse-activation hot path.
-#[derive(Debug, Default)]
-struct AccelTelemetry {
-    active_peak: AtomicU64,
-    pus_touched: AtomicU64,
-    zero_defect_shots: AtomicU64,
-    predecoded_shots: AtomicU64,
-    bank_switches: AtomicU64,
-    accel_shots: AtomicU64,
-    /// Window (and seam) decode jobs executed by this pool's workers — the
-    /// unit of temporal parallelism (see [`crate::window`]). Counted at the
-    /// pool because windows are a front-end concept: a backend only ever
-    /// sees an ordinary decode on a window-view graph.
-    windows_decoded: AtomicU64,
-    /// Seam re-decodes windowed sessions on this pool performed (reported
-    /// by the sessions via [`DecodePool::note_seam_redecodes`]; seam decodes
-    /// also count into `windows_decoded` when they run as pool jobs).
-    seam_redecodes: AtomicU64,
+/// A snapshot of a pool's counters, from [`DecodePool::stats`].
+///
+/// Workers fold into it once per batch chunk, window job and stream serve
+/// pass; the snapshot is a copy, so it never changes under its reader.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Accelerator activity summed over the pool's accelerator-backed
+    /// backends (`active_peak` is the maximum). Shots served by backends
+    /// without accelerator observability (parity blossom, union-find) are
+    /// left out, so mixed-backend runs do not dilute the per-accel-shot
+    /// averages or [`AccelObservability::fast_path_rate`].
+    pub accel: AccelObservability,
+    /// Window (and seam) decode jobs this pool's workers ran for windowed
+    /// sessions (see [`crate::window::WindowedDecoder`]). Defect-free
+    /// windows never reach the pool and are not counted. A window counts
+    /// only once its job has completed, so every counted window's outcome
+    /// is ready to take.
+    pub window_jobs: u64,
     /// Panics caught inside worker isolation scopes (per-shot batch scopes
-    /// and stream serve passes). Each one poisoned at most the shot that
-    /// raised it.
-    worker_panics: AtomicU64,
-    /// Times a worker discarded its poisoned backend state and rebuilt it
-    /// to keep serving — the pool's capacity self-heal counter.
-    worker_respawns: AtomicU64,
+    /// and stream serve passes), plus job-level worker panics. Each one
+    /// poisoned at most the shot that raised it.
+    pub worker_panics: u64,
+    /// Times a worker discarded its poisoned backend and rebuilt it to keep
+    /// serving — the pool's capacity self-heal counter.
+    pub worker_respawns: u64,
 }
 
-impl AccelTelemetry {
-    /// Folds the delta a finished job produced on one backend. `before` is
-    /// `None` the first time a worker touches a freshly built backend.
-    ///
-    /// Backends without accelerator observability (`after == None`, e.g.
-    /// the parity-blossom and union-find baselines) are skipped entirely —
-    /// their shots do not enter `accel_shots`, so mixed-backend runs do not
-    /// dilute the per-accel-shot averages and the fast-path rate.
-    fn fold(&self, before: Option<AccelObservability>, after: Option<AccelObservability>) {
-        let Some(after) = after else { return };
-        let before = before.unwrap_or_default();
-        self.active_peak
-            .fetch_max(after.active_peak, Ordering::Relaxed);
-        self.pus_touched.fetch_add(
-            after.pus_touched.saturating_sub(before.pus_touched),
-            Ordering::Relaxed,
-        );
-        self.zero_defect_shots.fetch_add(
-            after
-                .zero_defect_shots
-                .saturating_sub(before.zero_defect_shots),
-            Ordering::Relaxed,
-        );
-        self.predecoded_shots.fetch_add(
-            after
-                .predecoded_shots
-                .saturating_sub(before.predecoded_shots),
-            Ordering::Relaxed,
-        );
-        self.bank_switches.fetch_add(
-            after.bank_switches.saturating_sub(before.bank_switches),
-            Ordering::Relaxed,
-        );
-        self.accel_shots.fetch_add(
-            after.accel_shots.saturating_sub(before.accel_shots),
-            Ordering::Relaxed,
-        );
+/// The one fold behind [`DecodePool::stats`]: applies `update` under the
+/// pool's stats lock.
+fn fold(stats: &Mutex<PoolStats>, update: impl FnOnce(&mut PoolStats)) {
+    update(&mut stats.lock().expect("pool stats mutex poisoned"));
+}
+
+/// Folds what one job step added to a backend's cumulative accelerator
+/// counters. `before` is `None` the first time a worker touches a freshly
+/// built backend; a backend without accelerator observability
+/// (`after == None`) is skipped.
+fn fold_accel(
+    stats: &Mutex<PoolStats>,
+    before: Option<AccelObservability>,
+    after: Option<AccelObservability>,
+) {
+    if let Some(after) = after {
+        fold(stats, |stats| {
+            stats.accel.add_growth(&before.unwrap_or_default(), &after)
+        });
     }
+}
+
+/// Counts a caught shot-scoped panic and the backend rebuild that follows.
+fn fold_respawn(stats: &Mutex<PoolStats>) {
+    fold(stats, |stats| {
+        stats.worker_panics += 1;
+        stats.worker_respawns += 1;
+    });
 }
 
 /// Identity of a pooled backend: the spec's full configuration plus the
@@ -560,7 +547,7 @@ pub struct DecodePool {
     senders: Vec<mpsc::Sender<Arc<JobState>>>,
     handles: Vec<JoinHandle<()>>,
     builds: Arc<AtomicU64>,
-    telemetry: Arc<AccelTelemetry>,
+    stats: Arc<Mutex<PoolStats>>,
     /// Rotates the first participant of partial-width jobs so concurrent
     /// submitters do not all queue behind worker 0.
     next_base: AtomicUsize,
@@ -607,18 +594,18 @@ impl DecodePool {
 
     fn spawn(workers: usize, faults: FaultPlanHandle) -> Self {
         let builds = Arc::new(AtomicU64::new(0));
-        let telemetry = Arc::new(AccelTelemetry::default());
+        let stats = Arc::new(Mutex::new(PoolStats::default()));
         let mut senders = Vec::new();
         let mut handles = Vec::new();
         for index in 0..workers.max(1) {
             let (sender, receiver) = mpsc::channel::<Arc<JobState>>();
             let builds = Arc::clone(&builds);
-            let telemetry = Arc::clone(&telemetry);
+            let stats = Arc::clone(&stats);
             #[allow(clippy::let_unit_value, clippy::clone_on_copy)] // `()` outside the chaos gates
             let faults = faults.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("mb-decode-{index}"))
-                .spawn(move || worker_main(index, receiver, builds, telemetry, faults))
+                .spawn(move || worker_main(index, receiver, builds, stats, faults))
                 .expect("failed to spawn decode worker");
             senders.push(sender);
             handles.push(handle);
@@ -631,7 +618,7 @@ impl DecodePool {
             senders,
             handles,
             builds,
-            telemetry,
+            stats,
             next_base: AtomicUsize::new(0),
             in_flight: AtomicUsize::new(0),
             stream_pinned,
@@ -659,79 +646,9 @@ impl DecodePool {
         self.builds.load(Ordering::Relaxed)
     }
 
-    /// Peak active-set size any accelerator-backed backend of this pool
-    /// observed (most vertex PUs awake at once in a single shot's decode).
-    pub fn accel_active_peak(&self) -> u64 {
-        self.telemetry.active_peak.load(Ordering::Relaxed)
-    }
-
-    /// Total PU visits the sweep engines of this pool's accelerator-backed
-    /// backends performed. Divided by shots decoded, this exposes the
-    /// sparse-activation win per shot: the quotient tracks syndrome weight,
-    /// not `|V| + |E|`.
-    pub fn accel_pus_touched(&self) -> u64 {
-        self.telemetry.pus_touched.load(Ordering::Relaxed)
-    }
-
-    /// Shots that skipped the dual phase entirely because their syndrome
-    /// was empty (the zero-defect fast path).
-    pub fn accel_zero_defect_shots(&self) -> u64 {
-        self.telemetry.zero_defect_shots.load(Ordering::Relaxed)
-    }
-
-    /// Shots the LUT pre-decoder resolved from its local match table
-    /// without entering the dual phase (see [`mb_accel::predecoder`]).
-    pub fn accel_predecoded_shots(&self) -> u64 {
-        self.telemetry.predecoded_shots.load(Ordering::Relaxed)
-    }
-
-    /// Context-bank restores accelerator-backed backends of this pool
-    /// performed while serving context-multiplexed streams (see
-    /// [`crate::stream::ContextPool`]). Zero for purely batch workloads.
-    pub fn accel_bank_switches(&self) -> u64 {
-        self.telemetry.bank_switches.load(Ordering::Relaxed)
-    }
-
-    /// Total shots decoded by *accelerator-backed* backends of this pool —
-    /// the denominator for per-shot accelerator averages. Shots served by
-    /// backends without accelerator observability (parity blossom,
-    /// union-find) are excluded, so mixed-backend runs don't dilute the
-    /// averages.
-    pub fn accel_shots(&self) -> u64 {
-        self.telemetry.accel_shots.load(Ordering::Relaxed)
-    }
-
-    /// Window (and seam) decode jobs this pool's workers executed for
-    /// windowed sessions (see [`crate::window::WindowedDecoder`]). Zero for
-    /// purely batch/stream workloads. A window is counted once its job has
-    /// completed, so every counted window's outcome is ready to take.
-    pub fn windows_decoded(&self) -> u64 {
-        self.telemetry.windows_decoded.load(Ordering::Acquire)
-    }
-
-    /// Seam re-decodes windowed sessions on this pool performed — deferred
-    /// matchings re-decoded in an overlap region around a window boundary
-    /// (each widening retry counts again).
-    pub fn seam_redecodes(&self) -> u64 {
-        self.telemetry.seam_redecodes.load(Ordering::Relaxed)
-    }
-
-    /// Folds a windowed session's seam re-decode tally into the pool-level
-    /// counter.
-    pub(crate) fn note_seam_redecodes(&self, count: u64) {
-        self.telemetry
-            .seam_redecodes
-            .fetch_add(count, Ordering::Relaxed);
-    }
-
-    /// Fraction of accelerator shots that skipped the dual phase — the
-    /// zero-defect skip plus the LUT pre-decoder fast path. `None` until an
-    /// accelerator-backed backend has decoded at least one shot.
-    pub fn accel_fast_path_rate(&self) -> Option<f64> {
-        let shots = self.accel_shots();
-        (shots > 0).then(|| {
-            (self.accel_zero_defect_shots() + self.accel_predecoded_shots()) as f64 / shots as f64
-        })
+    /// A snapshot of this pool's counters; see [`PoolStats`].
+    pub fn stats(&self) -> PoolStats {
+        *self.stats.lock().expect("pool stats mutex poisoned")
     }
 
     /// How many of this pool's workers a job with the given worker budget
@@ -933,20 +850,6 @@ impl DecodePool {
             })
             .collect()
     }
-
-    /// Total shot decodes that panicked and were isolated (batch slots or
-    /// stream tickets carrying [`DecodeError::WorkerPanic`]), plus job-level
-    /// worker panics.
-    pub fn worker_panics(&self) -> u64 {
-        self.telemetry.worker_panics.load(Ordering::Relaxed)
-    }
-
-    /// Times a worker discarded a poisoned backend and rebuilt it to keep
-    /// serving — each one is a capacity self-heal that would otherwise have
-    /// been a lost worker.
-    pub fn worker_respawns(&self) -> u64 {
-        self.telemetry.worker_respawns.load(Ordering::Relaxed)
-    }
 }
 
 impl Drop for DecodePool {
@@ -974,7 +877,7 @@ fn worker_main(
     index: usize,
     receiver: mpsc::Receiver<Arc<JobState>>,
     builds: Arc<AtomicU64>,
-    telemetry: Arc<AccelTelemetry>,
+    stats: Arc<Mutex<PoolStats>>,
     faults: FaultPlanHandle,
 ) {
     let mut cache = BackendCache::new(BACKEND_CACHE_CAPACITY, builds);
@@ -991,7 +894,7 @@ fn worker_main(
             index,
             &faults,
             &mut cache,
-            &telemetry,
+            &stats,
             &job,
             &receiver,
             &mut deferred,
@@ -1018,7 +921,7 @@ fn run_job(
     worker: usize,
     faults: &FaultPlanHandle,
     cache: &mut BackendCache,
-    telemetry: &AccelTelemetry,
+    stats: &Mutex<PoolStats>,
     job: &Arc<JobState>,
     receiver: &mpsc::Receiver<Arc<JobState>>,
     deferred: &mut VecDeque<Arc<JobState>>,
@@ -1065,7 +968,7 @@ fn run_job(
                                 index += 1;
                             }
                         }));
-                        telemetry.fold(before, backend.accel_observability());
+                        fold_accel(stats, before, backend.accel_observability());
                         if let Err(payload) = shots {
                             // `index` still names the shot that panicked: the
                             // closure increments it only after a successful write
@@ -1076,8 +979,7 @@ fn run_job(
                                 },
                             );
                             index += 1;
-                            telemetry.worker_panics.fetch_add(1, Ordering::Relaxed);
-                            telemetry.worker_respawns.fetch_add(1, Ordering::Relaxed);
+                            fold_respawn(stats);
                             // the backend may hold arbitrary mid-decode state;
                             // rebuild fresh before the next shot
                             cache.discard(&job.spec, &job.graph);
@@ -1089,7 +991,7 @@ fn run_job(
                 let backend = cache.get_or_build(&job.spec, &job.graph);
                 let before = backend.accel_observability();
                 let outcome = backend.decode(&window.syndrome);
-                telemetry.fold(before, backend.accel_observability());
+                fold_accel(stats, before, backend.accel_observability());
                 *window
                     .outcome
                     .lock()
@@ -1107,7 +1009,7 @@ fn run_job(
                         let status = stream.serve(server, backend, &sampler, &job.graph);
                         // fold per serve pass so pool-level counters stay
                         // live while the stream is open
-                        telemetry.fold(before, backend.accel_observability());
+                        fold_accel(stats, before, backend.accel_observability());
                         status
                     };
                     match status {
@@ -1118,8 +1020,7 @@ fn run_job(
                             // and the stream released this worker's banked
                             // contexts — drop the poisoned backend and keep
                             // serving on a fresh one
-                            telemetry.worker_panics.fetch_add(1, Ordering::Relaxed);
-                            telemetry.worker_respawns.fetch_add(1, Ordering::Relaxed);
+                            fold_respawn(stats);
                             cache.unpin();
                             cache.discard(&job.spec, &job.graph);
                             cache.pin(&job.spec, &job.graph);
@@ -1130,7 +1031,7 @@ fn run_job(
                                     deferred.push_back(next);
                                 } else {
                                     run_job(
-                                        worker, faults, cache, telemetry, &next, receiver, deferred,
+                                        worker, faults, cache, stats, &next, receiver, deferred,
                                     );
                                 }
                             }
@@ -1147,24 +1048,28 @@ fn run_job(
     // a window counts as decoded only once its job has completed, so a
     // caller that sees the count can also take the outcome
     let window_decoded = matches!(job.source, WorkSource::Window(_)) && result.is_ok();
+    if result.is_err() {
+        fold(stats, |stats| stats.worker_panics += 1);
+    }
     let mut done = job.done.lock().expect("decode pool mutex poisoned");
     if let Err(payload) = result {
         // job-level (infrastructure) panic: nothing shot-scoped to blame, so
         // the whole job is poisoned and the submitter decides how to surface
         // it
-        telemetry.worker_panics.fetch_add(1, Ordering::Relaxed);
         done.panic.get_or_insert(panic_message(payload));
     }
     done.remaining -= 1;
+    if window_decoded {
+        // counted once the job has completed but before `done` is released:
+        // a caller that sees the count can take the outcome, and a caller
+        // that waited on the job sees the count
+        fold(stats, |stats| stats.window_jobs += 1);
+    }
     let last_participant = done.remaining == 0;
     if last_participant {
         job.finished.notify_all();
     }
     drop(done);
-    if window_decoded {
-        // pairs with the acquire in `DecodePool::windows_decoded`
-        telemetry.windows_decoded.fetch_add(1, Ordering::Release);
-    }
     if last_participant {
         if let WorkSource::Stream(stream) = &job.source {
             // if every participant died on a panic, undecodable shots may
@@ -1570,9 +1475,13 @@ mod tests {
             .with_pool(Arc::clone(&pool))
             .with_shards(2);
         micro.evaluate(40, 3);
-        let accel_shots = pool.accel_shots();
+        let accel_shots = pool.stats().accel.accel_shots;
         assert_eq!(accel_shots, 40, "every micro shot is an accel shot");
-        let rate = pool.accel_fast_path_rate().expect("accel shots were run");
+        let rate = pool
+            .stats()
+            .accel
+            .fast_path_rate()
+            .expect("accel shots were run");
         assert!(rate > 0.0, "p=0.005 shots should hit a fast path");
         for spec in [BackendSpec::Parity, BackendSpec::union_find()] {
             ShardedPipeline::new(spec, Arc::clone(&graph))
@@ -1580,12 +1489,12 @@ mod tests {
                 .with_shards(2)
                 .evaluate(40, 3);
         }
+        let accel = pool.stats().accel;
         assert_eq!(
-            pool.accel_shots(),
-            accel_shots,
+            accel.accel_shots, accel_shots,
             "non-accel shots must not enter the accel denominator"
         );
-        assert_eq!(pool.accel_fast_path_rate(), Some(rate));
+        assert_eq!(accel.fast_path_rate(), Some(rate));
     }
 
     #[test]
@@ -1699,7 +1608,10 @@ mod tests {
             message.contains("decode pool worker panicked") && message.contains("backend exploded"),
             "unexpected panic message: {message}"
         );
-        assert!(pool.worker_panics() >= 8, "every shot's panic is counted");
+        assert!(
+            pool.stats().worker_panics >= 8,
+            "every shot's panic is counted"
+        );
         // the workers survived the panics and still decode fine afterwards
         let pipeline = ShardedPipeline::new(BackendSpec::union_find(), graph)
             .with_pool(pool)
@@ -1727,8 +1639,9 @@ mod tests {
                 other => panic!("shot {i}: expected WorkerPanic, got {other:?}"),
             }
         }
-        assert_eq!(pool.worker_panics(), 8);
-        assert_eq!(pool.worker_respawns(), 8);
+        let stats = pool.stats();
+        assert_eq!(stats.worker_panics, 8);
+        assert_eq!(stats.worker_respawns, 8);
     }
 
     #[test]
@@ -1760,8 +1673,9 @@ mod tests {
             }
         }
         assert_eq!(panicked, 1, "exactly the planned shot is poisoned");
-        assert_eq!(pool.worker_panics(), 1);
-        assert_eq!(pool.worker_respawns(), 1);
+        let stats = pool.stats();
+        assert_eq!(stats.worker_panics, 1);
+        assert_eq!(stats.worker_respawns, 1);
     }
 
     #[test]

@@ -32,10 +32,10 @@
 //!   ([`DecoderBackend::context_restore`]), folds the round in (§6 fusion
 //!   via [`DecoderBackend::ingest_round`]), and banks the state again when
 //!   another context needs the engine. Every other backend — including the
-//!   stream decoder with its LUT pre-decoder armed, whose rounds only load
-//!   and log until the last one — buffers the rounds. A finished context
-//!   whose state never reached the engine completes in one step: decode its
-//!   assembled syndrome — same result, no early start. Shots complete out
+//!   stream decoder with its LUT pre-decoder armed — buffers the rounds
+//!   until the shot finishes. A finished context whose state never reached
+//!   the engine completes in one step: decode its assembled syndrome — same
+//!   result, no early start. Shots complete out
 //!   of order; whole shots, zero-defect shots and buffered shots never
 //!   occupy a bank.
 //! * **bit-identical to batch** — a shot decodes to exactly the same
@@ -667,10 +667,6 @@ pub(crate) struct StreamShared {
     /// feeders; `None` outside chaos tests.
     #[cfg(any(test, feature = "chaos"))]
     faults: Option<Arc<FaultPlan>>,
-    /// Aggregated counters of windowed shots opened through
-    /// [`StreamDecoder::begin_windowed_shot`]; each finished (or abandoned)
-    /// [`crate::WindowedFeeder`] folds its session totals in here.
-    windowed: Arc<crate::window::WindowCounters>,
 }
 
 impl StreamShared {
@@ -704,7 +700,6 @@ impl StreamShared {
             worker_panics: AtomicU64::new(0),
             #[cfg(any(test, feature = "chaos"))]
             faults,
-            windowed: Arc::new(crate::window::WindowCounters::default()),
         }
     }
 
@@ -869,9 +864,6 @@ impl StreamShared {
             bank_switches: self.bank_switches.load(Ordering::Relaxed),
             rounds_routed: state.contexts.rounds_routed,
             finish_p99_us: state.contexts.finish_latency_quantile_us(0.99),
-            windows_decoded: self.windowed.windows_decoded.load(Ordering::Relaxed),
-            seam_redecodes: self.windowed.seam_redecodes.load(Ordering::Relaxed),
-            max_resident_rounds: self.windowed.max_resident_rounds.load(Ordering::Relaxed),
             degraded_shots: self.degraded.load(Ordering::Relaxed),
             deadline_misses: self.deadline_misses.load(Ordering::Relaxed),
             worker_panics: self.worker_panics.load(Ordering::Relaxed),
@@ -1640,17 +1632,6 @@ pub struct StreamStats {
     /// microseconds (from a log2 histogram, upper bucket bound). `None`
     /// when no round-fed shot completed.
     pub finish_p99_us: Option<f64>,
-    /// Windows decoded across every [`StreamDecoder::begin_windowed_shot`]
-    /// session (empty windows included; folded in when each windowed shot
-    /// finishes).
-    pub windows_decoded: u64,
-    /// Seam re-decodes performed across every windowed session.
-    pub seam_redecodes: u64,
-    /// Peak rounds staged by any windowed session before its window was
-    /// handed to the pool — at most `commit_rounds + 2·overlap_rounds`,
-    /// independent of the stream length (the bounded-memory guarantee,
-    /// observable).
-    pub max_resident_rounds: u64,
     /// Shots completed by the union-find degradation fallback after missing
     /// their deadline (their outcomes carry [`ShotOutcome::degraded`]).
     pub degraded_shots: u64,
@@ -1741,7 +1722,6 @@ impl StreamBuilder {
             pool: self.pool,
             workers: participants,
             closed: false,
-            windowed_plans: Mutex::new(Vec::new()),
         }
     }
 }
@@ -1755,10 +1735,6 @@ pub struct StreamDecoder {
     pool: Option<Arc<DecodePool>>,
     workers: usize,
     closed: bool,
-    /// Window plans built by [`Self::begin_windowed_shot`], cached per
-    /// config so repeated windowed shots share sub-graph views (and the
-    /// backend caches keyed on them).
-    windowed_plans: Mutex<Vec<(crate::WindowConfig, Arc<crate::WindowPlan>)>>,
 }
 
 impl std::fmt::Debug for StreamDecoder {
@@ -1924,53 +1900,6 @@ impl StreamDecoder {
         })
     }
 
-    /// Opens a *windowed* round submission: rounds pushed into the returned
-    /// [`crate::WindowedFeeder`] are split into overlapping windows per
-    /// `config`, each decoded as an independent job on this stream's pool
-    /// (on any worker — windowed shots ride the pool directly rather than a
-    /// [`ContextPool`] slot) and fused at the seams. Resident state is
-    /// bounded by the window size, so the stream may run for any number of
-    /// rounds; committed corrections flow out of the feeder incrementally
-    /// and the session's counters fold into [`Self::stats`] when it
-    /// finishes. See [`crate::WindowedDecoder`] for the one-shot front-end.
-    ///
-    /// The window plan for `config` is built on first use and cached on the
-    /// decoder, so per-shot cost does not include view construction.
-    ///
-    /// A closed stream (the service shut down underneath this handle)
-    /// reports [`DecodeError::StreamClosed`].
-    pub fn begin_windowed_shot(
-        &self,
-        config: crate::WindowConfig,
-        expected: ObservableMask,
-    ) -> Result<crate::WindowedFeeder, DecodeError> {
-        if self.shared.lock().closed {
-            return Err(DecodeError::StreamClosed);
-        }
-        let plan = {
-            let mut plans = self
-                .windowed_plans
-                .lock()
-                .expect("windowed plan cache mutex poisoned");
-            match plans.iter().find(|(c, _)| *c == config) {
-                Some((_, plan)) => Arc::clone(plan),
-                None => {
-                    let plan = Arc::new(crate::WindowPlan::new(Arc::clone(&self.graph), config));
-                    plans.push((config, Arc::clone(&plan)));
-                    plan
-                }
-            }
-        };
-        Ok(crate::WindowedFeeder::new(
-            self.spec.clone(),
-            Arc::clone(&self.graph),
-            plan,
-            self.pool.clone(),
-            expected,
-            Some(Arc::clone(&self.shared.windowed)),
-        ))
-    }
-
     /// Round feeders currently open (shots begun but not finished).
     pub fn open_feeders(&self) -> usize {
         self.shared.lock().contexts.unfinished
@@ -1980,11 +1909,6 @@ impl StreamDecoder {
     /// round-fed — the occupancy of the stream's [`ContextPool`].
     pub fn open_contexts(&self) -> usize {
         self.shared.lock().contexts.live
-    }
-
-    /// Context-bank restores performed by the serving workers so far.
-    pub fn bank_switches(&self) -> u64 {
-        self.shared.bank_switches.load(Ordering::Relaxed)
     }
 
     /// Submissions waiting in the queue, not yet claimed by a worker. The
@@ -2013,16 +1937,6 @@ impl StreamDecoder {
     /// The decoding graph.
     pub fn graph(&self) -> &Arc<DecodingGraph> {
         &self.graph
-    }
-
-    /// Shots submitted so far.
-    pub fn submitted(&self) -> u64 {
-        self.shared.submitted.load(Ordering::Relaxed)
-    }
-
-    /// Shots decoded so far.
-    pub fn decoded(&self) -> u64 {
-        self.shared.decoded.load(Ordering::Relaxed)
     }
 
     /// A snapshot of the aggregate counters [`Self::close`] returns, without
@@ -2389,8 +2303,9 @@ mod tests {
         ));
         let stats = stream.close();
         assert_eq!(stats.worker_panics, 1);
-        assert_eq!(pool.worker_panics(), 1);
-        assert!(pool.worker_respawns() >= 1);
+        let pool_stats = pool.stats();
+        assert_eq!(pool_stats.worker_panics, 1);
+        assert!(pool_stats.worker_respawns >= 1);
         // the pool worker survives (with a fresh backend) for future jobs
         let pipeline = ShardedPipeline::new(BackendSpec::union_find(), graph).with_pool(pool);
         assert_eq!(pipeline.run_sampled(5, 1).len(), 5);
@@ -2903,11 +2818,12 @@ mod tests {
             let p99_us = stats.finish_p99_us.expect("round-fed shots completed");
             assert!(p99_us < 2_000_000.0, "{name}: finish p99 {p99_us:.0} us");
             // every stream shot is an accelerator shot in the pool's counters
-            assert_eq!(pool.accel_shots(), stats.decoded, "{name}");
+            let accel = pool.stats().accel;
+            assert_eq!(accel.accel_shots, stats.decoded, "{name}");
             if banked {
                 assert!(stats.bank_switches > 0, "interleaving must bank-switch");
             } else {
-                assert!(pool.accel_fast_path_rate().unwrap() > 0.0);
+                assert!(accel.fast_path_rate().unwrap() > 0.0);
             }
         }
     }
@@ -2928,7 +2844,7 @@ mod tests {
             let mut feeder = stream.begin_shot(0).unwrap();
             feeder.push_round(&[defect]).unwrap();
             drop(feeder); // mid-stream drop completes the shot
-            while stream.decoded() < i + 1 {
+            while stream.stats().decoded < i + 1 {
                 std::thread::yield_now();
             }
         }
@@ -2937,46 +2853,5 @@ mod tests {
         // sequential feeders recycled one slot instead of growing the pool:
         // a dropped feeder frees its context (and bank id) for reuse
         assert_eq!(stats.contexts_peak, 1);
-    }
-
-    #[test]
-    fn windowed_shots_fold_into_stream_stats() {
-        let graph = Arc::new(PhenomenologicalCode::rotated(3, 9, 0.04).decoding_graph());
-        let pool = Arc::new(DecodePool::new(2));
-        let stream = StreamDecoder::builder(BackendSpec::micro_full(Some(3)), Arc::clone(&graph))
-            .workers(1)
-            .pool(Arc::clone(&pool))
-            .start();
-        let shots = sample_shots(&graph, 4, 11);
-        let reference: Vec<u64> = {
-            let decoder = crate::WindowedDecoder::new(
-                BackendSpec::micro_full(Some(3)),
-                Arc::clone(&graph),
-                crate::WindowConfig::new(3, 1),
-            )
-            .with_pool(Arc::clone(&pool));
-            shots
-                .iter()
-                .map(|shot| decoder.decode_shot(shot).observable)
-                .collect()
-        };
-        for (shot, &expected_obs) in shots.iter().zip(&reference) {
-            let mut feeder = stream
-                .begin_windowed_shot(crate::WindowConfig::new(3, 1), shot.observable)
-                .unwrap();
-            for round in shot.syndrome.split_by_layer(&graph) {
-                feeder.push_round(&round);
-            }
-            let outcome = feeder.finish();
-            assert_eq!(outcome.rounds, 9);
-            // a stream-opened windowed session matches the one-shot front-end
-            assert_eq!(outcome.observable, expected_obs);
-        }
-        let stats = stream.close();
-        // 3 windows per shot × 4 shots, folded in at each session's finish
-        assert_eq!(stats.windows_decoded, 12);
-        assert!(stats.max_resident_rounds <= 5); // commit + 2·overlap
-                                                 // windowed sessions ride the pool directly, not the stream queue
-        assert_eq!(stats.submitted, 0);
     }
 }

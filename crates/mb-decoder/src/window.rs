@@ -59,7 +59,6 @@ use mb_graph::syndrome::Shot;
 use mb_graph::window::{SeamSide, WindowView};
 use mb_graph::{DecodingGraph, ObservableMask, SyndromePattern, VertexIndex};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// How a round stream is split into windows.
@@ -114,8 +113,7 @@ struct PlanWindow {
 /// graph `Arc` — and therefore one cached backend per pool worker.
 ///
 /// Plans are immutable and shareable; build one per `(graph, config)` and
-/// reuse it across shots (the [`WindowedDecoder`] and
-/// [`crate::StreamDecoder::begin_windowed_shot`] do this for you).
+/// reuse it across shots (a [`WindowedDecoder`] does this for you).
 #[derive(Debug)]
 pub struct WindowPlan {
     graph: Arc<DecodingGraph>,
@@ -199,25 +197,6 @@ fn canonicalize(canonical: &mut Vec<Arc<DecodingGraph>>, view: &mut WindowView) 
     }
     if canonical.len() < CANONICAL_GRAPH_CAP {
         canonical.push(Arc::clone(view.graph()));
-    }
-}
-
-/// Windowed-session counters a [`crate::StreamDecoder`] aggregates across
-/// its windowed shots (surfaced in [`crate::StreamStats`]).
-#[derive(Debug, Default)]
-pub(crate) struct WindowCounters {
-    pub(crate) windows_decoded: AtomicU64,
-    pub(crate) seam_redecodes: AtomicU64,
-    pub(crate) max_resident_rounds: AtomicU64,
-}
-
-impl WindowCounters {
-    /// Folds one finished (or abandoned) windowed shot's counters in.
-    fn fold(&self, windows: u64, seams: u64, resident: u64) {
-        self.windows_decoded.fetch_add(windows, Ordering::Relaxed);
-        self.seam_redecodes.fetch_add(seams, Ordering::Relaxed);
-        self.max_resident_rounds
-            .fetch_max(resident, Ordering::Relaxed);
     }
 }
 
@@ -362,7 +341,6 @@ impl WindowedDecoder {
             Arc::clone(&self.plan),
             self.pool.clone(),
             expected,
-            None,
         )
     }
 
@@ -381,8 +359,7 @@ impl WindowedDecoder {
 
 /// Incremental round-by-round submission of one windowed shot.
 ///
-/// Created by [`WindowedDecoder::begin_shot`] or
-/// [`crate::StreamDecoder::begin_windowed_shot`]. Push each measurement
+/// Created by [`WindowedDecoder::begin_shot`]. Push each measurement
 /// round as it arrives; a round is staged into every window whose view
 /// covers it, and whenever a window's view fills (its commit region plus
 /// trailing context) the window is handed to the pool and its staged
@@ -402,9 +379,6 @@ pub struct WindowedFeeder {
     plan: Arc<WindowPlan>,
     pool: Option<Arc<DecodePool>>,
     expected: ObservableMask,
-    /// Stream-level counter sink, when the session was opened through a
-    /// [`crate::StreamDecoder`].
-    sink: Option<Arc<WindowCounters>>,
     /// Rounds received so far (== the next round's layer index).
     next_round: usize,
     /// Windows currently staging rounds (each in-flight round lands in
@@ -452,7 +426,6 @@ impl WindowedFeeder {
         plan: Arc<WindowPlan>,
         pool: Option<Arc<DecodePool>>,
         expected: ObservableMask,
-        sink: Option<Arc<WindowCounters>>,
     ) -> Self {
         let max_pending = match &pool {
             Some(pool) => pool.workers(),
@@ -466,7 +439,6 @@ impl WindowedFeeder {
             plan,
             pool,
             expected,
-            sink,
             next_round: 0,
             staged: VecDeque::new(),
             next_staged: 0,
@@ -830,9 +802,8 @@ impl WindowedFeeder {
         self.breakdown.cpu_obstacles += b.cpu_obstacles;
     }
 
-    /// Pads the stream to the graph's layer count, fuses everything still
-    /// pending, and folds the session counters into the pool and stream
-    /// sinks. Idempotent.
+    /// Pads the stream to the graph's layer count and fuses everything still
+    /// pending. Idempotent.
     fn run_to_end(&mut self) {
         if self.finished {
             return;
@@ -851,19 +822,7 @@ impl WindowedFeeder {
             self.carry.is_empty(),
             "the last window has no upper seam to defer to"
         );
-        self.fold_counters();
         self.finished = true;
-    }
-
-    fn fold_counters(&mut self) {
-        self.pool().note_seam_redecodes(self.seam_redecodes);
-        if let Some(sink) = &self.sink {
-            sink.fold(
-                self.windows_decoded,
-                self.seam_redecodes,
-                self.max_resident_rounds as u64,
-            );
-        }
     }
 }
 
@@ -885,8 +844,6 @@ impl Drop for WindowedFeeder {
                 let _ = pool.wait_job(&job);
             }
         }
-        self.fold_counters();
-        self.finished = true;
     }
 }
 
@@ -975,7 +932,7 @@ mod tests {
         // commit + 2·overlap
         assert!(outcome.max_resident_rounds <= 5);
         // empty windows never touch the pool
-        assert_eq!(pool.windows_decoded(), 0);
+        assert_eq!(pool.stats().window_jobs, 0);
     }
 
     #[test]

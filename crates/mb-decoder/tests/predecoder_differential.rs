@@ -181,9 +181,10 @@ fn pools_of_1_2_8_workers_agree_between_on_and_off_specs() {
             None => reference = Some(projection),
             Some(want) => assert_eq!(&projection, want, "workers={workers}"),
         }
-        assert_eq!(pool.accel_shots(), 240, "both specs are accel-backed");
+        let accel = pool.stats().accel;
+        assert_eq!(accel.accel_shots, 240, "both specs are accel-backed");
         assert!(
-            pool.accel_fast_path_rate().unwrap() > 0.0,
+            accel.fast_path_rate().unwrap() > 0.0,
             "the on-spec shots should hit the fast path"
         );
     }

@@ -57,7 +57,10 @@ impl GraphDescription {
     /// # Errors
     ///
     /// Returns an error when the description is internally inconsistent
-    /// (mismatching lengths or out-of-range indices).
+    /// (mismatching lengths or out-of-range indices) or names an edge the
+    /// graph builder refuses: a self-loop, a negative weight, an odd weight
+    /// that overflows when rounded up to even, or an edge joining two
+    /// virtual vertices.
     pub fn to_graph(&self) -> Result<DecodingGraph, String> {
         if self.positions.len() != self.vertex_num {
             return Err("positions length does not match vertex_num".into());
@@ -81,6 +84,18 @@ impl GraphDescription {
         for (k, &(u, v, w)) in self.weighted_edges.iter().enumerate() {
             if u >= self.vertex_num || v >= self.vertex_num {
                 return Err(format!("edge {k} references missing vertex"));
+            }
+            if u == v {
+                return Err(format!("edge {k} is a self-loop"));
+            }
+            if w < 0 {
+                return Err(format!("edge {k} has negative weight"));
+            }
+            if w.checked_add(w % 2).is_none() {
+                return Err(format!("edge {k} weight {w} cannot be rounded up to even"));
+            }
+            if virtual_set.contains(&u) && virtual_set.contains(&v) {
+                return Err(format!("edge {k} connects two virtual vertices"));
             }
             builder.add_edge(
                 u,
@@ -306,5 +321,29 @@ mod tests {
         desc2.error_probabilities.push(0.1);
         desc2.observable_masks.push(0);
         assert!(desc2.to_graph().is_err());
+
+        // one-edge descriptions the graph builder would panic on (or, for
+        // two virtual endpoints, silently accept in a release build)
+        let one_edge = |virtuals: &str, edge: &str| {
+            format!(
+                "{{\"vertex_num\": 2, \"virtual_vertices\": [{virtuals}], \
+                 \"positions\": [[0, 0, 0], [0, 0, 1]], \"weighted_edges\": [{edge}], \
+                 \"error_probabilities\": [0.1], \"observable_masks\": [0]}}"
+            )
+        };
+        let max = i64::MAX;
+        assert!(GraphDescription::from_json(&one_edge("1", "[0, 1, 2]"))
+            .unwrap()
+            .to_graph()
+            .is_ok());
+        for (virtuals, edge) in [
+            ("1", "[0, 0, 2]".to_string()),
+            ("1", "[0, 1, -2]".to_string()),
+            ("0, 1", "[0, 1, 2]".to_string()),
+            ("1", format!("[0, 1, {max}]")),
+        ] {
+            let desc = GraphDescription::from_json(&one_edge(virtuals, &edge)).unwrap();
+            assert!(desc.to_graph().is_err(), "{virtuals} / {edge}");
+        }
     }
 }

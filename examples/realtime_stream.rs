@@ -4,9 +4,11 @@
 //! round), while a consumer thread receives the outcomes and prints running
 //! logical-error and submit-to-result latency estimates.
 //!
-//! The decoding workers fold every round into their running solution on
-//! arrival (round-wise fusion, §6), so only the post-last-round work sits
-//! between the final measurement and the feedforward signal.
+//! The stream decoder here has its LUT pre-decoder armed, so it does not
+//! switch contexts: the workers buffer each shot's rounds and decode the
+//! assembled syndrome once the last round arrives (a decoder without the
+//! LUT would fold each round in on arrival instead, round-wise fusion,
+//! §6). Either way the outcome is the batch decode's, bit for bit.
 //!
 //! Run with: `cargo run -r --example realtime_stream`
 
@@ -90,8 +92,8 @@ fn main() {
 
     let stats = stream.close();
     println!(
-        "\ndone: {} shots submitted, {} decoded; every round was folded into the \
-         running solution on arrival.",
+        "\ndone: {} shots submitted, {} decoded; each shot's rounds were buffered \
+         and decoded once its last round arrived.",
         stats.submitted, stats.decoded
     );
 }

@@ -217,7 +217,7 @@ fn windowed_ingestion_allocations_stabilize_under_defect_load() {
             .filter(|&k| (k * COMMIT + COMMIT + 1).min(ROUNDS) <= t + 1)
             .count() as u64;
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while pool.windows_decoded() < submitted && std::time::Instant::now() < deadline {
+        while pool.stats().window_jobs < submitted && std::time::Instant::now() < deadline {
             std::thread::yield_now();
         }
     }

@@ -86,12 +86,12 @@ fn pool_capacity_recovers_after_a_panic_storm() {
     }
     // the one worker decodes all 120 shots, so every scheduled panic fires
     assert_eq!(failed, panics);
-    assert_eq!(pool.worker_panics(), panics as u64);
-    assert!(pool.worker_respawns() >= panics as u64);
+    assert_eq!(pool.stats().worker_panics, panics as u64);
+    assert!(pool.stats().worker_respawns >= panics as u64);
     // capacity self-healed: the plan's panics are spent, everything decodes
     let again = pipeline.try_run_sampled(shots, 7);
     assert!(again.iter().all(Result::is_ok));
-    assert_eq!(pool.worker_panics(), panics as u64);
+    assert_eq!(pool.stats().worker_panics, panics as u64);
 }
 
 #[test]
@@ -144,7 +144,7 @@ fn stream_panic_storm_spares_unaffected_shots() {
         );
         // every panic respawned a backend; the pool serves the next job at
         // full capacity
-        assert!(pool.worker_respawns() >= failed);
+        assert!(pool.stats().worker_respawns >= failed);
         let pipeline = ShardedPipeline::new(BackendSpec::union_find(), Arc::clone(&graph))
             .with_pool(pool)
             .with_shards(workers);
@@ -322,7 +322,10 @@ fn panic_storm_with_mixed_deadlines_fails_typed_and_self_heals() {
     assert_eq!(stats.decoded + failed, shots, "every ticket resolved");
     assert_eq!(stats.worker_panics, failed, "panics fail typed, never hang");
     assert!((1..=2).contains(&failed), "the storm fired {failed} panics");
-    assert!(pool.worker_respawns() >= failed, "capacity self-heals");
+    assert!(
+        pool.stats().worker_respawns >= failed,
+        "capacity self-heals"
+    );
     assert!(
         stats.degraded_shots >= shots / 2 - failed,
         "expired shots degrade"

@@ -10,7 +10,9 @@
 //!   yields a typed [`CorpusError`] — never a panic, never a silently
 //!   wrong corpus. Seeded mutations of the golden fixture, re-sealed with a
 //!   fresh checksum so they reach the parser, decode `Ok` or fail typed
-//!   too, under an allocator that fails any allocation over 64 MiB.
+//!   too, under an allocator that fails any allocation over 64 MiB. So do
+//!   seeded mutations of a graph's JSON description, through the JSON
+//!   parser and through `GraphDescription::from_json` and `to_graph`.
 //! * **Differential replay**: one corpus replays bit-identically across
 //!   3 backends × 1/2/8-worker pools × batch/stream/windowed ingestion,
 //!   and the batch replay equals the original in-process sampled run at
@@ -33,8 +35,10 @@ use mb_decoder::{
     BackendSpec, DecodeOutcome, MicroBlossomConfig, ShotOutcome, Stage, WindowConfig,
 };
 use mb_graph::circuit::{CircuitLevelCode, MechanismTilt};
+use mb_graph::codes::CodeCapacityRotatedCode;
 use mb_graph::corpus::{graph_fingerprint, CorpusError, CorpusWriter, TraceCorpus};
-use mb_graph::DecodingGraph;
+use mb_graph::export::GraphDescription;
+use mb_graph::{json, DecodingGraph};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -237,6 +241,38 @@ fn resealed_mutations_of_the_golden_corpus_fail_typed() {
     assert!(
         accepted > 0 && corrupt > 0,
         "{accepted} ok, {corrupt} corrupt"
+    );
+}
+
+#[test]
+fn seeded_mutations_of_graph_json_fail_typed() {
+    // JSON text from outside the process reaches the parser, the schema
+    // reader and the graph builder; whatever survives them must be a valid
+    // graph, and nothing may panic or allocate past the cap
+    let graph = CodeCapacityRotatedCode::new(3, 0.01).decoding_graph();
+    let text = GraphDescription::from_graph(&graph).to_json().unwrap();
+    let mut state = 0x0150_0150;
+    let (mut parsed, mut described, mut built) = (0usize, 0usize, 0usize);
+    for case in 0..10_000 {
+        let mut damaged = text.clone().into_bytes();
+        for _ in 0..1 + splitmix64(&mut state) % 3 {
+            mutate(&mut damaged, &mut state);
+        }
+        let damaged = String::from_utf8_lossy(&damaged);
+        parsed += json::parse(&damaged).is_ok() as usize;
+        let Ok(description) = GraphDescription::from_json(&damaged) else {
+            continue;
+        };
+        described += 1;
+        if let Ok(graph) = description.to_graph() {
+            built += 1;
+            assert_eq!(graph.validate(), Ok(()), "case {case}");
+        }
+    }
+    // the loop reached past the parser and the schema reader
+    assert!(
+        built > 0 && described > built && parsed > described,
+        "{parsed} parsed, {described} described, {built} built"
     );
 }
 

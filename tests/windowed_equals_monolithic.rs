@@ -216,11 +216,11 @@ fn empty_windows_skip_the_pool_and_commit_nothing() {
             feeder.push_round(&[]);
         }
     }
-    let windows_before = pool.windows_decoded();
+    let windows_before = pool.stats().window_jobs;
     let outcome = feeder.finish();
     assert_eq!(outcome.windows_decoded as usize, ROUNDS.div_ceil(COMMIT));
     // only the one non-empty window (plus any seam re-decode) hit the pool
-    let window_jobs = pool.windows_decoded() - windows_before;
+    let window_jobs = pool.stats().window_jobs - windows_before;
     assert!(
         (1..=2).contains(&window_jobs),
         "expected 1 window job (+ optional seam), got {window_jobs}"
@@ -259,33 +259,40 @@ fn dropping_a_windowed_stream_feeder_mid_window_leaks_nothing() {
         .workers(1)
         .pool(Arc::clone(&pool))
         .start();
+    // windowed sessions on the pool of the live stream, next to the worker
+    // it pins
+    let decoder = WindowedDecoder::new(
+        BackendSpec::micro_full(Some(3)),
+        Arc::clone(&graph),
+        WindowConfig::new(COMMIT, OVERLAP),
+    )
+    .with_pool(Arc::clone(&pool));
     let shots = sample_shots(&graph, 3, 4000);
+    let mut abandoned_jobs = 0;
     for shot in &shots {
-        let mut feeder = stream
-            .begin_windowed_shot(WindowConfig::new(COMMIT, OVERLAP), 0)
-            .unwrap();
+        let mut feeder = decoder.begin_shot(0);
         let rounds = shot.syndrome.split_by_layer(&graph);
-        for round in rounds.iter().take(COMMIT + 1) {
+        // the last pushed round completes window 0's view, which becomes a
+        // pool job unless it is defect-free
+        for round in rounds.iter().take(COMMIT + OVERLAP) {
             feeder.push_round(round);
         }
+        abandoned_jobs += rounds[..COMMIT + OVERLAP].iter().any(|r| !r.is_empty()) as u64;
         drop(feeder); // mid-window: in-flight jobs awaited, state released
     }
+    // abandoned sessions' window jobs were awaited and counted before the
+    // drops returned
+    assert_eq!(pool.stats().window_jobs, abandoned_jobs);
     // the pool and stream still work: a full windowed shot and a plain
     // streamed shot both complete after the drops
     let shot = &shots[0];
-    let mut feeder = stream
-        .begin_windowed_shot(WindowConfig::new(COMMIT, OVERLAP), shot.observable)
-        .unwrap();
-    for round in shot.syndrome.split_by_layer(&graph) {
-        feeder.push_round(&round);
-    }
-    let outcome = feeder.finish();
+    let outcome = decoder.decode_shot(shot);
     assert_eq!(outcome.rounds, ROUNDS);
+    assert!(outcome.windows_decoded >= 3);
     let ticket = stream.submit(shot.clone()).unwrap();
     let decoded = ticket.recv().unwrap();
     assert_eq!(decoded.shot_index, 0);
     let stats = stream.close();
-    // abandoned sessions folded their counters in before releasing
-    assert!(stats.windows_decoded >= 3);
+    // windowed sessions ride the pool directly, not the stream queue
     assert_eq!(stats.submitted, 1);
 }
