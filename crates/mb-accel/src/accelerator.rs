@@ -296,10 +296,12 @@ struct ActivePu {
     speed: i8,
 }
 
-/// Round-wise fusion state (§6). Layers always load in order — the
-/// driver's `load_round`, the batch loop and a context restore all load a
-/// prefix — so the loaded layers are `0..loaded`, and `b_v` is one compare
-/// of the vertex's fusion key against `loaded`.
+/// Round-wise fusion state (§6). Layers always load in order: the one
+/// loader is the driver's `load_round`, which the shared
+/// [`crate::AcceleratedSolver`] calls for batch and stream decodes alike,
+/// and a context restore reinstalls a loaded prefix. So the loaded layers
+/// are `0..loaded`, and `b_v` is one compare of the vertex's fusion key
+/// against `loaded`.
 #[derive(Debug, Clone, Copy)]
 struct Fusion {
     /// Layers `0..loaded` are loaded.

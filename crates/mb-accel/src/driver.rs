@@ -46,7 +46,8 @@ pub enum PollEvent {
     /// A fully translated obstacle ready for the primal module.
     Obstacle(Obstacle),
     /// A hardware conflict that involves nodes the CPU has not materialized
-    /// yet; the solver must materialize them and retry the translation.
+    /// yet; [`crate::AcceleratedSolver`] materializes them and retries the
+    /// translation.
     UnknownNodes(HwResponse),
 }
 
@@ -136,11 +137,6 @@ impl AcceleratedDual {
         &self.accel
     }
 
-    /// Mutable access to the accelerator (syndrome staging by the solver).
-    pub fn accelerator_mut(&mut self) -> &mut MicroBlossomAccelerator {
-        &mut self.accel
-    }
-
     /// Sorted, deduplicated defect list of the loaded shot — the LUT
     /// pre-decoder's canonical input; forwards to
     /// [`MicroBlossomAccelerator::predecode_defects_into`].
@@ -165,26 +161,18 @@ impl AcceleratedDual {
         self.nodes[node].parent.is_none()
     }
 
-    /// Stages and loads one layer of syndrome data (round-wise fusion §6.2);
-    /// for batch decoding the solver calls this for every layer up front.
-    pub fn load_layer(&mut self, layer: usize, defects: &[VertexIndex]) {
+    /// Stages and loads `defects` as the next measurement round (round-wise
+    /// fusion §6.2) and returns the layer index it was loaded at. Layers
+    /// load in order, so the driver tracks the index itself: a batch decode
+    /// loads every round up front, a stream decode one round at a time, and
+    /// both leave bit-identical state.
+    pub fn load_round(&mut self, defects: &[VertexIndex]) -> usize {
+        let layer = self.rounds_loaded;
         self.accel.stage_syndrome(layer, defects);
         self.write(Instruction::LoadDefects {
             layer: layer as u32,
         });
-        self.rounds_loaded = self.rounds_loaded.max(layer + 1);
-    }
-
-    /// Round-wise syndrome ingestion for streaming front-ends: loads
-    /// `defects` as the next measurement round (the driver tracks the round
-    /// index itself) and returns the layer index it was loaded at.
-    ///
-    /// Identical to calling [`Self::load_layer`] with sequential indices, so
-    /// a streamed shot fed round by round produces bit-identical state to a
-    /// batch load of the same syndrome.
-    pub fn load_round(&mut self, defects: &[VertexIndex]) -> usize {
-        let layer = self.rounds_loaded;
-        self.load_layer(layer, defects);
+        self.rounds_loaded = layer + 1;
         layer
     }
 
@@ -226,16 +214,6 @@ impl AcceleratedDual {
         self.io = ctx.io.clone();
     }
 
-    /// Whether the primal module already knows about this hardware node.
-    pub fn knows_hw_node(&self, hw: HwNodeId) -> bool {
-        self.node_of_hw.contains_key(&hw)
-    }
-
-    /// The primal node of a hardware node id.
-    pub fn node_of_hw(&self, hw: HwNodeId) -> Option<NodeIndex> {
-        self.node_of_hw.get(&hw).copied()
-    }
-
     /// Pre-match partner of a defect vertex, if the hardware currently holds
     /// one (a register read).
     pub fn prematch_partner_of(&mut self, vertex: VertexIndex) -> Option<PrematchPartner> {
@@ -243,18 +221,13 @@ impl AcceleratedDual {
         self.accel.prematch_partner_of(vertex)
     }
 
-    /// Defect vertices involved in a hardware response that the CPU has not
-    /// materialized yet.
-    pub fn unknown_vertices(&self, response: &HwResponse) -> Vec<VertexIndex> {
-        let mut unknown = Vec::new();
-        self.unknown_vertices_into(response, &mut unknown);
-        unknown
-    }
-
-    /// Appends the not-yet-materialized defect vertices of `response` to
-    /// `unknown` without allocating; the hot-path variant of
-    /// [`Self::unknown_vertices`] for callers with a reusable buffer.
-    pub fn unknown_vertices_into(&self, response: &HwResponse, unknown: &mut Vec<VertexIndex>) {
+    /// Appends the defect vertices of `response` that the CPU has not
+    /// materialized yet to `unknown` (a caller-owned reusable buffer).
+    pub(crate) fn unknown_vertices_into(
+        &self,
+        response: &HwResponse,
+        unknown: &mut Vec<VertexIndex>,
+    ) {
         let mut check = |hw: HwNodeId, touch: VertexIndex| {
             if !self.node_of_hw.contains_key(&hw) {
                 debug_assert!(
@@ -500,7 +473,7 @@ impl DualModule for AcceleratedDual {
             PollEvent::Obstacle(obstacle) => DualReport::Obstacle(obstacle),
             PollEvent::UnknownNodes(_) => panic!(
                 "conflict involves un-materialized nodes; drive this module through \
-                 the MicroBlossom solver loop (mb-decoder) when pre-matching is enabled"
+                 `AcceleratedSolver` when pre-matching is enabled"
             ),
         }
     }
@@ -557,8 +530,8 @@ mod tests {
     fn load_everything(driver: &mut AcceleratedDual, syndrome: &SyndromePattern) {
         let graph = Arc::clone(driver.accelerator().graph());
         let layers = syndrome.split_by_layer(&graph);
-        for (layer, defects) in layers.iter().enumerate() {
-            driver.load_layer(layer, defects);
+        for defects in &layers {
+            driver.load_round(defects);
         }
     }
 
@@ -641,7 +614,7 @@ mod tests {
         let graph = Arc::new(CodeCapacityRepetitionCode::new(9, 0.1).decoding_graph());
         let accel = MicroBlossomAccelerator::new(Arc::clone(&graph), AcceleratorConfig::default());
         let mut driver = AcceleratedDual::new(accel);
-        driver.load_layer(0, &[3, 4]);
+        driver.load_round(&[3, 4]);
         loop {
             match driver.poll() {
                 PollEvent::GrowLength(length) => driver.grow(length),
@@ -671,9 +644,7 @@ mod tests {
         assert_eq!(driver.rounds_loaded(), 2);
         driver.reset();
         assert_eq!(driver.rounds_loaded(), 0);
-        // explicit load_layer keeps the implicit index consistent
-        driver.load_layer(0, &[d0]);
-        assert_eq!(driver.load_round(&[d1]), 1);
+        assert_eq!(driver.load_round(&[d0]), 0);
     }
 
     #[test]
@@ -727,13 +698,13 @@ mod tests {
     fn reset_restores_a_clean_driver() {
         let graph = Arc::new(CodeCapacityRepetitionCode::new(7, 0.1).decoding_graph());
         let mut driver = driver_without_prematch(&graph);
-        driver.load_layer(0, &[2, 3]);
+        driver.load_round(&[2, 3]);
         let mut primal = PrimalModule::new();
         primal.run(&SyndromePattern::new(vec![2, 3]), &mut driver);
         driver.reset();
         assert_eq!(driver.dual_objective(), 0);
         // decode a different syndrome after the reset
-        driver.load_layer(0, &[5]);
+        driver.load_round(&[5]);
         let mut primal = PrimalModule::new();
         let matching = primal.run(&SyndromePattern::new(vec![5]), &mut driver);
         assert_eq!(matching.defect_count(), 1);

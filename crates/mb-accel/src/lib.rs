@@ -15,33 +15,31 @@
 //!   `|V| + |E|`;
 //! * [`driver`] — the host-side driver implementing
 //!   [`mb_blossom::DualModule`] so the unmodified primal module can drive
-//!   the hardware, plus the lazy node materialization that makes
-//!   pre-matching possible;
+//!   the hardware, with the CPU-side `y_S` tracking and bus counters;
+//! * [`solver`] — the accelerated solve loop: the CPU primal module
+//!   driving the hardware, with the lazy materialization of pre-matched
+//!   defects, a convergence guard and a coarse deadline check;
 //! * [`predecoder`] — the LUT pre-decoder fast path: isolated defect
 //!   clusters are resolved from a precomputed local match table (pLUTo-style
-//!   lookup parallelism) and only hard shots escalate to the dual phase;
+//!   lookup parallelism) and only hard shots escalate to the dual phase.
+//!   Every table entry is decoded by the same [`solver`] loop;
 //! * [`resource`] — the resource and clock model reproducing Table 4;
 //! * [`timing`] — conversion from cycle/bus counters to wall-clock latency.
 //!
 //! # Example
 //!
 //! ```
-//! use mb_accel::{AcceleratedDual, AcceleratorConfig, MicroBlossomAccelerator};
-//! use mb_blossom::PrimalModule;
+//! use mb_accel::{AcceleratedSolver, AcceleratorConfig};
 //! use mb_graph::codes::CodeCapacityRepetitionCode;
-//! use mb_graph::SyndromePattern;
 //! use std::sync::Arc;
 //!
 //! let graph = Arc::new(CodeCapacityRepetitionCode::new(7, 0.01).decoding_graph());
-//! let accel = MicroBlossomAccelerator::new(Arc::clone(&graph), AcceleratorConfig {
-//!     prematch_enabled: false,
-//!     ..AcceleratorConfig::default()
-//! });
-//! let mut driver = AcceleratedDual::new(accel);
-//! driver.load_layer(0, &[2, 3]);
-//! let mut primal = PrimalModule::new();
-//! let matching = primal.run(&SyndromePattern::new(vec![2, 3]), &mut driver);
-//! assert_eq!(matching.pairs, vec![(2, 3)]);
+//! let mut solver = AcceleratedSolver::new(graph, AcceleratorConfig::default());
+//! solver.load_round(&[2, 3]);
+//! assert!(solver.drive(None));
+//! // the hardware pre-matched the isolated pair; the CPU never saw it
+//! assert_eq!(solver.matching().pairs, vec![(2, 3)]);
+//! assert_eq!(solver.driver().io.materialized_nodes, 0);
 //! ```
 
 pub mod accelerator;
@@ -49,6 +47,7 @@ pub mod driver;
 pub mod instruction;
 pub mod predecoder;
 pub mod resource;
+pub mod solver;
 pub mod timing;
 
 pub use accelerator::{
@@ -59,4 +58,5 @@ pub use driver::{AcceleratedDual, DualContext, IoStats, PollEvent};
 pub use instruction::{HwDirection, HwNodeId, Instruction};
 pub use predecoder::{PreDecoder, PredecoderConfig};
 pub use resource::{estimate_resources, ResourceEstimate};
+pub use solver::{AcceleratedSolver, SolverContext};
 pub use timing::TimingModel;

@@ -27,11 +27,11 @@
 //!
 //! To preserve even *degenerate* optimum selection (equal-weight matchings
 //! with different corrections), table entries are not produced by a generic
-//! matcher: they are decoded by the real accelerator + driver + primal
-//! machinery, with the caller's exact [`AcceleratorConfig`] and the same
-//! driving policy (round-wise streaming or batch) the owning decoder uses.
-//! The table entry for a cluster is therefore bit-identical to what the
-//! escalated path would produce for it.
+//! matcher: each is decoded by the same [`AcceleratedSolver`] loop the
+//! owning decoder escalates to, with the caller's exact
+//! [`AcceleratorConfig`] and the same driving policy (round-wise streaming
+//! or batch). The table entry for a cluster is therefore bit-identical to
+//! what the escalated path would produce for it.
 //!
 //! Candidates that can never be stored are not decoded at all. Each defect
 //! `x` of a valid matching is matched either to the boundary, on a path of
@@ -58,9 +58,9 @@
 //! trades fast-path coverage for memory and build time, never for
 //! correctness.
 
-use crate::accelerator::{AcceleratorConfig, MicroBlossomAccelerator, PrematchPartner};
-use crate::driver::{AcceleratedDual, PollEvent};
-use mb_blossom::{DualModule, PerfectMatching, PrimalModule};
+use crate::accelerator::AcceleratorConfig;
+use crate::solver::AcceleratedSolver;
+use mb_blossom::PerfectMatching;
 use mb_graph::dijkstra::boundary_distances;
 use mb_graph::{DecodingGraph, SyndromePattern, VertexIndex, Weight};
 use std::cmp::Reverse;
@@ -180,7 +180,7 @@ impl PreDecoder {
             .into_iter()
             .map(|d| d.unwrap_or(Weight::MAX))
             .collect();
-        let mut builder = EntryBuilder::new(&graph, accel_config, stream_driving);
+        let mut solver = AcceleratedSolver::new(Arc::clone(&graph), accel_config.clone());
         let (mut reached, mut distances, mut cluster) = (Vec::new(), Vec::new(), Vec::new());
         for anchor in 0..n {
             if graph.is_virtual(anchor) {
@@ -224,7 +224,7 @@ impl PreDecoder {
                     }
                 }
                 cluster.sort_unstable();
-                let matching = builder.decode(&cluster);
+                let matching = decode_entry(&mut solver, &cluster, stream_driving);
                 if matching.weight(&graph) <= this.entry_cap {
                     this.table.insert((anchor, mask), matching);
                 }
@@ -271,10 +271,10 @@ impl PreDecoder {
     ///
     /// `defects` must be the shot's complete defect list, sorted and
     /// deduplicated (see
-    /// [`MicroBlossomAccelerator::predecode_defects_into`]); the result is
-    /// therefore invariant to the order rounds and defects were ingested
-    /// in. When every cluster is table-eligible the matched pairs and
-    /// boundary matches are appended to `matching` and the call returns
+    /// [`crate::MicroBlossomAccelerator::predecode_defects_into`]); the
+    /// result is therefore invariant to the order rounds and defects were
+    /// ingested in. When every cluster is table-eligible the matched pairs
+    /// and boundary matches are appended to `matching` and the call returns
     /// `true`; otherwise `matching` is left untouched and the shot must
     /// escalate to the unconditional dual phase. Classification is pairwise
     /// membership testing against precomputed linking balls —
@@ -528,108 +528,26 @@ fn for_each_subset(len: usize, max_bits: usize, mut f: impl FnMut(u64)) {
     recurse(len, max_bits, 0, 0, &mut f);
 }
 
-/// One reusable accelerator + driver + primal stack that decodes candidate
-/// clusters exactly the way the owning decoder would, including lazy node
-/// materialization and hardware pre-matching.
-struct EntryBuilder {
-    graph: Arc<DecodingGraph>,
-    driver: AcceleratedDual,
-    primal: PrimalModule,
-    stream_driving: bool,
-    unknown_scratch: Vec<VertexIndex>,
-}
-
-impl EntryBuilder {
-    fn new(graph: &Arc<DecodingGraph>, accel_config: &AcceleratorConfig, stream: bool) -> Self {
-        let accel = MicroBlossomAccelerator::new(Arc::clone(graph), accel_config.clone());
-        Self {
-            graph: Arc::clone(graph),
-            driver: AcceleratedDual::new(accel),
-            primal: PrimalModule::new(),
-            stream_driving: stream,
-            unknown_scratch: Vec::new(),
+/// Decodes one candidate cluster on its own, under the owning decoder's
+/// driving policy: a stream decoder drives after every round, a batch
+/// decoder once after loading them all.
+fn decode_entry(
+    solver: &mut AcceleratedSolver,
+    cluster: &[VertexIndex],
+    stream: bool,
+) -> PerfectMatching {
+    solver.reset();
+    let graph = solver.driver().accelerator().graph();
+    for defects in &SyndromePattern::new(cluster.to_vec()).split_by_layer(graph) {
+        solver.load_round(defects);
+        if stream {
+            solver.drive(None);
         }
     }
-
-    /// Decodes one candidate cluster with the target driving policy; this
-    /// mirrors the `MicroBlossomDecoder` solve loop instruction for
-    /// instruction so degenerate optima are selected identically.
-    fn decode(&mut self, defects: &[VertexIndex]) -> PerfectMatching {
-        self.driver.reset();
-        self.primal.clear();
-        let layers = SyndromePattern::new(defects.to_vec()).split_by_layer(&self.graph);
-        if self.stream_driving {
-            for defects in &layers {
-                self.driver.load_round(defects);
-                self.drive();
-            }
-        } else {
-            for (t, defects) in layers.iter().enumerate() {
-                self.driver.load_layer(t, defects);
-            }
-            self.drive();
-        }
-        let mut matching = self.primal.perfect_matching();
-        for &(vertex, partner) in self.driver.remaining_prematches() {
-            match partner {
-                PrematchPartner::Defect(other) => matching.pairs.push((vertex, other)),
-                PrematchPartner::Boundary(boundary) => matching.boundary.push((vertex, boundary)),
-            }
-        }
-        matching
+    if !stream {
+        solver.drive(None);
     }
-
-    fn drive(&mut self) {
-        if self.driver.accelerator().defect_count() == 0 {
-            return;
-        }
-        let guard = 1000 + 100 * self.graph.vertex_count() * self.graph.vertex_count();
-        let mut iterations = 0usize;
-        loop {
-            iterations += 1;
-            assert!(iterations <= guard, "pre-decoder table build diverged");
-            match self.driver.poll() {
-                PollEvent::Finished => break,
-                PollEvent::GrowLength(length) => self.driver.grow(length),
-                PollEvent::Obstacle(obstacle) => {
-                    self.primal.resolve(obstacle, &mut self.driver);
-                }
-                PollEvent::UnknownNodes(response) => {
-                    let mut unknown = std::mem::take(&mut self.unknown_scratch);
-                    unknown.clear();
-                    self.driver.unknown_vertices_into(&response, &mut unknown);
-                    for &vertex in &unknown {
-                        if self.primal.singleton_of(vertex).is_some() {
-                            continue;
-                        }
-                        match self.driver.prematch_partner_of(vertex) {
-                            Some(PrematchPartner::Defect(other)) => {
-                                self.primal
-                                    .load_prematched_pair(vertex, other, &mut self.driver);
-                            }
-                            Some(PrematchPartner::Boundary(boundary)) => {
-                                self.primal.load_prematched_boundary(
-                                    vertex,
-                                    boundary,
-                                    &mut self.driver,
-                                );
-                            }
-                            None => {
-                                self.primal.load_defect(vertex, &mut self.driver);
-                            }
-                        }
-                    }
-                    self.unknown_scratch = unknown;
-                    let obstacle = self
-                        .driver
-                        .translate(&response)
-                        .expect("all nodes were just materialized");
-                    self.primal.resolve(obstacle, &mut self.driver);
-                }
-            }
-        }
-        assert!(self.primal.is_solved(), "table build left CPU trees");
-    }
+    solver.matching()
 }
 
 #[cfg(test)]
@@ -779,7 +697,7 @@ mod tests {
             .into_iter()
             .map(|d| d.unwrap_or(Weight::MAX))
             .collect();
-        let mut builder = EntryBuilder::new(graph, config, stream);
+        let mut solver = AcceleratedSolver::new(Arc::clone(graph), config.clone());
         let mut table = HashMap::new();
         let mut ruled_out = 0;
         for anchor in 0..graph.vertex_count() {
@@ -804,7 +722,7 @@ mod tests {
                         .map(|bit| near[bit]),
                 );
                 cluster.sort_unstable();
-                let matching = builder.decode(&cluster);
+                let matching = decode_entry(&mut solver, &cluster, stream);
                 if matching.weight(graph) <= pre.entry_cap {
                     table.insert((anchor, subset), matching);
                 }

@@ -10,7 +10,7 @@
 
 use crate::interface::{DualModule, DualReport, GrowDirection, Obstacle};
 use crate::matching::PerfectMatching;
-use mb_graph::{NodeIndex, SyndromePattern, VertexIndex, Weight};
+use mb_graph::{NodeIndex, SyndromePattern, VertexIndex};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -132,11 +132,6 @@ impl PrimalModule {
         self.singleton_of.clear();
         self.live_trees = 0;
         self.stats = SolveStats::default();
-    }
-
-    /// Number of nodes (defects + blossoms) ever created.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Whether every node is matched (no alternating tree remains).
@@ -849,8 +844,11 @@ impl PrimalModule {
     /// Runs the blossom algorithm to completion over `syndrome` using `dual`
     /// for the dual phase. Returns the perfect matching.
     ///
-    /// This is the main decode loop shared by the software solver and the
-    /// accelerated solver.
+    /// Every defect is loaded up front, so this loop suits a dual module
+    /// that never hides a defect from the CPU: the software solver
+    /// ([`crate::SolverSerial`]), or an accelerator with pre-matching off. The
+    /// accelerated decode path runs its own loop (`mb_accel::solver`), which
+    /// materializes hardware-pre-matched defects lazily.
     pub fn run(
         &mut self,
         syndrome: &SyndromePattern,
@@ -901,11 +899,5 @@ impl PrimalModule {
             self.is_solved(),
             "dual module finished with live alternating trees"
         );
-    }
-
-    /// Total weight implied by the dual objective (equals the matching
-    /// weight at optimality); exposed for the weight audit in tests.
-    pub fn dual_objective(&self, dual: &impl DualModule) -> Weight {
-        dual.dual_objective()
     }
 }

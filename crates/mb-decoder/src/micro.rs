@@ -17,15 +17,17 @@
 //!
 //! Every accelerator flag, the driving policy and the backend name follow
 //! from the stage, so a configuration the paper never measured (such as
-//! the weight reduction without pre-matching) cannot be built.
+//! the weight reduction without pre-matching) cannot be built. The solve
+//! loop itself is [`mb_accel::AcceleratedSolver`], the same loop the LUT
+//! pre-decoder builds its table with; this module decides when to load,
+//! drive and read out, and what to charge to the latency window.
 
 use crate::backend::{AccelObservability, DecoderBackend};
 use crate::outcome::{DecodeOutcome, LatencyBreakdown};
 use mb_accel::{
-    AcceleratedDual, AcceleratorConfig, DualContext, MicroBlossomAccelerator, PollEvent,
-    PreDecoder, PredecoderConfig, PrematchPartner, TimingModel,
+    AcceleratedSolver, AcceleratorConfig, PreDecoder, PredecoderConfig, SolverContext, TimingModel,
 };
-use mb_blossom::{PerfectMatching, PrimalModule};
+use mb_blossom::PerfectMatching;
 use mb_graph::{DecodingGraph, SyndromePattern, VertexIndex};
 use std::sync::Arc;
 
@@ -110,29 +112,16 @@ impl MicroBlossomConfig {
     }
 }
 
-/// One banked context of an in-flight stream shot: the driver-level
-/// [`DualContext`] plus the decoder-level CPU primal trees. A bank is
-/// everything [`DecoderBackend::context_restore`] needs to continue the shot
-/// bit-identically to one that never left the engine. Only decoders without
-/// an armed LUT pre-decoder bank contexts, so there is no escalation state
-/// to carry.
-#[derive(Debug, Clone)]
-struct MicroContextBank {
-    dual: DualContext,
-    primal: PrimalModule,
-}
-
 /// The Micro Blossom heterogeneous decoder.
 #[derive(Debug, Clone)]
 pub struct MicroBlossomDecoder {
     graph: Arc<DecodingGraph>,
     config: MicroBlossomConfig,
-    driver: AcceleratedDual,
-    primal: PrimalModule,
+    /// The accelerator, its driver and the CPU primal trees of the shot in
+    /// the engine.
+    solver: AcceleratedSolver,
     /// Reusable per-decode buffer for the layer-split syndrome.
     layers_scratch: Vec<Vec<VertexIndex>>,
-    /// Reusable per-conflict buffer for not-yet-materialized defects.
-    unknown_scratch: Vec<VertexIndex>,
     /// LUT pre-decoder (table + classifier), `Some` when the configuration
     /// enables it above [`Stage::DualOnly`].
     predecoder: Option<PreDecoder>,
@@ -147,8 +136,10 @@ pub struct MicroBlossomDecoder {
     accel_shots: u64,
     /// Context banks indexed by the scheduler's slot id (`None` = free).
     /// Banks survive [`DecoderBackend::reset`]: they belong to *other*
-    /// in-flight shots, not the one being cleared.
-    banks: Vec<Option<Box<MicroContextBank>>>,
+    /// in-flight shots, not the one being cleared. Only decoders without an
+    /// armed LUT pre-decoder bank contexts, so there is no escalation state
+    /// to carry.
+    banks: Vec<Option<Box<SolverContext>>>,
     /// Context restores performed (cumulative; see
     /// [`AccelObservability::bank_switches`]).
     bank_switches: u64,
@@ -175,14 +166,11 @@ impl MicroBlossomDecoder {
         // module, which the table path bypasses — treat it as disabled
         let predecoder = (config.predecoder.enabled && config.stage != Stage::DualOnly)
             .then(|| PreDecoder::build(Arc::clone(&graph), &accel_config, stream));
-        let accel = MicroBlossomAccelerator::new(Arc::clone(&graph), accel_config);
         Self {
-            driver: AcceleratedDual::new(accel),
-            primal: PrimalModule::new(),
+            solver: AcceleratedSolver::new(Arc::clone(&graph), accel_config),
             graph,
             config,
             layers_scratch: Vec::new(),
-            unknown_scratch: Vec::new(),
             predecoder,
             predecode_scratch: Vec::new(),
             zero_defect_shots: 0,
@@ -234,11 +222,11 @@ impl MicroBlossomDecoder {
         let result = if self.config.stage == Stage::Full {
             self.decode_rounds(&layers)
         } else {
-            for (t, defects) in layers.iter().enumerate() {
-                self.driver.load_layer(t, defects);
+            for defects in &layers {
+                self.solver.load_round(defects);
             }
             if self.config.stage == Stage::DualOnly {
-                self.materialize_all(&syndrome.defects);
+                self.solver.materialize_all(&syndrome.defects);
             }
             // measured window starts here, after the syndrome transfer —
             // exactly where the unconditional batch path starts it
@@ -260,7 +248,7 @@ impl MicroBlossomDecoder {
     ) -> (PerfectMatching, LatencyBreakdown) {
         if self.predecoder.is_some() {
             for defects in layers {
-                self.driver.load_round(defects);
+                self.solver.load_round(defects);
             }
             let matching = self.try_predecode();
             // the measured window opens with the final round's load
@@ -269,7 +257,7 @@ impl MicroBlossomDecoder {
             if let Some(matching) = matching {
                 return (matching, self.breakdown_since(snapshot));
             }
-            if self.driver.accelerator().defect_count() == 0 {
+            if self.defect_count() == 0 {
                 // driving the empty rounds one by one would do nothing
                 return self.drive_and_complete(snapshot);
             }
@@ -284,17 +272,12 @@ impl MicroBlossomDecoder {
     }
 
     /// One non-final round of a stream decode: load the round, fold it into
-    /// the running solution (§6 fusion). The driver tracks the round index
-    /// itself ([`AcceleratedDual::load_round`]); `layer` only asserts the
+    /// the running solution (§6 fusion). The solver tracks the round index
+    /// itself ([`AcceleratedSolver::load_round`]); `layer` only asserts the
     /// caller is feeding rounds in layer order.
     fn ingest_one_round(&mut self, layer: usize, defects: &[VertexIndex]) {
-        let loaded = self.driver.load_round(defects);
+        let loaded = self.solver.load_round(defects);
         assert_eq!(loaded, layer, "rounds must be ingested in layer order");
-        if self.aborted {
-            // deadline hit on an earlier round: keep the round counter in
-            // sync but stop feeding the abandoned solve
-            return;
-        }
         self.drive_dual_phase();
     }
 
@@ -305,7 +288,7 @@ impl MicroBlossomDecoder {
         layer: usize,
         defects: &[VertexIndex],
     ) -> (PerfectMatching, LatencyBreakdown) {
-        let loaded = self.driver.load_round(defects);
+        let loaded = self.solver.load_round(defects);
         assert_eq!(loaded, layer, "rounds must be ingested in layer order");
         let mut snapshot = self.counters();
         if self.aborted {
@@ -332,12 +315,12 @@ impl MicroBlossomDecoder {
     /// Returns the complete matching on a hit; on a miss (or an empty
     /// shot, which has its own cheaper fast path) the caller escalates.
     fn try_predecode(&mut self) -> Option<PerfectMatching> {
-        let pre = self.predecoder.as_mut()?;
-        if self.driver.accelerator().defect_count() == 0 {
+        if self.defect_count() == 0 {
             return None;
         }
+        let pre = self.predecoder.as_mut()?;
         let mut defects = std::mem::take(&mut self.predecode_scratch);
-        self.driver.predecode_defects_into(&mut defects);
+        self.solver.driver().predecode_defects_into(&mut defects);
         let mut matching = PerfectMatching::new();
         let hit = pre.resolve_into(&defects, &mut matching);
         self.predecode_scratch = defects;
@@ -345,7 +328,7 @@ impl MicroBlossomDecoder {
             return None;
         }
         debug_assert!(
-            self.driver.dual_phase_pristine(),
+            self.solver.driver().dual_phase_pristine(),
             "LUT fast path taken after the dual phase started"
         );
         self.predecoded_shots += 1;
@@ -365,43 +348,34 @@ impl MicroBlossomDecoder {
         self.complete_matching(snapshot)
     }
 
-    /// Runs the dual phase unless the shot is (so far) defect-free, in which
-    /// case it is skipped entirely — the identity correction needs no
-    /// accelerator polling. Returns `true` when the fast path was taken.
-    /// The condition is purely accelerator state, so batch decoding and
-    /// round-wise ingestion of the same syndrome stay bit-identical.
+    /// Runs the dual phase unless the solve was abandoned at the deadline.
+    /// Returns `true` when the shot is (so far) defect-free: the solver then
+    /// skips the dual phase entirely, since the identity correction needs
+    /// no accelerator polling. The condition is purely accelerator state, so
+    /// batch decoding and round-wise ingestion of the same syndrome stay
+    /// bit-identical.
     fn drive_dual_phase(&mut self) -> bool {
-        if self.driver.accelerator().defect_count() == 0 {
-            return true;
+        let defect_free = self.defect_count() == 0;
+        if !self.aborted && !self.solver.drive(self.abort_at) {
+            self.aborted = true;
         }
-        self.run_to_completion();
-        false
+        defect_free
     }
 
-    /// Completes the perfect matching with the hardware-only pre-matched
-    /// pairs and charges everything since `snapshot` to the breakdown.
+    /// The solver's matching, charging everything since `snapshot` to the
+    /// breakdown.
     fn complete_matching(
         &mut self,
         snapshot: LatencyBreakdown,
     ) -> (PerfectMatching, LatencyBreakdown) {
-        if self.aborted {
-            // the dual phase was abandoned: the primal trees are not solved,
-            // so no matching can be extracted — return a placeholder the
-            // caller replaces via its degradation fallback
-            let breakdown = self.breakdown_since(snapshot);
-            return (PerfectMatching::new(), breakdown);
-        }
-        // complete the matching with the pairs the hardware pre-matched and
-        // the CPU never saw
-        let mut matching = self.primal.perfect_matching();
-        for &(vertex, partner) in self.driver.remaining_prematches() {
-            match partner {
-                PrematchPartner::Defect(other) => matching.pairs.push((vertex, other)),
-                PrematchPartner::Boundary(boundary) => matching.boundary.push((vertex, boundary)),
-            }
-        }
-        let breakdown = self.breakdown_since(snapshot);
-        (matching, breakdown)
+        // an abandoned dual phase leaves the primal trees unsolved: return a
+        // placeholder the caller replaces via its degradation fallback
+        let matching = if self.aborted {
+            PerfectMatching::new()
+        } else {
+            self.solver.matching()
+        };
+        (matching, self.breakdown_since(snapshot))
     }
 
     /// Counter delta from `snapshot` to now, as a latency breakdown.
@@ -433,107 +407,18 @@ impl MicroBlossomDecoder {
     }
 
     fn counters(&self) -> LatencyBreakdown {
-        let accel = self.driver.accelerator();
+        let driver = self.solver.driver();
         LatencyBreakdown {
-            hardware_cycles: accel.stats.cycles,
-            bus_reads: self.driver.io.reads,
-            bus_writes: self.driver.io.writes,
-            cpu_obstacles: self.driver.io.obstacles,
+            hardware_cycles: driver.accelerator().stats.cycles,
+            bus_reads: driver.io.reads,
+            bus_writes: driver.io.writes,
+            cpu_obstacles: driver.io.obstacles,
         }
     }
 
-    /// Whether the armed deadline (if any) has passed. Only called at the
-    /// coarse cadence of [`Self::DEADLINE_CHECK_MASK`] — this is the one
-    /// place the hot loop reads the wall clock.
-    fn deadline_passed(&self) -> bool {
-        self.abort_at
-            .is_some_and(|at| std::time::Instant::now() >= at)
-    }
-
-    /// Materializes every defect on the CPU up front ([`Stage::DualOnly`]).
-    fn materialize_all(&mut self, defects: &[VertexIndex]) {
-        for &d in defects {
-            if self.primal.singleton_of(d).is_none() {
-                self.primal.load_defect(d, &mut self.driver);
-            }
-        }
-    }
-
-    /// Runs the decode loop until the accelerator reports that nothing is
-    /// growing any more.
-    /// How many obstacle-loop iterations pass between wall-clock deadline
-    /// checks: the driver's poll generation counter is compared against this
-    /// mask, so the common no-deadline and not-yet-expired cases cost one
-    /// branch and no syscall per iteration.
-    const DEADLINE_CHECK_MASK: u64 = 0x1F;
-
-    fn run_to_completion(&mut self) {
-        if self.aborted {
-            return;
-        }
-        let guard = 1000 + 100 * self.graph.vertex_count() * self.graph.vertex_count();
-        let mut iterations = 0usize;
-        loop {
-            iterations += 1;
-            assert!(
-                iterations <= guard,
-                "Micro Blossom decode loop failed to converge"
-            );
-            if self.abort_at.is_some()
-                && self.driver.poll_generation() & Self::DEADLINE_CHECK_MASK == 0
-                && self.deadline_passed()
-            {
-                self.aborted = true;
-                return;
-            }
-            match self.driver.poll() {
-                PollEvent::Finished => break,
-                PollEvent::GrowLength(length) => {
-                    use mb_blossom::DualModule;
-                    self.driver.grow(length);
-                }
-                PollEvent::Obstacle(obstacle) => {
-                    self.primal.resolve(obstacle, &mut self.driver);
-                }
-                PollEvent::UnknownNodes(response) => {
-                    // reuse the unknown-vertex buffer across conflicts
-                    let mut unknown = std::mem::take(&mut self.unknown_scratch);
-                    unknown.clear();
-                    self.driver.unknown_vertices_into(&response, &mut unknown);
-                    for &vertex in &unknown {
-                        if self.primal.singleton_of(vertex).is_some() {
-                            continue;
-                        }
-                        match self.driver.prematch_partner_of(vertex) {
-                            Some(PrematchPartner::Defect(other)) => {
-                                self.primal
-                                    .load_prematched_pair(vertex, other, &mut self.driver);
-                            }
-                            Some(PrematchPartner::Boundary(boundary)) => {
-                                self.primal.load_prematched_boundary(
-                                    vertex,
-                                    boundary,
-                                    &mut self.driver,
-                                );
-                            }
-                            None => {
-                                self.primal.load_defect(vertex, &mut self.driver);
-                            }
-                        }
-                    }
-                    self.unknown_scratch = unknown;
-                    let obstacle = self
-                        .driver
-                        .translate(&response)
-                        .expect("all nodes were just materialized");
-                    self.primal.resolve(obstacle, &mut self.driver);
-                }
-            }
-        }
-        assert!(
-            self.primal.is_solved(),
-            "CPU trees left after the dual phase finished"
-        );
+    /// Defects loaded into the accelerator so far this shot.
+    fn defect_count(&self) -> usize {
+        self.solver.driver().accelerator().defect_count()
     }
 }
 
@@ -552,9 +437,7 @@ impl DecoderBackend for MicroBlossomDecoder {
     }
 
     fn reset(&mut self) {
-        use mb_blossom::DualModule;
-        self.driver.reset();
-        self.primal.clear();
+        self.solver.reset();
         // `abort_at` deliberately survives: the scheduler arms the deadline
         // immediately before `decode`, whose implicit reset runs afterwards
         self.aborted = false;
@@ -589,7 +472,7 @@ impl DecoderBackend for MicroBlossomDecoder {
     /// arrival (§6 fusion) and banks that state per context: the
     /// accelerator's authoritative defect rows (O(active) to switch, thanks
     /// to the sparse active set), the driver's CPU node table, and the
-    /// decoder-level primal trees. With the LUT pre-decoder armed, the
+    /// primal trees ([`SolverContext`]). With the LUT pre-decoder armed, the
     /// table needs every round before anything is driven, so such a decoder
     /// gains nothing from early ingestion: the scheduler decodes its
     /// assembled syndrome instead, and fast-path shots never occupy a bank.
@@ -605,14 +488,8 @@ impl DecoderBackend for MicroBlossomDecoder {
         if self.banks.len() <= slot {
             self.banks.resize_with(slot + 1, || None);
         }
-        let bank = self.banks[slot].get_or_insert_with(|| {
-            Box::new(MicroContextBank {
-                dual: DualContext::default(),
-                primal: PrimalModule::new(),
-            })
-        });
-        self.driver.save_context_into(&mut bank.dual);
-        std::mem::swap(&mut self.primal, &mut bank.primal);
+        let bank = self.banks[slot].get_or_insert_with(Box::default);
+        self.solver.save_context_into(bank);
     }
 
     fn context_restore(&mut self, slot: usize) {
@@ -621,13 +498,12 @@ impl DecoderBackend for MicroBlossomDecoder {
             .get_mut(slot)
             .and_then(|bank| bank.as_mut())
             .expect("context_restore of a slot that was never saved");
-        self.driver.restore_context(&mut bank.dual);
-        std::mem::swap(&mut self.primal, &mut bank.primal);
+        self.solver.restore_context(bank);
         self.bank_switches += 1;
     }
 
     fn accel_observability(&self) -> Option<AccelObservability> {
-        let accel = self.driver.accelerator();
+        let accel = self.solver.driver().accelerator();
         Some(AccelObservability {
             active_peak: accel.active_peak(),
             pus_touched: accel.pus_touched(),
@@ -974,46 +850,78 @@ mod tests {
 
     #[test]
     fn escalated_stream_shots_are_bit_identical_to_predecoder_off() {
-        let graph = Arc::new(PhenomenologicalCode::rotated(3, 4, 0.08).decoding_graph());
-        let sampler = ErrorSampler::new(&graph);
-        let mut with = MicroBlossomDecoder::full(Arc::clone(&graph), Some(3));
-        let mut without = MicroBlossomDecoder::new(
-            Arc::clone(&graph),
-            MicroBlossomConfig::full(&graph, Some(3)).without_predecoder(),
-        );
-        let mut rng = ChaCha8Rng::seed_from_u64(13);
-        let mut escalated = 0;
-        for _ in 0..60 {
-            let shot = sampler.sample(&mut rng);
-            let pre = with.accel_observability().unwrap();
-            let got = with.decode(&shot.syndrome);
-            let post = with.accel_observability().unwrap();
-            let want = without.decode(&shot.syndrome);
-            let fast = post.predecoded_shots > pre.predecoded_shots
-                || post.zero_defect_shots > pre.zero_defect_shots;
-            if fast {
-                // fast-path shots produce the same correction (the matching
-                // up to pair ordering) — only the latency breakdown differs
-                assert_eq!(got.observable, want.observable);
-                let canonical = |m: &PerfectMatching| {
-                    let mut pairs: Vec<_> =
-                        m.pairs.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
-                    pairs.sort_unstable();
-                    let mut boundary = m.boundary.clone();
-                    boundary.sort_unstable();
-                    (pairs, boundary)
-                };
-                assert_eq!(
-                    canonical(got.matching.as_ref().unwrap()),
-                    canonical(want.matching.as_ref().unwrap()),
-                    "fast-path correction diverged from the unconditional path"
+        // both driving policies the table is built for: round-wise (`Full`)
+        // and batch (`Prematch` with the LUT armed)
+        for stage in [Stage::Full, Stage::Prematch] {
+            let (mut escalated, mut single_cluster_hits) = (0, 0);
+            // the high-p graph escalates; the low-p one hits the table
+            for (p, seed) in [(0.08, 13), (0.02, 14)] {
+                let graph = Arc::new(PhenomenologicalCode::rotated(3, 4, p).decoding_graph());
+                let sampler = ErrorSampler::new(&graph);
+                let config = MicroBlossomConfig::new(stage, &graph, Some(3));
+                let mut with = MicroBlossomDecoder::new(
+                    Arc::clone(&graph),
+                    MicroBlossomConfig {
+                        predecoder: PredecoderConfig::default(),
+                        ..config.clone()
+                    },
                 );
-            } else {
-                escalated += 1;
-                assert_eq!(got, want, "escalated shot must replay identically");
+                let mut without =
+                    MicroBlossomDecoder::new(Arc::clone(&graph), config.without_predecoder());
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                for _ in 0..60 {
+                    let shot = sampler.sample(&mut rng);
+                    let pre = with.accel_observability().unwrap();
+                    let got = with.decode(&shot.syndrome);
+                    let post = with.accel_observability().unwrap();
+                    let want = without.decode(&shot.syndrome);
+                    let fast = post.predecoded_shots > pre.predecoded_shots
+                        || post.zero_defect_shots > pre.zero_defect_shots;
+                    if !fast {
+                        escalated += 1;
+                        assert_eq!(
+                            got, want,
+                            "{stage:?}: escalated shot must replay identically"
+                        );
+                        continue;
+                    }
+                    // fast-path shots produce the same correction; only the
+                    // latency breakdown differs
+                    assert_eq!(got.observable, want.observable);
+                    let (got, want) = (got.matching.unwrap(), want.matching.unwrap());
+                    let mut defects = shot.syndrome.defects.clone();
+                    defects.sort_unstable();
+                    defects.dedup();
+                    if with.predecoder.as_mut().unwrap().clusters(&defects).len() == 1 {
+                        // the table entry is this very decode run on the
+                        // cluster alone: equal pair for pair, in order
+                        single_cluster_hits += 1;
+                        assert_eq!(got, want, "{stage:?}: single-cluster entry diverged");
+                        continue;
+                    }
+                    // several clusters: the entries concatenate in anchor
+                    // order, so compare up to pair ordering
+                    let canonical = |m: &PerfectMatching| {
+                        let mut pairs: Vec<_> =
+                            m.pairs.iter().map(|&(a, b)| (a.min(b), a.max(b))).collect();
+                        pairs.sort_unstable();
+                        let mut boundary = m.boundary.clone();
+                        boundary.sort_unstable();
+                        (pairs, boundary)
+                    };
+                    assert_eq!(
+                        canonical(&got),
+                        canonical(&want),
+                        "{stage:?}: fast-path correction diverged from the unconditional path"
+                    );
+                }
             }
+            assert!(escalated > 0, "{stage:?}: p=0.08 should produce hard shots");
+            assert!(
+                single_cluster_hits > 0,
+                "{stage:?}: p=0.02 should resolve single clusters from the table"
+            );
         }
-        assert!(escalated > 0, "p=0.08 should produce hard shots");
     }
 
     #[test]

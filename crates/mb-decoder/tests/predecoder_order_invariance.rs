@@ -47,8 +47,8 @@ fn batch_and_shuffled_round_ingestion_classify_identically() {
 
         let accel = MicroBlossomAccelerator::new(Arc::clone(&graph), config.clone());
         let mut batch = AcceleratedDual::new(accel);
-        for (layer, defects) in layers.iter().enumerate() {
-            batch.load_layer(layer, defects);
+        for defects in &layers {
+            batch.load_round(defects);
         }
         batch.predecode_defects_into(&mut batch_defects);
 

@@ -79,7 +79,7 @@ fn allocations() -> u64 {
 /// absorbs without any CPU-side node materialization.
 fn decode_prematched_pair(driver: &mut AcceleratedDual) {
     DualModule::reset(driver);
-    driver.load_layer(0, &[3, 4]);
+    driver.load_round(&[3, 4]);
     loop {
         match driver.poll() {
             PollEvent::GrowLength(length) => driver.grow(length),
