@@ -2,10 +2,11 @@
 //!
 //! Loads an `.mbtc` corpus written by `record`, rebuilds its decoding
 //! graph from the provenance header (fingerprint-checked), then replays
-//! every record through the batch pipeline and the streaming front-end at
-//! several worker counts — asserting along the way that every
-//! configuration produces identical decodes, the corpus-replay guarantee
-//! the root `corpus_replay` test pins per backend. Emits per-configuration
+//! every record through `replay_matrix` — the batch pipeline, the streaming
+//! front-end and, for the matching backends, the parallel-window decoder,
+//! at several worker counts — which asserts that every configuration
+//! produces identical decodes, the corpus-replay guarantee the root
+//! `corpus_replay` test pins per backend. Emits per-configuration
 //! logical-error/latency/fast-path measurements as JSON lines.
 //!
 //! Usage: `cargo run -r -p bench --bin replay -- <path> [workers_csv]`
@@ -13,8 +14,7 @@
 //! Defaults: workers = 1,2,8.
 
 use bench::{render_table, BenchReport};
-use mb_decoder::pipeline::DecodePool;
-use mb_decoder::replay::{replay_corpus, summarize_replay, ReplayMode};
+use mb_decoder::replay::{replay_matrix, summarize_replay, ReplayMode};
 use mb_decoder::BackendSpec;
 use mb_graph::circuit::CircuitLevelCode;
 use mb_graph::corpus::TraceCorpus;
@@ -63,65 +63,36 @@ fn main() {
         BackendSpec::Parity,
         BackendSpec::union_find(),
     ] {
-        // reference decode: batch, single worker
-        let reference = replay_corpus(&spec, graph, &corpus, ReplayMode::Batch, 1, None)
-            .expect("corpus matches its own graph");
-        for &n in &workers {
-            for (mode_name, mode) in [("batch", ReplayMode::Batch), ("stream", ReplayMode::Stream)]
-            {
-                let pool = Arc::new(DecodePool::new(n));
-                let outcomes =
-                    replay_corpus(&spec, graph, &corpus, mode, n, Some(Arc::clone(&pool)))
-                        .expect("replay stays valid across worker counts");
-                // determinism: identical decodes for every backend, worker
-                // count and ingestion mode (latency is compared only for
-                // backends whose latency is modeled, not wall-clock)
-                for (a, b) in reference.iter().zip(&outcomes) {
-                    assert_eq!(
-                        (
-                            a.shot_index,
-                            a.defects,
-                            a.decoded_observable,
-                            a.expected_observable
-                        ),
-                        (
-                            b.shot_index,
-                            b.defects,
-                            b.decoded_observable,
-                            b.expected_observable
-                        ),
-                        "{} {mode_name} x{n} diverged from the reference decode",
-                        spec.name()
-                    );
-                }
-                let summary = summarize_replay(&corpus, &outcomes);
-                let accel = pool.stats().accel;
-                let fast_path = accel.fast_path_rate().unwrap_or(0.0);
-                report.line(format!(
-                    "{{\"bench\":\"replay\",\"backend\":\"{}\",\"mode\":\"{mode_name}\",\
-                     \"workers\":{n},\"shots\":{},\"p_l\":{:.6},\"weighted_p_l\":{:.6e},\
-                     \"latency_p50_ns\":{:.1},\"latency_p99_ns\":{:.1},\
-                     \"fast_path_rate\":{fast_path:.4},\"pus_touched\":{},\
-                     \"mean_defects\":{:.3}}}",
-                    spec.name(),
-                    summary.shots,
-                    summary.logical_error_rate,
-                    summary.weighted_error_rate,
-                    summary.latency_p50_ns,
-                    summary.latency_p99_ns,
-                    accel.pus_touched,
-                    summary.mean_defects,
-                ));
-                if n == workers[0] && mode_name == "batch" {
-                    rows.push(vec![
-                        spec.name().to_string(),
-                        format!("{:.4}", summary.logical_error_rate),
-                        format!("{:.3e}", summary.weighted_error_rate),
-                        format!("{:.0}", summary.latency_p50_ns),
-                        format!("{:.0}", summary.latency_p99_ns),
-                        format!("{fast_path:.3}"),
-                    ]);
-                }
+        let runs =
+            replay_matrix(&spec, graph, &corpus, &workers).expect("corpus matches its own graph");
+        for run in runs {
+            let (mode_name, n) = (run.mode.name(), run.workers);
+            let summary = summarize_replay(&corpus, &run.outcomes);
+            let fast_path = run.accel.fast_path_rate().unwrap_or(0.0);
+            report.line(format!(
+                "{{\"bench\":\"replay\",\"backend\":\"{}\",\"mode\":\"{mode_name}\",\
+                 \"workers\":{n},\"shots\":{},\"p_l\":{:.6},\"weighted_p_l\":{:.6e},\
+                 \"latency_p50_ns\":{:.1},\"latency_p99_ns\":{:.1},\
+                 \"fast_path_rate\":{fast_path:.4},\"pus_touched\":{},\
+                 \"mean_defects\":{:.3}}}",
+                spec.name(),
+                summary.shots,
+                summary.logical_error_rate,
+                summary.weighted_error_rate,
+                summary.latency_p50_ns,
+                summary.latency_p99_ns,
+                run.accel.pus_touched,
+                summary.mean_defects,
+            ));
+            if n == workers[0] && run.mode == ReplayMode::Batch {
+                rows.push(vec![
+                    spec.name().to_string(),
+                    format!("{:.4}", summary.logical_error_rate),
+                    format!("{:.3e}", summary.weighted_error_rate),
+                    format!("{:.0}", summary.latency_p50_ns),
+                    format!("{:.0}", summary.latency_p99_ns),
+                    format!("{fast_path:.3}"),
+                ]);
             }
         }
     }
@@ -143,7 +114,8 @@ fn main() {
     );
     println!(
         "\nall backends decoded identically across worker counts {{{}}} and batch/stream \
-         ingestion (assertions above would have aborted otherwise).",
+         ingestion, and windowed runs matched their 1-worker run (assertions above would \
+         have aborted otherwise).",
         workers
             .iter()
             .map(|w| w.to_string())

@@ -11,8 +11,9 @@
 //!   every backend × worker count × ingestion mode (batch, stream, and
 //!   parallel-window for the perfect-matching backends), diffing logical
 //!   error rate, latency percentiles, accelerator fast-path rate and
-//!   sparse-activation counters. Asserts the decodes are identical across
-//!   configurations — the determinism the corpus subsystem promises.
+//!   sparse-activation counters. `replay_matrix` asserts the decodes are
+//!   identical across configurations — the determinism the corpus
+//!   subsystem promises.
 //! * **rare_cross_check** — at a small distance where direct Monte-Carlo
 //!   is tractable, runs all three estimators (direct, importance-sampled,
 //!   multilevel splitting) on the same circuit and reports their
@@ -32,12 +33,11 @@
 
 use bench::report::utc_date_stamp;
 use bench::{render_table, BenchReport};
-use mb_decoder::pipeline::DecodePool;
 use mb_decoder::rare::{
     direct_estimate, importance_estimate, splitting_estimate, RareEventEstimate, SplittingConfig,
 };
-use mb_decoder::replay::{record_circuit_run, replay_corpus, summarize_replay, ReplayMode};
-use mb_decoder::{BackendSpec, WindowConfig};
+use mb_decoder::replay::{record_circuit_run, replay_matrix, summarize_replay};
+use mb_decoder::BackendSpec;
 use mb_graph::circuit::{CircuitLevelCode, MechanismTilt};
 use std::sync::Arc;
 
@@ -83,86 +83,37 @@ fn main() {
         BackendSpec::Parity,
         BackendSpec::union_find(),
     ] {
-        let reference = replay_corpus(&spec, graph, &corpus, ReplayMode::Batch, 1, None)
-            .expect("corpus matches its own graph");
-        // union-find is matching-free: it cannot serve the parallel-window
-        // path, which needs per-window matchings to fuse at seams
-        let modes: Vec<(&str, ReplayMode)> = if matches!(spec, BackendSpec::UnionFind(_)) {
-            vec![("batch", ReplayMode::Batch), ("stream", ReplayMode::Stream)]
-        } else {
-            vec![
-                ("batch", ReplayMode::Batch),
-                ("stream", ReplayMode::Stream),
-                ("windowed", ReplayMode::Windowed(WindowConfig::new(3, 1))),
-            ]
-        };
-        for (mode_name, mode) in &modes {
-            let mut windowed_reference = None;
-            for workers in [1usize, 2, 8] {
-                let pool = Arc::new(DecodePool::new(workers));
-                let outcomes = replay_corpus(
-                    &spec,
-                    graph,
-                    &corpus,
-                    mode.clone(),
-                    workers,
-                    Some(Arc::clone(&pool)),
-                )
-                .expect("replay stays valid across worker counts");
-                // windowed decoding is deterministic across worker counts
-                // but bit-identical to batch only up to MWPM degeneracy at
-                // seams, so it is compared against its own 1-worker run
-                let baseline: &Vec<_> = if *mode_name == "windowed" {
-                    windowed_reference.get_or_insert_with(|| outcomes.clone())
-                } else {
-                    &reference
-                };
-                for (a, b) in baseline.iter().zip(&outcomes) {
-                    assert_eq!(
-                        (
-                            a.shot_index,
-                            a.defects,
-                            a.decoded_observable,
-                            a.expected_observable
-                        ),
-                        (
-                            b.shot_index,
-                            b.defects,
-                            b.decoded_observable,
-                            b.expected_observable
-                        ),
-                        "{} {mode_name} x{workers} diverged",
-                        spec.name()
-                    );
-                }
-                let summary = summarize_replay(&corpus, &outcomes);
-                let accel = pool.stats().accel;
-                let fast_path = accel.fast_path_rate().unwrap_or(0.0);
-                report.line(format!(
-                    "{{\"bench\":\"report\",\"date\":\"{date}\",\"section\":\"replay_matrix\",\
-                     \"backend\":\"{}\",\"mode\":\"{mode_name}\",\"workers\":{workers},\
-                     \"shots\":{},\"p_l\":{:.6},\"latency_p50_ns\":{:.1},\
-                     \"latency_p99_ns\":{:.1},\"fast_path_rate\":{fast_path:.4},\
-                     \"pus_touched\":{},\"active_peak\":{},\"mean_defects\":{:.3}}}",
-                    spec.name(),
-                    summary.shots,
-                    summary.logical_error_rate,
-                    summary.latency_p50_ns,
-                    summary.latency_p99_ns,
-                    accel.pus_touched,
-                    accel.active_peak,
-                    summary.mean_defects,
-                ));
-                if workers == 1 {
-                    rows.push(vec![
-                        spec.name().to_string(),
-                        mode_name.to_string(),
-                        format!("{:.4}", summary.logical_error_rate),
-                        format!("{:.0}", summary.latency_p50_ns),
-                        format!("{:.0}", summary.latency_p99_ns),
-                        format!("{fast_path:.3}"),
-                    ]);
-                }
+        let runs =
+            replay_matrix(&spec, graph, &corpus, &[1, 2, 8]).expect("corpus matches its own graph");
+        for run in runs {
+            let (mode_name, workers) = (run.mode.name(), run.workers);
+            let summary = summarize_replay(&corpus, &run.outcomes);
+            let accel = run.accel;
+            let fast_path = accel.fast_path_rate().unwrap_or(0.0);
+            report.line(format!(
+                "{{\"bench\":\"report\",\"date\":\"{date}\",\"section\":\"replay_matrix\",\
+                 \"backend\":\"{}\",\"mode\":\"{mode_name}\",\"workers\":{workers},\
+                 \"shots\":{},\"p_l\":{:.6},\"latency_p50_ns\":{:.1},\
+                 \"latency_p99_ns\":{:.1},\"fast_path_rate\":{fast_path:.4},\
+                 \"pus_touched\":{},\"active_peak\":{},\"mean_defects\":{:.3}}}",
+                spec.name(),
+                summary.shots,
+                summary.logical_error_rate,
+                summary.latency_p50_ns,
+                summary.latency_p99_ns,
+                accel.pus_touched,
+                accel.active_peak,
+                summary.mean_defects,
+            ));
+            if workers == 1 {
+                rows.push(vec![
+                    spec.name().to_string(),
+                    mode_name.to_string(),
+                    format!("{:.4}", summary.logical_error_rate),
+                    format!("{:.0}", summary.latency_p50_ns),
+                    format!("{:.0}", summary.latency_p99_ns),
+                    format!("{fast_path:.3}"),
+                ]);
             }
         }
     }

@@ -38,9 +38,9 @@
 //!
 //! Setting [`AcceleratorConfig::dense_reference`] switches every sweep back
 //! to the original full-array fold. The two modes are bit-identical — the
-//! differential property test `tests/sparse_equals_dense.rs` holds the
-//! sparse path to the dense reference across codes, configurations, and
-//! ingestion orders.
+//! dense-reference delivery of the differential harness
+//! (`tests/differential.rs`) holds the sparse path to it across codes,
+//! configurations, worker counts, and ingestion orders.
 //!
 //! ## Fidelity notes (see the README's "Complexity & sparse activation")
 //!
@@ -95,7 +95,7 @@ pub struct AcceleratorConfig {
     /// Debug reference mode: run every sweep over the full PU arrays (the
     /// original O(|V| + |E|)-per-instruction fold) instead of the sparse
     /// active set. Bit-identical to the sparse path; kept for differential
-    /// testing (`tests/sparse_equals_dense.rs`).
+    /// testing (`tests/differential.rs`).
     pub dense_reference: bool,
     /// LUT pre-decoder configuration (see [`crate::predecoder`]). The accelerator
     /// itself ignores it — the owning decoder builds and consults the

@@ -6,7 +6,6 @@
 //! reproduce them with a model fitted to the published Table 4 numbers and
 //! fall back to the paper's exact figures for the code distances it lists.
 
-use crate::accelerator::MicroBlossomAccelerator;
 use mb_graph::DecodingGraph;
 
 /// Published Table 4 rows `(d, LUTs, frequency MHz)` used for calibration.
@@ -145,11 +144,6 @@ pub fn estimate_resources(graph: &DecodingGraph, code_distance: Option<usize>) -
         luts,
         frequency_mhz,
     }
-}
-
-/// Convenience: resource estimate of an accelerator instance.
-pub fn estimate_accelerator(accel: &MicroBlossomAccelerator, d: Option<usize>) -> ResourceEstimate {
-    estimate_resources(accel.graph(), d)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! ([`DecodeError::StreamClosed`], [`DecodeError::Abandoned`]), so callers
 //! can retry, degrade, or surface each class differently.
 
-use mb_graph::VertexIndex;
+use mb_graph::{DecodingGraph, VertexIndex};
 use std::fmt;
 use std::time::Duration;
 
@@ -128,6 +128,44 @@ impl fmt::Display for DecodeError {
 }
 
 impl std::error::Error for DecodeError {}
+
+/// The one validator of caller-supplied defects, run before anything
+/// reaches a worker by every front-end (stream submits, explicit batch
+/// shots, round feeders, windowed feeders). Every defect must name a
+/// physical vertex; with `round: Some(t)` the graph must also have layer
+/// `t` and every defect lie in it. Checks run in one order (layer overflow,
+/// then per defect out of range, virtual, wrong round), so every front-end
+/// reports the same error for the same payload.
+pub(crate) fn validate_defects(
+    graph: &DecodingGraph,
+    round: Option<usize>,
+    defects: &[VertexIndex],
+) -> Result<(), DecodeError> {
+    if let Some(round) = round {
+        let num_layers = graph.num_layers();
+        if round >= num_layers {
+            return Err(DecodeError::LayerOverflow { round, num_layers });
+        }
+    }
+    let vertex_count = graph.vertex_count();
+    for &defect in defects {
+        let reason = if defect >= vertex_count {
+            InvalidDefectReason::OutOfRange { vertex_count }
+        } else if graph.is_virtual(defect) {
+            InvalidDefectReason::Virtual
+        } else {
+            match round {
+                Some(round) if graph.layer_of(defect) != round => InvalidDefectReason::WrongRound {
+                    round,
+                    layer: graph.layer_of(defect),
+                },
+                _ => continue,
+            }
+        };
+        return Err(DecodeError::InvalidDefect { defect, reason });
+    }
+    Ok(())
+}
 
 #[cfg(test)]
 mod tests {

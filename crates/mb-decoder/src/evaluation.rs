@@ -139,57 +139,6 @@ pub fn evaluate_circuit(
         .evaluate_circuit(circuit, shots, seed)
 }
 
-/// Like [`evaluate_circuit`], with an explicit shard count.
-pub fn evaluate_circuit_sharded(
-    spec: &BackendSpec,
-    circuit: &Arc<CompiledCircuit>,
-    shots: usize,
-    seed: u64,
-    shards: usize,
-) -> EvaluationResult {
-    ShardedPipeline::new(spec.clone(), Arc::clone(circuit.graph()))
-        .with_shards(shards)
-        .evaluate_circuit(circuit, shots, seed)
-}
-
-/// Replays a recorded trace corpus through the batch pipeline and
-/// aggregates the outcomes, after checking the corpus was recorded for
-/// (a graph fingerprint-identical to) `graph`.
-///
-/// The corpus analogue of [`evaluate_decoder_sharded`]: identical shots in,
-/// identical [`EvaluationResult`] out — see
-/// [`replay_corpus`](crate::replay::replay_corpus) for the stream and
-/// windowed ingestion paths.
-pub fn evaluate_corpus(
-    spec: &BackendSpec,
-    graph: &Arc<DecodingGraph>,
-    corpus: &mb_graph::TraceCorpus,
-    shards: usize,
-) -> Result<EvaluationResult, mb_graph::CorpusError> {
-    let outcomes = crate::replay::replay_corpus(
-        spec,
-        graph,
-        corpus,
-        crate::replay::ReplayMode::Batch,
-        shards,
-        None,
-    )?;
-    Ok(crate::pipeline::aggregate(spec.name(), &outcomes))
-}
-
-/// Like [`evaluate_decoder`], with an explicit shard count.
-pub fn evaluate_decoder_sharded(
-    spec: &BackendSpec,
-    graph: &Arc<DecodingGraph>,
-    shots: usize,
-    seed: u64,
-    shards: usize,
-) -> EvaluationResult {
-    ShardedPipeline::new(spec.clone(), Arc::clone(graph))
-        .with_shards(shards)
-        .evaluate(shots, seed)
-}
-
 /// Primal/dual wall-time split of the software decoder (Figure 2).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseProfile {
@@ -389,9 +338,14 @@ mod tests {
     fn sharded_evaluation_is_shard_count_invariant() {
         let graph = Arc::new(CodeCapacityRotatedCode::new(3, 0.05).decoding_graph());
         let spec = BackendSpec::micro_full(Some(3));
-        let reference = evaluate_decoder_sharded(&spec, &graph, 120, 55, 1);
+        let evaluate = |shards: usize| {
+            ShardedPipeline::new(spec.clone(), Arc::clone(&graph))
+                .with_shards(shards)
+                .evaluate(120, 55)
+        };
+        let reference = evaluate(1);
         for shards in [2usize, 4, 8] {
-            let result = evaluate_decoder_sharded(&spec, &graph, 120, 55, shards);
+            let result = evaluate(shards);
             assert_eq!(result, reference, "shards={shards}");
         }
     }

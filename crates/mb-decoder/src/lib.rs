@@ -28,7 +28,9 @@
 //!   fault *mechanisms* instead of merged edges;
 //! * [`replay`] — record-once / replay-everywhere: hooks the circuit
 //!   sampler into the `.mbtc` trace-corpus format and replays a corpus
-//!   deterministically through batch, stream, and windowed ingestion;
+//!   deterministically through batch, stream, and windowed ingestion
+//!   ([`replay_matrix`] runs every mode at several worker counts under the
+//!   one "same decode" rule, [`assert_same_decodes`]);
 //! * [`rare`] — rare-event logical-error estimation (importance sampling
 //!   under a [`mb_graph::MechanismTilt`], multilevel splitting on the
 //!   crossing-fault count), resolving `p_L ~ 1e-9..1e-12` with
@@ -85,8 +87,7 @@ pub use backend::{AccelObservability, BackendSpec, DecoderBackend};
 pub use chaos::{FaultPlan, RoundFault};
 pub use error::{DecodeError, InvalidDefectReason};
 pub use evaluation::{
-    evaluate_circuit, evaluate_circuit_sharded, evaluate_corpus, evaluate_decoder,
-    evaluate_decoder_sharded, phase_profile, EvaluationResult, PhaseProfile,
+    evaluate_circuit, evaluate_decoder, phase_profile, EvaluationResult, PhaseProfile,
 };
 pub use micro::{MicroBlossomConfig, MicroBlossomDecoder, Stage};
 pub use outcome::{DecodeOutcome, LatencyBreakdown};
@@ -96,8 +97,8 @@ pub use rare::{
     direct_estimate, importance_estimate, splitting_estimate, RareEventEstimate, SplittingConfig,
 };
 pub use replay::{
-    record_circuit_run, record_tilted_run, replay_corpus, summarize_replay, ReplayMode,
-    ReplaySummary,
+    assert_same_decodes, record_circuit_run, record_tilted_run, replay_corpus, replay_matrix,
+    summarize_replay, MatrixRun, ReplayMode, ReplaySummary,
 };
 pub use stream::{
     ContextPool, DeadlineFallback, DeadlinePolicy, RoundFeeder, StreamDecoder, StreamStats, Ticket,

@@ -64,7 +64,8 @@ pub struct MicroBlossomConfig {
     pub stage: Stage,
     /// Debug reference mode: run the accelerator's sweeps over the full PU
     /// arrays instead of the sparse active set. Bit-identical results;
-    /// retained for differential testing (`tests/sparse_equals_dense.rs`).
+    /// retained for differential testing (the dense-reference delivery of
+    /// `tests/differential.rs`).
     pub dense_reference: bool,
     /// LUT pre-decoder fast path (see [`mb_accel::predecoder`]): resolve
     /// isolated defect clusters from a precomputed local match table and

@@ -43,7 +43,7 @@
 use crate::backend::{AccelObservability, BackendSpec, DecoderBackend};
 #[cfg(any(test, feature = "chaos"))]
 use crate::chaos::FaultPlan;
-use crate::error::DecodeError;
+use crate::error::{validate_defects, DecodeError};
 use crate::evaluation::EvaluationResult;
 use crate::outcome::{DecodeOutcome, LatencyBreakdown};
 use crate::stream::ServeOutcome;
@@ -84,6 +84,30 @@ pub struct ShotOutcome {
 }
 
 impl ShotOutcome {
+    /// The record of shot `index` decoded to `outcome`.
+    pub fn new(index: usize, shot: &Shot, outcome: &DecodeOutcome) -> Self {
+        Self {
+            shot_index: index,
+            defects: shot.syndrome.len(),
+            decoded_observable: outcome.observable,
+            expected_observable: shot.observable,
+            latency_ns: outcome.latency_ns,
+            breakdown: outcome.breakdown,
+            degraded: false,
+        }
+    }
+
+    /// The decode key: this record with `latency_ns` and `breakdown`
+    /// cleared, which two deliveries of one shot on a wall-clock backend
+    /// must agree on ([`crate::replay::assert_same_decodes`]).
+    pub fn without_latency(&self) -> Self {
+        Self {
+            latency_ns: 0.0,
+            breakdown: LatencyBreakdown::default(),
+            ..self.clone()
+        }
+    }
+
     /// Whether this shot ended in a logical error.
     pub fn is_logical_error(&self) -> bool {
         self.decoded_observable != self.expected_observable
@@ -181,12 +205,7 @@ pub fn default_shards() -> usize {
 /// result.
 pub fn skewed_workload(graph: &DecodingGraph, easy: usize, hard: usize) -> Vec<Shot> {
     let sampler = ErrorSampler::new(graph);
-    let mut shots: Vec<Shot> = (0..easy)
-        .map(|i| {
-            let mut rng = shot_rng(0x5EED, i as u64);
-            sampler.sample(&mut rng)
-        })
-        .collect();
+    let mut shots = sample_shots(graph, easy, 0x5EED);
     for i in 0..hard {
         let mut edges = Vec::new();
         for sub in 0..4u64 {
@@ -196,6 +215,15 @@ pub fn skewed_workload(graph: &DecodingGraph, easy: usize, hard: usize) -> Vec<S
         shots.push(sampler.shot_from_edges(edges));
     }
     shots
+}
+
+/// The shots [`ShardedPipeline::run_sampled`]`(n, seed)` decodes: shot `i`
+/// drawn with [`shot_rng`]`(seed, i)`.
+pub fn sample_shots(graph: &DecodingGraph, n: usize, seed: u64) -> Vec<Shot> {
+    let sampler = ErrorSampler::new(graph);
+    (0..n as u64)
+        .map(|i| sampler.sample(&mut shot_rng(seed, i)))
+        .collect()
 }
 
 /// How the shots of a job are produced.
@@ -279,18 +307,25 @@ impl BatchSource {
             JobInput::Sampled { seed } => {
                 let mut rng = shot_rng(*seed, index as u64);
                 let shot = sampler.sample(&mut rng);
-                decode_one(backend, index, &shot)
+                Ok(decode_one(backend, index, &shot))
             }
             JobInput::CircuitSampled { circuit, seed } => {
                 let mut rng = shot_rng(*seed, index as u64);
                 let shot = CircuitErrorSampler::new(circuit).sample(&mut rng);
-                decode_one(backend, index, &shot)
+                Ok(decode_one(backend, index, &shot))
             }
-            JobInput::Explicit { shots } => decode_one(backend, index, &shots[index]),
+            // a caller's shot is validated as `StreamDecoder::submit` does:
+            // a bad defect fails its own slot typed instead of panicking
+            // the worker and discarding its cached backend
+            JobInput::Explicit { shots } => {
+                let shot = &shots[index];
+                validate_defects(backend.graph(), None, &shot.syndrome.defects)
+                    .map(|()| decode_one(backend, index, shot))
+            }
         };
         // SAFETY: `index` was claimed from the cursor by this worker only,
         // and the submitting thread does not read until we signal completion.
-        unsafe { (*self.slots[index].0.get()).write(Ok(outcome)) };
+        unsafe { (*self.slots[index].0.get()).write(outcome) };
     }
 
     /// Records a typed failure for a shot whose decode panicked. Same
@@ -1251,7 +1286,9 @@ impl ShardedPipeline {
     }
 
     /// Typed-error variant of [`Self::run_shots_arc`]; see
-    /// [`Self::try_run_sampled`].
+    /// [`Self::try_run_sampled`]. A shot with an out-of-range or virtual
+    /// defect comes back as [`DecodeError::InvalidDefect`] in its slot
+    /// without reaching a backend.
     pub fn try_run_shots_arc(&self, shots: Arc<[Shot]>) -> Vec<Result<ShotOutcome, DecodeError>> {
         let total = shots.len();
         self.pool().run_results(
@@ -1292,16 +1329,7 @@ pub(crate) fn decode_one(
     index: usize,
     shot: &Shot,
 ) -> ShotOutcome {
-    let outcome = backend.decode(&shot.syndrome);
-    ShotOutcome {
-        shot_index: index,
-        defects: shot.syndrome.len(),
-        decoded_observable: outcome.observable,
-        expected_observable: shot.observable,
-        latency_ns: outcome.latency_ns,
-        breakdown: outcome.breakdown,
-        degraded: false,
-    }
+    ShotOutcome::new(index, shot, &backend.decode(&shot.syndrome))
 }
 
 /// Aggregates per-shot outcomes into the harness-facing
@@ -1645,6 +1673,45 @@ mod tests {
     }
 
     #[test]
+    fn invalid_explicit_shots_fail_typed_in_their_own_slot() {
+        use crate::InvalidDefectReason;
+        // an out-of-range and a virtual defect among good explicit shots:
+        // each bad shot gets InvalidDefect in its slot, the others decode
+        // exactly as without them, and no worker panics or rebuilds
+        let graph = rotated();
+        let vertex_count = graph.vertex_count();
+        let virtual_vertex = (0..vertex_count).find(|&v| graph.is_virtual(v)).unwrap();
+        let real_vertex = (0..vertex_count).find(|&v| !graph.is_virtual(v)).unwrap();
+        let good = sample_shots(&graph, 10, 5);
+        let mut shots = good.clone();
+        shots[3].syndrome = SyndromePattern::new(vec![real_vertex, vertex_count]);
+        shots[6].syndrome = SyndromePattern::new(vec![virtual_vertex]);
+        let pool = Arc::new(DecodePool::new(2));
+        let pipeline = ShardedPipeline::new(BackendSpec::micro_full(Some(3)), Arc::clone(&graph))
+            .with_pool(Arc::clone(&pool))
+            .with_shards(2);
+        let reference = pipeline.run_shots(&good);
+        let (built, before) = (pool.backends_built(), pool.stats());
+        let results = pipeline.try_run_shots_arc(shots.into());
+        let invalid = |defect, reason| Err(DecodeError::InvalidDefect { defect, reason });
+        for (i, (result, expected)) in results.into_iter().zip(reference).enumerate() {
+            let want = match i {
+                3 => invalid(
+                    vertex_count,
+                    InvalidDefectReason::OutOfRange { vertex_count },
+                ),
+                6 => invalid(virtual_vertex, InvalidDefectReason::Virtual),
+                _ => Ok(expected),
+            };
+            assert_eq!(result, want, "shot {i}");
+        }
+        let after = pool.stats();
+        assert_eq!(after.worker_panics, before.worker_panics);
+        assert_eq!(after.worker_respawns, before.worker_respawns);
+        assert_eq!(pool.backends_built(), built);
+    }
+
+    #[test]
     fn injected_panics_poison_only_their_own_shots() {
         use crate::chaos::FaultPlan;
         // a single-worker pool with one injected panic: the faulted shot
@@ -1699,13 +1766,7 @@ mod tests {
     #[test]
     fn run_shots_decodes_explicit_inputs() {
         let graph = rotated();
-        let sampler = ErrorSampler::new(&graph);
-        let shots: Vec<Shot> = (0..20)
-            .map(|i| {
-                let mut rng = shot_rng(99, i);
-                sampler.sample(&mut rng)
-            })
-            .collect();
+        let shots = sample_shots(&graph, 20, 99);
         let pipeline = ShardedPipeline::new(BackendSpec::Parity, Arc::clone(&graph)).with_shards(4);
         let outcomes = pipeline.run_shots(&shots);
         assert_eq!(outcomes.len(), shots.len());

@@ -9,7 +9,8 @@
 //! in-process [`ShardedPipeline::run_circuit_sampled`] run at seed `s`
 //! would sample — replaying it is bit-identical to the original run, and
 //! stays bit-identical across backends, worker counts, and checkouts,
-//! which is what makes accuracy numbers comparable between them.
+//! which is what makes accuracy numbers comparable between them;
+//! [`replay_matrix`] checks exactly that.
 //!
 //! ```
 //! use mb_decoder::replay::{record_circuit_run, replay_corpus, ReplayMode};
@@ -31,7 +32,7 @@
 //! assert_eq!(outcomes.len(), 50);
 //! ```
 
-use crate::backend::BackendSpec;
+use crate::backend::{AccelObservability, BackendSpec};
 use crate::pipeline::{shot_rng, DecodePool, ShardedPipeline, ShotOutcome};
 use crate::stream::StreamDecoder;
 use crate::window::{WindowConfig, WindowedDecoder};
@@ -148,6 +149,17 @@ pub enum ReplayMode {
     Windowed(WindowConfig),
 }
 
+impl ReplayMode {
+    /// The mode's name in reports: `batch`, `stream` or `windowed`.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Self::Batch => "batch",
+            Self::Stream => "stream",
+            Self::Windowed(_) => "windowed",
+        }
+    }
+}
+
 /// Replays every record of `corpus` on the backend described by `spec`,
 /// returning per-shot outcomes in corpus order.
 ///
@@ -248,6 +260,89 @@ fn stream_error(e: crate::error::DecodeError) -> CorpusError {
         offset: 0,
         message: format!("stream replay rejected a recorded shot: {e}"),
     }
+}
+
+/// The "same decode" rule every differential check applies: `got` decodes
+/// every shot as `want` does — the whole [`ShotOutcome`] on a backend with
+/// modeled latency ([`BackendSpec::deterministic_latency`]), the decode key
+/// ([`ShotOutcome::without_latency`]) on a wall-clock one. Panics on the
+/// first divergence, naming the backend, the `run` and the shot index.
+pub fn assert_same_decodes(
+    spec: &BackendSpec,
+    want: &[ShotOutcome],
+    got: &[ShotOutcome],
+    run: &str,
+) {
+    let name = spec.name();
+    assert_eq!(want.len(), got.len(), "{name} {run}: shot count differs");
+    let whole = spec.deterministic_latency();
+    for (shot, (a, b)) in want.iter().zip(got).enumerate() {
+        if whole {
+            assert_eq!(a, b, "{name} {run} diverged at shot {shot}");
+        } else {
+            let (a, b) = (a.without_latency(), b.without_latency());
+            assert_eq!(a, b, "{name} {run} diverged at shot {shot}");
+        }
+    }
+}
+
+/// One run of [`replay_matrix`].
+#[derive(Debug, Clone)]
+pub struct MatrixRun {
+    /// How the corpus was fed.
+    pub mode: ReplayMode,
+    /// Workers of the fresh pool the run decoded on.
+    pub workers: usize,
+    /// Per-shot outcomes in corpus order.
+    pub outcomes: Vec<ShotOutcome>,
+    /// Accelerator counters of that pool.
+    pub accel: AccelObservability,
+}
+
+/// Replays `corpus` in batch and stream mode — and windowed (three-round
+/// commits, one round of overlap) on backends that produce matchings — at
+/// each worker count, every run on a fresh pool. Runs come back mode by
+/// mode. Each is checked with [`assert_same_decodes`] against batch on one
+/// worker, or, when windowed, against windowed on one worker: windowed
+/// decoding equals batch only up to MWPM degeneracy at window seams.
+///
+/// # Errors
+///
+/// [`CorpusError`] when the corpus does not belong to `graph`, or the
+/// stream front-end rejects a recorded shot.
+pub fn replay_matrix(
+    spec: &BackendSpec,
+    graph: &Arc<DecodingGraph>,
+    corpus: &TraceCorpus,
+    workers: &[usize],
+) -> Result<Vec<MatrixRun>, CorpusError> {
+    let mut modes = vec![ReplayMode::Batch, ReplayMode::Stream];
+    // union-find is matching-free: it cannot serve the parallel-window
+    // path, which needs per-window matchings to fuse at seams
+    if !matches!(spec, BackendSpec::UnionFind(_)) {
+        modes.push(ReplayMode::Windowed(WindowConfig::new(3, 1)));
+    }
+    let batch = replay_corpus(spec, graph, corpus, ReplayMode::Batch, 1, None)?;
+    let mut runs = Vec::new();
+    for mode in modes {
+        let baseline = match mode {
+            ReplayMode::Windowed(_) => replay_corpus(spec, graph, corpus, mode.clone(), 1, None)?,
+            _ => batch.clone(),
+        };
+        for &n in workers {
+            let pool = Arc::new(DecodePool::new(n));
+            let outcomes = replay_corpus(spec, graph, corpus, mode.clone(), n, Some(pool.clone()))?;
+            assert_same_decodes(spec, &baseline, &outcomes, &format!("{} x{n}", mode.name()));
+            let accel = pool.stats().accel;
+            runs.push(MatrixRun {
+                mode: mode.clone(),
+                workers: n,
+                outcomes,
+                accel,
+            });
+        }
+    }
+    Ok(runs)
 }
 
 /// Aggregate statistics of one corpus replay.
@@ -365,25 +460,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let logical = |outcomes: &[ShotOutcome]| -> Vec<(usize, u64, u64)> {
-            outcomes
-                .iter()
-                .map(|o| (o.defects, o.decoded_observable, o.expected_observable))
-                .collect()
-        };
-        assert_eq!(logical(&a), logical(&b));
-    }
-
-    #[test]
-    fn stream_replay_equals_batch_replay() {
-        let circuit = circuit();
-        let corpus = record_circuit_run(&circuit, 30, 11);
-        let spec = BackendSpec::micro_full(Some(3));
-        let batch =
-            replay_corpus(&spec, circuit.graph(), &corpus, ReplayMode::Batch, 2, None).unwrap();
-        let stream =
-            replay_corpus(&spec, circuit.graph(), &corpus, ReplayMode::Stream, 2, None).unwrap();
-        assert_eq!(batch, stream);
+        assert_same_decodes(&BackendSpec::Parity, &a, &b, "after a bytes round trip");
     }
 
     #[test]
@@ -432,17 +509,5 @@ mod tests {
             assert!(summary.weighted_error_rate < summary.logical_error_rate);
         }
         assert!(summary.latency_p99_ns >= summary.latency_p50_ns);
-    }
-
-    #[test]
-    fn windowed_replay_is_deterministic() {
-        let circuit = Arc::new(mb_graph::circuit::CircuitLevelCode::rotated(3, 8, 0.02).compile());
-        let corpus = record_circuit_run(&circuit, 12, 21);
-        let spec = BackendSpec::micro_full(Some(3));
-        let mode = ReplayMode::Windowed(WindowConfig::new(3, 1));
-        let a = replay_corpus(&spec, circuit.graph(), &corpus, mode.clone(), 1, None).unwrap();
-        let b = replay_corpus(&spec, circuit.graph(), &corpus, mode, 4, None).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 12);
     }
 }

@@ -44,8 +44,9 @@
 //!   precisely the state the pinned-stream order would have had), and
 //!   [`StreamDecoder::submit_seeded`] reuses the per-shot seeded RNG so a
 //!   stream of `n` seeded submissions equals `run_sampled(n, seed)` bit for
-//!   bit. Verified across worker counts by `tests/stream_equals_pipeline.rs`
-//!   and the interleaving differential test in this module.
+//!   bit. Verified across worker counts by the differential harness
+//!   (`tests/differential.rs`) and the interleaving differential test in
+//!   this module.
 //!
 //! A stream reserves its worker budget on the pool for its whole lifetime,
 //! but no longer monopolizes it: while the stream is idle (no queued shots,
@@ -77,7 +78,7 @@
 use crate::backend::{BackendSpec, DecoderBackend};
 #[cfg(any(test, feature = "chaos"))]
 use crate::chaos::{FaultPlan, RoundFault, ShotFault};
-use crate::error::{DecodeError, InvalidDefectReason};
+use crate::error::{validate_defects, DecodeError};
 use crate::pipeline::{
     decode_one, default_shards, shot_rng, DecodePool, JobState, ShotOutcome, MAX_STEAL_CHUNK,
 };
@@ -1404,19 +1405,6 @@ pub enum TrySubmitError {
     Invalid(DecodeError),
 }
 
-/// Checks that `defect` names a physical (non-virtual) vertex of `graph`.
-fn check_defect(graph: &DecodingGraph, defect: VertexIndex) -> Result<(), DecodeError> {
-    let vertex_count = graph.vertex_count();
-    let reason = if defect >= vertex_count {
-        InvalidDefectReason::OutOfRange { vertex_count }
-    } else if graph.is_virtual(defect) {
-        InvalidDefectReason::Virtual
-    } else {
-        return Ok(());
-    };
-    Err(DecodeError::InvalidDefect { defect, reason })
-}
-
 /// Incremental submission of one shot, round by round.
 ///
 /// Created by [`StreamDecoder::begin_shot`]; the shot occupies a
@@ -1490,27 +1478,7 @@ impl RoundFeeder {
 
     /// Checks `defects` against the round this feeder expects next.
     fn validate(&self, defects: &[VertexIndex]) -> Result<(), DecodeError> {
-        let num_layers = self.graph.num_layers();
-        if self.pushed >= num_layers {
-            return Err(DecodeError::LayerOverflow {
-                round: self.pushed,
-                num_layers,
-            });
-        }
-        for &defect in defects {
-            check_defect(&self.graph, defect)?;
-            let layer = self.graph.layer_of(defect);
-            if layer != self.pushed {
-                return Err(DecodeError::InvalidDefect {
-                    defect,
-                    reason: InvalidDefectReason::WrongRound {
-                        round: self.pushed,
-                        layer,
-                    },
-                });
-            }
-        }
-        Ok(())
+        validate_defects(&self.graph, Some(self.pushed), defects)
     }
 
     /// Routes an already-validated round and advances the round counter.
@@ -1774,16 +1742,6 @@ impl StreamDecoder {
         Self::builder(spec, graph).start()
     }
 
-    /// Validates a shot's defect indices against the decoding graph before
-    /// anything is queued: every defect must name a physical (non-virtual)
-    /// vertex.
-    fn validate_shot(&self, shot: &Shot) -> Result<(), DecodeError> {
-        shot.syndrome
-            .defects
-            .iter()
-            .try_for_each(|&defect| check_defect(&self.graph, defect))
-    }
-
     /// Admits a whole shot — explicit, or sampled from `seed` — whose
     /// context is born finished.
     fn submit_whole(
@@ -1793,7 +1751,7 @@ impl StreamDecoder {
         deadline: Option<ArmedDeadline>,
     ) -> Result<Ticket, DecodeError> {
         if let Some(shot) = &shot {
-            self.validate_shot(shot)?;
+            validate_defects(&self.graph, None, &shot.syndrome.defects)?;
         }
         self.shared
             .admit(true, shot, |ctx, shot| ctx.whole(shot, seed, deadline))
@@ -1827,7 +1785,7 @@ impl StreamDecoder {
     /// closed stream is permanently full). Defects are validated like
     /// [`Self::submit`].
     pub fn try_submit(&self, shot: Shot) -> Result<Ticket, TrySubmitError> {
-        if let Err(error) = self.validate_shot(&shot) {
+        if let Err(error) = validate_defects(&self.graph, None, &shot.syndrome.defects) {
             return Err(TrySubmitError::Invalid(error));
         }
         #[cfg(any(test, feature = "chaos"))]
@@ -1991,23 +1949,14 @@ impl Drop for StreamDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::InvalidDefectReason;
     use crate::micro::MicroBlossomConfig;
-    use crate::pipeline::ShardedPipeline;
+    use crate::pipeline::{sample_shots, ShardedPipeline};
     use mb_graph::codes::{CodeCapacityRotatedCode, PhenomenologicalCode};
     use mb_graph::syndrome::SyndromePattern;
 
     fn rotated() -> Arc<DecodingGraph> {
         Arc::new(CodeCapacityRotatedCode::new(3, 0.04).decoding_graph())
-    }
-
-    fn sample_shots(graph: &DecodingGraph, n: usize, seed: u64) -> Vec<Shot> {
-        let sampler = ErrorSampler::new(graph);
-        (0..n)
-            .map(|i| {
-                let mut rng = shot_rng(seed, i as u64);
-                sampler.sample(&mut rng)
-            })
-            .collect()
     }
 
     #[test]
@@ -2048,29 +1997,40 @@ mod tests {
         assert_eq!(outcomes, reference);
     }
 
+    /// Feeds `shots` round by round through a fresh stream on a pool of
+    /// `workers` workers, returning the outcomes in order.
+    fn round_fed(
+        spec: BackendSpec,
+        graph: &Arc<DecodingGraph>,
+        shots: &[Shot],
+        workers: usize,
+    ) -> Vec<ShotOutcome> {
+        let stream = StreamDecoder::builder(spec, Arc::clone(graph))
+            .pool(Arc::new(DecodePool::new(workers)))
+            .workers(workers)
+            .start();
+        let tickets: Vec<Ticket> = shots
+            .iter()
+            .map(|shot| {
+                let mut feeder = stream.begin_shot(shot.observable).unwrap();
+                for round in shot.syndrome.split_by_layer(graph) {
+                    feeder.push_round(&round).unwrap();
+                }
+                feeder.finish()
+            })
+            .collect();
+        let outcomes = tickets.into_iter().map(|t| t.recv().unwrap()).collect();
+        stream.close();
+        outcomes
+    }
+
     #[test]
     fn round_fed_shots_match_batch_outcomes() {
         let graph = Arc::new(PhenomenologicalCode::rotated(3, 4, 0.03).decoding_graph());
         let shots = sample_shots(&graph, 25, 5);
         let spec = BackendSpec::micro_full(Some(3));
         let reference = ShardedPipeline::new(spec.clone(), Arc::clone(&graph)).run_shots(&shots);
-        let stream = StreamDecoder::builder(spec, Arc::clone(&graph))
-            .pool(Arc::new(DecodePool::new(2)))
-            .workers(2)
-            .start();
-        let tickets: Vec<Ticket> = shots
-            .iter()
-            .map(|shot| {
-                let mut feeder = stream.begin_shot(shot.observable).unwrap();
-                for round in shot.syndrome.split_by_layer(&graph) {
-                    feeder.push_round(&round).unwrap();
-                }
-                feeder.finish()
-            })
-            .collect();
-        let outcomes: Vec<ShotOutcome> = tickets.into_iter().map(|t| t.recv().unwrap()).collect();
-        stream.close();
-        assert_eq!(outcomes, reference);
+        assert_eq!(round_fed(spec, &graph, &shots, 2), reference);
     }
 
     #[test]
@@ -2079,23 +2039,7 @@ mod tests {
         let shots = sample_shots(&graph, 15, 8);
         let spec = BackendSpec::union_find();
         let reference = ShardedPipeline::new(spec.clone(), Arc::clone(&graph)).run_shots(&shots);
-        let stream = StreamDecoder::builder(spec, Arc::clone(&graph))
-            .pool(Arc::new(DecodePool::new(1)))
-            .workers(1)
-            .start();
-        let tickets: Vec<Ticket> = shots
-            .iter()
-            .map(|shot| {
-                let mut feeder = stream.begin_shot(shot.observable).unwrap();
-                for round in shot.syndrome.split_by_layer(&graph) {
-                    feeder.push_round(&round).unwrap();
-                }
-                feeder.finish()
-            })
-            .collect();
-        let outcomes: Vec<ShotOutcome> = tickets.into_iter().map(|t| t.recv().unwrap()).collect();
-        stream.close();
-        assert_eq!(outcomes, reference);
+        assert_eq!(round_fed(spec, &graph, &shots, 1), reference);
     }
 
     #[test]

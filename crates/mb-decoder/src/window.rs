@@ -50,7 +50,7 @@
 //! monolithic path.
 
 use crate::backend::BackendSpec;
-use crate::error::{DecodeError, InvalidDefectReason};
+use crate::error::{validate_defects, DecodeError, InvalidDefectReason};
 use crate::outcome::LatencyBreakdown;
 use crate::pipeline::{DecodePool, JobState};
 use mb_blossom::PerfectMatching;
@@ -505,37 +505,8 @@ impl WindowedFeeder {
         if self.finished {
             return Err(DecodeError::FeederClosed);
         }
-        let num_layers = self.graph.num_layers();
-        if self.next_round >= num_layers {
-            return Err(DecodeError::LayerOverflow {
-                round: self.next_round,
-                num_layers,
-            });
-        }
+        validate_defects(&self.graph, Some(self.next_round), defects)?;
         let t = self.next_round;
-        for &d in defects {
-            if d >= self.graph.vertex_count() {
-                return Err(DecodeError::InvalidDefect {
-                    defect: d,
-                    reason: InvalidDefectReason::OutOfRange {
-                        vertex_count: self.graph.vertex_count(),
-                    },
-                });
-            }
-            if self.graph.is_virtual(d) {
-                return Err(DecodeError::InvalidDefect {
-                    defect: d,
-                    reason: InvalidDefectReason::Virtual,
-                });
-            }
-            let layer = self.graph.layer_of(d);
-            if layer != t {
-                return Err(DecodeError::InvalidDefect {
-                    defect: d,
-                    reason: InvalidDefectReason::WrongRound { round: t, layer },
-                });
-            }
-        }
         // open staging for every window whose view now covers this round
         while self.next_staged < self.plan.windows.len()
             && self.plan.windows[self.next_staged].view.layer_lo() <= t
@@ -594,11 +565,6 @@ impl WindowedFeeder {
     /// Rounds pushed so far.
     pub fn rounds_pushed(&self) -> usize {
         self.next_round
-    }
-
-    /// Window jobs submitted and not yet fused.
-    pub fn pending_windows(&self) -> usize {
-        self.pending.len()
     }
 
     /// Pads missing rounds empty and fuses every remaining window and seam,
@@ -1086,16 +1052,27 @@ mod tests {
         let _ = feeder.finish();
     }
 
+    /// Pushes one payload into a windowed feeder and a stream round feeder
+    /// at the same round, requiring both to report the same result.
+    fn push_both(
+        windowed: &mut WindowedFeeder,
+        rounds: &mut crate::stream::RoundFeeder,
+        defects: &[VertexIndex],
+    ) -> Result<(), DecodeError> {
+        let result = windowed.try_push_round(defects);
+        assert_eq!(rounds.push_round(defects), result, "payload {defects:?}");
+        result
+    }
+
     #[test]
     fn try_push_round_reports_typed_misuse() {
         let graph = phenomenological(4, 0.01);
         let num_layers = graph.num_layers();
-        let layer1 = (0..graph.vertex_count())
-            .find(|&v| !graph.is_virtual(v) && graph.layer_of(v) == 1)
-            .unwrap();
-        let virtual_vertex = (0..graph.vertex_count())
-            .find(|&v| graph.is_virtual(v))
-            .unwrap();
+        let vertex_count = graph.vertex_count();
+        let in_layer =
+            |t| (0..vertex_count).find(|&v| !graph.is_virtual(v) && graph.layer_of(v) == t);
+        let (layer0, layer1) = (in_layer(0).unwrap(), in_layer(1).unwrap());
+        let virtual_vertex = (0..vertex_count).find(|&v| graph.is_virtual(v)).unwrap();
         let decoder = WindowedDecoder::new(
             BackendSpec::Parity,
             Arc::clone(&graph),
@@ -1103,45 +1080,52 @@ mod tests {
         )
         .with_pool(Arc::new(DecodePool::new(1)));
         let mut feeder = decoder.begin_shot(0);
-        // out-of-range, virtual, and wrong-round defects are typed errors,
-        // and a rejected round is not consumed
-        assert_eq!(
-            feeder.try_push_round(&[graph.vertex_count()]),
-            Err(DecodeError::InvalidDefect {
-                defect: graph.vertex_count(),
-                reason: InvalidDefectReason::OutOfRange {
-                    vertex_count: graph.vertex_count()
-                },
-            })
-        );
-        assert_eq!(
-            feeder.try_push_round(&[virtual_vertex]),
-            Err(DecodeError::InvalidDefect {
-                defect: virtual_vertex,
-                reason: InvalidDefectReason::Virtual,
-            })
-        );
-        assert_eq!(
-            feeder.try_push_round(&[layer1]),
-            Err(DecodeError::InvalidDefect {
-                defect: layer1,
-                reason: InvalidDefectReason::WrongRound { round: 0, layer: 1 },
-            })
-        );
+        // the stream's round feeder shares the validator: every payload
+        // below must draw the same result from both front-ends
+        let stream = crate::stream::StreamDecoder::builder(BackendSpec::Parity, Arc::clone(&graph))
+            .pool(Arc::new(DecodePool::new(1)))
+            .start();
+        let mut rounds = stream.begin_shot(0).unwrap();
+        // out-of-range, virtual, and wrong-round defects are typed errors
+        // (the first bad defect of a payload is the one reported), and a
+        // rejected round is not consumed
+        let out_of_range = InvalidDefectReason::OutOfRange { vertex_count };
+        let wrong_round = InvalidDefectReason::WrongRound { round: 0, layer: 1 };
+        let bad_payloads = [
+            (vec![vertex_count], vertex_count, out_of_range),
+            (
+                vec![layer0, vertex_count, virtual_vertex],
+                vertex_count,
+                out_of_range,
+            ),
+            (
+                vec![virtual_vertex],
+                virtual_vertex,
+                InvalidDefectReason::Virtual,
+            ),
+            (vec![layer1], layer1, wrong_round),
+        ];
+        for (payload, defect, reason) in bad_payloads {
+            let error = DecodeError::InvalidDefect { defect, reason };
+            assert_eq!(push_both(&mut feeder, &mut rounds, &payload), Err(error));
+        }
         assert_eq!(feeder.rounds_pushed(), 0);
+        assert_eq!(rounds.rounds_pushed(), 0);
         // the corrected sequence proceeds
-        feeder.try_push_round(&[]).unwrap();
-        feeder.try_push_round(&[layer1]).unwrap();
+        push_both(&mut feeder, &mut rounds, &[]).unwrap();
+        push_both(&mut feeder, &mut rounds, &[layer1]).unwrap();
         for _ in 2..num_layers {
-            feeder.try_push_round(&[]).unwrap();
+            push_both(&mut feeder, &mut rounds, &[]).unwrap();
         }
         assert_eq!(
-            feeder.try_push_round(&[]),
+            push_both(&mut feeder, &mut rounds, &[]),
             Err(DecodeError::LayerOverflow {
                 round: num_layers,
                 num_layers,
             })
         );
+        rounds.finish().recv().unwrap();
+        stream.close();
         // a flushed (completed) session reports closure, not overflow
         feeder.flush();
         assert_eq!(feeder.try_push_round(&[]), Err(DecodeError::FeederClosed));

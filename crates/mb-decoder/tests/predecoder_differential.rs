@@ -10,8 +10,8 @@
 
 use mb_blossom::PerfectMatching;
 use mb_decoder::{
-    BackendSpec, DecodePool, DecoderBackend, MicroBlossomConfig, MicroBlossomDecoder,
-    ShardedPipeline, Stage,
+    assert_same_decodes, BackendSpec, DecodePool, DecoderBackend, MicroBlossomConfig,
+    MicroBlossomDecoder, ShardedPipeline, ShotOutcome, Stage,
 };
 use mb_graph::codes::{CodeCapacityRotatedCode, PhenomenologicalCode};
 use mb_graph::syndrome::ErrorSampler;
@@ -129,28 +129,11 @@ fn lut_outcomes_match_unconditional_path_across_noise_models_and_modes() {
     }
 }
 
-/// Projection of a `ShotOutcome` that must be identical between the
-/// pre-decoder-on and -off pools (latency legitimately differs: the fast
-/// path is the optimization).
-type OutcomeProjection = (
-    usize,
-    usize,
-    mb_graph::ObservableMask,
-    mb_graph::ObservableMask,
-);
-
-fn outcome_projection(outcomes: &[mb_decoder::ShotOutcome]) -> Vec<OutcomeProjection> {
-    outcomes
-        .iter()
-        .map(|o| {
-            (
-                o.shot_index,
-                o.defects,
-                o.decoded_observable,
-                o.expected_observable,
-            )
-        })
-        .collect()
+/// The decode keys of `outcomes`, which the pre-decoder-on and -off pools
+/// must agree on (latency legitimately differs: the fast path is the
+/// optimization).
+fn keys(outcomes: &[ShotOutcome]) -> Vec<ShotOutcome> {
+    outcomes.iter().map(ShotOutcome::without_latency).collect()
 }
 
 #[test]
@@ -170,17 +153,14 @@ fn pools_of_1_2_8_workers_agree_between_on_and_off_specs() {
             .with_pool(Arc::clone(&pool))
             .with_shards(workers)
             .run_sampled(120, 0xD1FF);
-        let projection = outcome_projection(&on);
         assert_eq!(
-            projection,
-            outcome_projection(&off),
+            keys(&on),
+            keys(&off),
             "{workers}-worker pool: LUT path diverged from unconditional path"
         );
         // worker count must not change results either (on-spec determinism)
-        match &reference {
-            None => reference = Some(projection),
-            Some(want) => assert_eq!(&projection, want, "workers={workers}"),
-        }
+        let want = reference.get_or_insert_with(|| on.clone());
+        assert_same_decodes(&spec_on, want, &on, &format!("x{workers}"));
         let accel = pool.stats().accel;
         assert_eq!(accel.accel_shots, 240, "both specs are accel-backed");
         assert!(
@@ -208,8 +188,8 @@ fn circuit_level_pool_runs_agree_between_on_and_off_specs() {
             .with_shards(workers)
             .run_circuit_sampled(&circuit, 80, 0xC1AC);
         assert_eq!(
-            outcome_projection(&on),
-            outcome_projection(&off),
+            keys(&on),
+            keys(&off),
             "{workers}-worker circuit-level pool diverged"
         );
     }

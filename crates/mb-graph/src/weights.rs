@@ -70,12 +70,6 @@ impl WeightScaler {
             (w + 1).min(self.max_weight - (self.max_weight % 2)).max(2)
         }
     }
-
-    /// A uniform-probability convenience: the weight used when every edge of
-    /// a code-capacity graph shares the same probability.
-    pub fn uniform_weight(&self) -> Weight {
-        2
-    }
 }
 
 #[cfg(test)]

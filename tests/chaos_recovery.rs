@@ -9,14 +9,13 @@
 //! any worker-count/backend combination, deadline misses must degrade
 //! rather than stall, and ticket-drop storms must never leak outcome cells.
 
-use mb_decoder::pipeline::{shot_rng, DecodePool, ShardedPipeline};
+use mb_decoder::pipeline::{sample_shots, DecodePool, ShardedPipeline};
 use mb_decoder::stream::StreamDecoder;
 use mb_decoder::{
     BackendSpec, DeadlinePolicy, DecodeError, FaultPlan, MicroBlossomConfig, RoundFault,
     TrySubmitError,
 };
 use mb_graph::codes::PhenomenologicalCode;
-use mb_graph::syndrome::{ErrorSampler, Shot};
 use mb_graph::DecodingGraph;
 use std::sync::Arc;
 use std::time::Duration;
@@ -36,16 +35,6 @@ fn specs(graph: &DecodingGraph) -> Vec<(&'static str, BackendSpec)> {
         ),
         ("union-find", BackendSpec::union_find()),
     ]
-}
-
-fn sample_shots(graph: &DecodingGraph, n: usize, seed: u64) -> Vec<Shot> {
-    let sampler = ErrorSampler::new(graph);
-    (0..n)
-        .map(|i| {
-            let mut rng = shot_rng(seed, i as u64);
-            sampler.sample(&mut rng)
-        })
-        .collect()
 }
 
 #[test]

@@ -14,8 +14,9 @@
 //!   phenomenological noise for the micro-blossom backend — the §8
 //!   calibration property.
 
-use mb_decoder::evaluation::{evaluate_circuit, evaluate_circuit_sharded, evaluate_decoder};
+use mb_decoder::evaluation::{evaluate_circuit, evaluate_decoder};
 use mb_decoder::pipeline::{shot_rng, DecodePool, ShardedPipeline};
+use mb_decoder::replay::assert_same_decodes;
 use mb_decoder::stream::StreamDecoder;
 use mb_decoder::BackendSpec;
 use mb_graph::circuit::{xor_probability, CircuitLevelCode, CompiledCircuit};
@@ -122,7 +123,6 @@ fn batch_and_stream_agree_bit_identically_on_circuit_shots() {
     let circuit = Arc::new(CircuitLevelCode::rotated(d, 4, 0.04).compile());
     let shots = sample_circuit_shots(&circuit, 48, 0xBEEF);
     for spec in specs(d) {
-        let deterministic = spec.deterministic_latency();
         let reference = ShardedPipeline::new(spec.clone(), Arc::clone(circuit.graph()))
             .with_shards(2)
             .run_shots(&shots);
@@ -142,35 +142,13 @@ fn batch_and_stream_agree_bit_identically_on_circuit_shots() {
                     feeder.finish()
                 })
                 .collect();
-            for (ticket, expected) in tickets.into_iter().zip(&reference) {
-                let outcome = ticket.recv().unwrap();
-                assert_eq!(
-                    outcome.defects,
-                    expected.defects,
-                    "{} workers={workers}",
-                    spec.name()
-                );
-                assert_eq!(
-                    outcome.decoded_observable,
-                    expected.decoded_observable,
-                    "{} workers={workers}",
-                    spec.name()
-                );
-                assert_eq!(
-                    outcome.expected_observable,
-                    expected.expected_observable,
-                    "{} workers={workers}",
-                    spec.name()
-                );
-                if deterministic {
-                    assert_eq!(
-                        outcome.latency_ns,
-                        expected.latency_ns,
-                        "{} workers={workers}",
-                        spec.name()
-                    );
-                }
-            }
+            let outcomes: Vec<_> = tickets.into_iter().map(|t| t.recv().unwrap()).collect();
+            assert_same_decodes(
+                &spec,
+                &reference,
+                &outcomes,
+                &format!("round-fed stream x{workers}"),
+            );
             stream.close();
         }
     }
@@ -180,9 +158,14 @@ fn batch_and_stream_agree_bit_identically_on_circuit_shots() {
 fn circuit_sampling_is_shard_count_invariant() {
     let circuit = Arc::new(CircuitLevelCode::rotated(3, 3, 0.03).compile());
     let spec = BackendSpec::micro_full(Some(3));
-    let reference = evaluate_circuit_sharded(&spec, &circuit, 150, 99, 1);
+    let evaluate = |shards: usize| {
+        ShardedPipeline::new(spec.clone(), Arc::clone(circuit.graph()))
+            .with_shards(shards)
+            .evaluate_circuit(&circuit, 150, 99)
+    };
+    let reference = evaluate(1);
     for shards in [2usize, 4, 8] {
-        let result = evaluate_circuit_sharded(&spec, &circuit, 150, 99, shards);
+        let result = evaluate(shards);
         assert_eq!(result, reference, "shards={shards}");
     }
 }

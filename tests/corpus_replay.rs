@@ -13,8 +13,9 @@
 //!   too, under an allocator that fails any allocation over 64 MiB. So do
 //!   seeded mutations of a graph's JSON description, through the JSON
 //!   parser and through `GraphDescription::from_json` and `to_graph`.
-//! * **Differential replay**: one corpus replays bit-identically across
-//!   3 backends × 1/2/8-worker pools × batch/stream/windowed ingestion,
+//! * **Differential replay** (`replay_matrix`): one corpus replays
+//!   identically across 3 backends × 1/2/8-worker pools ×
+//!   batch/stream/windowed ingestion,
 //!   and the batch replay equals the original in-process sampled run at
 //!   the same seed — the byte format is a faithful transport for the
 //!   pipeline's exact workload.
@@ -29,11 +30,12 @@
 //!   `(observable, breakdown, latency_ns)` — a performance change to the
 //!   accelerator simulator must leave every decode bit-identical.
 
-use mb_decoder::pipeline::{DecodePool, ShardedPipeline};
-use mb_decoder::replay::{record_circuit_run, record_tilted_run, replay_corpus, ReplayMode};
-use mb_decoder::{
-    BackendSpec, DecodeOutcome, MicroBlossomConfig, ShotOutcome, Stage, WindowConfig,
+use mb_decoder::pipeline::ShardedPipeline;
+use mb_decoder::replay::{
+    assert_same_decodes, record_circuit_run, record_tilted_run, replay_corpus, replay_matrix,
+    ReplayMode,
 };
+use mb_decoder::{BackendSpec, DecodeOutcome, MicroBlossomConfig, Stage};
 use mb_graph::circuit::{CircuitLevelCode, MechanismTilt};
 use mb_graph::codes::CodeCapacityRotatedCode;
 use mb_graph::corpus::{graph_fingerprint, CorpusError, CorpusWriter, TraceCorpus};
@@ -75,17 +77,6 @@ const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../bench/fixtures/golden_d3.mbtc"
 );
-
-/// The decode triple that must be invariant across every replay
-/// configuration (latency is wall-clock for some backends).
-fn decode_key(o: &ShotOutcome) -> (usize, usize, u64, u64) {
-    (
-        o.shot_index,
-        o.defects,
-        o.decoded_observable,
-        o.expected_observable,
-    )
-}
 
 #[test]
 fn round_trips_randomized_corpora_exactly() {
@@ -311,84 +302,28 @@ fn one_corpus_replays_identically_across_backends_workers_and_modes() {
         BackendSpec::Parity,
         BackendSpec::union_find(),
     ] {
-        // the in-process sampled run the corpus was recorded from
+        let runs = replay_matrix(&spec, graph, &corpus, &[1, 2, 8]).expect("corpus replays");
+        let modes = if matches!(spec, BackendSpec::UnionFind(_)) {
+            2
+        } else {
+            3
+        };
+        assert_eq!(
+            runs.len(),
+            modes * 3,
+            "{}: every mode at every worker count",
+            spec.name()
+        );
+        // the in-process sampled run the corpus was recorded from equals
+        // its batch replay on one worker
         let original = ShardedPipeline::new(spec.clone(), Arc::clone(graph))
             .run_circuit_sampled(&circuit, shots, seed);
-        let reference = replay_corpus(&spec, graph, &corpus, ReplayMode::Batch, 1, None)
-            .expect("replay batch x1");
-        assert_eq!(original.len(), reference.len());
-        for (a, b) in original.iter().zip(&reference) {
-            assert_eq!(
-                decode_key(a),
-                decode_key(b),
-                "{}: replay equals the original sampled run at equal seed",
-                spec.name()
-            );
-        }
-        let windowed = !matches!(spec, BackendSpec::UnionFind(_));
-        let mut windowed_reference: Option<Vec<ShotOutcome>> = None;
-        for workers in [1usize, 2, 8] {
-            let pool = Arc::new(DecodePool::new(workers));
-            let batch = replay_corpus(
-                &spec,
-                graph,
-                &corpus,
-                ReplayMode::Batch,
-                workers,
-                Some(Arc::clone(&pool)),
-            )
-            .expect("batch replay");
-            let stream = replay_corpus(
-                &spec,
-                graph,
-                &corpus,
-                ReplayMode::Stream,
-                workers,
-                Some(Arc::clone(&pool)),
-            )
-            .expect("stream replay");
-            for (r, outcomes) in [("batch", &batch), ("stream", &stream)] {
-                for (a, b) in reference.iter().zip(outcomes.iter()) {
-                    assert_eq!(
-                        decode_key(a),
-                        decode_key(b),
-                        "{} {r} x{workers} diverged",
-                        spec.name()
-                    );
-                }
-            }
-            if spec.deterministic_latency() {
-                // modeled-latency backends must agree on the *entire*
-                // outcome, latency included, for any worker count
-                assert_eq!(reference, batch, "{} full equality", spec.name());
-            }
-            if windowed {
-                let outcomes = replay_corpus(
-                    &spec,
-                    graph,
-                    &corpus,
-                    ReplayMode::Windowed(WindowConfig::new(3, 1)),
-                    workers,
-                    Some(pool),
-                )
-                .expect("windowed replay");
-                // windowed decoding equals batch only up to MWPM seam
-                // degeneracy, but must be deterministic across workers
-                match &windowed_reference {
-                    None => windowed_reference = Some(outcomes),
-                    Some(reference) => {
-                        for (a, b) in reference.iter().zip(&outcomes) {
-                            assert_eq!(
-                                decode_key(a),
-                                decode_key(b),
-                                "{} windowed x{workers} diverged",
-                                spec.name()
-                            );
-                        }
-                    }
-                }
-            }
-        }
+        assert_same_decodes(
+            &spec,
+            &original,
+            &runs[0].outcomes,
+            "replay of the sampled run",
+        );
     }
 }
 

@@ -1,12 +1,13 @@
 //! Round-wise fusion (§6) must not change the decoding result: stream
-//! decoding finds exactly the same minimum weight as batch decoding, and the
-//! work performed after the last measurement round (the decoding latency
-//! that matters) is bounded regardless of how many rounds the block has.
-//! And the stream front-end keeps pace with the batch pipeline (wall-clock).
+//! decoding finds exactly the same minimum weight as batch decoding (a case
+//! of the differential harness, `differential.rs`), and the work performed
+//! after the last measurement round (the decoding latency that matters) is
+//! bounded regardless of how many rounds the block has. And the stream
+//! front-end keeps pace with the batch pipeline (wall-clock).
 
 use mb_decoder::pipeline::ShardedPipeline;
 use mb_decoder::stream::StreamDecoder;
-use mb_decoder::{BackendSpec, MicroBlossomConfig, MicroBlossomDecoder, Stage};
+use mb_decoder::{BackendSpec, MicroBlossomConfig, MicroBlossomDecoder};
 use mb_graph::codes::PhenomenologicalCode;
 use mb_graph::syndrome::ErrorSampler;
 use rand::SeedableRng;
@@ -14,33 +15,11 @@ use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 use std::time::Instant;
 
-#[test]
-fn stream_and_batch_agree_on_matching_weight() {
-    for (d, rounds, p) in [(3usize, 4usize, 0.02), (3, 8, 0.01), (5, 5, 0.005)] {
-        let graph = Arc::new(PhenomenologicalCode::rotated(d, rounds, p).decoding_graph());
-        let mut stream = MicroBlossomDecoder::new(
-            Arc::clone(&graph),
-            MicroBlossomConfig::full(&graph, Some(d)),
-        );
-        let mut batch = MicroBlossomDecoder::new(
-            Arc::clone(&graph),
-            MicroBlossomConfig::new(Stage::Prematch, &graph, Some(d)),
-        );
-        let sampler = ErrorSampler::new(&graph);
-        let mut rng = ChaCha8Rng::seed_from_u64(77);
-        for _ in 0..60 {
-            let shot = sampler.sample(&mut rng);
-            let (stream_matching, _) = stream.decode_matching(&shot.syndrome);
-            let (batch_matching, _) = batch.decode_matching(&shot.syndrome);
-            assert!(stream_matching.is_valid_for(&shot.syndrome.defects));
-            assert_eq!(
-                stream_matching.weight(&graph),
-                batch_matching.weight(&graph),
-                "d={d} rounds={rounds} syndrome {:?}",
-                shot.syndrome
-            );
-        }
-    }
+#[path = "differential.rs"]
+mod differential;
+
+differential::cases! {
+    stream_and_batch_agree_on_matching_weight,
 }
 
 #[test]
