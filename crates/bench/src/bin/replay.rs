@@ -14,11 +14,11 @@
 //! Defaults: workers = 1,2,8.
 
 use bench::{render_table, BenchReport};
-use mb_decoder::replay::{replay_matrix, summarize_replay, ReplayMode};
+use mb_decoder::replay::{
+    recorded_circuit, replay_matrix, summarize_replay, RecordedCircuit, ReplayMode,
+};
 use mb_decoder::BackendSpec;
-use mb_graph::circuit::CircuitLevelCode;
 use mb_graph::corpus::TraceCorpus;
-use std::sync::Arc;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -39,17 +39,15 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let meta = &corpus.header.provenance;
-    let d = meta.get("d").and_then(|v| v.as_u64()).unwrap_or_else(|| {
-        eprintln!("corpus provenance lacks code parameters (recorded by an older tool?)");
+    let RecordedCircuit {
+        d,
+        rounds,
+        p,
+        circuit,
+    } = recorded_circuit(&corpus).unwrap_or_else(|error| {
+        eprintln!("cannot rebuild the graph of corpus {path}: {error}");
         std::process::exit(1);
-    }) as usize;
-    let rounds = meta
-        .get("rounds")
-        .and_then(|v| v.as_u64())
-        .unwrap_or(d as u64) as usize;
-    let p = meta.get("p").and_then(|v| v.as_f64()).unwrap_or(0.01);
-    let circuit = Arc::new(CircuitLevelCode::rotated(d, rounds, p).compile());
+    });
     let graph = circuit.graph();
     println!(
         "replaying {} shots (d={d}, rounds={rounds}, p={p}) from {path}\n",

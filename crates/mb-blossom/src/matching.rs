@@ -1,7 +1,7 @@
 //! The output of MWPM decoding: a perfect matching of defect vertices, and
 //! its realization as a physical correction on the decoding graph.
 
-use mb_graph::dijkstra::{dijkstra, distance_between, path_between};
+use mb_graph::dijkstra::{dijkstra, distance_between, path_between, path_observable};
 use mb_graph::{DecodingGraph, EdgeIndex, ObservableMask, VertexIndex, Weight};
 
 /// A perfect matching of the defect vertices of one syndrome.
@@ -104,9 +104,24 @@ impl PerfectMatching {
     /// Logical observables flipped by the correction.
     ///
     /// This is what gets compared against the sampled error's observable to
-    /// decide whether a logical error occurred.
+    /// decide whether a logical error occurred. Observables are XOR-linear
+    /// over paths, so this folds [`path_observable`] over the matched pairs
+    /// — equal to `graph.observable_of(self.correction(graph))` without
+    /// building, sorting or deduplicating an edge list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a matched pair is unreachable on the graph.
     pub fn correction_observable(&self, graph: &DecodingGraph) -> ObservableMask {
-        graph.observable_of(self.correction(graph))
+        let pairs = self
+            .pairs
+            .iter()
+            .map(|&(a, b)| path_observable(graph, a, b).expect("matched pair must be connected"));
+        let boundary = self
+            .boundary
+            .iter()
+            .map(|&(d, v)| path_observable(graph, d, v).expect("boundary match must be connected"));
+        pairs.chain(boundary).fold(0, |acc, mask| acc ^ mask)
     }
 
     /// Verifies that the correction produces exactly the given syndrome
@@ -159,8 +174,18 @@ impl PerfectMatching {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mb_graph::circuit::{CircuitErrorSampler, CircuitLevelCode};
     use mb_graph::codes::CodeCapacityRepetitionCode;
+    use mb_graph::dijkstra::distance_to_boundary;
     use mb_graph::syndrome::ErrorPattern;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    fn boundary_of(graph: &DecodingGraph, v: VertexIndex) -> VertexIndex {
+        distance_to_boundary(graph, v)
+            .expect("boundary reachable")
+            .1
+    }
 
     fn rep5() -> DecodingGraph {
         CodeCapacityRepetitionCode::new(5, 0.1).decoding_graph()
@@ -217,6 +242,39 @@ mod tests {
         };
         assert_eq!(left.correction_observable(&g), 1);
         assert_eq!(right.correction_observable(&g), 0);
+
+        // the per-path XOR fold equals the observable of the correction's
+        // symmetric difference — on these, and on matchings of sampled
+        // circuit-level shots (defect i paired with defect i + n/2, so
+        // paths are long, and every third pair sent to the nearest
+        // boundary instead, so paths overlap and cancel)
+        let check = |graph: &DecodingGraph, m: &PerfectMatching| {
+            let want = graph.observable_of(m.correction(graph));
+            assert_eq!(m.correction_observable(graph), want, "{m:?}");
+        };
+        check(&g, &left);
+        check(&g, &right);
+        let circuit = CircuitLevelCode::rotated(5, 5, 0.15).compile();
+        let graph = circuit.graph();
+        let sampler = CircuitErrorSampler::new(&circuit);
+        let mut rng = ChaCha8Rng::seed_from_u64(0x0B5);
+        for _ in 0..40 {
+            let defects = sampler.sample(&mut rng).syndrome.defects;
+            let (near, far) = defects.split_at(defects.len() / 2);
+            let mut m = PerfectMatching::new();
+            for (i, (&a, &b)) in near.iter().zip(far).enumerate() {
+                if i % 3 == 2 {
+                    m.boundary.push((a, boundary_of(graph, a)));
+                    m.boundary.push((b, boundary_of(graph, b)));
+                } else {
+                    m.pairs.push((a, b));
+                }
+            }
+            if let Some(&odd) = far.get(near.len()) {
+                m.boundary.push((odd, boundary_of(graph, odd)));
+            }
+            check(graph, &m);
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::pipeline::{shot_rng, DecodePool, ShardedPipeline, ShotOutcome};
 use crate::stream::StreamDecoder;
 use crate::window::{WindowConfig, WindowedDecoder};
 use mb_graph::circuit::{
-    CircuitErrorSampler, CompiledCircuit, MechanismTilt, TiltedCircuitSampler,
+    CircuitErrorSampler, CircuitLevelCode, CompiledCircuit, MechanismTilt, TiltedCircuitSampler,
 };
 use mb_graph::corpus::{graph_fingerprint, CorpusError, CorpusHeader, TraceCorpus, TraceRecord};
 use mb_graph::json::JsonValue;
@@ -70,6 +70,59 @@ fn provenance(
         map.insert("tilt".into(), JsonValue::String(tilt.label().into()));
     }
     JsonValue::Object(map)
+}
+
+/// The rotated-surface-code circuit a corpus was recorded on, rebuilt
+/// from its provenance by [`recorded_circuit`].
+#[derive(Debug, Clone)]
+pub struct RecordedCircuit {
+    /// Code distance.
+    pub d: usize,
+    /// Detector layers.
+    pub rounds: usize,
+    /// Physical error rate ([`CircuitLevelCode::rotated`]).
+    pub p: f64,
+    /// The compiled circuit; its graph is the corpus's graph.
+    pub circuit: Arc<CompiledCircuit>,
+}
+
+/// Rebuilds the circuit a corpus was recorded on from the `d`, `rounds`
+/// and `p` its provenance carries (the `record` bin adds them to what
+/// [`record_circuit_run`] writes), checked against the header's graph
+/// fingerprint.
+///
+/// # Errors
+///
+/// [`CorpusError::BadProvenance`] when a parameter is missing or outside
+/// the code's range (`rounds` must equal the header's `num_layers`),
+/// [`CorpusError::GraphMismatch`] when the rebuilt graph
+/// is not the one the corpus was recorded on.
+pub fn recorded_circuit(corpus: &TraceCorpus) -> Result<RecordedCircuit, CorpusError> {
+    let header = &corpus.header;
+    let uint = |key| header.provenance.get(key).and_then(JsonValue::as_u64);
+    let bad = |key| CorpusError::BadProvenance { key };
+    let d = uint("d")
+        .filter(|&d| d >= 3 && d % 2 == 1)
+        .ok_or(bad("d"))? as usize;
+    let rounds = uint("rounds")
+        .filter(|&r| r >= 1 && r == header.num_layers as u64)
+        .ok_or(bad("rounds"))? as usize;
+    let p = header.provenance.get("p").and_then(JsonValue::as_f64);
+    let p = p.filter(|p| (0.0..0.5).contains(p)).ok_or(bad("p"))?;
+    let circuit = Arc::new(CircuitLevelCode::rotated(d, rounds, p).compile());
+    let graph = graph_fingerprint(circuit.graph());
+    if graph != header.graph_fingerprint {
+        return Err(CorpusError::GraphMismatch {
+            corpus: header.graph_fingerprint,
+            graph,
+        });
+    }
+    Ok(RecordedCircuit {
+        d,
+        rounds,
+        p,
+        circuit,
+    })
 }
 
 /// Records `shots` circuit-level sampled shots into a corpus.
@@ -387,7 +440,9 @@ pub fn summarize_replay(corpus: &TraceCorpus, outcomes: &[ShotOutcome]) -> Repla
         .zip(outcomes)
         .filter(|(_, o)| o.is_logical_error())
         .map(|(r, _)| r.weight())
-        .sum();
+        // fold from +0.0: `Sum` of an empty iterator is −0.0, which would
+        // print as a negative rate when no shot fails
+        .fold(0.0, |acc, w| acc + w);
     let defects: usize = outcomes.iter().map(|o| o.defects).sum();
     let mut latencies: Vec<f64> = outcomes.iter().map(|o| o.latency_ns).collect();
     latencies.sort_by(f64::total_cmp);
@@ -483,6 +538,48 @@ mod tests {
             None,
         );
         assert!(matches!(result, Err(CorpusError::GraphMismatch { .. })));
+    }
+
+    #[test]
+    fn summary_without_failures_has_a_positive_zero_weighted_rate() {
+        let circuit = Arc::new(mb_graph::circuit::CircuitLevelCode::rotated(3, 3, 0.001).compile());
+        let corpus = record_circuit_run(&circuit, 16, 9);
+        let outcomes = replay_corpus(
+            &BackendSpec::Parity,
+            circuit.graph(),
+            &corpus,
+            ReplayMode::Batch,
+            1,
+            None,
+        )
+        .unwrap();
+        let summary = summarize_replay(&corpus, &outcomes);
+        assert_eq!(summary.logical_errors, 0);
+        assert_eq!(summary.weighted_error_rate, 0.0);
+        assert!(summary.weighted_error_rate.is_sign_positive());
+    }
+
+    #[test]
+    fn recorded_circuit_rebuilds_from_provenance_or_fails_typed() {
+        let circuit = circuit();
+        let mut corpus = record_circuit_run(&circuit, 2, 1);
+        let missing = recorded_circuit(&corpus).unwrap_err();
+        assert!(matches!(missing, CorpusError::BadProvenance { key: "d" }));
+        let mut set = |d: u64, p: f64| {
+            if let JsonValue::Object(map) = &mut corpus.header.provenance {
+                map.insert("d".into(), JsonValue::UInt(d));
+                map.insert("rounds".into(), JsonValue::UInt(3));
+                map.insert("p".into(), JsonValue::Number(p));
+            }
+            recorded_circuit(&corpus)
+        };
+        let rebuilt = set(3, 0.03).expect("the recording parameters");
+        assert_eq!((rebuilt.d, rebuilt.rounds, rebuilt.p), (3, 3, 0.03));
+        assert_eq!(rebuilt.circuit.graph(), circuit.graph());
+        let even = set(4, 0.03).unwrap_err();
+        assert!(matches!(even, CorpusError::BadProvenance { key: "d" }));
+        let other_p = set(3, 0.01).unwrap_err();
+        assert!(matches!(other_p, CorpusError::GraphMismatch { .. }));
     }
 
     #[test]

@@ -54,7 +54,7 @@ use crate::error::{validate_defects, DecodeError, InvalidDefectReason};
 use crate::outcome::LatencyBreakdown;
 use crate::pipeline::{DecodePool, JobState};
 use mb_blossom::PerfectMatching;
-use mb_graph::dijkstra::path_between;
+use mb_graph::dijkstra::path_observable;
 use mb_graph::syndrome::Shot;
 use mb_graph::window::{SeamSide, WindowView};
 use mb_graph::{DecodingGraph, ObservableMask, SyndromePattern, VertexIndex};
@@ -750,9 +750,8 @@ impl WindowedFeeder {
     /// corrections reproduce the monolithic correction formula exactly
     /// (observables are XOR-linear over paths).
     fn commit_pair(&mut self, a: VertexIndex, b: VertexIndex) {
-        let path = path_between(&self.graph, a, b)
+        let observable = path_observable(&self.graph, a, b)
             .unwrap_or_else(|| panic!("no correction path between vertices {a} and {b}"));
-        let observable = self.graph.observable_of(path);
         self.observable ^= observable;
         self.committed_pairs += 1;
         self.committed.push(CommittedCorrection {

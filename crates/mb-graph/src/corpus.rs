@@ -136,6 +136,12 @@ pub enum CorpusError {
         /// Fingerprint of the graph offered for replay.
         graph: u64,
     },
+    /// The provenance header lacks a code parameter needed to rebuild the
+    /// graph, or carries one outside the code's valid range.
+    BadProvenance {
+        /// The offending provenance key.
+        key: &'static str,
+    },
     /// A record's round count disagrees with the header's `num_layers`.
     RoundCountMismatch {
         /// Rounds promised by the header.
@@ -172,6 +178,10 @@ impl std::fmt::Display for CorpusError {
             CorpusError::GraphMismatch { corpus, graph } => write!(
                 f,
                 "corpus was recorded for graph {corpus:#018x}, not {graph:#018x}"
+            ),
+            CorpusError::BadProvenance { key } => write!(
+                f,
+                "corpus provenance lacks a valid `{key}` (recorded by an older tool?)"
             ),
             CorpusError::RoundCountMismatch { expected, found } => write!(
                 f,

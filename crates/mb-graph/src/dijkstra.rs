@@ -7,7 +7,8 @@
 //! it), matching the treatment of virtual vertices in Parity Blossom.
 
 use crate::graph::DecodingGraph;
-use crate::types::{EdgeIndex, VertexIndex, Weight};
+use crate::types::{EdgeIndex, ObservableMask, VertexIndex, Weight};
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -84,53 +85,124 @@ pub fn dijkstra(graph: &DecodingGraph, source: VertexIndex) -> ShortestPaths {
 /// `(distance, vertex)` order (and with the same strict-improvement update
 /// rule) as [`dijkstra`], so the distance and predecessor chain of `target`
 /// are identical to the full run — but it stops the moment `target` is
-/// settled and keeps its tentative state in a hash map, visiting only the
-/// ball of radius `d(source, target)` around the source. This is the
-/// hot-path variant behind correction extraction: for sparse syndromes the
-/// matched pairs are close together, so the cost tracks the pair distance,
-/// not the lattice size.
-type SettledBall = std::collections::HashMap<VertexIndex, (Weight, Option<EdgeIndex>)>;
+/// settled, visiting only the ball of radius `d(source, target)` around the
+/// source. This is the hot-path search behind correction extraction: for
+/// sparse syndromes the matched pairs are close together, so the cost
+/// tracks the pair distance, not the lattice size.
+///
+/// Tentative state lives in dense per-vertex slots stamped with a `u64`
+/// search epoch (a slot is valid iff its stamp equals the current epoch),
+/// so a search never clears anything and never allocates once the slots and
+/// the heap have grown to the largest graph searched on this thread.
+#[derive(Default)]
+struct PathSearch {
+    epoch: u64,
+    slots: Vec<Slot>,
+    heap: BinaryHeap<Reverse<(Weight, VertexIndex)>>,
+}
 
-/// Runs the early-terminating search; see [`SettledBall`]. Returns the
-/// target's distance together with the `(distance, predecessor)` entries of
-/// the settled ball, or `None` when `target` is unreachable.
-fn settle_target(
-    graph: &DecodingGraph,
-    source: VertexIndex,
-    target: VertexIndex,
-) -> Option<(Weight, SettledBall)> {
-    let mut best: SettledBall = SettledBall::new();
-    let mut heap: BinaryHeap<Reverse<(Weight, VertexIndex)>> = BinaryHeap::new();
-    best.insert(source, (0, None));
-    heap.push(Reverse((0, source)));
-    while let Some(Reverse((dist, v))) = heap.pop() {
-        if best[&v].0 != dist {
-            continue;
+/// One vertex's tentative state: distance and predecessor edge (the
+/// source's `pred` is never read), valid iff `epoch` is the search's.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    epoch: u64,
+    dist: Weight,
+    pred: EdgeIndex,
+}
+
+thread_local! {
+    static SEARCH: RefCell<PathSearch> = RefCell::new(PathSearch::default());
+}
+
+impl PathSearch {
+    /// Tentative distance of `v` in the current search.
+    fn dist(&self, v: VertexIndex) -> Option<Weight> {
+        let slot = self.slots[v];
+        (slot.epoch == self.epoch).then_some(slot.dist)
+    }
+
+    /// Runs the search from `source` until `target` is settled; returns
+    /// its distance, or `None` when `target` is unreachable. The settled
+    /// predecessor chain stays readable until the next search.
+    fn settle(
+        &mut self,
+        graph: &DecodingGraph,
+        source: VertexIndex,
+        target: VertexIndex,
+    ) -> Option<Weight> {
+        if self.slots.len() < graph.vertex_count() {
+            // stamp 0 predates every search (epochs start at 1)
+            self.slots.resize(graph.vertex_count(), Slot::default());
         }
-        if v == target {
-            return Some((dist, best));
-        }
-        if graph.is_virtual(v) && v != source {
-            continue; // boundary vertices terminate paths
-        }
-        for (&e, &u) in graph.incident_edges(v).iter().zip(graph.neighbors(v)) {
-            let next = dist + graph.edge(e).weight;
-            let improves = match best.get(&u) {
-                None => true,
-                Some(&(d, _)) => next < d,
-            };
-            if improves {
-                best.insert(u, (next, Some(e)));
-                heap.push(Reverse((next, u)));
+        self.epoch += 1;
+        self.heap.clear();
+        let epoch = self.epoch;
+        self.slots[source] = Slot {
+            epoch,
+            dist: 0,
+            pred: 0,
+        };
+        self.heap.push(Reverse((0, source)));
+        while let Some(Reverse((dist, v))) = self.heap.pop() {
+            if self.slots[v].dist != dist {
+                continue;
+            }
+            if v == target {
+                return Some(dist);
+            }
+            if graph.is_virtual(v) && v != source {
+                continue; // boundary vertices terminate paths
+            }
+            for (&e, &u) in graph.incident_edges(v).iter().zip(graph.neighbors(v)) {
+                let next = dist + graph.edge(e).weight;
+                if self.dist(u).is_none_or(|d| next < d) {
+                    self.slots[u] = Slot {
+                        epoch,
+                        dist: next,
+                        pred: e,
+                    };
+                    self.heap.push(Reverse((next, u)));
+                }
             }
         }
+        None
     }
-    None
+
+    /// The settled path's edges, walked from `target` back to `source`.
+    fn walk_back<'a>(
+        &'a self,
+        graph: &'a DecodingGraph,
+        source: VertexIndex,
+        target: VertexIndex,
+    ) -> impl Iterator<Item = EdgeIndex> + 'a {
+        let mut current = target;
+        std::iter::from_fn(move || {
+            (current != source).then(|| {
+                let e = self.slots[current].pred;
+                current = graph.edge(e).other(current);
+                e
+            })
+        })
+    }
+}
+
+/// Runs `f` on this thread's search after settling `v` from `u`, or
+/// returns `None` when `v` is unreachable.
+fn with_settled<R>(
+    graph: &DecodingGraph,
+    u: VertexIndex,
+    v: VertexIndex,
+    f: impl FnOnce(&PathSearch, Weight) -> R,
+) -> Option<R> {
+    SEARCH.with_borrow_mut(|search| {
+        let dist = search.settle(graph, u, v)?;
+        Some(f(search, dist))
+    })
 }
 
 /// Shortest distance between two vertices, or `None` if unreachable.
 pub fn distance_between(graph: &DecodingGraph, u: VertexIndex, v: VertexIndex) -> Option<Weight> {
-    settle_target(graph, u, v).map(|(dist, _)| dist)
+    with_settled(graph, u, v, |_, dist| dist)
 }
 
 /// Shortest path (edge list) between two vertices. Identical to the path
@@ -140,16 +212,26 @@ pub fn path_between(
     u: VertexIndex,
     v: VertexIndex,
 ) -> Option<Vec<EdgeIndex>> {
-    let (_, best) = settle_target(graph, u, v)?;
-    let mut path = Vec::new();
-    let mut current = v;
-    while current != u {
-        let e = best[&current].1?;
-        path.push(e);
-        current = graph.edge(e).other(current);
-    }
-    path.reverse();
-    Some(path)
+    with_settled(graph, u, v, |search, _| {
+        let mut path: Vec<EdgeIndex> = search.walk_back(graph, u, v).collect();
+        path.reverse();
+        path
+    })
+}
+
+/// Logical observables flipped by the shortest path between two vertices
+/// (the path [`path_between`] returns), XOR-ed along the predecessor chain
+/// without materializing the edge list. `None` if unreachable.
+pub fn path_observable(
+    graph: &DecodingGraph,
+    u: VertexIndex,
+    v: VertexIndex,
+) -> Option<ObservableMask> {
+    with_settled(graph, u, v, |search, _| {
+        search
+            .walk_back(graph, u, v)
+            .fold(0, |acc, e| acc ^ graph.edge(e).observable_mask)
+    })
 }
 
 /// Distance from `u` to its closest virtual vertex together with that vertex.
@@ -263,15 +345,78 @@ mod tests {
         }
     }
 
-    #[test]
-    fn unreachable_vertices_return_none() {
+    /// v0 -2- v2, with v1 isolated.
+    fn disconnected_graph() -> DecodingGraph {
         let mut b = DecodingGraphBuilder::new();
         let v0 = b.add_vertex(Position::new(0, 0, 0));
         let _v1 = b.add_vertex(Position::new(0, 0, 1));
         let v2 = b.add_vertex(Position::new(0, 0, 2));
         b.add_edge(v0, v2, 2, 0.01, 0);
-        let g = b.build();
+        b.build()
+    }
+
+    #[test]
+    fn unreachable_vertices_return_none() {
+        let g = disconnected_graph();
         assert_eq!(distance_between(&g, 0, 1), None);
+        assert_eq!(path_between(&g, 0, 1), None);
+        assert_eq!(path_observable(&g, 0, 1), None);
         assert_eq!(distance_between(&g, 0, 2), Some(2));
+    }
+
+    #[test]
+    fn point_to_point_search_equals_full_dijkstra() {
+        use crate::circuit::CircuitLevelCode;
+        use crate::codes::{CodeCapacityRotatedCode, PhenomenologicalCode};
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+
+        let graph = |kind: &str, d: usize| -> DecodingGraph {
+            match kind {
+                "code-capacity" => CodeCapacityRotatedCode::new(d, 0.05).decoding_graph(),
+                "phenomenological" => PhenomenologicalCode::rotated(d, d, 0.02).decoding_graph(),
+                "circuit-level" => CircuitLevelCode::rotated(d, d, 0.01).decoding_graph(),
+                _ => disconnected_graph(),
+            }
+        };
+        // small, large, small, large again on this one thread: the reused
+        // search state must regrow and never read an entry stamped by an
+        // earlier search on another graph
+        let order = [
+            ("code-capacity", 3),
+            ("circuit-level", 5),
+            ("code-capacity", 3),
+            ("circuit-level", 5),
+            ("disconnected", 0),
+            ("phenomenological", 5),
+            ("circuit-level", 3),
+            ("phenomenological", 3),
+            ("code-capacity", 5),
+            ("circuit-level", 5),
+        ];
+        let mut rng = ChaCha8Rng::seed_from_u64(0xD1F5);
+        let mut checked_virtual = 0;
+        let mut checked_unreachable = 0;
+        for (kind, d) in order {
+            let g = graph(kind, d);
+            let n = g.vertex_count() as u64;
+            for _ in 0..12 {
+                let u = rng.gen_range_u64(n) as VertexIndex;
+                let full = dijkstra(&g, u);
+                for _ in 0..12 {
+                    let v = rng.gen_range_u64(n) as VertexIndex;
+                    let path = full.path_to(v, &g);
+                    let at = format!("{kind} d={d}, {u} -> {v}");
+                    assert_eq!(distance_between(&g, u, v), full.distance_to(v), "{at}");
+                    assert_eq!(path_between(&g, u, v), path, "{at}");
+                    let observable = path.map(|p| g.observable_of(p));
+                    assert_eq!(path_observable(&g, u, v), observable, "{at}");
+                    checked_virtual += usize::from(g.is_virtual(v));
+                    checked_unreachable += usize::from(observable.is_none());
+                }
+            }
+        }
+        assert!(checked_virtual > 0, "virtual targets were drawn");
+        assert!(checked_unreachable > 0, "an unreachable pair was drawn");
     }
 }

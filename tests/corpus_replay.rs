@@ -32,8 +32,8 @@
 
 use mb_decoder::pipeline::ShardedPipeline;
 use mb_decoder::replay::{
-    assert_same_decodes, record_circuit_run, record_tilted_run, replay_corpus, replay_matrix,
-    ReplayMode,
+    assert_same_decodes, record_circuit_run, record_tilted_run, recorded_circuit, replay_corpus,
+    replay_matrix, RecordedCircuit, ReplayMode,
 };
 use mb_decoder::{BackendSpec, DecodeOutcome, MicroBlossomConfig, Stage};
 use mb_graph::circuit::{CircuitLevelCode, MechanismTilt};
@@ -331,18 +331,9 @@ fn one_corpus_replays_identically_across_backends_workers_and_modes() {
 fn golden_fixture_still_loads_and_replays() {
     let corpus = TraceCorpus::load(GOLDEN_PATH).expect("committed golden corpus decodes");
     let meta = &corpus.header.provenance;
-    let d = meta.get("d").and_then(|v| v.as_u64()).expect("d recorded") as usize;
-    let rounds = meta
-        .get("rounds")
-        .and_then(|v| v.as_u64())
-        .expect("rounds recorded") as usize;
-    let p = meta.get("p").and_then(|v| v.as_f64()).expect("p recorded");
-    let circuit = Arc::new(CircuitLevelCode::rotated(d, rounds, p).compile());
-    assert_eq!(
-        corpus.header.graph_fingerprint,
-        graph_fingerprint(circuit.graph()),
-        "provenance rebuilds the exact graph the fixture was recorded on"
-    );
+    // fingerprint-checked: provenance rebuilds the exact graph the fixture
+    // was recorded on
+    let RecordedCircuit { d, circuit, .. } = recorded_circuit(&corpus).expect("provenance");
     assert_eq!(
         corpus.records.len() as u64,
         meta.get("shots").and_then(|v| v.as_u64()).expect("shots"),
@@ -400,11 +391,11 @@ fn outcome_digest(spec: &BackendSpec, graph: &Arc<DecodingGraph>, corpus: &Trace
 /// golden fixture and a recorded d=5, p=1% circuit-level corpus.
 fn pinned_corpora() -> [(usize, Arc<DecodingGraph>, TraceCorpus); 2] {
     let golden = TraceCorpus::load(GOLDEN_PATH).expect("committed golden corpus decodes");
-    let meta = &golden.header.provenance;
-    let field = |key: &str| meta.get(key).and_then(|v| v.as_u64()).expect(key) as usize;
-    let p = meta.get("p").and_then(|v| v.as_f64()).expect("p recorded");
-    let d = field("d");
-    let golden_circuit = CircuitLevelCode::rotated(d, field("rounds"), p).compile();
+    let RecordedCircuit {
+        d,
+        circuit: golden_circuit,
+        ..
+    } = recorded_circuit(&golden).expect("provenance");
 
     let circuit = Arc::new(CircuitLevelCode::rotated(5, 5, 0.01).compile());
     let corpus = record_circuit_run(&circuit, 2_000, 0x5EED);

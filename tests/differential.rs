@@ -12,7 +12,7 @@
 
 use mb_blossom::PerfectMatching;
 use mb_decoder::pipeline::{aggregate, sample_shots, skewed_workload, DecodePool, ShardedPipeline};
-use mb_decoder::replay::{assert_same_decodes, replay_matrix};
+use mb_decoder::replay::{assert_same_decodes, recorded_circuit, replay_matrix, RecordedCircuit};
 use mb_decoder::stream::{StreamDecoder, Ticket};
 use mb_decoder::{BackendSpec, DecodeOutcome, MicroBlossomConfig, ShotOutcome, Stage};
 use mb_graph::circuit::{CircuitErrorSampler, CircuitLevelCode};
@@ -44,7 +44,7 @@ const SUBMITTERS: usize = 3;
 /// How a row's shots reach the decoder.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Delivery {
-    /// `run_sampled` on the global pool, `with_shards(w)`.
+    /// `run_sampled` on a dedicated pool of `w` workers.
     BatchSampled,
     /// `run_shots_arc` on a dedicated pool of `w` workers.
     BatchExplicit,
@@ -154,10 +154,7 @@ fn case(name: &str) -> (&'static [Delivery], Vec<Row>) {
                 "/../bench/fixtures/golden_d3.mbtc"
             );
             let corpus = TraceCorpus::load(path).expect("the golden corpus loads");
-            let meta = &corpus.header.provenance;
-            let param = |key| meta.get(key).and_then(|v| v.as_f64()).expect("provenance");
-            let (d, rounds) = (param("d") as usize, param("rounds") as usize);
-            let circuit = CircuitLevelCode::rotated(d, rounds, param("p")).compile();
+            let RecordedCircuit { d, circuit, .. } = recorded_circuit(&corpus).expect("provenance");
             let shots: Vec<Shot> = corpus.records.iter().map(TraceRecord::to_shot).collect();
             for spec in specs(d) {
                 let mut row = Row::new("golden", circuit.graph(), spec, shots.clone());
@@ -280,13 +277,14 @@ fn pooled(row: &Row, delivery: Delivery, workers: usize) -> Vec<ShotOutcome> {
     };
     let recv = |ticket: Ticket| ticket.recv().expect("a valid shot decodes");
     let (n, seed) = (row.shots.len(), || row.seed.expect("seeded shots"));
-    let pipeline = ShardedPipeline::new(row.spec.clone(), Arc::clone(&row.graph));
+    // every delivery runs on the dedicated pool: the global one would
+    // clamp `workers` to the host's core count
+    let pipeline = ShardedPipeline::new(row.spec.clone(), Arc::clone(&row.graph))
+        .with_pool(Arc::clone(&pool))
+        .with_shards(workers);
     match delivery {
-        BatchSampled => pipeline.with_shards(workers).run_sampled(n, seed()),
-        BatchExplicit => {
-            let pipeline = pipeline.with_pool(pool).with_shards(workers);
-            pipeline.run_shots_arc(Arc::clone(&row.shots))
-        }
+        BatchSampled => pipeline.run_sampled(n, seed()),
+        BatchExplicit => pipeline.run_shots_arc(Arc::clone(&row.shots)),
         StreamSubmit => {
             let stream = stream(Some(2));
             let outcomes = by_submitters(&row.shots, |_, share| {
