@@ -44,15 +44,10 @@ fn main() {
         }
         None => record_circuit_run(&circuit, shots, seed),
     };
-    // store the code parameters so `replay` can rebuild the graph from the
-    // file alone (fingerprint-checked on load)
-    if let JsonValue::Object(map) = &mut corpus.header.provenance {
-        map.insert("d".into(), JsonValue::UInt(d as u64));
-        map.insert("rounds".into(), JsonValue::UInt(rounds as u64));
-        map.insert("p".into(), JsonValue::Number(p));
-        if let Some(factor) = tilt_factor {
-            map.insert("tilt_factor".into(), JsonValue::Number(factor));
-        }
+    // the recorders store `d`, `rounds` and `p`; the tilt factor is this
+    // tool's own knob
+    if let (JsonValue::Object(map), Some(factor)) = (&mut corpus.header.provenance, tilt_factor) {
+        map.insert("tilt_factor".into(), JsonValue::Number(factor));
     }
     corpus.save(&path).expect("corpus path is writable");
     let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);

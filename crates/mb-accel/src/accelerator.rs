@@ -12,12 +12,39 @@
 //! The hardware only wakes PUs near defects; idle PUs burn no switching
 //! power and contribute no work. The simulator models that with an explicit
 //! **active set**: the vertices currently holding a cover (defects plus
-//! everything their circles reach). `load Defects` seeds it, the Update
-//! stage rebuilds it from the propagation frontier, and every sweep —
-//! stabilization, pre-matching, the convergecast — folds over the active
-//! set instead of the full PU arrays. A shot with three defects therefore
+//! everything their circles reach). A shot with three defects therefore
 //! costs O(defect neighbourhood) per instruction, not O(|V| + |E|), and
 //! `reset` clears in O(active).
+//!
+//! In the hardware the Update, Pre-Match and convergecast stages run in
+//! every awake PU at once, so an instruction costs a few cycles however
+//! many defect clusters are loaded. The simulator gets the same effect by
+//! keeping the sweeps **cluster-local**. The loaded defects are grouped into
+//! interaction clusters, and no two clusters share a *footprint* vertex
+//! (a covered vertex or a boundary neighbour of one). So no cover, tight
+//! edge, tight degree, freeze or convergecast term of one cluster depends
+//! on another. Each cluster caches what its last pass derived: its covered
+//! vertices, its tight-edge count, its applied pre-matches and freezes,
+//! and its `(lowest conflict edge, growing, limit)` convergecast partial.
+//! An instruction marks dirty only the clusters it can change:
+//!
+//! * `Grow`: clusters with a defect of nonzero effective speed;
+//! * `SetDirection` / `SetCover`: clusters holding a retargeted vertex;
+//! * `load Defects`: a new singleton cluster per new defect (opened by the
+//!   next pass), plus every cluster whose footprint holds a vertex of the
+//!   loaded layer (the only vertices whose `b_v` and §6.3 weights change);
+//! * [`MicroBlossomAccelerator::mark_cpu_owned`]: the vertex's cluster;
+//! * `Reset` and [`MicroBlossomAccelerator::restore_context`]: everything.
+//!
+//! A `find Conflict` (or `Grow`) on dirty state re-derives only the dirty
+//! clusters, with the sweeps of one full pass restricted to them: one
+//! propagation from all their defects (a clean cluster their covers run
+//! into is pulled in and the propagation rerun), one sweep that finds the
+//! tight edges and merges dirty clusters whose footprints meet, the
+//! Pre-Match stage in ascending edge order, and one convergecast sweep
+//! that folds each cluster's partial. The response is the fold of every
+//! cluster's partial: the global lowest conflict edge, or else `growing`
+//! and the minimum limit. Clusters only merge, until a reset.
 //!
 //! The per-visit work is kept to what the hardware's wiring gives a PU for
 //! free. The incident edges and their far endpoints come from the graph's
@@ -31,16 +58,23 @@
 //! convergecast reduces the conflict, the vertex pass and the growth
 //! limit in a single sweep.
 //!
+//! The counters model the hardware, not the simulator's work: every pass
+//! charges `pus_touched` every cluster's share (its covered vertices and
+//! tight edges), cached or re-derived, and the cycle charges do not depend
+//! on how much was re-derived.
+//!
 //! PU state lives in a struct-of-arrays layout (separate `speed`,
 //! `residual`, `node`, `touch` arrays plus flag bitsets) so the remaining
 //! sweeps are cache-dense; [`VertexPu`]/[`EdgePu`] are assembled *views* of
 //! one PU's state, returned by value.
 //!
 //! Setting [`AcceleratorConfig::dense_reference`] switches every sweep back
-//! to the original full-array fold. The two modes are bit-identical — the
-//! dense-reference delivery of the differential harness
-//! (`tests/differential.rs`) holds the sparse path to it across codes,
-//! configurations, worker counts, and ingestion orders.
+//! to the original full-array fold, re-deriving every PU on every pass. The
+//! two modes are bit-identical, counters included. The dense-reference
+//! delivery of the differential harness (`tests/differential.rs`) holds the
+//! sparse path to it across codes, configurations, worker counts, and
+//! ingestion orders. A unit test replays a driver's instruction stream on
+//! both, one instruction at a time.
 //!
 //! ## Fidelity notes (see the README's "Complexity & sparse activation")
 //!
@@ -76,6 +110,8 @@ use std::sync::Arc;
 const NO_NODE: HwNodeId = HwNodeId::MAX;
 /// Sentinel for "no touch stored" in the SoA `touch` array.
 const NO_TOUCH: u32 = u32::MAX;
+/// Sentinel for "no cluster" in [`Clusters::owner`].
+const NO_CLUSTER: u32 = u32::MAX;
 /// Fusion key of a virtual vertex: at or above every loaded-layer count,
 /// so a virtual vertex is a boundary whatever has been loaded.
 const VIRTUAL_KEY: u32 = u32::MAX;
@@ -94,8 +130,9 @@ pub struct AcceleratorConfig {
     pub fusion_weight_reduction: bool,
     /// Debug reference mode: run every sweep over the full PU arrays (the
     /// original O(|V| + |E|)-per-instruction fold) instead of the sparse
-    /// active set. Bit-identical to the sparse path; kept for differential
-    /// testing (`tests/differential.rs`).
+    /// path's cluster-local sweeps. Bit-identical to the sparse path,
+    /// counters included; kept for differential testing
+    /// (`tests/differential.rs`).
     pub dense_reference: bool,
     /// LUT pre-decoder configuration (see [`crate::predecoder`]). The accelerator
     /// itself ignores it — the owning decoder builds and consults the
@@ -276,6 +313,17 @@ impl VertexSoa {
         }
     }
 
+    /// Writes back the deepest cover the last propagation offered `v`, a
+    /// non-defect vertex: the cover of its touch.
+    #[inline]
+    fn adopt(&mut self, v: VertexIndex, scratch: &Scratch) {
+        let touch = scratch.best_touch[v] as VertexIndex;
+        self.residual[v] = scratch.best_residual[v];
+        self.touch[v] = touch as u32;
+        self.node[v] = self.node[touch];
+        self.speed[v] = self.speed[touch];
+    }
+
     /// The touch of a covered vertex.
     fn touch_of(&self, v: VertexIndex) -> VertexIndex {
         let touch = self.touch[v];
@@ -423,6 +471,143 @@ impl Scratch {
     }
 }
 
+/// The Update stage's max-residual propagation of the covers of `defects`
+/// (key `(residual, speed, Reverse(touch))`, so ties prefer faster nodes),
+/// into `scratch` under a fresh epoch: afterwards `scratch.touched` lists
+/// every vertex a cover reaches, `defects` first, and `best_*` holds its
+/// deepest cover. Reads no derived vertex state, only the defects' rows,
+/// the defect flags and the fusion keys.
+///
+/// The propagation only ever offers covers to vertices the write-back
+/// keeps: boundary and defect vertices are never offered one, a vertex
+/// whose residual cannot pay its cheapest edge to a non-virtual neighbour
+/// is not expanded, and a cover no better than the best already offered is
+/// dropped before it reaches the frontier. Between two loaded, non-virtual
+/// endpoints an edge always has its original weight, so the expansion
+/// reads no fusion state but the keys.
+fn propagate(
+    graph: &DecodingGraph,
+    vs: &VertexSoa,
+    e_original_weight: &[Weight],
+    min_regular_weight: &[Weight],
+    fusion: Fusion,
+    scratch: &mut Scratch,
+    defects: impl IntoIterator<Item = VertexIndex>,
+) {
+    scratch.epoch += 1;
+    scratch.touched.clear();
+    scratch.heap.clear();
+    for d in defects {
+        scratch.offer(d, vs.residual[d], vs.speed[d], d);
+    }
+    while let Some((residual, speed, Reverse(touch), vertex)) = scratch.heap.pop() {
+        if !scratch.is_best(vertex, residual, speed, touch) {
+            continue; // superseded by a better cover offered later
+        }
+        debug_assert!(!fusion.is_boundary(vs.fusion_key[vertex]));
+        if residual < min_regular_weight[vertex] {
+            continue;
+        }
+        let edges = graph.incident_edges(vertex);
+        for (&e, &next) in edges.iter().zip(graph.neighbors(vertex)) {
+            // boundary vertices do not store covers and defect vertices
+            // keep their own circle
+            if fusion.is_boundary(vs.fusion_key[next]) || vs.defect.get(next) {
+                continue;
+            }
+            let next_residual = residual - e_original_weight[e];
+            if next_residual >= 0 {
+                scratch.offer(next, next_residual, speed, touch);
+            }
+        }
+    }
+}
+
+/// The Pre-Match stage over the tight edges in `scratch.tight_list`
+/// (ascending, stamped with the current epoch): tight degrees, Equations
+/// 1–3 in ascending edge order, then the freezes. If two pre-matches would
+/// claim the same defect only the first is kept (the hardware convergecast
+/// picks one arbitrarily). Applied edges are appended to `prematch`, newly
+/// frozen vertices to `frozen`.
+fn prematch_tight(
+    graph: &DecodingGraph,
+    vs: &mut VertexSoa,
+    fusion: Fusion,
+    scratch: &mut Scratch,
+    e_prematch: &mut BitSet,
+    prematch: &mut Vec<EdgeIndex>,
+    frozen: &mut Vec<VertexIndex>,
+) {
+    let epoch = scratch.epoch;
+    // tight degrees (every tight edge is in tight_list, so the counts are
+    // exact for any vertex incident to one)
+    for &e in &scratch.tight_list {
+        let (u, v) = graph.edge(e).vertices;
+        for x in [u, v] {
+            if scratch.tdeg_epoch[x] != epoch {
+                scratch.tdeg_epoch[x] = epoch;
+                scratch.tdeg[x] = 0;
+            }
+            scratch.tdeg[x] += 1;
+        }
+    }
+    // candidate evaluation
+    let tight = |e: EdgeIndex| scratch.tight_epoch[e] == epoch;
+    let q = |x: VertexIndex| scratch.tdeg_epoch[x] == epoch && scratch.tdeg[x] == 1;
+    let boundary = |x: VertexIndex| fusion.is_boundary(vs.fusion_key[x]);
+    let mut candidates = std::mem::take(&mut scratch.candidates);
+    candidates.clear();
+    for &e in &scratch.tight_list {
+        let (a, b) = graph.edge(e).vertices;
+        let eligible_defect =
+            |x: VertexIndex| vs.defect.get(x) && vs.speed[x] > 0 && !vs.cpu_owned.get(x);
+        let m = if !boundary(a) && !boundary(b) {
+            // Equation 1: regular edge between two isolated defects
+            eligible_defect(a) && q(a) && eligible_defect(b) && q(b)
+        } else {
+            // one side is a boundary (virtual or unloaded)
+            let (bound, defect) = if boundary(a) { (a, b) } else { (b, a) };
+            let mut around = graph
+                .incident_edges(defect)
+                .iter()
+                .zip(graph.neighbors(defect));
+            if boundary(defect) || !eligible_defect(defect) {
+                false
+            } else if vs.fusion_key[bound] == VIRTUAL_KEY {
+                // Equation 2: true boundary edge
+                around.all(|(&e2, &other)| {
+                    e2 == e || !tight(e2) || (!vs.defect.get(other) && q(other))
+                })
+            } else {
+                // Equation 3: fusion-boundary edge; every tight edge around
+                // the defect must be volatile (to an unloaded vertex)
+                around.all(|(&e2, &other)| !tight(e2) || fusion.is_unloaded(vs.fusion_key[other]))
+            }
+        };
+        if m {
+            candidates.push(e);
+        }
+    }
+    // apply freezes
+    for &e in &candidates {
+        let (a, b) = graph.edge(e).vertices;
+        let key = &vs.fusion_key;
+        let (ba, bb) = (fusion.is_boundary(key[a]), fusion.is_boundary(key[b]));
+        if (!ba && vs.frozen.get(a)) || (!bb && vs.frozen.get(b)) {
+            continue;
+        }
+        e_prematch.set(e);
+        prematch.push(e);
+        for (x, bx) in [(a, ba), (b, bb)] {
+            if !bx && !vs.frozen.get(x) {
+                vs.frozen.set(x);
+                frozen.push(x);
+            }
+        }
+    }
+    scratch.candidates = candidates;
+}
+
 /// Whether `v` is active: covered, in a loaded layer. Every covered vertex
 /// is active (boundary vertices never store a cover), so on the sparse path
 /// this is active-set membership.
@@ -484,10 +669,265 @@ fn is_tight(vs: &VertexSoa, fusion: Fusion, original: Weight, x: ActivePu, y: Ve
 
 /// What the convergecast tree reduces to: the lowest-indexed conflicting
 /// edge, whether any cover grows, and the maximum safe growth.
+#[derive(Debug, Clone, Copy)]
 struct Convergecast {
     conflict: Option<EdgeIndex>,
     growing: bool,
     limit: Weight,
+}
+
+impl Convergecast {
+    /// The fold of no PU at all.
+    const EMPTY: Self = Self {
+        conflict: None,
+        growing: false,
+        limit: Weight::MAX,
+    };
+
+    /// Folds another subtree's result into this one.
+    fn merge(&mut self, other: &Self) {
+        self.conflict = match (self.conflict, other.conflict) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        self.growing |= other.growing;
+        self.limit = self.limit.min(other.limit);
+    }
+}
+
+impl Default for Convergecast {
+    fn default() -> Self {
+        Self::EMPTY
+    }
+}
+
+/// One interaction cluster of loaded defects on the sparse path, and what
+/// its last Update/Pre-Match pass derived — cached until an instruction
+/// disturbs the cluster.
+#[derive(Debug, Clone, Default)]
+struct Cluster {
+    /// Its defects.
+    defects: Vec<VertexIndex>,
+    /// Its covered vertices, defects included: its share of the active set.
+    covered: Vec<VertexIndex>,
+    /// The boundary neighbours of its covered vertices; it owns both in
+    /// [`Clusters::owner`] while it is clean.
+    halo: Vec<VertexIndex>,
+    /// How many tight edges its pass found (its share of `pus_touched`).
+    tight: u64,
+    /// Its applied pre-match edges, ascending.
+    prematch: Vec<EdgeIndex>,
+    /// Its pre-match freezes.
+    frozen: Vec<VertexIndex>,
+    /// Its convergecast partial.
+    partial: Convergecast,
+    /// Queued for recomputation.
+    dirty: bool,
+}
+
+/// The interaction clusters of the loaded defects.
+///
+/// Two clusters never share a *footprint* vertex — a covered vertex or a
+/// boundary neighbour of one — so no cover, tight edge, tight degree,
+/// freeze or convergecast term of one depends on another, and each
+/// cluster's sweeps can be re-derived alone. The dirty clusters are
+/// re-derived together: one propagation from all their defects (covers
+/// are a pointwise maximum over defects, so it gives each its own), then
+/// the dirty clusters whose footprints meet are merged. Clusters only ever
+/// merge, until a reset.
+#[derive(Debug, Clone)]
+struct Clusters {
+    slots: Vec<Cluster>,
+    /// Ids of the live clusters.
+    live: Vec<u32>,
+    /// Ids of reusable slots.
+    free: Vec<u32>,
+    /// Ids of the dirty clusters, each once.
+    dirty: Vec<u32>,
+    /// Per vertex: the cluster whose footprint holds it — a clean one, or
+    /// a dirty one while the dirty clusters are grouped — or
+    /// [`NO_CLUSTER`].
+    owner: Vec<u32>,
+    /// Per defect vertex: its cluster.
+    home: Vec<u32>,
+    /// Per slot: union-find parent while dirty clusters are grouped.
+    parent: Vec<u32>,
+    /// Boundary vertices claimed for dirty clusters while they are grouped.
+    pending: Vec<VertexIndex>,
+    /// Per tight edge the grouping found: the cluster it was found from.
+    tight_home: Vec<u32>,
+    /// The clean clusters a grouping ran into (scratch).
+    met: Vec<u32>,
+    /// How many of the loaded defects, in load order, have a cluster.
+    opened: usize,
+}
+
+impl Clusters {
+    fn new(vertices: usize) -> Self {
+        Self {
+            slots: Vec::new(),
+            live: Vec::new(),
+            free: Vec::new(),
+            dirty: Vec::new(),
+            owner: vec![NO_CLUSTER; vertices],
+            home: vec![NO_CLUSTER; vertices],
+            parent: Vec::new(),
+            pending: Vec::new(),
+            tight_home: Vec::new(),
+            met: Vec::new(),
+            opened: 0,
+        }
+    }
+
+    /// Opens a dirty singleton cluster for each defect of `defects` (the
+    /// loaded defects, in load order) that has none yet.
+    fn open_new(&mut self, defects: &[VertexIndex]) {
+        for &defect in &defects[self.opened..] {
+            let id = self.free.pop().unwrap_or_else(|| {
+                self.slots.push(Cluster::default());
+                self.parent.push(0);
+                (self.slots.len() - 1) as u32
+            });
+            let cluster = &mut self.slots[id as usize];
+            cluster.defects.push(defect);
+            cluster.dirty = true;
+            self.home[defect] = id;
+            self.live.push(id);
+            self.dirty.push(id);
+        }
+        self.opened = defects.len();
+    }
+
+    /// Gives up the footprint of cluster `id`.
+    fn release(&mut self, id: u32) {
+        let Self { slots, owner, .. } = self;
+        let cluster = &mut slots[id as usize];
+        for &v in cluster.covered.iter().chain(&cluster.halo) {
+            if owner[v] == id {
+                owner[v] = NO_CLUSTER;
+            }
+        }
+        cluster.halo.clear();
+    }
+
+    /// Queues cluster `id` for recomputation.
+    fn mark_dirty(&mut self, id: u32) {
+        if !self.slots[id as usize].dirty {
+            self.slots[id as usize].dirty = true;
+            self.release(id);
+            self.dirty.push(id);
+        }
+    }
+
+    /// Queues the clean cluster whose footprint holds `v`, if any (a dirty
+    /// one is queued already).
+    fn mark_dirty_at(&mut self, v: VertexIndex) {
+        let id = self.owner[v];
+        if id != NO_CLUSTER {
+            self.mark_dirty(id);
+        }
+    }
+
+    /// Queues every clean cluster whose footprint holds a vertex `hit`
+    /// selects.
+    fn mark_dirty_where(&mut self, hit: impl Fn(VertexIndex) -> bool) {
+        for i in 0..self.live.len() {
+            let id = self.live[i];
+            let cluster = &self.slots[id as usize];
+            if !cluster.dirty && cluster.covered.iter().chain(&cluster.halo).any(|&v| hit(v)) {
+                self.mark_dirty(id);
+            }
+        }
+    }
+
+    /// Merges each group [`MicroBlossomAccelerator::sweep_dirty`] formed
+    /// into its root cluster and hands the roots their covered vertices
+    /// (`touched`), footprints and tight-edge counts. Afterwards `dirty`
+    /// lists the roots.
+    fn merge_groups(
+        &mut self,
+        touched: &[VertexIndex],
+        touch_of: impl Fn(VertexIndex) -> VertexIndex,
+    ) {
+        for i in 0..self.dirty.len() {
+            let id = self.dirty[i];
+            let root = find(&mut self.parent, id);
+            if root == id {
+                continue;
+            }
+            let mut moved = std::mem::take(&mut self.slots[id as usize].defects);
+            for &d in &moved {
+                self.home[d] = root;
+            }
+            self.slots[root as usize].defects.extend_from_slice(&moved);
+            moved.clear();
+            let retired = &mut self.slots[id as usize];
+            retired.defects = moved;
+            retired.dirty = false;
+            self.live.retain(|&c| c != id);
+            self.free.push(id);
+        }
+        let Self {
+            slots,
+            dirty,
+            owner,
+            home,
+            parent,
+            pending,
+            tight_home,
+            ..
+        } = self;
+        dirty.retain(|&id| parent[id as usize] == id);
+        for &v in touched {
+            let root = home[touch_of(v)];
+            slots[root as usize].covered.push(v);
+            owner[v] = root;
+        }
+        for f in pending.drain(..) {
+            let root = find(parent, owner[f]);
+            slots[root as usize].halo.push(f);
+            owner[f] = root;
+        }
+        for &found_from in tight_home.iter() {
+            let root = find(parent, found_from);
+            slots[root as usize].tight += 1;
+        }
+    }
+
+    /// Drops every cluster (the owner table ends empty).
+    fn clear(&mut self) {
+        for i in 0..self.live.len() {
+            let id = self.live[i];
+            self.release(id);
+            let cluster = &mut self.slots[id as usize];
+            cluster.defects.clear();
+            cluster.covered.clear();
+            cluster.prematch.clear();
+            cluster.frozen.clear();
+            cluster.tight = 0;
+            cluster.dirty = false;
+            self.free.push(id);
+        }
+        self.live.clear();
+        self.dirty.clear();
+        self.opened = 0;
+    }
+}
+
+/// Union-find root of cluster `id`, halving the path.
+fn find(parent: &mut [u32], mut id: u32) -> u32 {
+    while parent[id as usize] != id {
+        let up = parent[parent[id as usize] as usize];
+        parent[id as usize] = up;
+        id = up;
+    }
+    id
+}
+
+/// Unites the groups of clusters `a` and `b` (the lower root survives).
+fn union(parent: &mut [u32], a: u32, b: u32) {
+    let (a, b) = (find(parent, a), find(parent, b));
+    parent[a.max(b) as usize] = a.min(b);
 }
 
 /// Snapshot view of one vertex PU's state (Table 2, compact), assembled
@@ -589,10 +1029,11 @@ pub struct AcceleratorStats {
     pub prematched_conflicts: u64,
     /// Largest active-set size observed (peak number of awake vertex PUs).
     pub active_peak: u64,
-    /// Cumulative PU visits performed by the sweep engines (stabilization,
-    /// pre-match, convergecast) — the software proxy for hardware PU
-    /// wake-ups. Grows with syndrome weight on the sparse path and with
-    /// `|V| + |E|` per instruction in dense-reference mode.
+    /// Cumulative PU wake-ups of the modeled hardware: each Update/Pre-Match
+    /// pass wakes the active vertices and the tight edges, and each
+    /// convergecast the active vertices. Grows with syndrome weight, not
+    /// with the lattice, and reads the same in every simulation mode, however
+    /// much of the state the simulator re-derived.
     pub pus_touched: u64,
 }
 
@@ -629,8 +1070,8 @@ impl AcceleratorContext {
 /// Steady-state decoding is **allocation-free**: all per-decode working
 /// memory (the propagation frontier and best-cover table of the Update
 /// stage, the tightness/pre-match tables of the Pre-Match stage, the staged
-/// syndrome, the active set) lives in reusable, epoch-invalidated scratch
-/// structures, honoring the `DecoderBackend` contract that a reused backend
+/// syndrome, the active set, the pooled clusters) lives in reusable,
+/// epoch-invalidated scratch structures, honoring the `DecoderBackend` contract that a reused backend
 /// performs no heap allocation once warmed up (verified by
 /// `tests/alloc_steady_state.rs`).
 #[derive(Debug, Clone)]
@@ -656,6 +1097,9 @@ pub struct MicroBlossomAccelerator {
     defects: Vec<VertexIndex>,
     /// The active region: every vertex currently holding a cover.
     active: ActiveSet,
+    /// The sparse path's interaction clusters, opened for new defects by
+    /// the first pass after their load (none on the dense reference).
+    clusters: Clusters,
     /// Vertices with the CPU-owned flag set (for O(active) reset).
     cpu_owned_list: Vec<VertexIndex>,
     /// Vertices currently frozen by a pre-match.
@@ -670,6 +1114,10 @@ pub struct MicroBlossomAccelerator {
     pub stats: AcceleratorStats,
     /// Reusable sweep scratch.
     scratch: Scratch,
+    /// Every state-changing call, when enabled, so a unit test can replay
+    /// a driver's run op by op on other accelerators.
+    #[cfg(test)]
+    log: Option<Vec<tests::Op>>,
 }
 
 impl MicroBlossomAccelerator {
@@ -701,6 +1149,7 @@ impl MicroBlossomAccelerator {
         };
         let scratch = Scratch::new(graph.vertex_count(), edge_count);
         let active = ActiveSet::new(graph.vertex_count());
+        let clusters = Clusters::new(graph.vertex_count());
         Self {
             graph,
             config,
@@ -712,6 +1161,7 @@ impl MicroBlossomAccelerator {
             staged_syndrome,
             defects: Vec::new(),
             active,
+            clusters,
             cpu_owned_list: Vec::new(),
             frozen_list: Vec::new(),
             prematch_list: Vec::new(),
@@ -719,6 +1169,8 @@ impl MicroBlossomAccelerator {
             convergecast_cycles,
             stats: AcceleratorStats::default(),
             scratch,
+            #[cfg(test)]
+            log: None,
         }
     }
 
@@ -800,7 +1252,7 @@ impl MicroBlossomAccelerator {
         self.stats.active_peak
     }
 
-    /// Cumulative PU visits performed by the sweep engines (see
+    /// Cumulative PU wake-ups of the modeled hardware (see
     /// [`AcceleratorStats::pus_touched`]).
     pub fn pus_touched(&self) -> u64 {
         self.stats.pus_touched
@@ -814,6 +1266,8 @@ impl MicroBlossomAccelerator {
     /// duplicated syndrome bit is still one defect, it must not double-count
     /// or double-load.
     pub fn stage_syndrome(&mut self, layer: usize, defects: &[VertexIndex]) {
+        #[cfg(test)]
+        self.record(|| tests::Op::Stage(layer, defects.to_vec()));
         for &d in defects {
             assert_eq!(
                 self.graph.layer_of(d),
@@ -837,10 +1291,13 @@ impl MicroBlossomAccelerator {
     /// Marks a vertex's singleton node as CPU-owned (first CPU instruction
     /// addressed to it), disabling pre-matching for it.
     pub fn mark_cpu_owned(&mut self, vertex: VertexIndex) {
+        #[cfg(test)]
+        self.record(|| tests::Op::MarkCpuOwned(vertex));
         if !self.vs.cpu_owned.get(vertex) {
             self.vs.cpu_owned.set(vertex);
             self.cpu_owned_list.push(vertex);
         }
+        self.clusters.mark_dirty_at(vertex);
         self.dirty = true;
     }
 
@@ -859,6 +1316,8 @@ impl MicroBlossomAccelerator {
 
     /// Executes one instruction; `find Conflict` produces a response.
     pub fn execute(&mut self, instruction: Instruction) -> Option<HwResponse> {
+        #[cfg(test)]
+        self.record(|| tests::Op::Execute(instruction));
         self.stats.instructions += 1;
         self.stats.cycles += 1;
         match instruction {
@@ -877,10 +1336,16 @@ impl MicroBlossomAccelerator {
                 } else {
                     // only covered vertices can store `node`, and every
                     // covered vertex is in the active set
-                    let Self { vs, active, .. } = self;
+                    let Self {
+                        vs,
+                        active,
+                        clusters,
+                        ..
+                    } = self;
                     for &v in active.as_slice() {
                         if vs.node[v] == node {
                             vs.speed[v] = value;
+                            clusters.mark_dirty_at(v);
                         }
                     }
                 }
@@ -891,18 +1356,27 @@ impl MicroBlossomAccelerator {
                 let vertex_count = self.graph.vertex_count() as u32;
                 let retarget = |vs: &mut VertexSoa, v: VertexIndex| {
                     let touch_matches = from < vertex_count && vs.touch[v] == from;
-                    if vs.node[v] == from || touch_matches {
+                    let hit = vs.node[v] == from || touch_matches;
+                    if hit {
                         vs.node[v] = to;
                     }
+                    hit
                 };
                 if self.config.dense_reference {
                     for v in 0..self.vs.len {
                         retarget(&mut self.vs, v);
                     }
                 } else {
-                    let Self { vs, active, .. } = self;
+                    let Self {
+                        vs,
+                        active,
+                        clusters,
+                        ..
+                    } = self;
                     for &v in active.as_slice() {
-                        retarget(vs, v);
+                        if retarget(vs, v) {
+                            clusters.mark_dirty_at(v);
+                        }
                     }
                 }
                 self.dirty = true;
@@ -910,6 +1384,7 @@ impl MicroBlossomAccelerator {
             }
             Instruction::Grow { length } => {
                 self.ensure_stable();
+                // whether the defect's circle moved
                 let grow = |vs: &mut VertexSoa, v: VertexIndex| {
                     let speed = if vs.frozen.get(v) { 0 } else { vs.speed[v] };
                     vs.residual[v] += length * speed as Weight;
@@ -917,6 +1392,7 @@ impl MicroBlossomAccelerator {
                         vs.residual[v] >= 0,
                         "defect {v} shrank below zero; the host must bound growth by y_S"
                     );
+                    length * speed as Weight != 0
                 };
                 if self.config.dense_reference {
                     for v in 0..self.vs.len {
@@ -926,9 +1402,16 @@ impl MicroBlossomAccelerator {
                         grow(&mut self.vs, v);
                     }
                 } else {
-                    let Self { vs, defects, .. } = self;
+                    let Self {
+                        vs,
+                        defects,
+                        clusters,
+                        ..
+                    } = self;
                     for &v in defects.iter() {
-                        grow(vs, v);
+                        if grow(vs, v) {
+                            clusters.mark_dirty_at(v);
+                        }
                     }
                 }
                 self.dirty = true;
@@ -950,6 +1433,11 @@ impl MicroBlossomAccelerator {
                     self.fusion.loaded
                 );
                 self.fusion.loaded = self.fusion.loaded.max(layer + 1);
+                // loading moves the boundary and the §6.3 weights only at
+                // the layer's own vertices, so only clusters whose
+                // footprint holds one of them can change
+                let Self { vs, clusters, .. } = self;
+                clusters.mark_dirty_where(|v| vs.fusion_key[v] == layer);
                 let layer = layer as usize;
                 for i in 0..self.staged_syndrome[layer].len() {
                     let d = self.staged_syndrome[layer][i];
@@ -1000,6 +1488,7 @@ impl MicroBlossomAccelerator {
             }
         }
         self.active.clear();
+        self.clusters.clear();
         self.defects.clear();
         self.cpu_owned_list.clear();
         self.frozen_list.clear();
@@ -1046,6 +1535,8 @@ impl MicroBlossomAccelerator {
     /// freezes, pre-matches) is rebuilt lazily by the next Update/Pre-Match
     /// pass, exactly as it would have been had the context never left.
     pub fn restore_context(&mut self, ctx: &AcceleratorContext) {
+        #[cfg(test)]
+        self.record(|| tests::Op::Restore(ctx.clone()));
         // not an `Instruction`, so no cycle/instruction accounting: the
         // banked reset models the fetch stage, not a broadcast message
         self.reset_state();
@@ -1070,13 +1561,18 @@ impl MicroBlossomAccelerator {
 
     /// Brings the per-vertex state to the fixed point of the local update
     /// rules (the hardware's Update stage), then re-evaluates pre-matching
-    /// (the Pre-Match stage).
+    /// (the Pre-Match stage). The sparse path re-derives only the dirty
+    /// clusters; the dense reference re-derives every PU.
     fn ensure_stable(&mut self) {
         if !self.dirty {
             return;
         }
-        self.stabilize();
-        self.update_prematch();
+        if self.config.dense_reference {
+            self.stabilize();
+            self.update_prematch();
+        } else {
+            self.stabilize_clusters();
+        }
         self.dirty = false;
         // a conservative constant for the propagation work of the Update
         // stage; growth steps stop at vertex-arrival events so fronts move
@@ -1085,21 +1581,10 @@ impl MicroBlossomAccelerator {
         self.stats.active_peak = self.stats.active_peak.max(self.active.len() as u64);
     }
 
-    /// Recomputes the stabilized compact state from the authoritative defect
-    /// radii. The sparse path clears only the previously active vertices,
-    /// propagates from the defect list, and rebuilds the active set from the
-    /// vertices the frontier touched; the dense reference sweeps the full
-    /// arrays. Allocation-free in steady state either way.
-    ///
-    /// The propagation only ever offers covers to vertices the write-back
-    /// keeps: boundary and defect vertices are never offered one, a vertex
-    /// whose residual cannot pay its cheapest edge to a non-virtual
-    /// neighbour is not expanded, and a cover no better than the best
-    /// already offered is dropped before it reaches the frontier. Between
-    /// two loaded, non-virtual endpoints an edge always has its original
-    /// weight, so the expansion reads no fusion state but the keys.
+    /// The dense reference's Update stage: recomputes the stabilized compact
+    /// state of every PU from the authoritative defect radii and rebuilds
+    /// the active set. Allocation-free in steady state.
     fn stabilize(&mut self) {
-        let dense = self.config.dense_reference;
         let Self {
             graph,
             vs,
@@ -1114,123 +1599,58 @@ impl MicroBlossomAccelerator {
         } = self;
         let fusion = *fusion;
         // clear derived state (defect vertices always store themselves)
-        if dense {
-            for v in 0..vs.len {
-                if vs.defect.get(v) {
-                    continue;
-                }
-                vs.clear_derived(v);
-            }
-        } else {
-            for i in 0..active.items.len() {
-                let v = active.items[i];
-                if vs.defect.get(v) {
-                    continue;
-                }
-                vs.clear_derived(v);
-            }
-        }
-        // max-residual propagation from defect circles
-        // key: (residual, speed, Reverse(touch)) so ties prefer faster nodes
-        scratch.epoch += 1;
-        let epoch = scratch.epoch;
-        scratch.touched.clear();
-        scratch.heap.clear();
-        for &d in defects.iter() {
-            scratch.offer(d, vs.residual[d], vs.speed[d], d);
-        }
-        while let Some((residual, speed, Reverse(touch), vertex)) = scratch.heap.pop() {
-            if !scratch.is_best(vertex, residual, speed, touch) {
-                continue; // superseded by a better cover offered later
-            }
-            debug_assert!(!fusion.is_boundary(vs.fusion_key[vertex]));
-            if residual < min_regular_weight[vertex] {
+        for v in 0..vs.len {
+            if vs.defect.get(v) {
                 continue;
             }
-            let edges = graph.incident_edges(vertex);
-            for (&e, &next) in edges.iter().zip(graph.neighbors(vertex)) {
-                // boundary vertices do not store covers and defect vertices
-                // keep their own circle
-                if fusion.is_boundary(vs.fusion_key[next]) || vs.defect.get(next) {
-                    continue;
-                }
-                let next_residual = residual - e_original_weight[e];
-                if next_residual >= 0 {
-                    scratch.offer(next, next_residual, speed, touch);
-                }
-            }
+            vs.clear_derived(v);
         }
+        propagate(
+            graph,
+            vs,
+            e_original_weight,
+            min_regular_weight,
+            fusion,
+            scratch,
+            defects.iter().copied(),
+        );
         // write-back and active-set rebuild
         active.clear();
         for &d in defects.iter() {
             active.insert(d);
         }
-        let write_back = |vs: &mut VertexSoa, scratch: &Scratch, v: VertexIndex| {
-            let touch = scratch.best_touch[v] as VertexIndex;
-            let node = vs.node[touch];
-            let speed = vs.speed[touch];
-            vs.residual[v] = scratch.best_residual[v];
-            vs.touch[v] = touch as u32;
-            vs.node[v] = node;
-            vs.speed[v] = speed;
-        };
-        if dense {
-            for v in 0..vs.len {
-                if vs.defect.get(v) || fusion.is_boundary(vs.fusion_key[v]) {
-                    continue;
-                }
-                if scratch.best_epoch[v] != epoch {
-                    continue;
-                }
-                write_back(vs, scratch, v);
-                active.insert(v);
+        for v in 0..vs.len {
+            if vs.defect.get(v) || fusion.is_boundary(vs.fusion_key[v]) {
+                continue;
             }
-            stats.pus_touched += (vs.len + graph.edge_count()) as u64;
-        } else {
-            for i in 0..scratch.touched.len() {
-                let v = scratch.touched[i];
-                if vs.defect.get(v) {
-                    continue;
-                }
-                write_back(vs, scratch, v);
-                active.insert(v);
+            if scratch.best_epoch[v] != scratch.epoch {
+                continue;
             }
-            stats.pus_touched += scratch.touched.len() as u64;
+            vs.adopt(v, scratch);
+            active.insert(v);
         }
+        stats.pus_touched += active.len() as u64;
     }
 
-    /// Re-evaluates the pre-match flags `m_e` (Equations 1–3) and the
-    /// resulting per-vertex freezes. The sparse path discovers tight edges
-    /// from the active set (every tight edge has a covered endpoint), the
-    /// dense reference scans all edges; candidate evaluation and the
-    /// freeze-claiming pass run in ascending edge order in both modes, so
-    /// the applied pre-matches are identical.
+    /// The dense reference's Pre-Match stage: re-evaluates the pre-match
+    /// flags `m_e` (Equations 1–3) and the resulting per-vertex freezes
+    /// from a scan of every edge. Candidate evaluation and freeze claiming
+    /// run in ascending edge order, as on the sparse path, so the applied
+    /// pre-matches are identical.
     fn update_prematch(&mut self) {
-        // clear the previous pass
-        if self.config.dense_reference {
-            self.vs.frozen.clear_all();
-            self.e_prematch.clear_all();
-            self.frozen_list.clear();
-            self.prematch_list.clear();
-        } else {
-            for v in self.frozen_list.drain(..) {
-                self.vs.frozen.unset(v);
-            }
-            for e in self.prematch_list.drain(..) {
-                self.e_prematch.unset(e);
-            }
-        }
+        self.vs.frozen.clear_all();
+        self.e_prematch.clear_all();
+        self.frozen_list.clear();
+        self.prematch_list.clear();
         if !self.config.prematch_enabled {
             return;
         }
-        let dense = self.config.dense_reference;
         let Self {
             graph,
             vs,
             e_original_weight,
             e_prematch,
             fusion,
-            active,
             scratch,
             frozen_list,
             prematch_list,
@@ -1239,102 +1659,326 @@ impl MicroBlossomAccelerator {
         } = self;
         let fusion = *fusion;
         scratch.epoch += 1;
-        let epoch = scratch.epoch;
-        // tightness t_e
         scratch.tight_list.clear();
-        if dense {
-            for (e, &original) in e_original_weight.iter().enumerate() {
-                let Some((x, y)) = active_end(graph, vs, fusion, e) else {
-                    continue;
-                };
-                if is_tight(vs, fusion, original, vs.active_pu(x), y) {
-                    scratch.tight_epoch[e] = epoch;
-                    scratch.tight_list.push(e);
-                }
-            }
-        } else {
-            for &v in active.as_slice() {
-                let x = vs.active_pu(v);
-                for (e, y) in edges_from(graph, vs, fusion, v) {
-                    if is_tight(vs, fusion, e_original_weight[e], x, y) {
-                        scratch.tight_epoch[e] = epoch;
-                        scratch.tight_list.push(e);
-                    }
-                }
-            }
-            scratch.tight_list.sort_unstable();
-        }
-        // tight degrees (every tight edge is in tight_list, so the counts
-        // are exact for any vertex incident to one)
-        for &e in &scratch.tight_list {
-            let (u, v) = graph.edge(e).vertices;
-            for x in [u, v] {
-                if scratch.tdeg_epoch[x] != epoch {
-                    scratch.tdeg_epoch[x] = epoch;
-                    scratch.tdeg[x] = 0;
-                }
-                scratch.tdeg[x] += 1;
+        for (e, &original) in e_original_weight.iter().enumerate() {
+            let Some((x, y)) = active_end(graph, vs, fusion, e) else {
+                continue;
+            };
+            if is_tight(vs, fusion, original, vs.active_pu(x), y) {
+                scratch.tight_epoch[e] = scratch.epoch;
+                scratch.tight_list.push(e);
             }
         }
         stats.pus_touched += scratch.tight_list.len() as u64;
-        // candidate evaluation (ascending edge order, as the dense fold)
-        let tight = |e: EdgeIndex| scratch.tight_epoch[e] == epoch;
-        let q = |x: VertexIndex| scratch.tdeg_epoch[x] == epoch && scratch.tdeg[x] == 1;
-        let boundary = |x: VertexIndex| fusion.is_boundary(vs.fusion_key[x]);
-        let mut candidates = std::mem::take(&mut scratch.candidates);
-        candidates.clear();
-        for &e in &scratch.tight_list {
-            let (a, b) = graph.edge(e).vertices;
-            let eligible_defect =
-                |x: VertexIndex| vs.defect.get(x) && vs.speed[x] > 0 && !vs.cpu_owned.get(x);
-            let m = if !boundary(a) && !boundary(b) {
-                // Equation 1: regular edge between two isolated defects
-                eligible_defect(a) && q(a) && eligible_defect(b) && q(b)
-            } else {
-                // one side is a boundary (virtual or unloaded)
-                let (bound, defect) = if boundary(a) { (a, b) } else { (b, a) };
-                let mut around = graph
-                    .incident_edges(defect)
-                    .iter()
-                    .zip(graph.neighbors(defect));
-                if boundary(defect) || !eligible_defect(defect) {
-                    false
-                } else if vs.fusion_key[bound] == VIRTUAL_KEY {
-                    // Equation 2: true boundary edge
-                    around.all(|(&e2, &other)| {
-                        e2 == e || !tight(e2) || (!vs.defect.get(other) && q(other))
-                    })
+        prematch_tight(
+            graph,
+            vs,
+            fusion,
+            scratch,
+            e_prematch,
+            prematch_list,
+            frozen_list,
+        );
+    }
+
+    /// The sparse Update/Pre-Match pass: re-derives the dirty clusters
+    /// alone, then rebuilds the active set and the pre-match and freeze
+    /// lists from every cluster. `pus_touched` is charged every cluster's
+    /// share, as the hardware's parallel stages wake every awake PU.
+    fn stabilize_clusters(&mut self) {
+        self.clusters.open_new(&self.defects);
+        let recomputed = !self.clusters.dirty.is_empty();
+        if recomputed {
+            self.settle_dirty();
+        }
+        let Self {
+            active,
+            clusters,
+            frozen_list,
+            prematch_list,
+            stats,
+            config,
+            ..
+        } = self;
+        if recomputed {
+            active.clear();
+            frozen_list.clear();
+            prematch_list.clear();
+            for &id in &clusters.live {
+                let cluster = &clusters.slots[id as usize];
+                for &v in &cluster.covered {
+                    active.insert(v);
+                }
+                frozen_list.extend_from_slice(&cluster.frozen);
+                prematch_list.extend_from_slice(&cluster.prematch);
+            }
+            prematch_list.sort_unstable();
+        }
+        stats.pus_touched += active.len() as u64;
+        if config.prematch_enabled {
+            let tight: u64 = clusters
+                .live
+                .iter()
+                .map(|&id| clusters.slots[id as usize].tight)
+                .sum();
+            stats.pus_touched += tight;
+        }
+    }
+
+    /// Re-derives the dirty clusters together, with the sweeps of one full
+    /// pass over what they cover: one propagation from all their defects
+    /// (pulling in every clean cluster their covers run into), one sweep
+    /// that groups them by footprint and finds the tight edges, the
+    /// Pre-Match stage, and one convergecast sweep folding each group's
+    /// partial. No cover, tight edge, pre-match or convergecast term spans
+    /// two groups, so each group's share is exactly what it would derive
+    /// alone.
+    fn settle_dirty(&mut self) {
+        // drop everything the dirty clusters derived first, so no sweep
+        // reads a stale cover
+        for i in 0..self.clusters.dirty.len() {
+            let id = self.clusters.dirty[i];
+            self.clear_cluster(id);
+        }
+        loop {
+            let Self {
+                graph,
+                vs,
+                e_original_weight,
+                min_regular_weight,
+                fusion,
+                scratch,
+                clusters,
+                ..
+            } = self;
+            let sources = clusters
+                .dirty
+                .iter()
+                .flat_map(|&id| clusters.slots[id as usize].defects.iter().copied());
+            propagate(
+                graph,
+                vs,
+                e_original_weight,
+                min_regular_weight,
+                *fusion,
+                scratch,
+                sources,
+            );
+            for &v in &scratch.touched {
+                if !vs.defect.get(v) {
+                    vs.adopt(v, scratch);
+                }
+            }
+            if self.sweep_dirty() {
+                break;
+            }
+            // the covers reach clean clusters: take back what was written
+            // and derive those clusters along
+            for i in 0..self.scratch.touched.len() {
+                let v = self.scratch.touched[i];
+                if !self.vs.defect.get(v) {
+                    self.vs.clear_derived(v);
+                }
+            }
+            let met = std::mem::take(&mut self.clusters.met);
+            for &id in &met {
+                self.clusters.mark_dirty(id);
+                self.clear_cluster(id);
+            }
+            self.clusters.met = met;
+        }
+        let Self {
+            graph,
+            vs,
+            e_prematch,
+            fusion,
+            scratch,
+            clusters,
+            frozen_list,
+            prematch_list,
+            config,
+            ..
+        } = self;
+        let fusion = *fusion;
+        clusters.merge_groups(&scratch.touched, |v| scratch.best_touch[v] as VertexIndex);
+        if config.prematch_enabled {
+            scratch.tight_list.sort_unstable();
+            // the global lists serve as scratch here; the caller rebuilds
+            // them from every cluster
+            frozen_list.clear();
+            prematch_list.clear();
+            prematch_tight(
+                graph,
+                vs,
+                fusion,
+                scratch,
+                e_prematch,
+                prematch_list,
+                frozen_list,
+            );
+            for &v in frozen_list.iter() {
+                clusters.slots[clusters.home[v] as usize].frozen.push(v);
+            }
+            for &e in prematch_list.iter() {
+                let (a, b) = graph.edge(e).vertices;
+                let defect = if fusion.is_boundary(vs.fusion_key[a]) {
+                    b
                 } else {
-                    // Equation 3: fusion-boundary edge; every tight edge
-                    // around the defect must be volatile (to an unloaded
-                    // vertex)
-                    around
-                        .all(|(&e2, &other)| !tight(e2) || fusion.is_unloaded(vs.fusion_key[other]))
-                }
-            };
-            if m {
-                candidates.push(e);
+                    a
+                };
+                clusters.slots[clusters.home[defect] as usize]
+                    .prematch
+                    .push(e);
             }
         }
-        // apply freezes; if two pre-matches would claim the same defect keep
-        // only the first (the hardware convergecast picks one arbitrarily)
-        for &e in &candidates {
-            let (a, b) = graph.edge(e).vertices;
-            let key = &vs.fusion_key;
-            let (ba, bb) = (fusion.is_boundary(key[a]), fusion.is_boundary(key[b]));
-            if (!ba && vs.frozen.get(a)) || (!bb && vs.frozen.get(b)) {
-                continue;
+        // one convergecast sweep, folded per group
+        let mut slots = std::mem::take(&mut self.clusters.slots);
+        for &id in &self.clusters.dirty {
+            slots[id as usize].partial = Convergecast::EMPTY;
+        }
+        let (graph, vs, fusion) = (&self.graph, &self.vs, self.fusion);
+        for &v in &self.scratch.touched {
+            let root = self.clusters.home[vs.touch_of(v)];
+            let cc = &mut slots[root as usize].partial;
+            let x = vs.active_pu(v);
+            Self::fold_vertex(x, cc);
+            for (e, y) in edges_from(graph, vs, fusion, v) {
+                if cc.conflict.is_some_and(|c| e >= c) {
+                    continue;
+                }
+                self.fold_edge(e, x, y, cc);
             }
-            e_prematch.set(e);
-            prematch_list.push(e);
-            for (x, bx) in [(a, ba), (b, bb)] {
-                if !bx && !vs.frozen.get(x) {
-                    vs.frozen.set(x);
-                    frozen_list.push(x);
+        }
+        for id in self.clusters.dirty.drain(..) {
+            slots[id as usize].dirty = false;
+        }
+        self.clusters.slots = slots;
+    }
+
+    /// One sweep over the vertices the dirty clusters cover
+    /// (`scratch.touched`, written back): groups the dirty clusters by
+    /// footprint — a covered vertex belongs to its touch's cluster, and
+    /// dirty clusters whose footprints meet are united — and, with
+    /// pre-matching on, collects the tight edges under the propagation's
+    /// epoch. Returns `false`, with the boundary claims given back, when a
+    /// footprint reaches a clean cluster's: those are then in
+    /// `clusters.met`.
+    fn sweep_dirty(&mut self) -> bool {
+        let Self {
+            graph,
+            vs,
+            e_original_weight,
+            fusion,
+            scratch,
+            clusters,
+            config,
+            ..
+        } = self;
+        let fusion = *fusion;
+        let Clusters {
+            slots,
+            dirty,
+            owner,
+            home,
+            parent,
+            pending,
+            tight_home,
+            met,
+            ..
+        } = clusters;
+        let Scratch {
+            epoch,
+            best_epoch,
+            best_touch,
+            touched,
+            tight_epoch,
+            tight_list,
+            ..
+        } = scratch;
+        let epoch = *epoch;
+        for &id in dirty.iter() {
+            parent[id as usize] = id;
+        }
+        met.clear();
+        tight_list.clear();
+        tight_home.clear();
+        let touch_home = |v: VertexIndex| home[best_touch[v] as usize];
+        let mut meet = |o: u32| {
+            if !met.contains(&o) {
+                met.push(o);
+            }
+        };
+        for &v in touched.iter() {
+            let c = touch_home(v);
+            // a covered vertex is never claimed as a boundary neighbour, so
+            // an owner here is a clean cluster
+            if owner[v] != NO_CLUSTER {
+                meet(owner[v]);
+            }
+            let x = vs.active_pu(v);
+            let edges = graph.incident_edges(v);
+            for (&e, &f) in edges.iter().zip(graph.neighbors(v)) {
+                let o = owner[f];
+                if o != NO_CLUSTER {
+                    if !slots[o as usize].dirty {
+                        meet(o);
+                    } else if o != c {
+                        union(parent, c, o);
+                    }
+                } else if best_epoch[f] == epoch {
+                    let other = touch_home(f);
+                    if other != c {
+                        union(parent, c, other);
+                    }
+                } else if fusion.is_boundary(vs.fusion_key[f]) {
+                    owner[f] = c;
+                    pending.push(f);
+                }
+                // tightness, from one active endpoint as in `edges_from`
+                if config.prematch_enabled
+                    && (f > v || !is_active(vs, fusion, f))
+                    && is_tight(vs, fusion, e_original_weight[e], x, f)
+                {
+                    tight_epoch[e] = epoch;
+                    tight_list.push(e);
+                    tight_home.push(c);
                 }
             }
         }
-        scratch.candidates = candidates;
+        if met.is_empty() {
+            return true;
+        }
+        for f in pending.drain(..) {
+            owner[f] = NO_CLUSTER;
+        }
+        false
+    }
+
+    /// Clears what cluster `id` derived: the covers of its non-defect
+    /// vertices, its freezes and its pre-match flags.
+    fn clear_cluster(&mut self, id: u32) {
+        let Self {
+            vs,
+            e_prematch,
+            clusters,
+            ..
+        } = self;
+        let cluster = &mut clusters.slots[id as usize];
+        for &v in &cluster.covered {
+            if !vs.defect.get(v) {
+                vs.clear_derived(v);
+            }
+        }
+        for &v in &cluster.frozen {
+            vs.frozen.unset(v);
+        }
+        for &e in &cluster.prematch {
+            e_prematch.unset(e);
+        }
+        cluster.covered.clear();
+        cluster.frozen.clear();
+        cluster.prematch.clear();
+        cluster.tight = 0;
     }
 
     /// Folds active vertex `x` into the convergecast: whether its cover
@@ -1417,19 +2061,13 @@ impl MicroBlossomAccelerator {
     }
 
     /// The convergecast: the lowest-indexed conflict if any (skipping
-    /// pre-matched ones), otherwise the maximum safe growth. One sweep folds
-    /// all three reductions. The sparse sweep visits the active set and its
-    /// incident edges — every edge that can conflict or bound growth has an
-    /// active endpoint — and keeps the minimum conflicting edge index, so
-    /// the reported conflict is identical to the dense scan's.
+    /// pre-matched ones), otherwise the maximum safe growth. The sparse
+    /// path folds the partials its clusters cached when they were last
+    /// derived; the dense reference folds every PU.
     fn convergecast(&mut self) -> HwResponse {
-        let mut cc = Convergecast {
-            conflict: None,
-            growing: false,
-            limit: Weight::MAX,
-        };
-        let (graph, vs, fusion) = (&self.graph, &self.vs, self.fusion);
+        let mut cc = Convergecast::EMPTY;
         if self.config.dense_reference {
+            let (graph, vs, fusion) = (&self.graph, &self.vs, self.fusion);
             for v in 0..vs.len {
                 if is_active(vs, fusion, v) {
                     Self::fold_vertex(vs.active_pu(v), &mut cc);
@@ -1444,22 +2082,11 @@ impl MicroBlossomAccelerator {
                 }
             }
         } else {
-            for &v in self.active.as_slice() {
-                let x = vs.active_pu(v);
-                Self::fold_vertex(x, &mut cc);
-                for (e, y) in edges_from(graph, vs, fusion, v) {
-                    if cc.conflict.is_some_and(|c| e >= c) {
-                        continue;
-                    }
-                    self.fold_edge(e, x, y, &mut cc);
-                }
+            for &id in &self.clusters.live {
+                cc.merge(&self.clusters.slots[id as usize].partial);
             }
         }
-        self.stats.pus_touched += if self.config.dense_reference {
-            (self.vs.len + self.graph.edge_count()) as u64
-        } else {
-            self.active.len() as u64
-        };
+        self.stats.pus_touched += self.active.len() as u64;
         if let Some(e) = cc.conflict {
             return self.conflict_response(e);
         }
@@ -1526,13 +2153,33 @@ impl MicroBlossomAccelerator {
     pub fn fully_loaded(&self) -> bool {
         self.fusion.loaded == self.fusion.layers
     }
+
+    /// Appends an op to the replay log, when one is enabled.
+    #[cfg(test)]
+    fn record(&mut self, op: impl FnOnce() -> tests::Op) {
+        if let Some(log) = &mut self.log {
+            log.push(op());
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::instruction::HwDirection;
+    use mb_graph::circuit::CircuitLevelCode;
     use mb_graph::codes::CodeCapacityRepetitionCode;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+
+    /// A state-changing call on an accelerator, as recorded in its log.
+    #[derive(Debug, Clone)]
+    pub(super) enum Op {
+        Stage(usize, Vec<VertexIndex>),
+        Execute(Instruction),
+        MarkCpuOwned(VertexIndex),
+        Restore(AcceleratorContext),
+    }
 
     fn rep_accel(d: usize, prematch: bool) -> MicroBlossomAccelerator {
         let graph = Arc::new(CodeCapacityRepetitionCode::new(d, 0.1).decoding_graph());
@@ -1765,20 +2412,26 @@ mod tests {
 
     #[test]
     fn sparse_and_dense_sweeps_are_bit_identical() {
-        // drive both modes through the same instruction program and compare
-        // every response and the full PU state after each step
+        // drive both modes through the same program and compare every
+        // response and the full PU state after each step
         let program = [
-            Instruction::FindConflict,
-            Instruction::Grow { length: 1 },
-            Instruction::FindConflict,
-            Instruction::SetCover { from: 3, to: 20 },
-            Instruction::SetCover { from: 5, to: 20 },
-            Instruction::SetDirection {
+            Op::Execute(Instruction::FindConflict),
+            Op::Execute(Instruction::Grow { length: 1 }),
+            Op::Execute(Instruction::FindConflict),
+            // dissolves the settled 5–6 pre-match
+            Op::MarkCpuOwned(6),
+            Op::Execute(Instruction::FindConflict),
+            // the 5–6 conflict edge turns internal to blossom 20
+            Op::Execute(Instruction::SetCover { from: 5, to: 20 }),
+            Op::Execute(Instruction::SetCover { from: 6, to: 20 }),
+            Op::Execute(Instruction::FindConflict),
+            Op::Execute(Instruction::SetCover { from: 3, to: 20 }),
+            Op::Execute(Instruction::SetDirection {
                 node: 20,
                 direction: HwDirection::Stay,
-            },
-            Instruction::FindConflict,
-            Instruction::Reset,
+            }),
+            Op::Execute(Instruction::FindConflict),
+            Op::Execute(Instruction::Reset),
         ];
         for prematch in [false, true] {
             let graph = Arc::new(CodeCapacityRepetitionCode::new(9, 0.1).decoding_graph());
@@ -1800,22 +2453,118 @@ mod tests {
             for accel in [&mut sparse, &mut dense] {
                 load_all(accel, &[1, 3, 5, 6]);
             }
-            for instruction in program {
-                let rs = sparse.execute(instruction);
-                let rd = dense.execute(instruction);
-                assert_eq!(rs, rd, "prematch {prematch}, {instruction:?}");
+            for op in &program {
+                let rs = apply(&mut sparse, op);
+                let rd = apply(&mut dense, op);
+                assert_eq!(rs, rd, "prematch {prematch}, {op:?}");
                 sparse.settle();
                 dense.settle();
-                for v in 0..graph.vertex_count() {
-                    assert_eq!(
-                        sparse.vertex_pu(v),
-                        dense.vertex_pu(v),
-                        "prematch {prematch}, {instruction:?}, vertex {v}"
-                    );
-                }
-                assert_eq!(sparse.prematched_pairs(), dense.prematched_pairs());
+                assert_same_state(&sparse, &dense, &format!("prematch {prematch}, {op:?}"));
             }
         }
+        // and the stream a driver issues on circuit-level shots (every
+        // circuit location fails with probability p = 0.5%), replayed op by
+        // op on both modes
+        let circuit = CircuitLevelCode::rotated(5, 5, 0.05).compile();
+        let graph = circuit.graph();
+        let sampler = circuit.sampler();
+        let mut rng = ChaCha8Rng::seed_from_u64(0x10C5);
+        let mut seen = [0usize; 4];
+        for prematch in [true, false] {
+            let config = AcceleratorConfig {
+                prematch_enabled: prematch,
+                ..AcceleratorConfig::default()
+            };
+            for _ in 0..24 {
+                let shots =
+                    [(); 2].map(|_| sampler.sample(&mut rng).syndrome.split_by_layer(graph));
+                let (log, stats) = driver_run(graph, &config, &shots);
+                let replay = |dense_reference| {
+                    let config = AcceleratorConfig {
+                        dense_reference,
+                        ..config.clone()
+                    };
+                    MicroBlossomAccelerator::new(Arc::clone(graph), config)
+                };
+                let (mut sparse, mut dense) = (replay(false), replay(true));
+                for op in &log {
+                    let rs = apply(&mut sparse, op);
+                    let rd = apply(&mut dense, op);
+                    assert_eq!(rs, rd, "prematch {prematch}, {op:?}");
+                    assert_same_state(&sparse, &dense, &format!("prematch {prematch}, {op:?}"));
+                    seen[match op {
+                        Op::Stage(_, defects) if defects.is_empty() => 0,
+                        Op::Stage(..) | Op::Execute(_) => 1,
+                        Op::MarkCpuOwned(_) => 2,
+                        Op::Restore(_) => 3,
+                    }] += 1;
+                }
+                assert_eq!(sparse.stats, stats, "the replay is the recorded run");
+            }
+        }
+        assert!(
+            seen.iter().all(|&n| n > 0),
+            "every kind of op ran: {seen:?}"
+        );
+    }
+
+    /// Two circuit-level shots decoded round by round through the shared
+    /// solver, taking turns on the engine: rounds 0–1 of each, then rounds
+    /// 2 onward of each, so a shot loads some rounds right after a context
+    /// switch and some in a row. The sparse accelerator's log of the run
+    /// and its final counters.
+    fn driver_run(
+        graph: &Arc<DecodingGraph>,
+        config: &AcceleratorConfig,
+        shots: &[Vec<Vec<VertexIndex>>; 2],
+    ) -> (Vec<Op>, AcceleratorStats) {
+        let mut accel = MicroBlossomAccelerator::new(Arc::clone(graph), config.clone());
+        accel.log = Some(Vec::new());
+        let mut solver = crate::AcceleratedSolver::around(accel);
+        let mut banks = [
+            crate::SolverContext::default(),
+            crate::SolverContext::default(),
+        ];
+        let mut engine = 0;
+        for turn in [0..2, 2..graph.num_layers()] {
+            for (shot, rounds) in shots.iter().enumerate() {
+                if engine != shot {
+                    solver.save_context_into(&mut banks[engine]);
+                    solver.restore_context(&mut banks[shot]);
+                    engine = shot;
+                }
+                for defects in &rounds[turn.clone()] {
+                    solver.load_round(defects);
+                    assert!(solver.drive(None));
+                }
+            }
+        }
+        let accel = solver.driver().accelerator();
+        (accel.log.clone().expect("logging"), accel.stats.clone())
+    }
+
+    /// Runs a recorded op; the response of a `find Conflict`.
+    fn apply(accel: &mut MicroBlossomAccelerator, op: &Op) -> Option<HwResponse> {
+        match op {
+            Op::Stage(layer, defects) => accel.stage_syndrome(*layer, defects),
+            Op::Execute(instruction) => return accel.execute(*instruction),
+            Op::MarkCpuOwned(vertex) => accel.mark_cpu_owned(*vertex),
+            Op::Restore(ctx) => accel.restore_context(ctx),
+        }
+        None
+    }
+
+    /// Every PU, the pre-match read-out and every counter agree.
+    fn assert_same_state(a: &MicroBlossomAccelerator, b: &MicroBlossomAccelerator, what: &str) {
+        for v in 0..a.graph().vertex_count() {
+            assert_eq!(a.vertex_pu(v), b.vertex_pu(v), "{what}, vertex {v}");
+        }
+        for e in 0..a.graph().edge_count() {
+            assert_eq!(a.edge_pu(e), b.edge_pu(e), "{what}, edge {e}");
+        }
+        assert_eq!(a.prematched_pairs(), b.prematched_pairs(), "{what}");
+        assert_eq!(a.stats, b.stats, "{what}");
+        assert_eq!(a.active_len(), b.active_len(), "{what}");
     }
 
     #[test]

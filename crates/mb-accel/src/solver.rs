@@ -49,8 +49,13 @@ pub struct AcceleratedSolver {
 impl AcceleratedSolver {
     /// A solver over a fresh accelerator for `graph`.
     pub fn new(graph: Arc<DecodingGraph>, config: AcceleratorConfig) -> Self {
+        Self::around(MicroBlossomAccelerator::new(graph, config))
+    }
+
+    /// A solver driving `accel`.
+    pub(crate) fn around(accel: MicroBlossomAccelerator) -> Self {
         Self {
-            driver: AcceleratedDual::new(MicroBlossomAccelerator::new(graph, config)),
+            driver: AcceleratedDual::new(accel),
             primal: PrimalModule::new(),
             unknown_scratch: Vec::new(),
         }

@@ -145,7 +145,12 @@ pub trait DecoderBackend: Send {
 pub struct AccelObservability {
     /// Peak active-set size (most vertex PUs awake at once).
     pub active_peak: u64,
-    /// Total PU visits performed by the sweep engines.
+    /// Total PU wake-ups of the modeled hardware: the vertex and edge PUs
+    /// its Update, Pre-Match and convergecast stages wake, not the
+    /// simulator's visits (see [`mb_accel::AcceleratorStats::pus_touched`]).
+    /// The sparse simulator re-derives only the defect clusters an
+    /// instruction disturbed, yet this count is the same as if it had
+    /// re-derived every one.
     pub pus_touched: u64,
     /// Shots whose syndrome was empty and skipped the dual phase entirely.
     pub zero_defect_shots: u64,

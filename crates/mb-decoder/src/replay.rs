@@ -66,6 +66,11 @@ fn provenance(
         "mechanisms".into(),
         JsonValue::UInt(circuit.mechanisms().len() as u64),
     );
+    if let Some((d, rounds, p)) = circuit.rotated_params() {
+        map.insert("d".into(), JsonValue::UInt(d as u64));
+        map.insert("rounds".into(), JsonValue::UInt(rounds as u64));
+        map.insert("p".into(), JsonValue::Number(p));
+    }
     if let Some(tilt) = tilt {
         map.insert("tilt".into(), JsonValue::String(tilt.label().into()));
     }
@@ -87,8 +92,9 @@ pub struct RecordedCircuit {
 }
 
 /// Rebuilds the circuit a corpus was recorded on from the `d`, `rounds`
-/// and `p` its provenance carries (the `record` bin adds them to what
-/// [`record_circuit_run`] writes), checked against the header's graph
+/// and `p` its provenance carries ([`record_circuit_run`] and
+/// [`record_tilted_run`] write them for a circuit built by
+/// [`CircuitLevelCode::rotated`]), checked against the header's graph
 /// fingerprint.
 ///
 /// # Errors
@@ -562,23 +568,31 @@ mod tests {
     #[test]
     fn recorded_circuit_rebuilds_from_provenance_or_fails_typed() {
         let circuit = circuit();
-        let mut corpus = record_circuit_run(&circuit, 2, 1);
-        let missing = recorded_circuit(&corpus).unwrap_err();
+        let tilt = MechanismTilt::uniform(&circuit, 2.0);
+        for corpus in [
+            record_circuit_run(&circuit, 2, 1),
+            record_tilted_run(&circuit, &tilt, 2, 1),
+        ] {
+            let rebuilt = recorded_circuit(&corpus).expect("the recording parameters");
+            assert_eq!((rebuilt.d, rebuilt.rounds, rebuilt.p), (3, 3, 0.03));
+            assert_eq!(rebuilt.circuit.graph(), circuit.graph());
+        }
+        // custom noise has no `rotated` parameters to write
+        let noise = mb_graph::circuit::CircuitNoiseParams::scaled(0.03);
+        let custom = Arc::new(CircuitLevelCode::new(3, 3, noise).compile());
+        let missing = recorded_circuit(&record_circuit_run(&custom, 2, 1)).unwrap_err();
         assert!(matches!(missing, CorpusError::BadProvenance { key: "d" }));
-        let mut set = |d: u64, p: f64| {
+        let mut corpus = record_circuit_run(&circuit, 2, 1);
+        let mut set = |key: &str, value: JsonValue| {
             if let JsonValue::Object(map) = &mut corpus.header.provenance {
-                map.insert("d".into(), JsonValue::UInt(d));
-                map.insert("rounds".into(), JsonValue::UInt(3));
-                map.insert("p".into(), JsonValue::Number(p));
+                map.insert(key.into(), value);
             }
             recorded_circuit(&corpus)
         };
-        let rebuilt = set(3, 0.03).expect("the recording parameters");
-        assert_eq!((rebuilt.d, rebuilt.rounds, rebuilt.p), (3, 3, 0.03));
-        assert_eq!(rebuilt.circuit.graph(), circuit.graph());
-        let even = set(4, 0.03).unwrap_err();
+        let even = set("d", JsonValue::UInt(4)).unwrap_err();
         assert!(matches!(even, CorpusError::BadProvenance { key: "d" }));
-        let other_p = set(3, 0.01).unwrap_err();
+        set("d", JsonValue::UInt(3)).expect("restored");
+        let other_p = set("p", JsonValue::Number(0.01)).unwrap_err();
         assert!(matches!(other_p, CorpusError::GraphMismatch { .. }));
     }
 

@@ -237,6 +237,8 @@ pub struct CircuitLevelCode {
     pub rounds: usize,
     /// Fault probabilities per circuit location.
     pub noise: CircuitNoiseParams,
+    /// The `p` of [`Self::rotated`], `None` when built from custom noise.
+    rate: Option<f64>,
 }
 
 impl CircuitLevelCode {
@@ -248,7 +250,12 @@ impl CircuitLevelCode {
     pub fn new(d: usize, rounds: usize, noise: CircuitNoiseParams) -> Self {
         assert!(d >= 3 && d % 2 == 1, "rotated code needs odd d >= 3");
         assert!(rounds >= 1, "need at least one detector layer");
-        Self { d, rounds, noise }
+        Self {
+            d,
+            rounds,
+            noise,
+            rate: None,
+        }
     }
 
     /// Convenience constructor mirroring
@@ -256,7 +263,10 @@ impl CircuitLevelCode {
     /// distance `d`, `rounds` detector layers, physical rate `p` split per
     /// [`CircuitNoiseParams::scaled`].
     pub fn rotated(d: usize, rounds: usize, p: f64) -> Self {
-        Self::new(d, rounds, CircuitNoiseParams::scaled(p))
+        Self {
+            rate: Some(p),
+            ..Self::new(d, rounds, CircuitNoiseParams::scaled(p))
+        }
     }
 
     /// Builds the decoding graph alone; [`Self::compile`] is the full
@@ -437,6 +447,7 @@ impl CircuitLevelCode {
             mechanisms,
             edge_mechanisms,
             weight_scaler: scaler,
+            rotated: self.rate.map(|p| (self.d, self.rounds, p)),
         }
     }
 }
@@ -459,9 +470,16 @@ pub struct CompiledCircuit {
     /// `e` (edge indices are dense: one entry per graph edge).
     edge_mechanisms: Vec<Vec<usize>>,
     weight_scaler: Option<WeightScaler>,
+    rotated: Option<(usize, usize, f64)>,
 }
 
 impl CompiledCircuit {
+    /// `(d, rounds, p)` of the [`CircuitLevelCode::rotated`] call that
+    /// built this circuit; `None` when it was built from custom noise.
+    pub fn rotated_params(&self) -> Option<(usize, usize, f64)> {
+        self.rotated
+    }
+
     /// The merged decoding graph.
     pub fn graph(&self) -> &Arc<DecodingGraph> {
         &self.graph

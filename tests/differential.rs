@@ -176,18 +176,26 @@ fn case(name: &str) -> (&'static [Delivery], Vec<Row>) {
             &[Serial, DenseReference]
         }
         "sparse_decode_is_bit_identical_to_dense_reference_on_circuit_level_graph" => {
-            // degree-10 diagonal edges: what the large-distance sweeps run on
-            let circuit = CircuitLevelCode::rotated(5, 5, 0.01).compile();
-            let sampler = CircuitErrorSampler::new(&circuit);
-            for (c, spec) in stages(circuit.graph(), 5).into_iter().enumerate() {
-                let mut rng = ChaCha8Rng::seed_from_u64(0xC1C + c as u64);
-                let shots = (0..60).map(|_| sampler.sample(&mut rng)).collect();
-                rows.push(Row::new(
-                    &format!("circuit rung {c}"),
-                    circuit.graph(),
-                    spec,
-                    shots,
-                ));
+            // degree-10 diagonal edges: what the large-distance sweeps run
+            // on; at d=7 every circuit location fails with probability
+            // 0.5%, so defect clusters merge and blossoms span rounds
+            let graphs = [
+                (5, 0.01, 0xC1C, 60, "circuit rung"),
+                (7, 0.05, 0xC1C7, 40, "circuit d=7 rung"),
+            ];
+            for (d, p, seed, count, label) in graphs {
+                let circuit = CircuitLevelCode::rotated(d, d, p).compile();
+                let sampler = CircuitErrorSampler::new(&circuit);
+                for (c, spec) in stages(circuit.graph(), d).into_iter().enumerate() {
+                    let mut rng = ChaCha8Rng::seed_from_u64(seed + c as u64);
+                    let shots = (0..count).map(|_| sampler.sample(&mut rng)).collect();
+                    rows.push(Row::new(
+                        &format!("{label} {c}"),
+                        circuit.graph(),
+                        spec,
+                        shots,
+                    ));
+                }
             }
             &[Serial, DenseReference]
         }
