@@ -1229,19 +1229,6 @@ impl MicroBlossomAccelerator {
         &self.defects
     }
 
-    /// Copies the loaded defects into `out`, sorted and deduplicated — the
-    /// canonical shot description the LUT pre-decoder keys its cluster
-    /// classification on (see [`crate::predecoder::PreDecoder::resolve_into`]).
-    /// Sorting here is what makes the fast-path/escalate decision invariant
-    /// to round ingestion order. `O(defects · log defects)`, reusing `out`'s
-    /// capacity.
-    pub fn predecode_defects_into(&self, out: &mut Vec<VertexIndex>) {
-        out.clear();
-        out.extend_from_slice(&self.defects);
-        out.sort_unstable();
-        out.dedup();
-    }
-
     /// Current size of the active region (vertex PUs holding a cover).
     pub fn active_len(&self) -> usize {
         self.active.len()
@@ -2412,54 +2399,81 @@ mod tests {
 
     #[test]
     fn sparse_and_dense_sweeps_are_bit_identical() {
-        // drive both modes through the same program and compare every
+        // drive both modes through the same programs and compare every
         // response and the full PU state after each step
-        let program = [
-            Op::Execute(Instruction::FindConflict),
-            Op::Execute(Instruction::Grow { length: 1 }),
-            Op::Execute(Instruction::FindConflict),
-            // dissolves the settled 5–6 pre-match
-            Op::MarkCpuOwned(6),
-            Op::Execute(Instruction::FindConflict),
-            // the 5–6 conflict edge turns internal to blossom 20
-            Op::Execute(Instruction::SetCover { from: 5, to: 20 }),
-            Op::Execute(Instruction::SetCover { from: 6, to: 20 }),
-            Op::Execute(Instruction::FindConflict),
-            Op::Execute(Instruction::SetCover { from: 3, to: 20 }),
-            Op::Execute(Instruction::SetDirection {
-                node: 20,
-                direction: HwDirection::Stay,
-            }),
-            Op::Execute(Instruction::FindConflict),
-            Op::Execute(Instruction::Reset),
+        let programs: [(usize, &[VertexIndex], &[Op]); 2] = [
+            (
+                9,
+                &[1, 3, 5, 6],
+                &[
+                    Op::Execute(Instruction::FindConflict),
+                    Op::Execute(Instruction::Grow { length: 1 }),
+                    Op::Execute(Instruction::FindConflict),
+                    // dissolves the settled 5–6 pre-match
+                    Op::MarkCpuOwned(6),
+                    Op::Execute(Instruction::FindConflict),
+                    // the 5–6 conflict edge turns internal to blossom 20
+                    Op::Execute(Instruction::SetCover { from: 5, to: 20 }),
+                    Op::Execute(Instruction::SetCover { from: 6, to: 20 }),
+                    Op::Execute(Instruction::FindConflict),
+                    Op::Execute(Instruction::SetCover { from: 3, to: 20 }),
+                    Op::Execute(Instruction::SetDirection {
+                        node: 20,
+                        direction: HwDirection::Stay,
+                    }),
+                    Op::Execute(Instruction::FindConflict),
+                    Op::Execute(Instruction::Reset),
+                ],
+            ),
+            (
+                15,
+                &[5, 10],
+                &[
+                    // the covers of 5 and 10 meet at edge 7–8 in one sweep,
+                    // sharing no footprint vertex: the sweep must merge
+                    // their clusters
+                    Op::Execute(Instruction::Grow { length: 5 }),
+                    Op::Execute(Instruction::FindConflict),
+                    // 10 shrinks away while 5 stays: the edge 7–8 that 5's
+                    // side found tight must drop out of the next pass
+                    Op::Execute(Instruction::SetDirection {
+                        node: 5,
+                        direction: HwDirection::Stay,
+                    }),
+                    Op::Execute(Instruction::SetDirection {
+                        node: 10,
+                        direction: HwDirection::Shrink,
+                    }),
+                    Op::Execute(Instruction::FindConflict),
+                    Op::Execute(Instruction::Grow { length: 2 }),
+                    Op::Execute(Instruction::FindConflict),
+                ],
+            ),
         ];
-        for prematch in [false, true] {
-            let graph = Arc::new(CodeCapacityRepetitionCode::new(9, 0.1).decoding_graph());
-            let mut sparse = MicroBlossomAccelerator::new(
-                Arc::clone(&graph),
-                AcceleratorConfig {
-                    prematch_enabled: prematch,
-                    ..AcceleratorConfig::default()
-                },
-            );
-            let mut dense = MicroBlossomAccelerator::new(
-                Arc::clone(&graph),
-                AcceleratorConfig {
-                    prematch_enabled: prematch,
-                    dense_reference: true,
-                    ..AcceleratorConfig::default()
-                },
-            );
-            for accel in [&mut sparse, &mut dense] {
-                load_all(accel, &[1, 3, 5, 6]);
-            }
-            for op in &program {
-                let rs = apply(&mut sparse, op);
-                let rd = apply(&mut dense, op);
-                assert_eq!(rs, rd, "prematch {prematch}, {op:?}");
-                sparse.settle();
-                dense.settle();
-                assert_same_state(&sparse, &dense, &format!("prematch {prematch}, {op:?}"));
+        for (d, defects, program) in programs {
+            for prematch in [false, true] {
+                let graph = Arc::new(CodeCapacityRepetitionCode::new(d, 0.1).decoding_graph());
+                let accel = |dense_reference| {
+                    let config = AcceleratorConfig {
+                        prematch_enabled: prematch,
+                        dense_reference,
+                        ..AcceleratorConfig::default()
+                    };
+                    MicroBlossomAccelerator::new(Arc::clone(&graph), config)
+                };
+                let (mut sparse, mut dense) = (accel(false), accel(true));
+                for accel in [&mut sparse, &mut dense] {
+                    load_all(accel, defects);
+                }
+                for op in program {
+                    let what = format!("d {d}, prematch {prematch}, {op:?}");
+                    let rs = apply(&mut sparse, op);
+                    let rd = apply(&mut dense, op);
+                    assert_eq!(rs, rd, "{what}");
+                    sparse.settle();
+                    dense.settle();
+                    assert_same_state(&sparse, &dense, &what);
+                }
             }
         }
         // and the stream a driver issues on circuit-level shots (every

@@ -137,21 +137,6 @@ impl AcceleratedDual {
         &self.accel
     }
 
-    /// Sorted, deduplicated defect list of the loaded shot — the LUT
-    /// pre-decoder's canonical input; forwards to
-    /// [`MicroBlossomAccelerator::predecode_defects_into`].
-    pub fn predecode_defects_into(&self, out: &mut Vec<VertexIndex>) {
-        self.accel.predecode_defects_into(out);
-    }
-
-    /// `true` while the dual phase has not started on this shot: no CPU
-    /// node was materialized and no obstacle was read back. The pre-decoder
-    /// fast path asserts this before bypassing the dual phase — rounds may
-    /// have been *loaded*, but none may have been *driven*.
-    pub fn dual_phase_pristine(&self) -> bool {
-        self.nodes.is_empty() && self.io.reads == 0
-    }
-
     fn write(&mut self, instruction: Instruction) -> Option<HwResponse> {
         self.io.writes += 1;
         self.accel.execute(instruction)

@@ -100,9 +100,9 @@ impl PredecoderConfig {
 ///
 /// Built once per `(graph, accelerator config, driving policy)` by
 /// [`PreDecoder::build`]; the owning decoder calls
-/// [`PreDecoder::resolve_into`] with the shot's sorted defect list after
-/// round ingestion and applies the returned matching directly when every
-/// cluster hits the table.
+/// [`PreDecoder::resolve_into`] with the shot's sorted defect list before
+/// it loads anything into the accelerator, and applies the returned
+/// matching directly when every cluster hits the table.
 #[derive(Debug, Clone)]
 pub struct PreDecoder {
     graph: Arc<DecodingGraph>,
@@ -270,17 +270,15 @@ impl PreDecoder {
     /// Resolves a full shot from the table.
     ///
     /// `defects` must be the shot's complete defect list, sorted and
-    /// deduplicated (see
-    /// [`crate::MicroBlossomAccelerator::predecode_defects_into`]); the
-    /// result is therefore invariant to the order rounds and defects were
-    /// ingested in. When every cluster is table-eligible the matched pairs
-    /// and boundary matches are appended to `matching` and the call returns
-    /// `true`; otherwise `matching` is left untouched and the shot must
-    /// escalate to the unconditional dual phase. Classification is pairwise
-    /// membership testing against precomputed linking balls —
-    /// `O(defects² · log ball(2R))`, independent of the lattice size, with
-    /// no graph traversal — and the steady-state path performs no
-    /// allocation.
+    /// deduplicated; the result is therefore invariant to the order rounds
+    /// and defects arrived in. When every cluster is table-eligible the
+    /// matched pairs and boundary matches are appended to `matching` and
+    /// the call returns `true`; otherwise `matching` is left untouched and
+    /// the shot must escalate to the unconditional dual phase.
+    /// Classification is pairwise membership testing against precomputed
+    /// linking balls — `O(defects² · log ball(2R))`, independent of the
+    /// lattice size, with no graph traversal — and the steady-state path
+    /// performs no allocation.
     pub fn resolve_into(
         &mut self,
         defects: &[VertexIndex],

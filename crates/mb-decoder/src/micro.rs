@@ -203,25 +203,38 @@ impl MicroBlossomDecoder {
     /// Decodes a syndrome and returns the perfect matching together with the
     /// latency breakdown.
     ///
-    /// At [`Stage::Full`] this is expressed through the same round-wise
-    /// session primitives (`ingest_one_round` / `finish_session`) the
-    /// incremental [`DecoderBackend::ingest_round`] path uses, so feeding
-    /// rounds as they arrive is bit-identical to decoding the assembled
-    /// syndrome. With the LUT pre-decoder armed, every round is loaded
-    /// first and the table tried on the complete defect set; a miss starts
-    /// over and folds the rounds in one by one, exactly as the unarmed
-    /// decoder does.
+    /// With the LUT pre-decoder armed, the table is tried first, on the
+    /// syndrome's sorted, deduplicated defects, before the accelerator is
+    /// touched. A hit is charged the window the escalated path would open
+    /// with: the final round's load at [`Stage::Full`], nothing at the batch
+    /// stages. A miss (or an empty shot, which has its own cheaper fast
+    /// path) decodes exactly as an unarmed decoder does. At [`Stage::Full`]
+    /// that is the same round-wise session primitives (`ingest_one_round` /
+    /// `finish_session`) the incremental [`DecoderBackend::ingest_round`]
+    /// path uses, so feeding rounds as they arrive is bit-identical to
+    /// decoding the assembled syndrome.
     pub fn decode_matching(
         &mut self,
         syndrome: &SyndromePattern,
     ) -> (PerfectMatching, LatencyBreakdown) {
         DecoderBackend::reset(self);
         self.accel_shots += 1;
+        if let Some(matching) = self.try_predecode(&syndrome.defects) {
+            let breakdown = LatencyBreakdown {
+                bus_writes: u64::from(self.config.stage == Stage::Full),
+                ..LatencyBreakdown::default()
+            };
+            return (matching, breakdown);
+        }
         // reuse the layer buffer across decodes (no steady-state allocation)
         let mut layers = std::mem::take(&mut self.layers_scratch);
         syndrome.split_by_layer_into(&self.graph, &mut layers);
         let result = if self.config.stage == Stage::Full {
-            self.decode_rounds(&layers)
+            let last = layers.len() - 1;
+            for (t, defects) in layers[..last].iter().enumerate() {
+                self.ingest_one_round(t, defects);
+            }
+            self.finish_session(last, &layers[last])
         } else {
             for defects in &layers {
                 self.solver.load_round(defects);
@@ -229,47 +242,12 @@ impl MicroBlossomDecoder {
             if self.config.stage == Stage::DualOnly {
                 self.solver.materialize_all(&syndrome.defects);
             }
-            // measured window starts here, after the syndrome transfer —
-            // exactly where the unconditional batch path starts it
-            let matching = self.try_predecode();
+            // the measured window starts after the syndrome transfer
             let snapshot = self.counters();
-            match matching {
-                Some(matching) => (matching, self.breakdown_since(snapshot)),
-                None => self.drive_and_complete(snapshot),
-            }
+            self.drive_and_complete(snapshot)
         };
         self.layers_scratch = layers;
         result
-    }
-
-    /// The [`Stage::Full`] decode of a whole shot, split into `layers`.
-    fn decode_rounds(
-        &mut self,
-        layers: &[Vec<VertexIndex>],
-    ) -> (PerfectMatching, LatencyBreakdown) {
-        if self.predecoder.is_some() {
-            for defects in layers {
-                self.solver.load_round(defects);
-            }
-            let matching = self.try_predecode();
-            // the measured window opens with the final round's load
-            let mut snapshot = self.counters();
-            snapshot.bus_writes -= 1;
-            if let Some(matching) = matching {
-                return (matching, self.breakdown_since(snapshot));
-            }
-            if self.defect_count() == 0 {
-                // driving the empty rounds one by one would do nothing
-                return self.drive_and_complete(snapshot);
-            }
-            // table miss: start over and fold the rounds in on arrival
-            DecoderBackend::reset(self);
-        }
-        let last = layers.len() - 1;
-        for (t, defects) in layers[..last].iter().enumerate() {
-            self.ingest_one_round(t, defects);
-        }
-        self.finish_session(last, &layers[last])
     }
 
     /// One non-final round of a stream decode: load the round, fold it into
@@ -311,27 +289,24 @@ impl MicroBlossomDecoder {
         }
     }
 
-    /// Attempts the LUT fast path on the fully loaded shot: classifies the
-    /// defects into clusters and resolves every cluster from the table.
-    /// Returns the complete matching on a hit; on a miss (or an empty
-    /// shot, which has its own cheaper fast path) the caller escalates.
-    fn try_predecode(&mut self) -> Option<PerfectMatching> {
-        if self.defect_count() == 0 {
-            return None;
-        }
+    /// Attempts the LUT fast path on the shot's `defects`: classifies them
+    /// into clusters and resolves every cluster from the table. Returns the
+    /// complete matching on a hit; on a miss (or an empty shot, which has
+    /// its own cheaper fast path) the caller escalates.
+    fn try_predecode(&mut self, defects: &[VertexIndex]) -> Option<PerfectMatching> {
         let pre = self.predecoder.as_mut()?;
-        let mut defects = std::mem::take(&mut self.predecode_scratch);
-        self.solver.driver().predecode_defects_into(&mut defects);
-        let mut matching = PerfectMatching::new();
-        let hit = pre.resolve_into(&defects, &mut matching);
-        self.predecode_scratch = defects;
-        if !hit {
+        if defects.is_empty() {
             return None;
         }
-        debug_assert!(
-            self.solver.driver().dual_phase_pristine(),
-            "LUT fast path taken after the dual phase started"
-        );
+        let sorted = &mut self.predecode_scratch;
+        sorted.clear();
+        sorted.extend_from_slice(defects);
+        sorted.sort_unstable();
+        sorted.dedup();
+        let mut matching = PerfectMatching::new();
+        if !pre.resolve_into(sorted, &mut matching) {
+            return None;
+        }
         self.predecoded_shots += 1;
         Some(matching)
     }
@@ -524,6 +499,23 @@ mod tests {
     use mb_graph::syndrome::ErrorSampler;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
+
+    fn accel_stats(decoder: &MicroBlossomDecoder) -> mb_accel::AcceleratorStats {
+        decoder.solver.driver().accelerator().stats.clone()
+    }
+
+    /// How far each cumulative accelerator counter moved since `before`
+    /// (every field but the running peak).
+    fn stats_moved(decoder: &MicroBlossomDecoder, before: &mb_accel::AcceleratorStats) -> [u64; 5] {
+        let now = accel_stats(decoder);
+        [
+            now.cycles - before.cycles,
+            now.instructions - before.instructions,
+            now.responses - before.responses,
+            now.prematched_conflicts - before.prematched_conflicts,
+            now.pus_touched - before.pus_touched,
+        ]
+    }
 
     fn all_configs(graph: &DecodingGraph) -> Vec<MicroBlossomConfig> {
         [Stage::DualOnly, Stage::Prematch, Stage::Full]
@@ -836,17 +828,21 @@ mod tests {
         assert_eq!(off.predecoded_shots, 0);
         // a LUT-resolved shot bypasses the hardware: the measured window of
         // a stream fast-path shot is the final round's load instruction only
-        let easy = loop {
+        let (easy, instructions) = loop {
             let shot = sampler.sample(&mut rng);
             let before = with.accel_observability().unwrap().predecoded_shots;
+            let issued = accel_stats(&with).instructions;
             let (_, breakdown) = with.decode_matching(&shot.syndrome);
             if with.accel_observability().unwrap().predecoded_shots > before {
-                break breakdown;
+                break (breakdown, accel_stats(&with).instructions - issued);
             }
         };
         assert_eq!(easy.bus_reads, 0);
         assert_eq!(easy.bus_writes, 1);
         assert_eq!(easy.cpu_obstacles, 0);
+        // the table is tried before anything is loaded: the opening `Reset`
+        // is the only instruction a hit issues
+        assert_eq!(instructions, 1);
     }
 
     #[test]
@@ -873,6 +869,7 @@ mod tests {
                 for _ in 0..60 {
                     let shot = sampler.sample(&mut rng);
                     let pre = with.accel_observability().unwrap();
+                    let (with_stats, without_stats) = (accel_stats(&with), accel_stats(&without));
                     let got = with.decode(&shot.syndrome);
                     let post = with.accel_observability().unwrap();
                     let want = without.decode(&shot.syndrome);
@@ -883,6 +880,13 @@ mod tests {
                         assert_eq!(
                             got, want,
                             "{stage:?}: escalated shot must replay identically"
+                        );
+                        // a miss does no work beyond the unarmed decode: no
+                        // extra load, no second reset
+                        assert_eq!(
+                            stats_moved(&with, &with_stats),
+                            stats_moved(&without, &without_stats),
+                            "{stage:?}: escalated shot did extra accelerator work"
                         );
                         continue;
                     }

@@ -1323,12 +1323,23 @@ impl ShardedPipeline {
     }
 }
 
-/// Decodes one shot on a backend, producing the per-shot record.
+/// Decodes one shot on a backend, producing the per-shot record. The
+/// syndrome is decoded in the canonical form [`SyndromePattern::new`]
+/// produces: its `defects` field is public, so a hand-built shot may repeat
+/// or misorder defects, and a repeated defect is still one defect.
 pub(crate) fn decode_one(
     backend: &mut dyn DecoderBackend,
     index: usize,
     shot: &Shot,
 ) -> ShotOutcome {
+    if !shot.syndrome.defects.is_sorted_by(|a, b| a < b) {
+        let canonical = Shot {
+            error: shot.error.clone(),
+            syndrome: SyndromePattern::new(shot.syndrome.defects.clone()),
+            observable: shot.observable,
+        };
+        return decode_one(backend, index, &canonical);
+    }
     ShotOutcome::new(index, shot, &backend.decode(&shot.syndrome))
 }
 

@@ -2069,6 +2069,55 @@ mod tests {
     }
 
     #[test]
+    fn a_whole_shot_repeating_a_defect_decodes_as_its_canonical_form() {
+        // `SyndromePattern::defects` is public, so a whole shot can repeat a
+        // defect: every front-end decodes it as the deduplicated shot
+        // instead of crashing a backend or inflating the tally
+        let graph = Arc::new(PhenomenologicalCode::rotated(3, 3, 0.03).decoding_graph());
+        let defect = (0..graph.vertex_count())
+            .find(|&v| !graph.is_virtual(v) && graph.layer_of(v) == 0)
+            .unwrap();
+        let shot = |defects: Vec<VertexIndex>| Shot {
+            error: Default::default(),
+            syndrome: SyndromePattern { defects },
+            observable: 0,
+        };
+        let (repeated, clean) = (shot(vec![defect, defect]), shot(vec![defect]));
+        for spec in [
+            BackendSpec::Parity,
+            BackendSpec::micro_full(Some(3)),
+            BackendSpec::union_find(),
+        ] {
+            let pool = Arc::new(DecodePool::new(1));
+            let pipeline =
+                ShardedPipeline::new(spec.clone(), Arc::clone(&graph)).with_pool(Arc::clone(&pool));
+            let batch = pipeline.try_run_shots_arc(vec![repeated.clone(), clean.clone()].into());
+            let stream = StreamDecoder::builder(spec.clone(), Arc::clone(&graph))
+                .pool(Arc::clone(&pool))
+                .start();
+            let submitted = stream.submit(repeated.clone()).unwrap().recv();
+            let mut feeder = stream.begin_shot(0).unwrap();
+            feeder.push_round(&[defect, defect]).unwrap();
+            let fed = feeder.finish().recv();
+            let name = spec.name();
+            let got = [&batch[0], &submitted, &fed].map(|outcome| ShotOutcome {
+                shot_index: 1,
+                ..outcome.clone().unwrap_or_else(|e| panic!("{name}: {e}"))
+            });
+            let want = batch[1].clone().unwrap();
+            assert_eq!(want.defects, 1);
+            crate::replay::assert_same_decodes(
+                &spec,
+                &[want.clone(), want.clone(), want],
+                &got,
+                "[d, d] via try_run_shots_arc, submit, feeder",
+            );
+            assert_eq!(stream.close().worker_panics, 0, "{name}");
+            assert_eq!(pool.stats().worker_panics, 0, "{name}");
+        }
+    }
+
+    #[test]
     fn partial_round_feeds_equal_batch_of_partial_syndrome() {
         // pushing fewer rounds than the graph has layers decodes the same as
         // batching a syndrome whose remaining layers are empty

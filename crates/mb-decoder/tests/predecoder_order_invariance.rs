@@ -1,15 +1,12 @@
-//! Ingestion-order invariance of the pre-decoder's cluster classification.
+//! Ingestion-order invariance of the LUT fast path.
 //!
 //! The LUT pre-decoder decides fast-path eligibility from the *set* of
-//! defects, so the decision must not depend on how that set arrived: a
-//! whole-syndrome batch load and a round-wise stream whose defects are
-//! shuffled within each round (round order itself is part of the protocol)
-//! must extract the same defect list, classify the same clusters, and make
-//! the same fast-path/escalate call — and the streaming front-end must
-//! decode the shuffled feed to the same observable as the natural order and
+//! defects (`predecoder::tests::classification_is_input_order_invariant`
+//! pins the classification itself), so a round-wise stream whose defects
+//! are shuffled within each round (round order itself is part of the
+//! protocol) must decode to the same observable as the natural order and
 //! the batch path.
 
-use mb_accel::{AcceleratedDual, AcceleratorConfig, MicroBlossomAccelerator, PreDecoder};
 use mb_decoder::{BackendSpec, DecoderBackend, MicroBlossomDecoder, StreamDecoder};
 use mb_graph::codes::PhenomenologicalCode;
 use mb_graph::syndrome::{ErrorSampler, Shot};
@@ -32,50 +29,6 @@ fn workload() -> (Arc<DecodingGraph>, Vec<Shot>) {
     let mut rng = ChaCha8Rng::seed_from_u64(77);
     let shots = (0..50).map(|_| sampler.sample(&mut rng)).collect();
     (graph, shots)
-}
-
-#[test]
-fn batch_and_shuffled_round_ingestion_classify_identically() {
-    let (graph, shots) = workload();
-    let config = AcceleratorConfig::default();
-    let mut predecoder = PreDecoder::build(Arc::clone(&graph), &config, true);
-    let mut rng = ChaCha8Rng::seed_from_u64(78);
-    let mut batch_defects = Vec::new();
-    let mut stream_defects = Vec::new();
-    for shot in &shots {
-        let layers = shot.syndrome.split_by_layer(&graph);
-
-        let accel = MicroBlossomAccelerator::new(Arc::clone(&graph), config.clone());
-        let mut batch = AcceleratedDual::new(accel);
-        for defects in &layers {
-            batch.load_round(defects);
-        }
-        batch.predecode_defects_into(&mut batch_defects);
-
-        let accel = MicroBlossomAccelerator::new(Arc::clone(&graph), config.clone());
-        let mut stream = AcceleratedDual::new(accel);
-        for defects in &layers {
-            let mut jumbled: Vec<VertexIndex> = defects.clone();
-            shuffle(&mut jumbled, &mut rng);
-            stream.load_round(&jumbled);
-        }
-        stream.predecode_defects_into(&mut stream_defects);
-
-        assert_eq!(
-            batch_defects, stream_defects,
-            "extracted defect lists depend on ingestion order"
-        );
-        assert_eq!(
-            predecoder.clusters(&batch_defects),
-            predecoder.clusters(&stream_defects),
-            "cluster classification depends on ingestion order"
-        );
-        assert_eq!(
-            predecoder.would_fast_path(&batch_defects),
-            predecoder.would_fast_path(&stream_defects),
-            "fast-path/escalate decision depends on ingestion order"
-        );
-    }
 }
 
 #[test]
