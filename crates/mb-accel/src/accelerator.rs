@@ -126,7 +126,11 @@ const PIPELINE_STAGES: u64 = 5;
 pub struct AcceleratorConfig {
     /// Enable isolated-conflict pre-matching (§5, "parallel primal phase").
     pub prematch_enabled: bool,
-    /// Apply the temporary fusion-boundary weight reduction of §6.3.
+    /// Apply the temporary fusion-boundary weight reduction of §6.3. A
+    /// defect next to an unloaded layer then meets that temporary boundary
+    /// at once; the match is tentative and reopens when the layer loads
+    /// ([`crate::AcceleratedSolver::load_round`]), which keeps decoding
+    /// exact.
     pub fusion_weight_reduction: bool,
     /// Debug reference mode: run every sweep over the full PU arrays (the
     /// original O(|V| + |E|)-per-instruction fold) instead of the sparse
@@ -2522,6 +2526,29 @@ mod tests {
         );
     }
 
+    /// A fresh bank restores to a fresh shot: the second shot of each
+    /// [`driver_run`] pair starts by restoring a bank that was never saved,
+    /// and its blossoms must get ids above every vertex id, or they collide
+    /// with the ids of its defect nodes.
+    #[test]
+    fn a_never_saved_bank_restores_a_fresh_shot() {
+        let graph =
+            Arc::new(mb_graph::codes::PhenomenologicalCode::rotated(5, 5, 0.05).decoding_graph());
+        let sampler = mb_graph::syndrome::ErrorSampler::new(&graph);
+        let mut rng = ChaCha8Rng::seed_from_u64(0xBA4C);
+        for prematch_enabled in [true, false] {
+            let config = AcceleratorConfig {
+                prematch_enabled,
+                ..AcceleratorConfig::default()
+            };
+            for _ in 0..240 {
+                let shots =
+                    [(); 2].map(|_| sampler.sample(&mut rng).syndrome.split_by_layer(&graph));
+                driver_run(&graph, &config, &shots);
+            }
+        }
+    }
+
     /// Two circuit-level shots decoded round by round through the shared
     /// solver, taking turns on the engine: rounds 0–1 of each, then rounds
     /// 2 onward of each, so a shot loads some rounds right after a context
@@ -2535,10 +2562,7 @@ mod tests {
         let mut accel = MicroBlossomAccelerator::new(Arc::clone(graph), config.clone());
         accel.log = Some(Vec::new());
         let mut solver = crate::AcceleratedSolver::around(accel);
-        let mut banks = [
-            crate::SolverContext::default(),
-            crate::SolverContext::default(),
-        ];
+        let mut banks = [solver.new_context(), solver.new_context()];
         let mut engine = 0;
         for turn in [0..2, 2..graph.num_layers()] {
             for (shot, rounds) in shots.iter().enumerate() {

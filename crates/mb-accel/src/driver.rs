@@ -67,10 +67,11 @@ struct HostNode {
 /// context switch (CPU node table, hardware-id mapping, bus counters).
 ///
 /// Opaque by design — a bank is only meaningful to the `AcceleratedDual`
-/// that produced it. Save/restore swap the node table's allocations in and
-/// out, so repeated switching over a fixed set of contexts is
-/// allocation-free in steady state.
-#[derive(Debug, Clone, Default)]
+/// that produced it, through [`AcceleratedDual::new_context`] or
+/// [`AcceleratedDual::save_context_into`]. Save/restore swap the node
+/// table's allocations in and out, so repeated switching over a fixed set
+/// of contexts is allocation-free in steady state.
+#[derive(Debug, Clone)]
 pub struct DualContext {
     accel: AcceleratorContext,
     nodes: Vec<HostNode>,
@@ -85,6 +86,12 @@ impl DualContext {
     pub fn defect_count(&self) -> usize {
         self.accel.defect_count()
     }
+}
+
+/// The first hardware id of a blossom: ids below it name singleton
+/// defects by their vertex (Table 3).
+fn first_blossom_id(accel: &MicroBlossomAccelerator) -> HwNodeId {
+    accel.graph().vertex_count() as HwNodeId
 }
 
 /// The accelerator plus its host-side driver.
@@ -113,7 +120,7 @@ pub struct AcceleratedDual {
 impl AcceleratedDual {
     /// Wraps an accelerator instance.
     pub fn new(accel: MicroBlossomAccelerator) -> Self {
-        let next_blossom_hw = accel.graph().vertex_count() as HwNodeId;
+        let next_blossom_hw = first_blossom_id(&accel);
         Self {
             accel,
             nodes: Vec::new(),
@@ -164,6 +171,19 @@ impl AcceleratedDual {
     /// Number of measurement rounds loaded since the last reset.
     pub fn rounds_loaded(&self) -> usize {
         self.rounds_loaded
+    }
+
+    /// A bank holding an empty shot, as after a reset: no nodes, no layers
+    /// loaded, and blossom ids starting above the vertex ids.
+    pub fn new_context(&self) -> DualContext {
+        DualContext {
+            accel: AcceleratorContext::default(),
+            nodes: Vec::new(),
+            node_of_hw: HashMap::new(),
+            next_blossom_hw: first_blossom_id(&self.accel),
+            rounds_loaded: 0,
+            io: IoStats::default(),
+        }
     }
 
     /// Banks the driver's per-context state into `ctx` so another context
@@ -335,7 +355,7 @@ impl DualModule for AcceleratedDual {
         self.write(Instruction::Reset);
         self.nodes.clear();
         self.node_of_hw.clear();
-        self.next_blossom_hw = self.accel.graph().vertex_count() as HwNodeId;
+        self.next_blossom_hw = first_blossom_id(&self.accel);
         self.rounds_loaded = 0;
         self.io = IoStats::default();
     }

@@ -29,9 +29,15 @@
 //! with different corrections), table entries are not produced by a generic
 //! matcher: each is decoded by the same [`AcceleratedSolver`] loop the
 //! owning decoder escalates to, with the caller's exact
-//! [`AcceleratorConfig`] and the same driving policy (round-wise streaming
-//! or batch). The table entry for a cluster is therefore bit-identical to
-//! what the escalated path would produce for it.
+//! [`AcceleratorConfig`]. The table entry for a cluster is therefore
+//! bit-identical to what the escalated path would produce for it.
+//!
+//! An entry is decoded with all of its layers loaded and one drive, also
+//! for a decoder that folds rounds in one by one (§6 fusion): fusion is
+//! exact, since a boundary match to a not-yet-loaded layer reopens when
+//! that layer loads ([`AcceleratedSolver::load_round`]), so folding a
+//! cluster's rounds in one at a time ends in the same matching as loading
+//! them all (`one_drive_table_equals_the_round_by_round_fold` pins this).
 //!
 //! Candidates that can never be stored are not decoded at all. Each defect
 //! `x` of a valid matching is matched either to the boundary, on a path of
@@ -98,7 +104,7 @@ impl PredecoderConfig {
 
 /// The precomputed local match table plus the per-shot cluster classifier.
 ///
-/// Built once per `(graph, accelerator config, driving policy)` by
+/// Built once per `(graph, accelerator config)` by
 /// [`PreDecoder::build`]; the owning decoder calls
 /// [`PreDecoder::resolve_into`] with the shot's sorted defect list before
 /// it loads anything into the accelerator, and applies the returned
@@ -138,15 +144,26 @@ impl PreDecoder {
     /// Builds the neighbourhood lists and the local match table for `graph`.
     ///
     /// `accel_config` must be the exact configuration of the accelerator
-    /// the owning decoder drives, and `stream_driving` whether that decoder
-    /// ingests rounds one by one (`true`) or loads the whole syndrome before
-    /// driving (`false`): entries are decoded by the same machinery under
-    /// the same policy so degenerate optimum selection matches the
-    /// escalated path bit for bit.
+    /// the owning decoder drives: entries are decoded by the same machinery
+    /// so degenerate optimum selection matches the escalated path bit for
+    /// bit. Each candidate cluster is decoded with one drive after all of
+    /// its layers are loaded, whether the owning decoder folds rounds in
+    /// one by one or not (see the module docs), so `stream_driving` is
+    /// ignored; it is kept so existing callers compile.
     pub fn build(
         graph: Arc<DecodingGraph>,
         accel_config: &AcceleratorConfig,
-        stream_driving: bool,
+        _stream_driving: bool,
+    ) -> Self {
+        Self::build_with(graph, accel_config, decode_entry)
+    }
+
+    /// [`Self::build`], with `decode` turning each candidate cluster into
+    /// its table entry.
+    fn build_with(
+        graph: Arc<DecodingGraph>,
+        accel_config: &AcceleratorConfig,
+        mut decode: impl FnMut(&mut AcceleratedSolver, &[VertexIndex]) -> PerfectMatching,
     ) -> Self {
         let n = graph.vertex_count();
         let entry_cap = graph.max_weight();
@@ -224,7 +241,7 @@ impl PreDecoder {
                     }
                 }
                 cluster.sort_unstable();
-                let matching = decode_entry(&mut solver, &cluster, stream_driving);
+                let matching = decode(&mut solver, &cluster);
                 if matching.weight(&graph) <= this.entry_cap {
                     this.table.insert((anchor, mask), matching);
                 }
@@ -526,25 +543,16 @@ fn for_each_subset(len: usize, max_bits: usize, mut f: impl FnMut(u64)) {
     recurse(len, max_bits, 0, 0, &mut f);
 }
 
-/// Decodes one candidate cluster on its own, under the owning decoder's
-/// driving policy: a stream decoder drives after every round, a batch
-/// decoder once after loading them all.
-fn decode_entry(
-    solver: &mut AcceleratedSolver,
-    cluster: &[VertexIndex],
-    stream: bool,
-) -> PerfectMatching {
+/// Decodes one candidate cluster on its own: every layer loaded, then one
+/// drive. Exact fusion makes this the matching a round-by-round fold of the
+/// same cluster ends in, so it serves batch and stream decoders alike.
+fn decode_entry(solver: &mut AcceleratedSolver, cluster: &[VertexIndex]) -> PerfectMatching {
     solver.reset();
     let graph = solver.driver().accelerator().graph();
     for defects in &SyndromePattern::new(cluster.to_vec()).split_by_layer(graph) {
         solver.load_round(defects);
-        if stream {
-            solver.drive(None);
-        }
     }
-    if !stream {
-        solver.drive(None);
-    }
+    solver.drive(None);
     solver.matching()
 }
 
@@ -565,14 +573,14 @@ mod tests {
         }
     }
 
-    fn build(graph: &Arc<DecodingGraph>, stream: bool) -> PreDecoder {
-        PreDecoder::build(Arc::clone(graph), &AcceleratorConfig::default(), stream)
+    fn build(graph: &Arc<DecodingGraph>) -> PreDecoder {
+        PreDecoder::build(Arc::clone(graph), &AcceleratorConfig::default(), false)
     }
 
     #[test]
     fn table_entries_are_minimum_weight_matchings() {
         let graph = Arc::new(CodeCapacityRotatedCode::new(5, 0.05).decoding_graph());
-        let pre = build(&graph, false);
+        let pre = build(&graph);
         assert!(pre.table_len() > 0);
         for ((anchor, _), matching) in &pre.table {
             let defects = matching.defects();
@@ -591,7 +599,7 @@ mod tests {
     #[test]
     fn clusters_partition_the_defect_list() {
         let graph = Arc::new(PhenomenologicalCode::rotated(3, 4, 0.05).decoding_graph());
-        let mut pre = build(&graph, true);
+        let mut pre = build(&graph);
         let sampler = ErrorSampler::new(&graph);
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         for _ in 0..50 {
@@ -612,7 +620,7 @@ mod tests {
     #[test]
     fn classification_is_input_order_invariant() {
         let graph = Arc::new(PhenomenologicalCode::rotated(3, 4, 0.06).decoding_graph());
-        let mut pre = build(&graph, true);
+        let mut pre = build(&graph);
         let sampler = ErrorSampler::new(&graph);
         let mut rng = ChaCha8Rng::seed_from_u64(8);
         for _ in 0..30 {
@@ -635,7 +643,7 @@ mod tests {
     #[test]
     fn resolved_shots_match_the_unconditional_decoder() {
         let graph = Arc::new(CodeCapacityRotatedCode::new(5, 0.03).decoding_graph());
-        let mut pre = build(&graph, false);
+        let mut pre = build(&graph);
         let sampler = ErrorSampler::new(&graph);
         let mut rng = ChaCha8Rng::seed_from_u64(21);
         let mut resolved = 0;
@@ -665,7 +673,7 @@ mod tests {
     #[test]
     fn oversized_clusters_escalate() {
         let graph = Arc::new(CodeCapacityRotatedCode::new(5, 0.05).decoding_graph());
-        let mut pre = build(&graph, false);
+        let mut pre = build(&graph);
         // three mutually close defects form one cluster above
         // MAX_CLUSTER_SIZE (2)
         let anchor = (0..graph.vertex_count())
@@ -688,7 +696,6 @@ mod tests {
     fn unpruned_table(
         pre: &PreDecoder,
         config: &AcceleratorConfig,
-        stream: bool,
     ) -> (HashMap<(VertexIndex, u64), PerfectMatching>, usize) {
         let graph = &pre.graph;
         let boundary: Vec<Weight> = boundary_distances(graph)
@@ -720,7 +727,7 @@ mod tests {
                         .map(|bit| near[bit]),
                 );
                 cluster.sort_unstable();
-                let matching = decode_entry(&mut solver, &cluster, stream);
+                let matching = decode_entry(&mut solver, &cluster);
                 if matching.weight(graph) <= pre.entry_cap {
                     table.insert((anchor, subset), matching);
                 }
@@ -736,18 +743,55 @@ mod tests {
             let circuit = mb_graph::circuit::CircuitLevelCode::rotated(d, d, 0.01).compile();
             let graph = Arc::clone(circuit.graph());
             let config = AcceleratorConfig::default();
-            for stream in [true, false] {
-                let pre = PreDecoder::build(Arc::clone(&graph), &config, stream);
-                let (unpruned, ruled_out) = unpruned_table(&pre, &config, stream);
-                total_ruled_out += ruled_out;
-                assert_eq!(pre.table_len(), unpruned.len(), "d={d} stream={stream}");
-                assert!(
-                    pre.table == unpruned,
-                    "d={d} stream={stream}: pruned table differs from the full enumeration"
-                );
-            }
+            let pre = PreDecoder::build(Arc::clone(&graph), &config, false);
+            let (unpruned, ruled_out) = unpruned_table(&pre, &config);
+            total_ruled_out += ruled_out;
+            assert_eq!(pre.table_len(), unpruned.len(), "d={d}");
+            assert!(
+                pre.table == unpruned,
+                "d={d}: pruned table differs from the full enumeration"
+            );
         }
         assert!(total_ruled_out > 0, "the bound must rule out candidates");
+    }
+
+    /// Decodes a candidate cluster the way a stream decoder folds a shot
+    /// in: one drive after every round.
+    fn decode_folded(solver: &mut AcceleratedSolver, cluster: &[VertexIndex]) -> PerfectMatching {
+        solver.reset();
+        let graph = solver.driver().accelerator().graph();
+        for defects in &SyndromePattern::new(cluster.to_vec()).split_by_layer(graph) {
+            solver.load_round(defects);
+            solver.drive(None);
+        }
+        solver.matching()
+    }
+
+    /// Why a table needs no second, round-by-round driving policy: under
+    /// exact fusion the round-by-round fold of every candidate ends in the
+    /// matching one drive finds, so the two tables are the same (entries
+    /// and entry count). The §6.3 weight reduction is on, as in the
+    /// decoders that fold rounds in.
+    #[test]
+    fn one_drive_table_equals_the_round_by_round_fold() {
+        let mut graphs = Vec::new();
+        for d in [3, 5] {
+            for p in [0.01, 0.05] {
+                let circuit = mb_graph::circuit::CircuitLevelCode::rotated(d, d, p).compile();
+                graphs.push((format!("circuit d={d} p={p}"), Arc::clone(circuit.graph())));
+            }
+        }
+        let phenomenological = PhenomenologicalCode::rotated(5, 5, 0.03).decoding_graph();
+        graphs.push(("phenomenological d=5".into(), Arc::new(phenomenological)));
+        let config = AcceleratorConfig::default();
+        assert!(config.fusion_weight_reduction);
+        for (name, graph) in graphs {
+            let one_drive = PreDecoder::build(Arc::clone(&graph), &config, false);
+            let folded = PreDecoder::build_with(Arc::clone(&graph), &config, decode_folded);
+            assert!(one_drive.table_len() > 0, "{name}");
+            assert_eq!(one_drive.table_len(), folded.table_len(), "{name}");
+            assert!(one_drive.table == folded.table, "{name}: entries differ");
+        }
     }
 
     #[test]

@@ -30,7 +30,11 @@ const DEADLINE_CHECK_MASK: u64 = 0x1F;
 /// [`DualContext`] plus the CPU primal trees. A bank is everything
 /// [`AcceleratedSolver::restore_context`] needs to continue the shot
 /// bit-identically to one that never left the engine.
-#[derive(Debug, Clone, Default)]
+///
+/// Banks come from [`AcceleratedSolver::new_context`] (an empty shot, as
+/// after a reset) or [`AcceleratedSolver::save_context_into`], so every
+/// bank restores to a state the solver could be in.
+#[derive(Debug, Clone)]
 pub struct SolverContext {
     dual: DualContext,
     primal: PrimalModule,
@@ -40,6 +44,9 @@ pub struct SolverContext {
 /// one exact MWPM solver.
 #[derive(Debug, Clone)]
 pub struct AcceleratedSolver {
+    /// The accelerator's graph, held here so a layer load can tell which
+    /// boundary matches it reopens without touching the refcount.
+    graph: Arc<DecodingGraph>,
     driver: AcceleratedDual,
     primal: PrimalModule,
     /// Reusable per-conflict buffer for not-yet-materialized defects.
@@ -55,6 +62,7 @@ impl AcceleratedSolver {
     /// A solver driving `accel`.
     pub(crate) fn around(accel: MicroBlossomAccelerator) -> Self {
         Self {
+            graph: Arc::clone(accel.graph()),
             driver: AcceleratedDual::new(accel),
             primal: PrimalModule::new(),
             unknown_scratch: Vec::new(),
@@ -76,8 +84,22 @@ impl AcceleratedSolver {
     /// index it was loaded at ([`AcceleratedDual::load_round`]). A batch
     /// decode loads every round before the first [`Self::drive`]; a stream
     /// decode drives after each.
+    ///
+    /// The load turns the layer's vertices from temporary boundaries into
+    /// regular vertices, so every CPU boundary match to one of them (an
+    /// obstacle the primal module resolved, or a hardware pre-match it
+    /// materialized) is reopened and grows again: this is what keeps
+    /// round-wise fusion exact, and with it the §6.3 weight reduction.
+    /// Hardware pre-matches the CPU never saw need nothing, since every
+    /// stabilization re-evaluates them against the new boundary.
     pub fn load_round(&mut self, defects: &[VertexIndex]) -> usize {
-        self.driver.load_round(defects)
+        let layer = self.driver.load_round(defects);
+        let graph = &self.graph;
+        self.primal.reopen_boundary_matches(
+            |v| !graph.is_virtual(v) && graph.layer_of(v) <= layer,
+            &mut self.driver,
+        );
+        layer
     }
 
     /// Materializes every defect on the CPU up front, so the hardware never
@@ -169,6 +191,15 @@ impl AcceleratedSolver {
             }
         }
         matching
+    }
+
+    /// A bank holding an empty shot, as after [`Self::reset`]: restoring it
+    /// starts a new shot on the engine.
+    pub fn new_context(&self) -> SolverContext {
+        SolverContext {
+            dual: self.driver.new_context(),
+            primal: PrimalModule::new(),
+        }
     }
 
     /// Banks the in-flight shot into `ctx` so another context can take over

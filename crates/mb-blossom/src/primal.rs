@@ -200,6 +200,35 @@ impl PrimalModule {
         n
     }
 
+    /// Reopens every boundary match whose partner satisfies `reopens`: each
+    /// outer node matched to such a vertex becomes the root of its own
+    /// alternating tree again and resumes growing. Round-wise fusion calls
+    /// this when a layer loads, since a vertex of a not-yet-loaded layer
+    /// is only a temporary boundary (§6): the match was tentative, and the
+    /// defect may now pair with something in the new layer instead.
+    pub fn reopen_boundary_matches(
+        &mut self,
+        mut reopens: impl FnMut(VertexIndex) -> bool,
+        dual: &mut impl DualModule,
+    ) {
+        for node in 0..self.nodes.len() {
+            let entry = &mut self.nodes[node];
+            let matched_to = match entry.state {
+                NodeState::MatchedVirtual { virtual_vertex, .. } => virtual_vertex,
+                _ => continue,
+            };
+            if entry.parent_blossom.is_some() || !reopens(matched_to) {
+                continue;
+            }
+            entry.state = NodeState::InTree {
+                parent: None,
+                children: Vec::new(),
+            };
+            self.live_trees += 1;
+            dual.set_direction(node, GrowDirection::Grow);
+        }
+    }
+
     /// The singleton node of a defect vertex, if it has been loaded.
     pub fn singleton_of(&self, vertex: VertexIndex) -> Option<NodeIndex> {
         self.singleton_of.get(&vertex).copied()

@@ -13,7 +13,9 @@
 //!   pre-matching of isolated conflicts (§5) plus lazy CPU node
 //!   materialization;
 //! * [`Stage::Full`] — adds **round-wise fusion** (§6) with the §6.3
-//!   fusion-boundary weight reduction.
+//!   fusion-boundary weight reduction. Fusion is exact: a boundary match
+//!   to a layer that is not loaded yet reopens when the layer loads
+//!   ([`AcceleratedSolver::load_round`]).
 //!
 //! Every accelerator flag, the driving policy and the backend name follow
 //! from the stage, so a configuration the paper never measured (such as
@@ -156,17 +158,16 @@ pub struct MicroBlossomDecoder {
 impl MicroBlossomDecoder {
     /// Builds a decoder for `graph` with the given configuration.
     pub fn new(graph: Arc<DecodingGraph>, config: MicroBlossomConfig) -> Self {
-        let stream = config.stage == Stage::Full;
         let accel_config = AcceleratorConfig {
             prematch_enabled: config.stage != Stage::DualOnly,
-            fusion_weight_reduction: stream,
+            fusion_weight_reduction: config.stage == Stage::Full,
             dense_reference: config.dense_reference,
             predecoder: config.predecoder,
         };
         // eager materialization routes every defect through the primal
         // module, which the table path bypasses — treat it as disabled
         let predecoder = (config.predecoder.enabled && config.stage != Stage::DualOnly)
-            .then(|| PreDecoder::build(Arc::clone(&graph), &accel_config, stream));
+            .then(|| PreDecoder::build(Arc::clone(&graph), &accel_config, false));
         Self {
             solver: AcceleratedSolver::new(Arc::clone(&graph), accel_config),
             graph,
@@ -464,7 +465,7 @@ impl DecoderBackend for MicroBlossomDecoder {
         if self.banks.len() <= slot {
             self.banks.resize_with(slot + 1, || None);
         }
-        let bank = self.banks[slot].get_or_insert_with(Box::default);
+        let bank = self.banks[slot].get_or_insert_with(|| Box::new(self.solver.new_context()));
         self.solver.save_context_into(bank);
     }
 

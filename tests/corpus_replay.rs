@@ -418,17 +418,16 @@ fn pinned_digests(spec: impl Fn(&DecodingGraph, usize) -> BackendSpec) -> (u64, 
 /// breakdown and modeled latency of every shot — on the golden fixture and
 /// on a recorded d=5, p=1% circuit-level corpus.
 ///
-/// The digests were taken before the simulator's per-poll fast paths (the
-/// shared neighbour table, the one-compare `b_v`, the pruned Update stage
-/// and the single convergecast sweep) and must not change with any change
-/// that only makes the simulator faster. The round-wise fusion exactness
-/// fix changes what `micro_full` decodes, so it will change both constants
-/// knowingly and must say so.
+/// The digests must not change with any change that only makes the
+/// simulator faster. The d=5 constant last changed with the round-wise
+/// fusion exactness fix (boundary matches to a not-yet-loaded layer reopen
+/// when it loads), which changes what `micro_full` decodes on some shots of
+/// that corpus; the golden corpus decodes as before.
 #[test]
 fn micro_full_outcomes_are_pinned() {
     assert_eq!(
         pinned_digests(|_, d| BackendSpec::micro_full(Some(d))),
-        (0x5714_66B8_B3E0_28CC, 0xE868_B720_4CA0_6D0A),
+        (0x5714_66B8_B3E0_28CC, 0x9162_9A34_0D84_957F),
         "micro_full decode outcomes drifted"
     );
 }
@@ -437,7 +436,8 @@ fn micro_full_outcomes_are_pinned() {
 /// each lower rung of the Figure 10a ladder, and the full stage as the
 /// stream scheduler round-feeds it. Recorded before the configuration
 /// became a [`Stage`], so the refactor provably left every rung's decode
-/// bit-identical.
+/// bit-identical; the full stage's d=5 constant changed with the fusion
+/// exactness fix, as in [`micro_full_outcomes_are_pinned`].
 #[test]
 fn every_rung_outcome_is_pinned() {
     let rungs = [
@@ -449,7 +449,7 @@ fn every_rung_outcome_is_pinned() {
             Stage::Prematch,
             (0x6343_352C_347F_A48A, 0x042C_45DF_F882_06DF),
         ),
-        (Stage::Full, (0x57D3_FD03_A7D9_A036, 0x1A4B_0870_D4AA_9BCD)),
+        (Stage::Full, (0x57D3_FD03_A7D9_A036, 0xC360_3660_663C_97D4)),
     ];
     for (stage, pinned) in rungs {
         let digests = pinned_digests(|graph, d| {

@@ -3,14 +3,15 @@
 //! noise model, verified against the brute-force reference matcher.
 
 use mb_blossom::exact::minimum_matching_weight;
-use mb_blossom::SolverSerial;
+use mb_blossom::{PerfectMatching, SolverSerial};
 use mb_decoder::{MicroBlossomConfig, MicroBlossomDecoder, Stage};
+use mb_graph::circuit::CircuitLevelCode;
 use mb_graph::codes::{
     CodeCapacityPlanarCode, CodeCapacityRepetitionCode, CodeCapacityRotatedCode,
     PhenomenologicalCode,
 };
-use mb_graph::syndrome::ErrorSampler;
-use mb_graph::DecodingGraph;
+use mb_graph::syndrome::{ErrorSampler, Shot};
+use mb_graph::{DecodingGraph, SyndromePattern};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
@@ -49,36 +50,61 @@ fn configurations() -> Vec<(String, Arc<DecodingGraph>)> {
     configs
 }
 
-fn check_decoder_exactness<F>(mut decode: F, graph: &Arc<DecodingGraph>, name: &str, shots: usize)
+fn check_decoder_exactness<F>(decode: F, graph: &Arc<DecodingGraph>, name: &str, shots: usize)
 where
-    F: FnMut(&mb_graph::SyndromePattern) -> mb_blossom::PerfectMatching,
+    F: FnMut(&SyndromePattern) -> PerfectMatching,
 {
     let sampler = ErrorSampler::new(graph);
     let mut rng = ChaCha8Rng::seed_from_u64(0xC0FFEE);
-    for shot_index in 0..shots {
-        let shot = sampler.sample(&mut rng);
-        if shot.syndrome.len() > 12 {
-            continue; // keep the brute-force reference tractable
+    let shots = (0..shots).map(|_| sampler.sample(&mut rng));
+    check_shots(decode, graph, name, shots, 12);
+}
+
+/// Checks `decode` on every shot with at most `max_defects` defects (so
+/// the brute-force reference stays tractable): the matching is valid,
+/// matches defects to the boundary only through virtual vertices, its
+/// correction reproduces the syndrome, and it has the optimal weight.
+/// Returns how many nonempty shots were checked.
+fn check_shots<F>(
+    mut decode: F,
+    graph: &Arc<DecodingGraph>,
+    name: &str,
+    shots: impl Iterator<Item = Shot>,
+    max_defects: usize,
+) -> usize
+where
+    F: FnMut(&SyndromePattern) -> PerfectMatching,
+{
+    let mut checked = 0;
+    for (shot_index, shot) in shots.enumerate() {
+        let defects = &shot.syndrome.defects;
+        if defects.len() > max_defects {
+            continue;
         }
+        checked += usize::from(!defects.is_empty());
         let matching = decode(&shot.syndrome);
         assert!(
-            matching.is_valid_for(&shot.syndrome.defects),
-            "[{name}] shot {shot_index}: invalid matching for {:?}",
-            shot.syndrome
+            matching.is_valid_for(defects),
+            "[{name}] shot {shot_index}: invalid matching for {defects:?}"
         );
         assert!(
-            matching.correction_matches_syndrome(graph, &shot.syndrome.defects),
+            matching.boundary.iter().all(|&(_, b)| graph.is_virtual(b)),
+            "[{name}] shot {shot_index}: boundary match to a regular vertex: {:?}",
+            matching.boundary
+        );
+        assert!(
+            matching.correction_matches_syndrome(graph, defects),
             "[{name}] shot {shot_index}: correction does not reproduce the syndrome"
         );
-        let optimum = minimum_matching_weight(graph, &shot.syndrome.defects)
-            .expect("reference matcher must succeed");
+        let optimum =
+            minimum_matching_weight(graph, defects).expect("reference matcher must succeed");
         assert_eq!(
             matching.weight(graph),
             optimum,
-            "[{name}] shot {shot_index}: suboptimal matching for {:?}",
-            shot.syndrome
+            "[{name}] shot {shot_index}: suboptimal matching for {defects:?}"
         );
     }
+    checked
 }
 
 #[test]
@@ -126,4 +152,32 @@ fn micro_blossom_ablation_configurations_are_exact() {
             );
         }
     }
+}
+
+/// Round-wise fusion meets many defects per layer here: circuit-level noise
+/// (0.1% per circuit location; diagonal edges across rounds) and dense
+/// phenomenological noise. At least 1,000 nonempty shots per graph are
+/// checked, since a fusion defect shows on a few percent of them.
+#[test]
+fn micro_blossom_full_is_exact_where_fusion_meets_many_defects() {
+    for d in [3, 5] {
+        let circuit = CircuitLevelCode::rotated(d, d, 0.01).compile();
+        let graph = circuit.graph();
+        let sampler = circuit.sampler();
+        let mut decoder = MicroBlossomDecoder::full(Arc::clone(graph), Some(d));
+        let mut rng = ChaCha8Rng::seed_from_u64(0xF05E + d as u64);
+        let count = if d == 3 { 16_000 } else { 3_500 };
+        let shots = (0..count).map(|_| sampler.sample(&mut rng));
+        let name = format!("micro-full circuit d={d}");
+        let checked = check_shots(|s| decoder.decode_matching(s).0, graph, &name, shots, 10);
+        assert!(checked >= 1_000, "[{name}] only {checked} shots checked");
+    }
+    let graph = Arc::new(PhenomenologicalCode::rotated(5, 5, 0.03).decoding_graph());
+    let mut decoder = MicroBlossomDecoder::full(Arc::clone(&graph), Some(5));
+    let sampler = ErrorSampler::new(&graph);
+    let mut rng = ChaCha8Rng::seed_from_u64(0xF05E);
+    let shots = (0..2_000).map(|_| sampler.sample(&mut rng));
+    let name = "micro-full phenomenological d=5 p=0.03";
+    let checked = check_shots(|s| decoder.decode_matching(s).0, &graph, name, shots, 10);
+    assert!(checked >= 1_000, "[{name}] only {checked} shots checked");
 }

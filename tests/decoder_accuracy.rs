@@ -53,3 +53,30 @@ fn larger_distance_suppresses_logical_errors_below_threshold() {
         "logical error rate should not grow with distance below threshold: {rates:?}"
     );
 }
+
+/// The physics guard of round-wise fusion: the full stage (LUT, pre-match,
+/// fusion with the §6.3 weight reduction) decodes exactly, so it makes as
+/// many logical errors as the batch pre-match stage, which never fuses, up
+/// to equal-weight ties: the two counts agree within three standard
+/// deviations of their binomial noise.
+#[test]
+fn round_wise_fusion_keeps_the_logical_error_rate_of_batch_decoding() {
+    use mb_decoder::{MicroBlossomConfig, ShardedPipeline, Stage};
+    use mb_graph::circuit::CircuitLevelCode;
+    for (d, p, shots) in [(5usize, 0.05, 4_000), (7, 0.05, 2_000)] {
+        let circuit = Arc::new(CircuitLevelCode::rotated(d, d, p).compile());
+        let graph = Arc::clone(circuit.graph());
+        let errors = |stage| {
+            let spec = BackendSpec::Micro(MicroBlossomConfig::new(stage, &graph, Some(d)));
+            let pipeline = ShardedPipeline::new(spec, Arc::clone(&graph));
+            pipeline
+                .evaluate_circuit(&circuit, shots, 0x9E55)
+                .logical_errors as f64
+        };
+        let (full, prematch) = (errors(Stage::Full), errors(Stage::Prematch));
+        assert!(
+            (full - prematch).abs() <= 3.0 * (full + prematch).sqrt().max(1.0),
+            "d={d}: full stage {full} logical errors vs pre-match stage {prematch}"
+        );
+    }
+}

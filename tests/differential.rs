@@ -224,6 +224,18 @@ fn case(name: &str) -> (&'static [Delivery], Vec<Row>) {
                 row.same_weight_as = Some(prematch);
                 rows.push(row);
             }
+            // circuit-level noise, 0.5% per circuit location: diagonal
+            // edges across rounds and several defects per layer
+            for d in [3, 5] {
+                let circuit = CircuitLevelCode::rotated(d, d, 0.05).compile();
+                let sampler = CircuitErrorSampler::new(&circuit);
+                let [_, prematch, full] = stages(circuit.graph(), d);
+                let mut rng = ChaCha8Rng::seed_from_u64(0xF0 + d as u64);
+                let shots = (0..120).map(|_| sampler.sample(&mut rng)).collect();
+                let mut row = Row::new(&format!("circuit d={d}"), circuit.graph(), full, shots);
+                row.same_weight_as = Some(prematch);
+                rows.push(row);
+            }
             &[Serial]
         }
         name => panic!("no differential case named {name}"),
@@ -428,7 +440,10 @@ fn single_backend(row: &Row, delivery: Delivery) -> (Vec<ShotOutcome>, Matchings
 type Matchings = Vec<Option<PerfectMatching>>;
 
 /// The matching half of the rule: every single-backend delivery of a row
-/// returns the matchings the first did. The row's oracles run on the first.
+/// returns the matchings the first did. The oracles run on the first: every
+/// matching is valid and matches defects to the boundary only through
+/// virtual vertices, and with [`Row::same_weight_as`] it weighs what the
+/// reference spec's does.
 fn check_matchings(row: &Row, seen: &mut Option<Matchings>, found: Matchings, delivery: Delivery) {
     if let Some(want) = seen {
         for (i, (a, b)) in want.iter().zip(&found).enumerate() {
@@ -436,13 +451,25 @@ fn check_matchings(row: &Row, seen: &mut Option<Matchings>, found: Matchings, de
         }
         return;
     }
-    if let Some(reference) = &row.same_weight_as {
-        let mut backend = reference.build(Arc::clone(&row.graph));
-        for (i, (shot, matching)) in row.shots.iter().zip(&found).enumerate() {
-            let got = matching.as_ref().expect("a matching");
+    let mut reference = row
+        .same_weight_as
+        .as_ref()
+        .map(|spec| spec.build(Arc::clone(&row.graph)));
+    for (i, (shot, matching)) in row.shots.iter().zip(&found).enumerate() {
+        let label = format!("{} shot {i}", row.label);
+        let got = match (matching, &reference) {
+            (Some(got), _) => got,
+            (None, None) => continue,
+            (None, Some(_)) => panic!("{label}: no matching"),
+        };
+        assert!(got.is_valid_for(&shot.syndrome.defects), "{label}: invalid");
+        assert!(
+            got.boundary.iter().all(|&(_, b)| row.graph.is_virtual(b)),
+            "{label}: boundary match to a regular vertex: {:?}",
+            got.boundary
+        );
+        if let Some(backend) = &mut reference {
             let want = backend.decode(&shot.syndrome).matching.expect("a matching");
-            let label = format!("{} shot {i}", row.label);
-            assert!(got.is_valid_for(&shot.syndrome.defects), "{label}: invalid");
             assert_eq!(got.weight(&row.graph), want.weight(&row.graph), "{label}");
         }
     }
