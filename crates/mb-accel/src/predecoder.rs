@@ -579,20 +579,31 @@ mod tests {
 
     #[test]
     fn table_entries_are_minimum_weight_matchings() {
-        let graph = Arc::new(CodeCapacityRotatedCode::new(5, 0.05).decoding_graph());
-        let pre = build(&graph);
-        assert!(pre.table_len() > 0);
-        for ((anchor, _), matching) in &pre.table {
-            let defects = matching.defects();
-            assert!(defects.contains(anchor));
-            assert!(matching.is_valid_for(&defects));
-            let weight = matching.weight(&graph);
-            assert!(weight <= pre.entry_cap, "entry above the W ≤ R cap");
-            assert_eq!(
-                weight,
-                minimum_matching_weight(&graph, &defects).unwrap(),
-                "table entry for {defects:?} is not optimal"
-            );
+        // circuit-level entries span layers, with the §6.3 reduction on
+        let circuit = |d| {
+            let code = mb_graph::circuit::CircuitLevelCode::rotated(d, d, 0.01).compile();
+            Arc::clone(code.graph())
+        };
+        let graphs = [
+            Arc::new(CodeCapacityRotatedCode::new(5, 0.05).decoding_graph()),
+            circuit(3),
+            circuit(5),
+        ];
+        for graph in graphs {
+            let pre = build(&graph);
+            assert!(pre.table_len() > 0);
+            for ((anchor, _), matching) in &pre.table {
+                let defects = matching.defects();
+                assert!(defects.contains(anchor));
+                assert!(matching.is_valid_for(&defects));
+                let weight = matching.weight(&graph);
+                assert!(weight <= pre.entry_cap, "entry above the W ≤ R cap");
+                assert_eq!(
+                    weight,
+                    minimum_matching_weight(&graph, &defects).unwrap(),
+                    "table entry for {defects:?} is not optimal"
+                );
+            }
         }
     }
 
@@ -791,6 +802,84 @@ mod tests {
             assert!(one_drive.table_len() > 0, "{name}");
             assert_eq!(one_drive.table_len(), folded.table_len(), "{name}");
             assert!(one_drive.table == folded.table, "{name}: entries differ");
+        }
+    }
+
+    /// Entry count and an order-independent FNV-1a digest of every entry's
+    /// (sorted defects, pairs, boundary), so the pin does not depend on how
+    /// the table is keyed or iterated.
+    fn table_fingerprint(pre: &PreDecoder) -> (usize, u64) {
+        let fold = |hash: u64, value: usize| {
+            value.to_le_bytes().iter().fold(hash, |h, &byte| {
+                (h ^ byte as u64).wrapping_mul(0x0000_0100_0000_01B3)
+            })
+        };
+        const OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+        let mut entries: Vec<u64> = pre
+            .table
+            .values()
+            .map(|m| {
+                let defects = m.defects();
+                let flat = std::iter::once(defects.len())
+                    .chain(defects)
+                    .chain([m.pairs.len()])
+                    .chain(m.pairs.iter().flat_map(|&(a, b)| [a, b]))
+                    .chain([m.boundary.len()])
+                    .chain(m.boundary.iter().flat_map(|&(d, v)| [d, v]));
+                flat.fold(OFFSET, fold)
+            })
+            .collect();
+        entries.sort_unstable();
+        (
+            entries.len(),
+            entries.into_iter().map(|h| h as usize).fold(OFFSET, fold),
+        )
+    }
+
+    /// Pins every table entry on circuit-level and phenomenological graphs,
+    /// so a change to how the table is built or keyed must store exactly
+    /// the same matchings.
+    #[test]
+    fn tables_are_pinned() {
+        let circuit = |d, p| {
+            let code = mb_graph::circuit::CircuitLevelCode::rotated(d, d, p).compile();
+            Arc::clone(code.graph())
+        };
+        let cases = [
+            (
+                "circuit d=3 p=0.01",
+                circuit(3, 0.01),
+                35,
+                1800432702556573584,
+            ),
+            (
+                "circuit d=5 p=0.01",
+                circuit(5, 0.01),
+                213,
+                9766851236457258492,
+            ),
+            (
+                "circuit d=7 p=0.01",
+                circuit(7, 0.01),
+                655,
+                12295410905737738355,
+            ),
+            (
+                "circuit d=3 p=0.05",
+                circuit(3, 0.05),
+                35,
+                1800432702556573584,
+            ),
+            (
+                "phenomenological d=5 p=0.03",
+                Arc::new(PhenomenologicalCode::rotated(5, 5, 0.03).decoding_graph()),
+                153,
+                9628889473076901844,
+            ),
+        ];
+        for (name, graph, len, digest) in cases {
+            let pre = build(&graph);
+            assert_eq!(table_fingerprint(&pre), (len, digest), "{name}");
         }
     }
 
