@@ -138,10 +138,10 @@ pub struct AcceleratorConfig {
     /// counters included; kept for differential testing
     /// (`tests/differential.rs`).
     pub dense_reference: bool,
-    /// LUT pre-decoder configuration (see [`crate::predecoder`]). The accelerator
-    /// itself ignores it — the owning decoder builds and consults the
-    /// table — but carrying it here ties the table to the `(graph, config)`
-    /// cache key alongside the PU arrays.
+    /// Ignored. The owning decoder builds and consults the LUT pre-decoder
+    /// (see [`crate::predecoder`]), and no cache is keyed on this config:
+    /// the decode pool keys its backends on their spec and graph. The field
+    /// is kept only because the end-to-end benchmark names it.
     pub predecoder: crate::predecoder::PredecoderConfig,
 }
 

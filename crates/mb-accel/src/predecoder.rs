@@ -1,5 +1,5 @@
-//! LUT pre-decoder: table-resolve isolated defect clusters, escalate only
-//! hard shots.
+//! LUT pre-decoder: table-resolve lone defects and isolated defect pairs,
+//! escalate only hard shots.
 //!
 //! At production-scale physical error rates almost every shot consists of a
 //! handful of *isolated* defect clusters — an adjacent pair from a single
@@ -7,8 +7,8 @@
 //! decode path pays the full dual-phase machinery for each of them. In the
 //! spirit of pLUTo-style lookup-table parallelism, this module resolves
 //! those common clusters from a precomputed local match table and only
-//! escalates the residual hard shots (large clusters, boundary-ambiguous
-//! cases, table misses) to the blossom dual phase.
+//! escalates the residual hard shots (larger clusters, table misses) to the
+//! blossom dual phase.
 //!
 //! # Why the table path is exact
 //!
@@ -42,27 +42,27 @@
 //! Candidates that can never be stored are not decoded at all. Each defect
 //! `x` of a valid matching is matched either to the boundary, on a path of
 //! weight at least `bd(x)` (its distance to the nearest virtual vertex), or
-//! to another member `y`, on a path of weight at least `d(x, y)`; every
-//! path serves at most two defects, so the matching weighs at least
-//! `½ Σ_x min(bd(x), min_{y≠x} d(x, y))`. A cluster whose sum exceeds
-//! `2R` would weigh more than the `R` cap and is skipped. Anchor distances
-//! come from the anchor's ball; between two other members the triangle
-//! bound `d(y, z) ≥ |d(a, y) − d(a, z)|` stands in.
+//! to its partner `y`, on a path of weight at least `d(x, y)`; every path
+//! serves at most two defects, so the matching weighs at least
+//! `½ Σ_x min(bd(x), d(x, y))` (`½ bd(x)` for a lone defect). A candidate
+//! whose sum exceeds `2R` would weigh more than the `R` cap and is skipped.
 //!
-//! # Size / memory trade-off
+//! # Pairs, not clusters
 //!
-//! Clusters of at most [`MAX_CLUSTER_SIZE`] = 2 defects are tabulated, so
-//! the table holds one entry per defect vertex (the boundary-matched
-//! singleton, when it is cheap enough) plus one per close defect pair —
-//! `O(|V| · k)` entries for neighbourhood size `k`, built once per
-//! `(graph, config)` alongside the PU arrays and cached with the backend in
-//! the decode pool's per-worker LRU. Each extra defect per cluster would
-//! grow the table by a factor of roughly `k` and the neighbourhood radius
-//! linearly, for shots that are already rare at the paper's error rates;
-//! the size is a constant rather than a knob. Clusters whose anchor
-//! neighbourhood overflows the 64-bit mask simply escalate, so the limit
-//! trades fast-path coverage for memory and build time, never for
-//! correctness.
+//! A vertex's *partners* are the non-virtual vertices above it within `2R`.
+//! The table holds one entry per lone defect, keyed `(a, a)`, and one per
+//! linked pair, keyed `(a, b)` with `a < b`: `O(|V| · k)` entries for `k`
+//! partners per vertex, built once per `(graph, config)` alongside the PU
+//! arrays. A shot escalates as soon as one of its defects is linked to two
+//! others, since every cluster of three or more defects contains such a
+//! defect; otherwise its lone defects and pairs are looked up in ascending
+//! order. Larger clusters are rare at the paper's error rates, and each
+//! extra member would multiply the table by `k`, so the limit is fixed
+//! rather than a knob. An anchor with more than `MAX_PARTNERS` partners
+//! gets no entries, which bounds the table at `(1 + MAX_PARTNERS) · |V|`
+//! entries on any graph; the generated codes stay far below it, and a shot
+//! that would need such an entry escalates, so the cap trades fast-path
+//! coverage for memory, never for correctness.
 
 use crate::accelerator::AcceleratorConfig;
 use crate::solver::AcceleratedSolver;
@@ -73,13 +73,10 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
-/// Widest anchor neighbourhood representable in the 64-bit cluster mask.
-const MASK_BITS: usize = 64;
-/// Per-anchor table-entry budget; anchors that would exceed it escalate.
-const MAX_ENTRIES_PER_ANCHOR: usize = 512;
-/// Largest defect cluster resolved from the table; bigger clusters escalate
-/// the shot.
-pub const MAX_CLUSTER_SIZE: usize = 2;
+/// Most partners an anchor may have and still get table entries.
+const MAX_PARTNERS: usize = 64;
+/// `partner_of` value of a defect linked to no other defect of the shot.
+const LONE: u32 = u32::MAX;
 
 /// Configuration of the LUT pre-decoder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,54 +99,37 @@ impl PredecoderConfig {
     }
 }
 
-/// The precomputed local match table plus the per-shot cluster classifier.
+/// The precomputed pair table plus the per-shot partner classifier.
 ///
 /// Built once per `(graph, accelerator config)` by
 /// [`PreDecoder::build`]; the owning decoder calls
 /// [`PreDecoder::resolve_into`] with the shot's sorted defect list before
 /// it loads anything into the accelerator, and applies the returned
-/// matching directly when every cluster hits the table.
+/// matching directly when every lone defect and pair hits the table.
 #[derive(Debug, Clone)]
 pub struct PreDecoder {
-    graph: Arc<DecodingGraph>,
-    /// Two defects at distance ≤ `link_radius` belong to one cluster (2R).
+    /// Two defects at distance ≤ `link_radius` (2R) are linked.
     link_radius: Weight,
-    /// Only clusters with matching weight ≤ `entry_cap` (R) are stored.
-    entry_cap: Weight,
-    /// Per anchor vertex: sorted candidate co-members (`u > anchor`, within
-    /// `(MAX_CLUSTER_SIZE - 1) · 2R`). Empty for virtual or overflowed
-    /// anchors.
-    neighborhoods: Vec<Vec<VertexIndex>>,
-    /// Per vertex: every non-virtual vertex within `link_radius`, sorted.
-    /// Precomputed so per-shot cluster classification is pure sorted-array
-    /// membership testing — no graph traversal on the hot path.
-    link_neighbors: Vec<Vec<VertexIndex>>,
-    /// Anchors whose neighbourhood or entry budget overflowed; clusters
-    /// anchored there always escalate.
-    overflowed: Vec<bool>,
-    /// `(anchor, neighbourhood bitmask) → local matching`, the LUT proper.
-    table: HashMap<(VertexIndex, u64), PerfectMatching>,
-    // -- reusable per-shot classification scratch (allocation-free once warm)
-    uf_parent: Vec<u32>,
-    ball: HashMap<VertexIndex, Weight>,
-    heap: BinaryHeap<Reverse<(Weight, VertexIndex)>>,
-    cluster_slot: Vec<u32>,
-    cluster_start: Vec<u32>,
-    cluster_fill: Vec<u32>,
-    members: Vec<VertexIndex>,
-    key_scratch: Vec<(VertexIndex, u64)>,
+    /// Per vertex: its partners, the non-virtual vertices above it within
+    /// `link_radius`, sorted. Empty for virtual vertices.
+    partners: Vec<Vec<VertexIndex>>,
+    /// `(a, a)` → lone-defect entry, `(a, b)` with `a < b` → pair entry.
+    table: HashMap<(VertexIndex, VertexIndex), PerfectMatching>,
+    /// Per-shot scratch: the index of each defect's partner in the defect
+    /// list, or [`LONE`].
+    partner_of: Vec<u32>,
 }
 
 impl PreDecoder {
-    /// Builds the neighbourhood lists and the local match table for `graph`.
+    /// Builds the partner lists and the pair table for `graph`.
     ///
     /// `accel_config` must be the exact configuration of the accelerator
     /// the owning decoder drives: entries are decoded by the same machinery
     /// so degenerate optimum selection matches the escalated path bit for
-    /// bit. Each candidate cluster is decoded with one drive after all of
-    /// its layers are loaded, whether the owning decoder folds rounds in
-    /// one by one or not (see the module docs), so `stream_driving` is
-    /// ignored; it is kept so existing callers compile.
+    /// bit. Each candidate is decoded with one drive after all of its
+    /// layers are loaded, whether the owning decoder folds rounds in one by
+    /// one or not (see the module docs), so `stream_driving` is ignored; it
+    /// is kept so existing callers compile.
     pub fn build(
         graph: Arc<DecodingGraph>,
         accel_config: &AcceleratorConfig,
@@ -158,120 +138,73 @@ impl PreDecoder {
         Self::build_with(graph, accel_config, decode_entry)
     }
 
-    /// [`Self::build`], with `decode` turning each candidate cluster into
-    /// its table entry.
+    /// [`Self::build`], with `decode` turning each candidate into its table
+    /// entry.
     fn build_with(
         graph: Arc<DecodingGraph>,
         accel_config: &AcceleratorConfig,
         mut decode: impl FnMut(&mut AcceleratedSolver, &[VertexIndex]) -> PerfectMatching,
     ) -> Self {
-        let n = graph.vertex_count();
         let entry_cap = graph.max_weight();
         let link_radius = 2 * entry_cap;
-        let reach = (MAX_CLUSTER_SIZE as Weight - 1) * link_radius;
-
-        let mut this = Self {
-            link_radius,
-            entry_cap,
-            neighborhoods: vec![Vec::new(); n],
-            link_neighbors: vec![Vec::new(); n],
-            overflowed: vec![false; n],
-            table: HashMap::new(),
-            uf_parent: Vec::new(),
-            ball: HashMap::new(),
-            heap: BinaryHeap::new(),
-            cluster_slot: Vec::new(),
-            cluster_start: Vec::new(),
-            cluster_fill: Vec::new(),
-            members: Vec::new(),
-            key_scratch: Vec::new(),
-            graph,
-        };
-
-        // per anchor: its neighbourhood list (a bounded Dijkstra ball) and
-        // its local match table entries, decoded by the real machinery;
-        // candidates whose weight bound already exceeds the cap are never
-        // decoded
-        let graph = Arc::clone(&this.graph);
         let boundary: Vec<Weight> = boundary_distances(&graph)
             .into_iter()
             .map(|d| d.unwrap_or(Weight::MAX))
             .collect();
         let mut solver = AcceleratedSolver::new(Arc::clone(&graph), accel_config.clone());
-        let (mut reached, mut distances, mut cluster) = (Vec::new(), Vec::new(), Vec::new());
-        for anchor in 0..n {
+        let (mut best, mut heap, mut ball) = (HashMap::new(), BinaryHeap::new(), Vec::new());
+        let mut partners = vec![Vec::new(); graph.vertex_count()];
+        let mut table = HashMap::new();
+        for (anchor, slot) in partners.iter_mut().enumerate() {
             if graph.is_virtual(anchor) {
                 continue;
             }
-            reached.clear();
+            ball.clear();
             ball_around(
                 &graph,
-                &mut this.ball,
-                &mut this.heap,
+                &mut best,
+                &mut heap,
                 anchor,
-                reach,
+                link_radius,
                 |v, dist| {
                     if v > anchor && !graph.is_virtual(v) {
-                        reached.push((v, dist));
+                        ball.push((v, dist));
                     }
                 },
             );
-            reached.sort_unstable();
-            if reached.len() > MASK_BITS
-                || entry_count(reached.len(), MAX_CLUSTER_SIZE - 1).is_none()
-            {
-                this.overflowed[anchor] = true;
+            ball.sort_unstable();
+            *slot = ball.iter().map(|&(v, _)| v).collect();
+            if ball.len() > MAX_PARTNERS {
                 continue;
             }
-            let near: Vec<VertexIndex> = reached.iter().map(|&(v, _)| v).collect();
-            distances.clear();
-            distances.extend(reached.iter().map(|&(_, dist)| dist));
-            for_each_subset(near.len(), MAX_CLUSTER_SIZE - 1, |subset| {
-                let bound = matching_weight_bound(anchor, &near, &distances, subset, &boundary);
-                if bound > 2 * this.entry_cap {
-                    return;
+            // the lone defect, then each pair, with twice its weight bound;
+            // a candidate that cannot be stored is never decoded
+            let lone = (anchor, boundary[anchor]);
+            let pairs = ball
+                .iter()
+                .map(|&(v, dist)| (v, boundary[anchor].min(dist) + boundary[v].min(dist)));
+            for (partner, bound) in std::iter::once(lone).chain(pairs) {
+                if bound > link_radius {
+                    continue;
                 }
-                cluster.clear();
-                cluster.push(anchor);
-                let mut mask = 0u64;
-                for (bit, &v) in near.iter().enumerate() {
-                    if subset >> bit & 1 == 1 {
-                        cluster.push(v);
-                        mask |= 1 << bit;
-                    }
+                let cluster = [anchor, partner];
+                let cluster = if partner == anchor {
+                    &cluster[..1]
+                } else {
+                    &cluster[..]
+                };
+                let matching = decode(&mut solver, cluster);
+                if matching.weight(&graph) <= entry_cap {
+                    table.insert((anchor, partner), matching);
                 }
-                cluster.sort_unstable();
-                let matching = decode(&mut solver, &cluster);
-                if matching.weight(&graph) <= this.entry_cap {
-                    this.table.insert((anchor, mask), matching);
-                }
-            });
-            this.neighborhoods[anchor] = near;
-        }
-
-        // linking balls: paid once here so the per-shot classifier never
-        // touches the graph
-        for v in 0..n {
-            if graph.is_virtual(v) {
-                continue;
             }
-            let mut near = Vec::new();
-            ball_around(
-                &graph,
-                &mut this.ball,
-                &mut this.heap,
-                v,
-                link_radius,
-                |u, _| {
-                    if u != v && !graph.is_virtual(u) {
-                        near.push(u);
-                    }
-                },
-            );
-            near.sort_unstable();
-            this.link_neighbors[v] = near;
         }
-        this
+        Self {
+            link_radius,
+            partners,
+            table,
+            partner_of: Vec::new(),
+        }
     }
 
     /// Distance below which two defects share a cluster (`2R`).
@@ -279,7 +212,7 @@ impl PreDecoder {
         self.link_radius
     }
 
-    /// Number of `(anchor, mask)` entries in the local match table.
+    /// Number of lone-defect and pair entries in the table.
     pub fn table_len(&self) -> usize {
         self.table.len()
     }
@@ -288,12 +221,13 @@ impl PreDecoder {
     ///
     /// `defects` must be the shot's complete defect list, sorted and
     /// deduplicated; the result is therefore invariant to the order rounds
-    /// and defects arrived in. When every cluster is table-eligible the
-    /// matched pairs and boundary matches are appended to `matching` and
-    /// the call returns `true`; otherwise `matching` is left untouched and
-    /// the shot must escalate to the unconditional dual phase.
-    /// Classification is pairwise membership testing against precomputed
-    /// linking balls — `O(defects² · log ball(2R))`, independent of the
+    /// and defects arrived in. When no defect is linked to two others and
+    /// every lone defect and pair has an entry, the entries' matched pairs
+    /// and boundary matches are appended to `matching` in ascending defect
+    /// order and the call returns `true`; otherwise `matching` is left as
+    /// it was and the shot must escalate to the unconditional dual phase.
+    /// Classification is pairwise membership testing against the
+    /// precomputed partner lists — `O(defects² · log k)`, independent of the
     /// lattice size, with no graph traversal — and the steady-state path
     /// performs no allocation.
     pub fn resolve_into(
@@ -302,132 +236,38 @@ impl PreDecoder {
         matching: &mut PerfectMatching,
     ) -> bool {
         debug_assert!(defects.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
-        if defects.is_empty() {
-            return true;
-        }
-        let clusters = self.classify(defects);
-        let mut keys = std::mem::take(&mut self.key_scratch);
-        keys.clear();
-        let mut eligible = true;
-        'clusters: for c in 0..clusters {
-            let (start, len) = self.cluster_bounds(c);
-            if len > MAX_CLUSTER_SIZE {
-                eligible = false;
-                break;
-            }
-            let members = &self.members[start..start + len];
-            let anchor = members[0];
-            if self.overflowed[anchor] {
-                eligible = false;
-                break;
-            }
-            let near = &self.neighborhoods[anchor];
-            let mut mask = 0u64;
-            for &v in &members[1..] {
-                match near.binary_search(&v) {
-                    Ok(bit) => mask |= 1 << bit,
-                    Err(_) => {
-                        eligible = false;
-                        break 'clusters;
+        let partner_of = &mut self.partner_of;
+        partner_of.clear();
+        partner_of.resize(defects.len(), LONE);
+        for (i, &a) in defects.iter().enumerate() {
+            let partners = &self.partners[a];
+            for (j, b) in defects.iter().enumerate().skip(i + 1) {
+                if partners.binary_search(b).is_ok() {
+                    // a second partner: a cluster of three or more
+                    if partner_of[i] != LONE || partner_of[j] != LONE {
+                        return false;
                     }
-                }
-            }
-            if !self.table.contains_key(&(anchor, mask)) {
-                eligible = false;
-                break;
-            }
-            keys.push((anchor, mask));
-        }
-        if eligible {
-            for key in &keys {
-                let entry = &self.table[key];
-                matching.pairs.extend_from_slice(&entry.pairs);
-                matching.boundary.extend_from_slice(&entry.boundary);
-            }
-        }
-        self.key_scratch = keys;
-        eligible
-    }
-
-    /// The connected clusters of a sorted, deduplicated defect list, each
-    /// sorted ascending, in ascending anchor order. Exposed for the
-    /// ingestion-order-invariance property tests; the decode path uses the
-    /// allocation-free internal classifier.
-    pub fn clusters(&mut self, defects: &[VertexIndex]) -> Vec<Vec<VertexIndex>> {
-        let count = self.classify(defects);
-        (0..count)
-            .map(|c| {
-                let (start, len) = self.cluster_bounds(c);
-                self.members[start..start + len].to_vec()
-            })
-            .collect()
-    }
-
-    /// Whether a sorted, deduplicated defect list would take the fast path
-    /// (every cluster table-eligible). Classification only; does not build
-    /// the matching.
-    pub fn would_fast_path(&mut self, defects: &[VertexIndex]) -> bool {
-        let mut scratch = PerfectMatching::default();
-        self.resolve_into(defects, &mut scratch)
-    }
-
-    fn cluster_bounds(&self, c: usize) -> (usize, usize) {
-        let start = self.cluster_start[c] as usize;
-        (start, self.cluster_fill[c] as usize)
-    }
-
-    /// Union-find clustering under the ≤ `2R` linking rule. Fills the
-    /// scratch arrays and returns the cluster count; members of cluster `c`
-    /// are `self.members[start..start+len]` (ascending) with
-    /// `(start, len) = self.cluster_bounds(c)`.
-    fn classify(&mut self, defects: &[VertexIndex]) -> usize {
-        let n = defects.len();
-        self.uf_parent.clear();
-        self.uf_parent.extend(0..n as u32);
-        let mut parent = std::mem::take(&mut self.uf_parent);
-        for i in 0..n {
-            let near = &self.link_neighbors[defects[i]];
-            for (j, d) in defects.iter().enumerate().skip(i + 1) {
-                if near.binary_search(d).is_ok() {
-                    union(&mut parent, i, j);
+                    partner_of[i] = j as u32;
+                    partner_of[j] = i as u32;
                 }
             }
         }
-        // assign cluster ids in order of first appearance (ascending anchor)
-        self.cluster_slot.clear();
-        self.cluster_slot.resize(n, u32::MAX);
-        self.cluster_start.clear();
-        self.cluster_fill.clear();
-        let mut count = 0u32;
-        for i in 0..n {
-            let root = find(&mut parent, i);
-            if self.cluster_slot[root] == u32::MAX {
-                self.cluster_slot[root] = count;
-                self.cluster_fill.push(0);
-                count += 1;
-            }
-            self.cluster_fill[self.cluster_slot[root] as usize] += 1;
+        let (pairs, boundary) = (matching.pairs.len(), matching.boundary.len());
+        for (i, &a) in defects.iter().enumerate() {
+            let key = match partner_of[i] {
+                LONE => (a, a),
+                j if j as usize > i => (a, defects[j as usize]),
+                _ => continue,
+            };
+            let Some(entry) = self.table.get(&key) else {
+                matching.pairs.truncate(pairs);
+                matching.boundary.truncate(boundary);
+                return false;
+            };
+            matching.pairs.extend_from_slice(&entry.pairs);
+            matching.boundary.extend_from_slice(&entry.boundary);
         }
-        // prefix sums, then place members (stable, so each cluster ascends)
-        self.cluster_start.clear();
-        let mut acc = 0u32;
-        for &len in &self.cluster_fill {
-            self.cluster_start.push(acc);
-            acc += len;
-        }
-        self.members.clear();
-        self.members.resize(n, 0);
-        let mut fill = std::mem::take(&mut self.cluster_fill);
-        fill.iter_mut().for_each(|f| *f = 0);
-        for (i, &defect) in defects.iter().enumerate().take(n) {
-            let root = find(&mut parent, i);
-            let c = self.cluster_slot[root] as usize;
-            self.members[(self.cluster_start[c] + fill[c]) as usize] = defect;
-            fill[c] += 1;
-        }
-        self.cluster_fill = fill;
-        self.uf_parent = parent;
-        count as usize
+        true
     }
 }
 
@@ -435,8 +275,7 @@ impl PreDecoder {
 /// never expanding out of virtual vertices (they terminate paths, the
 /// [`mb_graph::dijkstra`] rule). Calls `visit(vertex, distance)` once per
 /// settled vertex, including the source at distance 0. `best`/`heap` are
-/// caller-owned scratch, cleared on entry and reused across calls so the
-/// per-shot classification stays allocation-free once warm.
+/// caller-owned scratch, cleared on entry and reused across calls.
 fn ball_around(
     graph: &DecodingGraph,
     best: &mut HashMap<VertexIndex, Weight>,
@@ -467,85 +306,9 @@ fn ball_around(
     }
 }
 
-fn find(parent: &mut [u32], mut i: usize) -> usize {
-    while parent[i] as usize != i {
-        parent[i] = parent[parent[i] as usize];
-        i = parent[i] as usize;
-    }
-    i
-}
-
-fn union(parent: &mut [u32], a: usize, b: usize) {
-    let (ra, rb) = (find(parent, a), find(parent, b));
-    // deterministic: smaller root wins, so cluster ids are order-invariant
-    if ra < rb {
-        parent[rb] = ra as u32;
-    } else {
-        parent[ra] = rb as u32;
-    }
-}
-
-/// Twice a lower bound on the weight of any valid matching of the cluster
-/// `anchor` + the members of `near` selected by `subset`:
-/// `Σ_x min(bd(x), min_{y≠x} d(x, y))` over the cluster's defects (see the
-/// module docs). `near_distances[i]` is the anchor's distance to `near[i]`
-/// and `boundary[v]` is `bd(v)` (`Weight::MAX` when no virtual vertex is
-/// reachable); two non-anchor members are at least
-/// `|d(a, y) − d(a, z)|` apart.
-fn matching_weight_bound(
-    anchor: VertexIndex,
-    near: &[VertexIndex],
-    near_distances: &[Weight],
-    subset: u64,
-    boundary: &[Weight],
-) -> Weight {
-    let members = || (0..near.len()).filter(move |&bit| subset >> bit & 1 == 1);
-    let anchor_share = members()
-        .map(|bit| near_distances[bit])
-        .fold(boundary[anchor], Weight::min);
-    members().fold(anchor_share, |sum, bit| {
-        let to_anchor = near_distances[bit];
-        let share = members()
-            .filter(|&other| other != bit)
-            .map(|other| (to_anchor - near_distances[other]).abs())
-            .fold(boundary[near[bit]].min(to_anchor), Weight::min);
-        sum.saturating_add(share)
-    })
-}
-
-/// Number of subsets of ≤ `max_bits` elements from `len` candidates, or
-/// `None` when it exceeds [`MAX_ENTRIES_PER_ANCHOR`].
-fn entry_count(len: usize, max_bits: usize) -> Option<usize> {
-    let mut total = 0usize;
-    let mut level = 1usize; // C(len, 0)
-    for s in 0..=max_bits.min(len) {
-        total += level;
-        if total > MAX_ENTRIES_PER_ANCHOR {
-            return None;
-        }
-        level = level.checked_mul(len - s)? / (s + 1);
-    }
-    Some(total)
-}
-
-/// Calls `f(subset_mask)` for every subset of `len` items with at most
-/// `max_bits` bits set, the empty subset included.
-fn for_each_subset(len: usize, max_bits: usize, mut f: impl FnMut(u64)) {
-    fn recurse(len: usize, remaining: usize, from: usize, mask: u64, f: &mut impl FnMut(u64)) {
-        f(mask);
-        if remaining == 0 {
-            return;
-        }
-        for bit in from..len {
-            recurse(len, remaining - 1, bit + 1, mask | 1 << bit, f);
-        }
-    }
-    recurse(len, max_bits, 0, 0, &mut f);
-}
-
-/// Decodes one candidate cluster on its own: every layer loaded, then one
-/// drive. Exact fusion makes this the matching a round-by-round fold of the
-/// same cluster ends in, so it serves batch and stream decoders alike.
+/// Decodes one candidate on its own: every layer loaded, then one drive.
+/// Exact fusion makes this the matching a round-by-round fold of the same
+/// candidate ends in, so it serves batch and stream decoders alike.
 fn decode_entry(solver: &mut AcceleratedSolver, cluster: &[VertexIndex]) -> PerfectMatching {
     solver.reset();
     let graph = solver.driver().accelerator().graph();
@@ -561,43 +324,50 @@ mod tests {
     use super::*;
     use mb_blossom::exact::minimum_matching_weight;
     use mb_graph::codes::{CodeCapacityRotatedCode, PhenomenologicalCode};
+    use mb_graph::dijkstra::distance_between;
     use mb_graph::syndrome::ErrorSampler;
-    use rand::{Rng, SeedableRng};
+    use mb_graph::{DecodingGraphBuilder, Position};
+    use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-
-    /// Fisher–Yates shuffle (the offline `rand` shim has no `SliceRandom`).
-    fn shuffle<T>(items: &mut [T], rng: &mut impl Rng) {
-        for i in (1..items.len()).rev() {
-            let j = rng.gen_range_u64(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
 
     fn build(graph: &Arc<DecodingGraph>) -> PreDecoder {
         PreDecoder::build(Arc::clone(graph), &AcceleratorConfig::default(), false)
     }
 
+    fn circuit(d: usize, p: f64) -> Arc<DecodingGraph> {
+        let code = mb_graph::circuit::CircuitLevelCode::rotated(d, d, p).compile();
+        Arc::clone(code.graph())
+    }
+
+    fn sorted_defects(shot: &mb_graph::Shot) -> Vec<VertexIndex> {
+        let mut defects = shot.syndrome.defects.clone();
+        defects.sort_unstable();
+        defects.dedup();
+        defects
+    }
+
     #[test]
     fn table_entries_are_minimum_weight_matchings() {
         // circuit-level entries span layers, with the §6.3 reduction on
-        let circuit = |d| {
-            let code = mb_graph::circuit::CircuitLevelCode::rotated(d, d, 0.01).compile();
-            Arc::clone(code.graph())
-        };
         let graphs = [
             Arc::new(CodeCapacityRotatedCode::new(5, 0.05).decoding_graph()),
-            circuit(3),
-            circuit(5),
+            circuit(3, 0.01),
+            circuit(5, 0.01),
         ];
         for graph in graphs {
             let pre = build(&graph);
             assert!(pre.table_len() > 0);
-            for ((anchor, _), matching) in &pre.table {
+            for (&(anchor, partner), matching) in &pre.table {
                 let defects = matching.defects();
-                assert!(defects.contains(anchor));
+                let expected = if anchor == partner {
+                    vec![anchor]
+                } else {
+                    vec![anchor, partner]
+                };
+                assert_eq!(defects, expected, "entry stored under the wrong key");
                 assert!(matching.is_valid_for(&defects));
                 let weight = matching.weight(&graph);
-                assert!(weight <= pre.entry_cap, "entry above the W ≤ R cap");
+                assert!(weight <= graph.max_weight(), "entry above the W ≤ R cap");
                 assert_eq!(
                     weight,
                     minimum_matching_weight(&graph, &defects).unwrap(),
@@ -607,48 +377,144 @@ mod tests {
         }
     }
 
-    #[test]
-    fn clusters_partition_the_defect_list() {
-        let graph = Arc::new(PhenomenologicalCode::rotated(3, 4, 0.05).decoding_graph());
-        let mut pre = build(&graph);
-        let sampler = ErrorSampler::new(&graph);
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        for _ in 0..50 {
-            let shot = sampler.sample(&mut rng);
-            let mut defects = shot.syndrome.defects.clone();
-            defects.sort_unstable();
-            defects.dedup();
-            let clusters = pre.clusters(&defects);
-            let mut flat: Vec<_> = clusters.iter().flatten().copied().collect();
-            flat.sort_unstable();
-            assert_eq!(flat, defects, "clusters must partition the defects");
-            for cluster in &clusters {
-                assert!(cluster.windows(2).all(|w| w[0] < w[1]));
+    /// The clusters of a sorted defect list under the ≤ 2R linking rule,
+    /// by union-find over pairwise graph distances; each sorted, in
+    /// ascending order of their smallest defect.
+    fn oracle_clusters(
+        graph: &DecodingGraph,
+        link_radius: Weight,
+        defects: &[VertexIndex],
+    ) -> Vec<Vec<VertexIndex>> {
+        fn find(root: &[usize], mut i: usize) -> usize {
+            while root[i] != i {
+                i = root[i];
+            }
+            i
+        }
+        let mut root: Vec<usize> = (0..defects.len()).collect();
+        for i in 0..defects.len() {
+            for j in i + 1..defects.len() {
+                if distance_between(graph, defects[i], defects[j]).is_some_and(|d| d <= link_radius)
+                {
+                    let (a, b) = (find(&root, i), find(&root, j));
+                    root[a.max(b)] = a.min(b);
+                }
             }
         }
+        let mut clusters: Vec<Vec<VertexIndex>> = Vec::new();
+        let mut slot = HashMap::new();
+        for (i, &defect) in defects.iter().enumerate() {
+            let c = *slot.entry(find(&root, i)).or_insert_with(|| {
+                clusters.push(Vec::new());
+                clusters.len() - 1
+            });
+            clusters[c].push(defect);
+        }
+        clusters
+    }
+
+    /// The partner rule against a union-find oracle: a shot resolves
+    /// exactly when every cluster is a lone defect or a pair with a stored
+    /// entry, the entries then append in cluster order, and a miss leaves
+    /// the matching as it was.
+    #[test]
+    fn resolve_hits_exactly_when_every_cluster_is_a_stored_lone_defect_or_pair() {
+        let graph = Arc::new(PhenomenologicalCode::rotated(3, 3, 0.06).decoding_graph());
+        let mut pre = build(&graph);
+        let sampler = ErrorSampler::new(&graph);
+        let mut rng = ChaCha8Rng::seed_from_u64(13);
+        let prior = PerfectMatching {
+            pairs: vec![(0, 1)],
+            boundary: vec![(2, 3)],
+        };
+        let (mut hits, mut oversized, mut table_misses) = (0, 0, 0);
+        for _ in 0..300 {
+            let defects = sorted_defects(&sampler.sample(&mut rng));
+            let mut matching = prior.clone();
+            let hit = pre.resolve_into(&defects, &mut matching);
+            let clusters = oracle_clusters(&graph, pre.link_radius(), &defects);
+            let entries: Option<Vec<&PerfectMatching>> = clusters
+                .iter()
+                .map(|cluster| match cluster[..] {
+                    [a] => pre.table.get(&(a, a)),
+                    [a, b] => pre.table.get(&(a, b)),
+                    _ => None,
+                })
+                .collect();
+            if clusters.iter().any(|cluster| cluster.len() > 2) {
+                oversized += 1;
+            } else if entries.is_none() {
+                table_misses += 1;
+            }
+            let Some(entries) = entries else {
+                assert!(!hit, "{defects:?}: resolved a shot the oracle escalates");
+                assert_eq!(matching, prior, "{defects:?}: a miss changed the matching");
+                continue;
+            };
+            assert!(hit, "{defects:?}: escalated a shot the table covers");
+            let mut expected = prior.clone();
+            for entry in entries {
+                expected.pairs.extend_from_slice(&entry.pairs);
+                expected.boundary.extend_from_slice(&entry.boundary);
+            }
+            assert_eq!(matching, expected, "{defects:?}");
+            hits += usize::from(!defects.is_empty());
+        }
+        assert!(hits > 0, "p=6% should resolve shots from the table");
+        assert!(oversized > 0, "p=6% should produce clusters of three");
+        assert!(
+            table_misses > 0,
+            "p=6% should produce pairs the table lacks"
+        );
+    }
+
+    /// Only the middle defect of a chain a–b–c has two partners; a and c
+    /// are not linked, yet the three form one cluster and must escalate.
+    #[test]
+    fn a_chain_of_three_escalates() {
+        let graph = Arc::new(CodeCapacityRotatedCode::new(5, 0.05).decoding_graph());
+        let mut pre = build(&graph);
+        let linked = |a, b| distance_between(&graph, a, b).is_some_and(|d| d <= pre.link_radius());
+        let chain = (0..graph.vertex_count())
+            .flat_map(|a| pre.partners[a].iter().map(move |&b| (a, b)))
+            .flat_map(|(a, b)| pre.partners[b].iter().map(move |&c| [a, b, c]))
+            .find(|&[a, _, c]| !linked(a, c))
+            .expect("code capacity d=5 has a chain of three");
+        assert!(linked(chain[0], chain[1]) && linked(chain[1], chain[2]));
+        let mut matching = PerfectMatching::default();
+        assert!(!pre.resolve_into(&chain, &mut matching), "{chain:?}");
+        assert_eq!(matching, PerfectMatching::default());
+    }
+
+    /// A star of `leaves` regular vertices around vertex 0, the only vertex
+    /// with a boundary edge, so every leaf is a partner of the centre.
+    fn star(leaves: usize) -> Arc<DecodingGraph> {
+        let mut builder = DecodingGraphBuilder::new();
+        let centre = builder.add_vertex(Position::new(0, 0, 0));
+        let boundary = builder.add_virtual_vertex(Position::new(0, 0, 1));
+        builder.add_edge(centre, boundary, 2, 0.01, 0);
+        for j in 0..leaves {
+            let leaf = builder.add_vertex(Position::new(0, 1, j as i64));
+            builder.add_edge(centre, leaf, 2, 0.01, 0);
+        }
+        Arc::new(builder.build())
     }
 
     #[test]
-    fn classification_is_input_order_invariant() {
-        let graph = Arc::new(PhenomenologicalCode::rotated(3, 4, 0.06).decoding_graph());
-        let mut pre = build(&graph);
-        let sampler = ErrorSampler::new(&graph);
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
-        for _ in 0..30 {
-            let shot = sampler.sample(&mut rng);
-            let mut defects = shot.syndrome.defects.clone();
-            defects.sort_unstable();
-            defects.dedup();
-            let reference = pre.clusters(&defects);
-            let decision = pre.would_fast_path(&defects);
-            // the classifier contract takes a sorted list; shuffling the
-            // *ingestion* happens upstream, the sorted set is the invariant
-            let mut shuffled = defects.clone();
-            shuffle(&mut shuffled, &mut rng);
-            shuffled.sort_unstable();
-            assert_eq!(pre.clusters(&shuffled), reference);
-            assert_eq!(pre.would_fast_path(&shuffled), decision);
-        }
+    fn an_anchor_over_the_partner_cap_gets_no_entries() {
+        // at the cap the centre keeps its lone entry and one pair entry per
+        // leaf; a lone leaf (weight 4 > R = 2) and two leaves (bound above
+        // 2R) are never stored
+        let at_cap = build(&star(MAX_PARTNERS));
+        assert_eq!(at_cap.partners[0].len(), MAX_PARTNERS);
+        assert_eq!(at_cap.table_len(), 1 + MAX_PARTNERS);
+        let mut over = build(&star(MAX_PARTNERS + 1));
+        assert_eq!(over.partners[0].len(), MAX_PARTNERS + 1);
+        assert_eq!(over.table_len(), 0);
+        let mut matching = PerfectMatching::default();
+        assert!(!over.resolve_into(&[0], &mut matching));
+        assert!(!over.resolve_into(&[0, 2], &mut matching));
+        assert_eq!(matching, PerfectMatching::default());
     }
 
     #[test]
@@ -659,10 +525,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(21);
         let mut resolved = 0;
         for _ in 0..200 {
-            let shot = sampler.sample(&mut rng);
-            let mut defects = shot.syndrome.defects.clone();
-            defects.sort_unstable();
-            defects.dedup();
+            let defects = sorted_defects(&sampler.sample(&mut rng));
             if defects.is_empty() {
                 continue;
             }
@@ -681,82 +544,52 @@ mod tests {
         assert!(resolved > 20, "fast path should cover sparse shots");
     }
 
-    #[test]
-    fn oversized_clusters_escalate() {
-        let graph = Arc::new(CodeCapacityRotatedCode::new(5, 0.05).decoding_graph());
-        let mut pre = build(&graph);
-        // three mutually close defects form one cluster above
-        // MAX_CLUSTER_SIZE (2)
-        let anchor = (0..graph.vertex_count())
-            .find(|&v| !graph.is_virtual(v) && !pre.neighborhoods[v].is_empty())
-            .expect("some anchor has neighbours");
-        let mut defects = vec![anchor];
-        defects.extend(pre.neighborhoods[anchor].iter().take(2).copied());
-        if defects.len() == 3 {
-            defects.sort_unstable();
-            let clusters = pre.clusters(&defects);
-            if clusters.len() == 1 {
-                assert!(!pre.would_fast_path(&defects));
-            }
-        }
-    }
-
-    /// The table a build without the weight bound stores: every candidate
-    /// decoded, kept when within the cap. Also counts the candidates the
-    /// bound rules out.
+    /// The table a build without the weight bound stores: every lone defect
+    /// and pair decoded, kept when within the cap.
     fn unpruned_table(
         pre: &PreDecoder,
+        graph: &Arc<DecodingGraph>,
         config: &AcceleratorConfig,
-    ) -> (HashMap<(VertexIndex, u64), PerfectMatching>, usize) {
-        let graph = &pre.graph;
-        let boundary: Vec<Weight> = boundary_distances(graph)
-            .into_iter()
-            .map(|d| d.unwrap_or(Weight::MAX))
-            .collect();
+    ) -> HashMap<(VertexIndex, VertexIndex), PerfectMatching> {
         let mut solver = AcceleratedSolver::new(Arc::clone(graph), config.clone());
         let mut table = HashMap::new();
-        let mut ruled_out = 0;
-        for anchor in 0..graph.vertex_count() {
-            if graph.is_virtual(anchor) || pre.overflowed[anchor] {
+        for (anchor, partners) in pre.partners.iter().enumerate() {
+            if graph.is_virtual(anchor) || partners.len() > MAX_PARTNERS {
                 continue;
             }
-            let near = &pre.neighborhoods[anchor];
-            let distances: Vec<Weight> = near
-                .iter()
-                .map(|&v| mb_graph::dijkstra::distance_between(graph, anchor, v).unwrap())
-                .collect();
-            for_each_subset(near.len(), MAX_CLUSTER_SIZE - 1, |subset| {
-                if matching_weight_bound(anchor, near, &distances, subset, &boundary)
-                    > 2 * pre.entry_cap
-                {
-                    ruled_out += 1;
+            for &partner in std::iter::once(&anchor).chain(partners) {
+                let cluster = [anchor, partner];
+                let cluster = if partner == anchor {
+                    &cluster[..1]
+                } else {
+                    &cluster[..]
+                };
+                let matching = decode_entry(&mut solver, cluster);
+                if matching.weight(graph) <= graph.max_weight() {
+                    table.insert((anchor, partner), matching);
                 }
-                let mut cluster = vec![anchor];
-                cluster.extend(
-                    (0..near.len())
-                        .filter(|&bit| subset >> bit & 1 == 1)
-                        .map(|bit| near[bit]),
-                );
-                cluster.sort_unstable();
-                let matching = decode_entry(&mut solver, &cluster);
-                if matching.weight(graph) <= pre.entry_cap {
-                    table.insert((anchor, subset), matching);
-                }
-            });
+            }
         }
-        (table, ruled_out)
+        table
     }
 
     #[test]
     fn weight_bound_skips_no_storable_candidate() {
+        let config = AcceleratorConfig::default();
         let mut total_ruled_out = 0;
         for d in [3, 5] {
-            let circuit = mb_graph::circuit::CircuitLevelCode::rotated(d, d, 0.01).compile();
-            let graph = Arc::clone(circuit.graph());
-            let config = AcceleratorConfig::default();
-            let pre = PreDecoder::build(Arc::clone(&graph), &config, false);
-            let (unpruned, ruled_out) = unpruned_table(&pre, &config);
-            total_ruled_out += ruled_out;
+            let graph = circuit(d, 0.01);
+            let mut decoded = 0;
+            let pre = PreDecoder::build_with(Arc::clone(&graph), &config, |solver, cluster| {
+                decoded += 1;
+                decode_entry(solver, cluster)
+            });
+            let unpruned = unpruned_table(&pre, &graph, &config);
+            let candidates: usize = (0..graph.vertex_count())
+                .filter(|&v| !graph.is_virtual(v) && pre.partners[v].len() <= MAX_PARTNERS)
+                .map(|v| 1 + pre.partners[v].len())
+                .sum();
+            total_ruled_out += candidates - decoded;
             assert_eq!(pre.table_len(), unpruned.len(), "d={d}");
             assert!(
                 pre.table == unpruned,
@@ -881,17 +714,5 @@ mod tests {
             let pre = build(&graph);
             assert_eq!(table_fingerprint(&pre), (len, digest), "{name}");
         }
-    }
-
-    #[test]
-    fn subset_enumeration_counts_match() {
-        let mut seen = Vec::new();
-        for_each_subset(4, 2, |mask| seen.push(mask));
-        seen.sort_unstable();
-        seen.dedup();
-        // C(4,0) + C(4,1) + C(4,2) = 1 + 4 + 6
-        assert_eq!(seen.len(), 11);
-        assert_eq!(entry_count(4, 2), Some(11));
-        assert_eq!(entry_count(64, 63), None, "budget cap engages");
     }
 }

@@ -290,8 +290,8 @@ impl MicroBlossomDecoder {
         }
     }
 
-    /// Attempts the LUT fast path on the shot's `defects`: classifies them
-    /// into clusters and resolves every cluster from the table. Returns the
+    /// Attempts the LUT fast path on the shot's `defects`: resolves every
+    /// lone defect and isolated pair from the table. Returns the
     /// complete matching on a hit; on a miss (or an empty shot, which has
     /// its own cheaper fast path) the caller escalates.
     fn try_predecode(&mut self, defects: &[VertexIndex]) -> Option<PerfectMatching> {
@@ -497,6 +497,7 @@ mod tests {
     use super::*;
     use mb_blossom::exact::minimum_matching_weight;
     use mb_graph::codes::{CodeCapacityRotatedCode, PhenomenologicalCode};
+    use mb_graph::dijkstra::distance_between;
     use mb_graph::syndrome::ErrorSampler;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -898,7 +899,14 @@ mod tests {
                     let mut defects = shot.syndrome.defects.clone();
                     defects.sort_unstable();
                     defects.dedup();
-                    if with.predecoder.as_mut().unwrap().clusters(&defects).len() == 1 {
+                    // one cluster: a lone defect, or two linked ones
+                    let link_radius = with.predecoder.as_ref().unwrap().link_radius();
+                    let single_cluster = match defects[..] {
+                        [_] => true,
+                        [a, b] => distance_between(&graph, a, b).is_some_and(|d| d <= link_radius),
+                        _ => false,
+                    };
+                    if single_cluster {
                         // the table entry is this very decode run on the
                         // cluster alone: equal pair for pair, in order
                         single_cluster_hits += 1;

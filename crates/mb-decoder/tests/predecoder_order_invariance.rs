@@ -1,11 +1,10 @@
 //! Ingestion-order invariance of the LUT fast path.
 //!
-//! The LUT pre-decoder decides fast-path eligibility from the *set* of
-//! defects (`predecoder::tests::classification_is_input_order_invariant`
-//! pins the classification itself), so a round-wise stream whose defects
-//! are shuffled within each round (round order itself is part of the
-//! protocol) must decode to the same observable as the natural order and
-//! the batch path.
+//! The LUT pre-decoder decides fast-path eligibility from the sorted *set*
+//! of defects (`PreDecoder::resolve_into` takes the sorted, deduplicated
+//! list), so a round-wise stream whose defects are shuffled within each
+//! round (round order itself is part of the protocol) must decode to the
+//! same observable as the natural order and the batch path.
 
 use mb_decoder::{BackendSpec, DecoderBackend, MicroBlossomDecoder, StreamDecoder};
 use mb_graph::codes::PhenomenologicalCode;
