@@ -24,39 +24,57 @@
 //! (a covered vertex or a boundary neighbour of one). So no cover, tight
 //! edge, tight degree, freeze or convergecast term of one cluster depends
 //! on another. Each cluster caches what its last pass derived: its covered
-//! vertices, its tight-edge count, its applied pre-matches and freezes,
-//! and its `(lowest conflict edge, growing, limit)` convergecast partial.
-//! An instruction marks dirty only the clusters it can change:
+//! vertices, the edges its convergecast folds, its tight edges, its applied
+//! pre-matches and freezes, and its `(lowest conflict edge, growing,
+//! limit)` convergecast partial.
 //!
-//! * `Grow`: clusters with a defect of nonzero effective speed;
-//! * `SetDirection` / `SetCover`: clusters holding a retargeted vertex;
-//! * `load Defects`: a new singleton cluster per new defect (opened by the
-//!   next pass), plus every cluster whose footprint holds a vertex of the
-//!   loaded layer (the only vertices whose `b_v` and §6.3 weights change);
-//! * [`MicroBlossomAccelerator::mark_cpu_owned`]: the vertex's cluster;
-//! * `Reset` and [`MicroBlossomAccelerator::restore_context`]: everything.
+//! An instruction dirties only the clusters it can change, at one of two
+//! levels. Covers are the pointwise maximum over defects of
+//! `(residual − distance, speed, Reverse(defect))`, and the propagation
+//! that derives them reads only defect rows, defect flags and fusion keys;
+//! so most instructions cannot move a cover:
 //!
-//! A `find Conflict` (or `Grow`) on dirty state re-derives only the dirty
-//! clusters, with the sweeps of one full pass restricted to them: one
-//! propagation from all their defects (a clean cluster their covers run
-//! into is pulled in and the propagation rerun), one sweep that finds the
-//! tight edges and merges dirty clusters whose footprints meet, the
-//! Pre-Match stage in ascending edge order, and one convergecast sweep
-//! that folds each cluster's partial. The response is the fold of every
+//! * **covers-dirty** (re-derived from the defects): a `Grow` that moves
+//!   one of the cluster's defects; a new defect (a singleton cluster, opened
+//!   by the next pass); a `load Defects` whose layer holds a vertex a
+//!   covered vertex can pay to enter (residual at least the edge's weight);
+//!   a `SetDirection` of a node whose defect tied on residual with another
+//!   at one of the cluster's vertices (speed only breaks such ties); `Reset`
+//!   and [`MicroBlossomAccelerator::restore_context`];
+//! * **edges-dirty** (covers kept): a `SetCover` (node ids), any other
+//!   `SetDirection` (speeds), [`MicroBlossomAccelerator::mark_cpu_owned`]
+//!   (Pre-Match eligibility), and a `load Defects` whose layer only borders
+//!   the covers. An edges-dirty cluster keeps its covers and footprint,
+//!   recomputes its tight edges from its cached fold list only when a
+//!   layer loaded next to it (dropping the layer's vertices from its
+//!   footprint: regular and uncovered now, they couple nothing), reruns
+//!   Pre-Match over its tight edges and refolds its partial from the list,
+//!   walking no adjacency.
+//!
+//! A `find Conflict` (or `Grow`) on dirty state first re-derives the
+//! covers-dirty clusters together: one propagation from all their defects,
+//! then one sweep that groups them by footprint and records each vertex's
+//! fold run and tight edges. Another cluster whose covers the propagation
+//! reaches is pulled in and the propagation rerun; one whose footprint it
+//! only borders joins the group as it is, its covers kept and only the
+//! runs of its vertices next to the new covers rebuilt. Then every dirty
+//! cluster runs the Pre-Match stage (in ascending edge order within the
+//! cluster) and folds its partial. The response is the fold of every
 //! cluster's partial: the global lowest conflict edge, or else `growing`
-//! and the minimum limit. Clusters only merge, until a reset.
+//! and the minimum limit. Clusters only merge, until a reset. A pass in
+//! which no cover moved does no work in proportion to the active set.
 //!
 //! The per-visit work is kept to what the hardware's wiring gives a PU for
-//! free. The incident edges and their far endpoints come from the graph's
-//! shared neighbour table ([`DecodingGraph::neighbors`]), never from the
-//! edge records. The Update stage only offers a cover to a vertex it will
-//! write back (never to a boundary or defect vertex), does not expand a
-//! vertex whose residual cannot pay its cheapest edge to a non-virtual
-//! neighbour, and drops a cover no better than the best already offered.
-//! Pre-matching and the convergecast fold each edge once, from an active
-//! endpoint with that endpoint's state read once per vertex, and the
-//! convergecast reduces the conflict, the vertex pass and the growth
-//! limit in a single sweep.
+//! free. Each vertex's incident edges, far endpoints and weights are one
+//! packed slice of the graph's ([`DecodingGraph::adjacency`]), never read
+//! from the edge records. The Update stage only offers a cover to a vertex
+//! it will write back (never to a boundary or defect vertex), does not
+//! expand a vertex whose residual cannot pay its cheapest edge to a
+//! non-virtual neighbour, and drops a cover no better than the best
+//! already offered. Pre-matching and the convergecast fold
+//! each edge once, from an active endpoint with that endpoint's state read
+//! once per vertex; a vertex's edges to empty regular vertices fold as one
+//! term, since only the cheapest can bound growth.
 //!
 //! The counters model the hardware, not the simulator's work: every pass
 //! charges `pus_touched` every cluster's share (its covered vertices and
@@ -101,7 +119,7 @@
 //!   O(|V| + |E|).
 
 use crate::instruction::{HwNodeId, Instruction};
-use mb_graph::{DecodingGraph, EdgeIndex, VertexIndex, Weight};
+use mb_graph::{DecodingGraph, EdgeIndex, Incidence, VertexIndex, Weight};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -189,27 +207,44 @@ impl BitSet {
     }
 }
 
-/// The active region: a compact index list paired with a membership bitset,
-/// cleared in O(active).
+/// Sentinel for "not a member" in [`ActiveSet::position`].
+const NOT_ACTIVE: u32 = u32::MAX;
+
+/// The active region: a compact index list paired with each member's
+/// position in it, so a member leaves in O(1) and the set clears in
+/// O(active).
 #[derive(Debug, Clone, Default)]
 struct ActiveSet {
     items: Vec<VertexIndex>,
-    member: BitSet,
+    position: Vec<u32>,
 }
 
 impl ActiveSet {
-    fn new(bits: usize) -> Self {
+    fn new(vertices: usize) -> Self {
         Self {
             items: Vec::new(),
-            member: BitSet::new(bits),
+            position: vec![NOT_ACTIVE; vertices],
         }
     }
 
     #[inline]
     fn insert(&mut self, v: VertexIndex) {
-        if !self.member.get(v) {
-            self.member.set(v);
+        if self.position[v] == NOT_ACTIVE {
+            self.position[v] = self.items.len() as u32;
             self.items.push(v);
+        }
+    }
+
+    #[inline]
+    fn remove(&mut self, v: VertexIndex) {
+        let at = self.position[v];
+        if at != NOT_ACTIVE {
+            self.position[v] = NOT_ACTIVE;
+            let last = self.items.pop().expect("a member is listed");
+            if last != v {
+                self.items[at as usize] = last;
+                self.position[last] = at;
+            }
         }
     }
 
@@ -223,7 +258,7 @@ impl ActiveSet {
 
     fn clear(&mut self) {
         for v in self.items.drain(..) {
-            self.member.unset(v);
+            self.position[v] = NOT_ACTIVE;
         }
     }
 }
@@ -393,15 +428,129 @@ impl Fusion {
     }
 }
 
+/// An edge a cluster's convergecast folds: its adjacency entry at `from`,
+/// the endpoint it is folded from. An entry whose edge is [`EMPTY_NEIGHBOURS`]
+/// stands instead for all of `from`'s edges to empty regular vertices, with
+/// the least of their weights: only the cheapest can bound growth.
+#[derive(Debug, Clone, Copy)]
+struct FoldEdge {
+    from: u32,
+    adj: Incidence,
+}
+
+/// The edge of a [`FoldEdge`] that stands for its vertex's edges to empty
+/// regular vertices.
+const EMPTY_NEIGHBOURS: EdgeIndex = u32::MAX as EdgeIndex;
+
+impl FoldEdge {
+    /// The term for `from`'s edges to empty regular vertices, the cheapest
+    /// of weight `weight`.
+    fn empty_neighbours(from: VertexIndex, weight: Weight) -> Self {
+        Self {
+            from: from as u32,
+            adj: Incidence::new(from, EMPTY_NEIGHBOURS, weight),
+        }
+    }
+
+    /// Whether this is a real edge, not the empty-neighbour term.
+    #[inline]
+    fn is_edge(self) -> bool {
+        self.adj.edge() != EMPTY_NEIGHBOURS
+    }
+}
+
+/// How the convergecast folds the edge from active `v` to `f`: `Some(true)`
+/// as an edge (to a boundary, or to an active vertex above `v`; one below
+/// folds it), `Some(false)` into `v`'s empty-neighbour term, `None` not
+/// from `v`.
+#[inline]
+fn fold_kind(vs: &VertexSoa, fusion: Fusion, v: VertexIndex, f: VertexIndex) -> Option<bool> {
+    if fusion.is_boundary(vs.fusion_key[f]) {
+        Some(true)
+    } else if vs.covered(f) {
+        (f > v).then_some(true)
+    } else {
+        Some(false)
+    }
+}
+
+/// Appends to `fold` the run of active vertex `v`: its edges as
+/// [`fold_kind`] sorts them, the empty-neighbour term last.
+fn push_run(
+    graph: &DecodingGraph,
+    vs: &VertexSoa,
+    fusion: Fusion,
+    v: VertexIndex,
+    fold: &mut Vec<FoldEdge>,
+) {
+    let mut empty = Weight::MAX;
+    for &adj in graph.adjacency(v) {
+        match fold_kind(vs, fusion, v, adj.to()) {
+            Some(true) => fold.push(FoldEdge {
+                from: v as u32,
+                adj,
+            }),
+            Some(false) => empty = empty.min(adj.weight()),
+            None => {}
+        }
+    }
+    if empty != Weight::MAX {
+        fold.push(FoldEdge::empty_neighbours(v, empty));
+    }
+}
+
+/// Adds to `cluster`'s tight edges those among its fold list from index
+/// `from` on, keeping the list ascending.
+fn tighten(vs: &VertexSoa, fusion: Fusion, cluster: &mut Cluster, from: usize) {
+    for run in cluster.fold[from..].chunk_by(|a, b| a.from == b.from) {
+        let v = run[0].from as VertexIndex;
+        let x = vs.active_pu(v);
+        for &FoldEdge { adj, .. } in run.iter().filter(|fe| fe.is_edge()) {
+            if is_tight(vs, fusion, adj.weight(), x, adj.to()) {
+                cluster.tight.push(TightEdge::new(adj.edge(), v, adj.to()));
+            }
+        }
+    }
+    cluster.tight.sort_unstable();
+}
+
+/// A tight edge with its endpoints, as the Pre-Match stage reads it (the
+/// first the endpoint it is folded from); ordered by edge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct TightEdge {
+    edge: u32,
+    ends: [u32; 2],
+}
+
+impl TightEdge {
+    fn new(edge: EdgeIndex, a: VertexIndex, b: VertexIndex) -> Self {
+        Self {
+            edge: edge as u32,
+            ends: [a as u32, b as u32],
+        }
+    }
+
+    #[inline]
+    fn edge(self) -> EdgeIndex {
+        self.edge as EdgeIndex
+    }
+
+    #[inline]
+    fn ends(self) -> (VertexIndex, VertexIndex) {
+        (self.ends[0] as VertexIndex, self.ends[1] as VertexIndex)
+    }
+}
+
 /// Epoch-stamped scratch buffers of the Update and Pre-Match stages.
 /// Allocated once at construction; invalidated per pass by bumping `epoch`,
-/// so neither stabilization nor reset ever sweeps them.
+/// so neither stabilization nor reset ever sweeps them (but for one sweep
+/// when the `u32` epoch wraps).
 #[derive(Debug, Clone)]
 struct Scratch {
-    epoch: u64,
+    epoch: u32,
     /// Per-vertex best cover offered so far (valid iff
     /// `best_epoch[v] == epoch`).
-    best_epoch: Vec<u64>,
+    best_epoch: Vec<u32>,
     best_residual: Vec<Weight>,
     best_speed: Vec<i8>,
     best_touch: Vec<u32>,
@@ -409,15 +558,19 @@ struct Scratch {
     touched: Vec<VertexIndex>,
     /// The propagation frontier.
     heap: BinaryHeap<(Weight, i8, Reverse<VertexIndex>, VertexIndex)>,
+    /// `(vertex, residual, touches)` wherever this propagation offered a
+    /// vertex a cover of the same residual as its best but from another
+    /// touch: only there can a speed change move a cover.
+    ties: Vec<(u32, Weight, [u32; 2])>,
     /// Per-edge tightness `t_e` (tight iff `tight_epoch[e] == epoch`).
-    tight_epoch: Vec<u64>,
-    /// Tight edges of this pass, ascending.
-    tight_list: Vec<EdgeIndex>,
+    tight_epoch: Vec<u32>,
+    /// Tight edges of this pass, ascending within each cluster.
+    tight_list: Vec<TightEdge>,
     /// Per-vertex tight-edge degree (valid iff `tdeg_epoch[v] == epoch`).
-    tdeg_epoch: Vec<u64>,
+    tdeg_epoch: Vec<u32>,
     tdeg: Vec<u32>,
     /// Edges whose `m_e` condition held this pass.
-    candidates: Vec<EdgeIndex>,
+    candidates: Vec<TightEdge>,
 }
 
 impl Scratch {
@@ -430,6 +583,7 @@ impl Scratch {
             best_touch: vec![NO_TOUCH; vertices],
             touched: Vec::new(),
             heap: BinaryHeap::new(),
+            ties: Vec::new(),
             tight_epoch: vec![0; edges],
             tight_list: Vec::new(),
             tdeg_epoch: vec![0; vertices],
@@ -438,10 +592,27 @@ impl Scratch {
         }
     }
 
+    /// Starts a new epoch, invalidating every stamp; on wraparound the
+    /// stamp tables are zeroed once.
+    fn next_epoch(&mut self) -> u32 {
+        if self.epoch == u32::MAX {
+            for stamps in [
+                &mut self.best_epoch,
+                &mut self.tight_epoch,
+                &mut self.tdeg_epoch,
+            ] {
+                stamps.iter_mut().for_each(|s| *s = 0);
+            }
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.epoch
+    }
+
     /// Offers `v` the cover `(residual, speed, touch)`: recorded and queued
     /// for expansion if it beats the best cover `v` was offered so far,
     /// dropped otherwise — a cover no better than the best can never be
-    /// written back.
+    /// written back. A residual tie with another touch is noted in `ties`.
     #[inline]
     fn offer(&mut self, v: VertexIndex, residual: Weight, speed: i8, touch: VertexIndex) {
         if self.best_epoch[v] == self.epoch {
@@ -450,6 +621,10 @@ impl Scratch {
                 self.best_speed[v],
                 Reverse(self.best_touch[v] as VertexIndex),
             );
+            if residual == best.0 && touch as u32 != self.best_touch[v] {
+                let pair = [self.best_touch[v], touch as u32];
+                self.ties.push((v as u32, residual, pair));
+            }
             if (residual, speed, Reverse(touch)) <= best {
                 return;
             }
@@ -489,18 +664,22 @@ impl Scratch {
 /// dropped before it reaches the frontier. Between two loaded, non-virtual
 /// endpoints an edge always has its original weight, so the expansion
 /// reads no fusion state but the keys.
+///
+/// The result is therefore, at every vertex, the maximum over defects of
+/// `(residual − distance, speed, Reverse(defect))`: speed only breaks
+/// residual ties between touches, which `scratch.ties` records.
 fn propagate(
     graph: &DecodingGraph,
     vs: &VertexSoa,
-    e_original_weight: &[Weight],
     min_regular_weight: &[Weight],
     fusion: Fusion,
     scratch: &mut Scratch,
     defects: impl IntoIterator<Item = VertexIndex>,
 ) {
-    scratch.epoch += 1;
+    scratch.next_epoch();
     scratch.touched.clear();
     scratch.heap.clear();
+    scratch.ties.clear();
     for d in defects {
         scratch.offer(d, vs.residual[d], vs.speed[d], d);
     }
@@ -512,14 +691,14 @@ fn propagate(
         if residual < min_regular_weight[vertex] {
             continue;
         }
-        let edges = graph.incident_edges(vertex);
-        for (&e, &next) in edges.iter().zip(graph.neighbors(vertex)) {
+        for adj in graph.adjacency(vertex) {
+            let next = adj.to();
             // boundary vertices do not store covers and defect vertices
             // keep their own circle
             if fusion.is_boundary(vs.fusion_key[next]) || vs.defect.get(next) {
                 continue;
             }
-            let next_residual = residual - e_original_weight[e];
+            let next_residual = residual - adj.weight();
             if next_residual >= 0 {
                 scratch.offer(next, next_residual, speed, touch);
             }
@@ -528,25 +707,27 @@ fn propagate(
 }
 
 /// The Pre-Match stage over the tight edges in `scratch.tight_list`
-/// (ascending, stamped with the current epoch): tight degrees, Equations
-/// 1–3 in ascending edge order, then the freezes. If two pre-matches would
-/// claim the same defect only the first is kept (the hardware convergecast
-/// picks one arbitrarily). Applied edges are appended to `prematch`, newly
-/// frozen vertices to `frozen`.
+/// (stamped with the current epoch, ascending within each interaction
+/// cluster): tight degrees, Equations 1–3 in list order, then the freezes.
+/// If two pre-matches would claim the same defect only the first is kept
+/// (the hardware convergecast picks one arbitrarily); two such pre-matches
+/// share a cluster, so the order within a cluster is all that decides.
+/// Each applied edge goes to `apply`, with an endpoint that is no
+/// boundary; newly frozen vertices are appended to `frozen`.
 fn prematch_tight(
     graph: &DecodingGraph,
     vs: &mut VertexSoa,
     fusion: Fusion,
     scratch: &mut Scratch,
     e_prematch: &mut BitSet,
-    prematch: &mut Vec<EdgeIndex>,
     frozen: &mut Vec<VertexIndex>,
+    mut apply: impl FnMut(EdgeIndex, VertexIndex),
 ) {
     let epoch = scratch.epoch;
     // tight degrees (every tight edge is in tight_list, so the counts are
     // exact for any vertex incident to one)
-    for &e in &scratch.tight_list {
-        let (u, v) = graph.edge(e).vertices;
+    for t in &scratch.tight_list {
+        let (u, v) = t.ends();
         for x in [u, v] {
             if scratch.tdeg_epoch[x] != epoch {
                 scratch.tdeg_epoch[x] = epoch;
@@ -561,8 +742,8 @@ fn prematch_tight(
     let boundary = |x: VertexIndex| fusion.is_boundary(vs.fusion_key[x]);
     let mut candidates = std::mem::take(&mut scratch.candidates);
     candidates.clear();
-    for &e in &scratch.tight_list {
-        let (a, b) = graph.edge(e).vertices;
+    for &t in &scratch.tight_list {
+        let (e, (a, b)) = (t.edge(), t.ends());
         let eligible_defect =
             |x: VertexIndex| vs.defect.get(x) && vs.speed[x] > 0 && !vs.cpu_owned.get(x);
         let m = if !boundary(a) && !boundary(b) {
@@ -572,36 +753,35 @@ fn prematch_tight(
             // one side is a boundary (virtual or unloaded)
             let (bound, defect) = if boundary(a) { (a, b) } else { (b, a) };
             let mut around = graph
-                .incident_edges(defect)
+                .adjacency(defect)
                 .iter()
-                .zip(graph.neighbors(defect));
+                .map(|adj| (adj.edge(), adj.to()));
             if boundary(defect) || !eligible_defect(defect) {
                 false
             } else if vs.fusion_key[bound] == VIRTUAL_KEY {
                 // Equation 2: true boundary edge
-                around.all(|(&e2, &other)| {
-                    e2 == e || !tight(e2) || (!vs.defect.get(other) && q(other))
-                })
+                around
+                    .all(|(e2, other)| e2 == e || !tight(e2) || (!vs.defect.get(other) && q(other)))
             } else {
                 // Equation 3: fusion-boundary edge; every tight edge around
                 // the defect must be volatile (to an unloaded vertex)
-                around.all(|(&e2, &other)| !tight(e2) || fusion.is_unloaded(vs.fusion_key[other]))
+                around.all(|(e2, other)| !tight(e2) || fusion.is_unloaded(vs.fusion_key[other]))
             }
         };
         if m {
-            candidates.push(e);
+            candidates.push(t);
         }
     }
     // apply freezes
-    for &e in &candidates {
-        let (a, b) = graph.edge(e).vertices;
+    for &t in &candidates {
+        let (e, (a, b)) = (t.edge(), t.ends());
         let key = &vs.fusion_key;
         let (ba, bb) = (fusion.is_boundary(key[a]), fusion.is_boundary(key[b]));
         if (!ba && vs.frozen.get(a)) || (!bb && vs.frozen.get(b)) {
             continue;
         }
         e_prematch.set(e);
-        prematch.push(e);
+        apply(e, if ba { b } else { a });
         for (x, bx) in [(a, ba), (b, bb)] {
             if !bx && !vs.frozen.get(x) {
                 vs.frozen.set(x);
@@ -618,24 +798,6 @@ fn prematch_tight(
 #[inline]
 fn is_active(vs: &VertexSoa, fusion: Fusion, v: VertexIndex) -> bool {
     vs.covered(v) && !fusion.is_boundary(vs.fusion_key[v])
-}
-
-/// The edges the sparse sweeps fold from active vertex `v`, with their far
-/// endpoints: an edge between two active vertices is folded once, from the
-/// lower-indexed one.
-#[inline]
-fn edges_from<'a>(
-    graph: &'a DecodingGraph,
-    vs: &'a VertexSoa,
-    fusion: Fusion,
-    v: VertexIndex,
-) -> impl Iterator<Item = (EdgeIndex, VertexIndex)> + 'a {
-    graph
-        .incident_edges(v)
-        .iter()
-        .zip(graph.neighbors(v))
-        .map(|(&e, &u)| (e, u))
-        .filter(move |&(_, u)| u > v || !is_active(vs, fusion, u))
 }
 
 /// The active endpoint of edge `e` to fold it from, and the far endpoint;
@@ -705,6 +867,21 @@ impl Default for Convergecast {
     }
 }
 
+/// How much of a cluster's cached derivation the instructions since its
+/// last pass can have changed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+enum Dirt {
+    /// Nothing: its cache is current.
+    #[default]
+    Clean,
+    /// Not its covers, but node ids, speeds, CPU-owned flags or loaded
+    /// layers that its Pre-Match and convergecast read: the next pass
+    /// reruns those from its cached edge lists.
+    Edges,
+    /// Its covers: the next pass re-derives it from its defects.
+    Covers,
+}
+
 /// One interaction cluster of loaded defects on the sparse path, and what
 /// its last Update/Pre-Match pass derived — cached until an instruction
 /// disturbs the cluster.
@@ -715,18 +892,32 @@ struct Cluster {
     /// Its covered vertices, defects included: its share of the active set.
     covered: Vec<VertexIndex>,
     /// The boundary neighbours of its covered vertices; it owns both in
-    /// [`Clusters::owner`] while it is clean.
+    /// [`Clusters::owner`] unless its covers are dirty.
     halo: Vec<VertexIndex>,
-    /// How many tight edges its pass found (its share of `pus_touched`).
-    tight: u64,
+    /// The edges its convergecast folds, in runs by the covered vertex
+    /// each is folded from: each edge from a covered vertex to a boundary,
+    /// each edge between two covered vertices once, from the lower-indexed,
+    /// and per vertex one term for its edges to empty regular vertices.
+    /// Fixed while its covers and their neighbours' are.
+    fold: Vec<FoldEdge>,
+    /// Its tight edges, ascending; their count is its share of
+    /// `pus_touched`. Each is in `fold`; the list is kept while its covers
+    /// and the loaded layers next to them are.
+    tight: Vec<TightEdge>,
     /// Its applied pre-match edges, ascending.
     prematch: Vec<EdgeIndex>,
     /// Its pre-match freezes.
     frozen: Vec<VertexIndex>,
     /// Its convergecast partial.
     partial: Convergecast,
-    /// Queued for recomputation.
-    dirty: bool,
+    /// The pairs of touches its last propagation offered one of its
+    /// vertices covers of equal, deepest residual from. Only a speed
+    /// change of a node one of them stores can move a cover.
+    ties: Vec<[u32; 2]>,
+    /// `tight` is to be recomputed from `fold`.
+    retighten: bool,
+    /// What the next pass must re-derive.
+    dirt: Dirt,
 }
 
 /// The interaction clusters of the loaded defects.
@@ -734,11 +925,11 @@ struct Cluster {
 /// Two clusters never share a *footprint* vertex — a covered vertex or a
 /// boundary neighbour of one — so no cover, tight edge, tight degree,
 /// freeze or convergecast term of one depends on another, and each
-/// cluster's sweeps can be re-derived alone. The dirty clusters are
+/// cluster's sweeps can be re-derived alone. The covers-dirty clusters are
 /// re-derived together: one propagation from all their defects (covers
 /// are a pointwise maximum over defects, so it gives each its own), then
-/// the dirty clusters whose footprints meet are merged. Clusters only ever
-/// merge, until a reset.
+/// the ones whose footprints meet are merged. Clusters only ever merge,
+/// until a reset.
 #[derive(Debug, Clone)]
 struct Clusters {
     slots: Vec<Cluster>,
@@ -746,22 +937,31 @@ struct Clusters {
     live: Vec<u32>,
     /// Ids of reusable slots.
     free: Vec<u32>,
-    /// Ids of the dirty clusters, each once.
+    /// Ids of the covers-dirty clusters, each once; while a pass refolds,
+    /// every cluster it refolds.
     dirty: Vec<u32>,
-    /// Per vertex: the cluster whose footprint holds it — a clean one, or
-    /// a dirty one while the dirty clusters are grouped — or
+    /// Ids of the clusters marked edges-dirty, each once. An id whose
+    /// cluster was promoted to covers-dirty or merged away since is
+    /// skipped.
+    edges_dirty: Vec<u32>,
+    /// Per vertex: the cluster whose footprint holds it — one whose covers
+    /// are not dirty, or a covers-dirty one while those are grouped — or
     /// [`NO_CLUSTER`].
     owner: Vec<u32>,
     /// Per defect vertex: its cluster.
     home: Vec<u32>,
-    /// Per slot: union-find parent while dirty clusters are grouped.
+    /// Per slot: union-find parent while covers-dirty clusters are grouped.
     parent: Vec<u32>,
-    /// Boundary vertices claimed for dirty clusters while they are grouped.
+    /// Boundary vertices claimed for covers-dirty clusters while they are
+    /// grouped.
     pending: Vec<VertexIndex>,
-    /// Per tight edge the grouping found: the cluster it was found from.
-    tight_home: Vec<u32>,
-    /// The clean clusters a grouping ran into (scratch).
+    /// The other clusters whose covers the propagation reached (scratch).
     met: Vec<u32>,
+    /// The other clusters whose footprints a grouping ran into without
+    /// the propagation reaching their covers (scratch).
+    joined: Vec<u32>,
+    /// Their covered vertices next to the propagation's (scratch).
+    border: Vec<VertexIndex>,
     /// How many of the loaded defects, in load order, have a cluster.
     opened: usize,
 }
@@ -773,18 +973,20 @@ impl Clusters {
             live: Vec::new(),
             free: Vec::new(),
             dirty: Vec::new(),
+            edges_dirty: Vec::new(),
             owner: vec![NO_CLUSTER; vertices],
             home: vec![NO_CLUSTER; vertices],
             parent: Vec::new(),
             pending: Vec::new(),
-            tight_home: Vec::new(),
             met: Vec::new(),
+            joined: Vec::new(),
+            border: Vec::new(),
             opened: 0,
         }
     }
 
-    /// Opens a dirty singleton cluster for each defect of `defects` (the
-    /// loaded defects, in load order) that has none yet.
+    /// Opens a covers-dirty singleton cluster for each defect of `defects`
+    /// (the loaded defects, in load order) that has none yet.
     fn open_new(&mut self, defects: &[VertexIndex]) {
         for &defect in &defects[self.opened..] {
             let id = self.free.pop().unwrap_or_else(|| {
@@ -794,7 +996,7 @@ impl Clusters {
             });
             let cluster = &mut self.slots[id as usize];
             cluster.defects.push(defect);
-            cluster.dirty = true;
+            cluster.dirt = Dirt::Covers;
             self.home[defect] = id;
             self.live.push(id);
             self.dirty.push(id);
@@ -814,62 +1016,68 @@ impl Clusters {
         cluster.halo.clear();
     }
 
-    /// Queues cluster `id` for recomputation.
-    fn mark_dirty(&mut self, id: u32) {
-        if !self.slots[id as usize].dirty {
-            self.slots[id as usize].dirty = true;
+    /// Queues cluster `id` for re-derivation from its defects.
+    fn mark_covers(&mut self, id: u32) {
+        let cluster = &mut self.slots[id as usize];
+        if cluster.dirt != Dirt::Covers {
+            cluster.dirt = Dirt::Covers;
             self.release(id);
             self.dirty.push(id);
         }
     }
 
-    /// Queues the clean cluster whose footprint holds `v`, if any (a dirty
-    /// one is queued already).
-    fn mark_dirty_at(&mut self, v: VertexIndex) {
-        let id = self.owner[v];
-        if id != NO_CLUSTER {
-            self.mark_dirty(id);
+    /// Queues cluster `id` for a Pre-Match and convergecast rerun.
+    fn mark_edges(&mut self, id: u32) {
+        let cluster = &mut self.slots[id as usize];
+        if cluster.dirt == Dirt::Clean {
+            cluster.dirt = Dirt::Edges;
+            self.edges_dirty.push(id);
         }
     }
 
-    /// Queues every clean cluster whose footprint holds a vertex `hit`
-    /// selects.
-    fn mark_dirty_where(&mut self, hit: impl Fn(VertexIndex) -> bool) {
-        for i in 0..self.live.len() {
-            let id = self.live[i];
-            let cluster = &self.slots[id as usize];
-            if !cluster.dirty && cluster.covered.iter().chain(&cluster.halo).any(|&v| hit(v)) {
-                self.mark_dirty(id);
-            }
+    /// The cluster whose footprint holds `v`, if its covers are not dirty
+    /// (a covers-dirty one is queued already).
+    fn at(&self, v: VertexIndex) -> Option<u32> {
+        Some(self.owner[v]).filter(|&id| id != NO_CLUSTER)
+    }
+
+    /// Queues the cluster at `v` for re-derivation from its defects.
+    fn mark_covers_at(&mut self, v: VertexIndex) {
+        if let Some(id) = self.at(v) {
+            self.mark_covers(id);
+        }
+    }
+
+    /// Queues the cluster at `v` for a Pre-Match and convergecast rerun.
+    fn mark_edges_at(&mut self, v: VertexIndex) {
+        if let Some(id) = self.at(v) {
+            self.mark_edges(id);
+        }
+    }
+
+    /// Queues cluster `id`, where a node changed speed. A speed only
+    /// breaks residual ties, so its covers can move only if `moves` holds
+    /// for one of its tied pairs of touches.
+    fn mark_speed(&mut self, id: u32, moves: impl Fn([u32; 2]) -> bool) {
+        if self.slots[id as usize].ties.iter().any(|&pair| moves(pair)) {
+            self.mark_covers(id);
+        } else {
+            self.mark_edges(id);
         }
     }
 
     /// Merges each group [`MicroBlossomAccelerator::sweep_dirty`] formed
-    /// into its root cluster and hands the roots their covered vertices
-    /// (`touched`), footprints and tight-edge counts. Afterwards `dirty`
-    /// lists the roots.
-    fn merge_groups(
-        &mut self,
-        touched: &[VertexIndex],
-        touch_of: impl Fn(VertexIndex) -> VertexIndex,
-    ) {
+    /// into its root cluster, with what its members hold (the edge lists
+    /// the sweep gave them, and a joined member's covers and footprint),
+    /// and hands the roots the covered vertices, footprints and ties the
+    /// propagation found. Afterwards `dirty` lists the roots.
+    fn merge_groups(&mut self, scratch: &Scratch) {
         for i in 0..self.dirty.len() {
             let id = self.dirty[i];
             let root = find(&mut self.parent, id);
-            if root == id {
-                continue;
+            if root != id {
+                self.absorb(root, id);
             }
-            let mut moved = std::mem::take(&mut self.slots[id as usize].defects);
-            for &d in &moved {
-                self.home[d] = root;
-            }
-            self.slots[root as usize].defects.extend_from_slice(&moved);
-            moved.clear();
-            let retired = &mut self.slots[id as usize];
-            retired.defects = moved;
-            retired.dirty = false;
-            self.live.retain(|&c| c != id);
-            self.free.push(id);
         }
         let Self {
             slots,
@@ -878,12 +1086,16 @@ impl Clusters {
             home,
             parent,
             pending,
-            tight_home,
             ..
         } = self;
         dirty.retain(|&id| parent[id as usize] == id);
-        for &v in touched {
-            let root = home[touch_of(v)];
+        for &id in dirty.iter() {
+            slots[id as usize].tight.sort_unstable();
+        }
+        // every defect's home is its root now
+        let root_of = |v: usize| home[scratch.best_touch[v] as usize];
+        for &v in &scratch.touched {
+            let root = root_of(v);
             slots[root as usize].covered.push(v);
             owner[v] = root;
         }
@@ -892,13 +1104,56 @@ impl Clusters {
             slots[root as usize].halo.push(f);
             owner[f] = root;
         }
-        for &found_from in tight_home.iter() {
-            let root = find(parent, found_from);
-            slots[root as usize].tight += 1;
+        for &(v, residual, pair) in &scratch.ties {
+            if scratch.best_residual[v as usize] == residual {
+                let ties = &mut slots[root_of(v as usize) as usize].ties;
+                if !ties.contains(&pair) {
+                    ties.push(pair);
+                }
+            }
         }
     }
 
-    /// Drops every cluster (the owner table ends empty).
+    /// Moves everything cluster `id` holds into cluster `root` and frees
+    /// `id` (its lists keep their capacity).
+    fn absorb(&mut self, root: u32, id: u32) {
+        let (root, id) = (root as usize, id as usize);
+        let (into, from) = if root < id {
+            let (low, high) = self.slots.split_at_mut(id);
+            (&mut low[root], &mut high[0])
+        } else {
+            let (low, high) = self.slots.split_at_mut(root);
+            (&mut high[0], &mut low[id])
+        };
+        for &d in &from.defects {
+            self.home[d] = root as u32;
+        }
+        for &v in from.covered.iter().chain(&from.halo) {
+            self.owner[v] = root as u32;
+        }
+        into.defects.append(&mut from.defects);
+        into.covered.append(&mut from.covered);
+        into.halo.append(&mut from.halo);
+        into.fold.append(&mut from.fold);
+        into.tight.append(&mut from.tight);
+        into.ties.append(&mut from.ties);
+        into.retighten |= std::mem::take(&mut from.retighten);
+        from.dirt = Dirt::Clean;
+        self.live.retain(|&c| c != id as u32);
+        self.free.push(id as u32);
+    }
+
+    /// How many tight edges the clusters hold.
+    fn tight_count(&self) -> u64 {
+        self.live
+            .iter()
+            .map(|&id| self.slots[id as usize].tight.len() as u64)
+            .sum()
+    }
+
+    /// Drops every cluster (the owner table ends empty). The free slots are
+    /// then handed out lowest id first, so a shot draws the same slots, and
+    /// the capacity they warmed, whatever ran before it.
     fn clear(&mut self) {
         for i in 0..self.live.len() {
             let id = self.live[i];
@@ -906,14 +1161,18 @@ impl Clusters {
             let cluster = &mut self.slots[id as usize];
             cluster.defects.clear();
             cluster.covered.clear();
+            cluster.fold.clear();
+            cluster.tight.clear();
             cluster.prematch.clear();
             cluster.frozen.clear();
-            cluster.tight = 0;
-            cluster.dirty = false;
-            self.free.push(id);
+            cluster.ties.clear();
+            cluster.dirt = Dirt::Clean;
         }
+        self.free.clear();
+        self.free.extend((0..self.slots.len() as u32).rev());
         self.live.clear();
         self.dirty.clear();
+        self.edges_dirty.clear();
         self.opened = 0;
     }
 }
@@ -928,10 +1187,17 @@ fn find(parent: &mut [u32], mut id: u32) -> u32 {
     id
 }
 
-/// Unites the groups of clusters `a` and `b` (the lower root survives).
-fn union(parent: &mut [u32], a: u32, b: u32) {
+/// Unites the groups of clusters `a` and `b`. The root holding the longer
+/// fold list survives, so a large joined cluster is not copied into a
+/// small one.
+fn union(parent: &mut [u32], slots: &[Cluster], a: u32, b: u32) {
     let (a, b) = (find(parent, a), find(parent, b));
-    parent[a.max(b) as usize] = a.min(b);
+    let size = |id: u32| slots[id as usize].fold.len();
+    if size(a) >= size(b) {
+        parent[b as usize] = a;
+    } else {
+        parent[a as usize] = b;
+    }
 }
 
 /// Snapshot view of one vertex PU's state (Table 2, compact), assembled
@@ -1084,9 +1350,6 @@ pub struct MicroBlossomAccelerator {
     config: AcceleratorConfig,
     /// Vertex PU state, struct-of-arrays.
     vs: VertexSoa,
-    /// Edge PU weights from the decoding graph (current weights are derived;
-    /// see [`Fusion::weight`]).
-    e_original_weight: Vec<Weight>,
     /// Per vertex: the minimum weight of an edge to a non-virtual neighbour
     /// (`Weight::MAX` if none). A cover whose residual is below it reaches
     /// no vertex the Update stage writes back, so it is not expanded.
@@ -1118,6 +1381,9 @@ pub struct MicroBlossomAccelerator {
     pub stats: AcceleratorStats,
     /// Reusable sweep scratch.
     scratch: Scratch,
+    /// Propagations the sparse path ran.
+    #[cfg(test)]
+    propagations: u64,
     /// Every state-changing call, when enabled, so a unit test can replay
     /// a driver's run op by op on other accelerators.
     #[cfg(test)]
@@ -1128,7 +1394,6 @@ impl MicroBlossomAccelerator {
     /// Builds an accelerator for `graph`.
     pub fn new(graph: Arc<DecodingGraph>, config: AcceleratorConfig) -> Self {
         let vs = VertexSoa::new(&graph);
-        let e_original_weight: Vec<Weight> = graph.edges().iter().map(|e| e.weight).collect();
         let edge_count = graph.edge_count();
         let convergecast_cycles = ((graph.vertex_count() + edge_count).max(2) as f64)
             .log2()
@@ -1136,11 +1401,10 @@ impl MicroBlossomAccelerator {
         let min_regular_weight = (0..graph.vertex_count())
             .map(|v| {
                 graph
-                    .incident_edges(v)
+                    .adjacency(v)
                     .iter()
-                    .zip(graph.neighbors(v))
-                    .filter(|&(_, &u)| !graph.is_virtual(u))
-                    .map(|(&e, _)| e_original_weight[e])
+                    .filter(|adj| !graph.is_virtual(adj.to()))
+                    .map(|adj| adj.weight())
                     .min()
                     .unwrap_or(Weight::MAX)
             })
@@ -1158,7 +1422,6 @@ impl MicroBlossomAccelerator {
             graph,
             config,
             vs,
-            e_original_weight,
             min_regular_weight,
             e_prematch: BitSet::new(edge_count),
             fusion,
@@ -1173,6 +1436,8 @@ impl MicroBlossomAccelerator {
             convergecast_cycles,
             stats: AcceleratorStats::default(),
             scratch,
+            #[cfg(test)]
+            propagations: 0,
             #[cfg(test)]
             log: None,
         }
@@ -1212,13 +1477,12 @@ impl MicroBlossomAccelerator {
 
     /// Snapshot of an edge PU.
     pub fn edge_pu(&self, e: EdgeIndex) -> EdgePu {
-        let (a, b) = self.graph.edge(e).vertices;
+        let edge = self.graph.edge(e);
+        let (a, b) = edge.vertices;
         let key = &self.vs.fusion_key;
         EdgePu {
-            weight: self
-                .fusion
-                .weight(self.e_original_weight[e], key[a], key[b]),
-            original_weight: self.e_original_weight[e],
+            weight: self.fusion.weight(edge.weight, key[a], key[b]),
+            original_weight: edge.weight,
             prematch: self.e_prematch.get(e),
         }
     }
@@ -1287,8 +1551,9 @@ impl MicroBlossomAccelerator {
         if !self.vs.cpu_owned.get(vertex) {
             self.vs.cpu_owned.set(vertex);
             self.cpu_owned_list.push(vertex);
+            // Pre-Match eligibility is all the flag changes
+            self.clusters.mark_edges_at(vertex);
         }
-        self.clusters.mark_dirty_at(vertex);
         self.dirty = true;
     }
 
@@ -1333,10 +1598,21 @@ impl MicroBlossomAccelerator {
                         clusters,
                         ..
                     } = self;
+                    let mut marked = None;
                     for &v in active.as_slice() {
-                        if vs.node[v] == node {
-                            vs.speed[v] = value;
-                            clusters.mark_dirty_at(v);
+                        if vs.node[v] != node || vs.speed[v] == value {
+                            continue;
+                        }
+                        vs.speed[v] = value;
+                        // a cover can move only where a touch of `node`
+                        // tied with another
+                        let at = clusters.at(v);
+                        if let Some(id) = at.filter(|_| at != marked) {
+                            let node_of = &vs.node;
+                            clusters.mark_speed(id, |pair| {
+                                pair.iter().any(|&t| node_of[t as usize] == node)
+                            });
+                            marked = at;
                         }
                     }
                 }
@@ -1365,8 +1641,9 @@ impl MicroBlossomAccelerator {
                         ..
                     } = self;
                     for &v in active.as_slice() {
+                        // node ids move no cover
                         if retarget(vs, v) {
-                            clusters.mark_dirty_at(v);
+                            clusters.mark_edges_at(v);
                         }
                     }
                 }
@@ -1401,7 +1678,7 @@ impl MicroBlossomAccelerator {
                     } = self;
                     for &v in defects.iter() {
                         if grow(vs, v) {
-                            clusters.mark_dirty_at(v);
+                            clusters.mark_covers_at(v);
                         }
                     }
                 }
@@ -1423,12 +1700,10 @@ impl MicroBlossomAccelerator {
                     "layer {layer} loaded before layer {}: layers load in order",
                     self.fusion.loaded
                 );
-                self.fusion.loaded = self.fusion.loaded.max(layer + 1);
-                // loading moves the boundary and the §6.3 weights only at
-                // the layer's own vertices, so only clusters whose
-                // footprint holds one of them can change
-                let Self { vs, clusters, .. } = self;
-                clusters.mark_dirty_where(|v| vs.fusion_key[v] == layer);
+                if layer == self.fusion.loaded {
+                    self.fusion.loaded = layer + 1;
+                    self.mark_layer_loaded(layer);
+                }
                 let layer = layer as usize;
                 for i in 0..self.staged_syndrome[layer].len() {
                     let d = self.staged_syndrome[layer][i];
@@ -1491,6 +1766,7 @@ impl MicroBlossomAccelerator {
         // light scratch state; the epoch-stamped tables invalidate themselves
         self.scratch.heap.clear();
         self.scratch.touched.clear();
+        self.scratch.ties.clear();
         self.scratch.tight_list.clear();
         self.scratch.candidates.clear();
         self.dirty = true;
@@ -1579,7 +1855,6 @@ impl MicroBlossomAccelerator {
         let Self {
             graph,
             vs,
-            e_original_weight,
             min_regular_weight,
             fusion,
             defects,
@@ -1599,7 +1874,6 @@ impl MicroBlossomAccelerator {
         propagate(
             graph,
             vs,
-            e_original_weight,
             min_regular_weight,
             fusion,
             scratch,
@@ -1639,7 +1913,6 @@ impl MicroBlossomAccelerator {
         let Self {
             graph,
             vs,
-            e_original_weight,
             e_prematch,
             fusion,
             scratch,
@@ -1649,15 +1922,15 @@ impl MicroBlossomAccelerator {
             ..
         } = self;
         let fusion = *fusion;
-        scratch.epoch += 1;
+        let epoch = scratch.next_epoch();
         scratch.tight_list.clear();
-        for (e, &original) in e_original_weight.iter().enumerate() {
+        for (e, edge) in graph.edges().iter().enumerate() {
             let Some((x, y)) = active_end(graph, vs, fusion, e) else {
                 continue;
             };
-            if is_tight(vs, fusion, original, vs.active_pu(x), y) {
-                scratch.tight_epoch[e] = scratch.epoch;
-                scratch.tight_list.push(e);
+            if is_tight(vs, fusion, edge.weight, vs.active_pu(x), y) {
+                scratch.tight_epoch[e] = epoch;
+                scratch.tight_list.push(TightEdge::new(e, x, y));
             }
         }
         stats.pus_touched += scratch.tight_list.len() as u64;
@@ -1667,64 +1940,59 @@ impl MicroBlossomAccelerator {
             fusion,
             scratch,
             e_prematch,
-            prematch_list,
             frozen_list,
+            |e, _| prematch_list.push(e),
         );
     }
 
-    /// The sparse Update/Pre-Match pass: re-derives the dirty clusters
-    /// alone, then rebuilds the active set and the pre-match and freeze
-    /// lists from every cluster. `pus_touched` is charged every cluster's
-    /// share, as the hardware's parallel stages wake every awake PU.
+    /// The sparse Update/Pre-Match pass. Covers-dirty clusters are
+    /// re-derived from their defects ([`Self::settle_covers`]); then every
+    /// dirty cluster reruns Pre-Match and refolds its convergecast partial
+    /// from its cached edge lists ([`Self::refold`]). The active set
+    /// changes only where covers were cleared or re-derived, so no step of
+    /// a pass in which none moved is O(active). `pus_touched` is charged
+    /// every cluster's share, as the hardware's parallel stages wake every
+    /// awake PU.
     fn stabilize_clusters(&mut self) {
         self.clusters.open_new(&self.defects);
-        let recomputed = !self.clusters.dirty.is_empty();
-        if recomputed {
-            self.settle_dirty();
+        if !self.clusters.dirty.is_empty() {
+            self.settle_covers();
+        }
+        let Clusters {
+            slots,
+            dirty,
+            edges_dirty,
+            ..
+        } = &mut self.clusters;
+        dirty.extend(
+            edges_dirty
+                .drain(..)
+                .filter(|&id| slots[id as usize].dirt == Dirt::Edges),
+        );
+        if !dirty.is_empty() {
+            self.refold();
         }
         let Self {
             active,
             clusters,
-            frozen_list,
-            prematch_list,
             stats,
             config,
             ..
         } = self;
-        if recomputed {
-            active.clear();
-            frozen_list.clear();
-            prematch_list.clear();
-            for &id in &clusters.live {
-                let cluster = &clusters.slots[id as usize];
-                for &v in &cluster.covered {
-                    active.insert(v);
-                }
-                frozen_list.extend_from_slice(&cluster.frozen);
-                prematch_list.extend_from_slice(&cluster.prematch);
-            }
-            prematch_list.sort_unstable();
-        }
         stats.pus_touched += active.len() as u64;
         if config.prematch_enabled {
-            let tight: u64 = clusters
-                .live
-                .iter()
-                .map(|&id| clusters.slots[id as usize].tight)
-                .sum();
-            stats.pus_touched += tight;
+            stats.pus_touched += clusters.tight_count();
         }
     }
 
-    /// Re-derives the dirty clusters together, with the sweeps of one full
-    /// pass over what they cover: one propagation from all their defects
-    /// (pulling in every clean cluster their covers run into), one sweep
-    /// that groups them by footprint and finds the tight edges, the
-    /// Pre-Match stage, and one convergecast sweep folding each group's
-    /// partial. No cover, tight edge, pre-match or convergecast term spans
-    /// two groups, so each group's share is exactly what it would derive
-    /// alone.
-    fn settle_dirty(&mut self) {
+    /// Re-derives the covers-dirty clusters together: one propagation from
+    /// all their defects (pulling in every other cluster their covers run
+    /// into), then one sweep that groups them by footprint and records the
+    /// edges each group folds. No cover, tight edge, pre-match or
+    /// convergecast term spans two groups, so each group's share is exactly
+    /// what it would derive alone. Leaves the groups' roots in
+    /// `clusters.dirty` for [`Self::refold`].
+    fn settle_covers(&mut self) {
         // drop everything the dirty clusters derived first, so no sweep
         // reads a stale cover
         for i in 0..self.clusters.dirty.len() {
@@ -1732,10 +2000,13 @@ impl MicroBlossomAccelerator {
             self.clear_cluster(id);
         }
         loop {
+            #[cfg(test)]
+            {
+                self.propagations += 1;
+            }
             let Self {
                 graph,
                 vs,
-                e_original_weight,
                 min_regular_weight,
                 fusion,
                 scratch,
@@ -1746,15 +2017,7 @@ impl MicroBlossomAccelerator {
                 .dirty
                 .iter()
                 .flat_map(|&id| clusters.slots[id as usize].defects.iter().copied());
-            propagate(
-                graph,
-                vs,
-                e_original_weight,
-                min_regular_weight,
-                *fusion,
-                scratch,
-                sources,
-            );
+            propagate(graph, vs, min_regular_weight, *fusion, scratch, sources);
             for &v in &scratch.touched {
                 if !vs.defect.get(v) {
                     vs.adopt(v, scratch);
@@ -1763,8 +2026,8 @@ impl MicroBlossomAccelerator {
             if self.sweep_dirty() {
                 break;
             }
-            // the covers reach clean clusters: take back what was written
-            // and derive those clusters along
+            // the covers reach other clusters' covers: take back what was
+            // written and derive those clusters along
             for i in 0..self.scratch.touched.len() {
                 let v = self.scratch.touched[i];
                 if !self.vs.defect.get(v) {
@@ -1773,92 +2036,78 @@ impl MicroBlossomAccelerator {
             }
             let met = std::mem::take(&mut self.clusters.met);
             for &id in &met {
-                self.clusters.mark_dirty(id);
+                self.clusters.mark_covers(id);
                 self.clear_cluster(id);
             }
             self.clusters.met = met;
         }
+        let joined = std::mem::take(&mut self.clusters.joined);
+        for &id in &joined {
+            self.join(id);
+        }
+        self.clusters.dirty.extend_from_slice(&joined);
+        self.clusters.joined = joined;
+        self.clusters.merge_groups(&self.scratch);
+        for &v in &self.scratch.touched {
+            self.active.insert(v);
+        }
+    }
+
+    /// Readies cluster `id` to join the group of covers-dirty clusters
+    /// whose footprint borders its own. Covers are a pointwise maximum over
+    /// defects, and neither side's propagation reaches the other's covers,
+    /// so its covers stay. The runs of its vertices next to new covers
+    /// are rebuilt (an edge to one above is folded from them, one below
+    /// from the new vertex, and neither is empty any more); the tight
+    /// edges and pre-matches are redone.
+    fn join(&mut self, id: u32) {
+        self.clear_prematch(id);
+        let prematch = self.config.prematch_enabled;
         let Self {
             graph,
             vs,
-            e_prematch,
             fusion,
-            scratch,
             clusters,
-            frozen_list,
-            prematch_list,
-            config,
             ..
         } = self;
-        let fusion = *fusion;
-        clusters.merge_groups(&scratch.touched, |v| scratch.best_touch[v] as VertexIndex);
-        if config.prematch_enabled {
-            scratch.tight_list.sort_unstable();
-            // the global lists serve as scratch here; the caller rebuilds
-            // them from every cluster
-            frozen_list.clear();
-            prematch_list.clear();
-            prematch_tight(
-                graph,
-                vs,
-                fusion,
-                scratch,
-                e_prematch,
-                prematch_list,
-                frozen_list,
-            );
-            for &v in frozen_list.iter() {
-                clusters.slots[clusters.home[v] as usize].frozen.push(v);
+        let Clusters {
+            slots,
+            owner,
+            border,
+            ..
+        } = clusters;
+        let cluster = &mut slots[id as usize];
+        cluster.dirt = Dirt::Covers;
+        // one that shares only a boundary neighbour folds nothing new
+        if border.iter().any(|&v| owner[v] == id) {
+            let rebuilt = |from: u32| border.contains(&(from as VertexIndex));
+            cluster.fold.retain(|fe| !rebuilt(fe.from));
+            let start = cluster.fold.len();
+            for &v in border.iter().filter(|&&v| owner[v] == id) {
+                push_run(graph, vs, *fusion, v, &mut cluster.fold);
             }
-            for &e in prematch_list.iter() {
-                let (a, b) = graph.edge(e).vertices;
-                let defect = if fusion.is_boundary(vs.fusion_key[a]) {
-                    b
-                } else {
-                    a
-                };
-                clusters.slots[clusters.home[defect] as usize]
-                    .prematch
-                    .push(e);
+            // (a cluster to retighten anyway is retightened whole)
+            if prematch && !cluster.retighten {
+                cluster.tight.retain(|t| !rebuilt(t.ends[0]));
+                tighten(vs, *fusion, cluster, start);
             }
         }
-        // one convergecast sweep, folded per group
-        let mut slots = std::mem::take(&mut self.clusters.slots);
-        for &id in &self.clusters.dirty {
-            slots[id as usize].partial = Convergecast::EMPTY;
-        }
-        let (graph, vs, fusion) = (&self.graph, &self.vs, self.fusion);
-        for &v in &self.scratch.touched {
-            let root = self.clusters.home[vs.touch_of(v)];
-            let cc = &mut slots[root as usize].partial;
-            let x = vs.active_pu(v);
-            Self::fold_vertex(x, cc);
-            for (e, y) in edges_from(graph, vs, fusion, v) {
-                if cc.conflict.is_some_and(|c| e >= c) {
-                    continue;
-                }
-                self.fold_edge(e, x, y, cc);
-            }
-        }
-        for id in self.clusters.dirty.drain(..) {
-            slots[id as usize].dirty = false;
-        }
-        self.clusters.slots = slots;
     }
 
-    /// One sweep over the vertices the dirty clusters cover
-    /// (`scratch.touched`, written back): groups the dirty clusters by
+    /// One sweep over the vertices the covers-dirty clusters cover
+    /// (`scratch.touched`, written back): groups those clusters by
     /// footprint — a covered vertex belongs to its touch's cluster, and
-    /// dirty clusters whose footprints meet are united — and, with
-    /// pre-matching on, collects the tight edges under the propagation's
-    /// epoch. Returns `false`, with the boundary claims given back, when a
-    /// footprint reaches a clean cluster's: those are then in
-    /// `clusters.met`.
+    /// clusters whose footprints meet are united — and gives that cluster
+    /// the edges the convergecast folds from the vertex and, with
+    /// pre-matching on, the tight ones among them. Another cluster whose
+    /// footprint the vertices only border is united with them too, as
+    /// it is (listed in `clusters.joined`). Returns `false`, with the
+    /// boundary claims given back, when the propagation reached another
+    /// cluster's covers: those are then in `clusters.met`.
     fn sweep_dirty(&mut self) -> bool {
         let Self {
             graph,
             vs,
-            e_original_weight,
             fusion,
             scratch,
             clusters,
@@ -1873,8 +2122,9 @@ impl MicroBlossomAccelerator {
             home,
             parent,
             pending,
-            tight_home,
             met,
+            joined,
+            border,
             ..
         } = clusters;
         let Scratch {
@@ -1882,17 +2132,18 @@ impl MicroBlossomAccelerator {
             best_epoch,
             best_touch,
             touched,
-            tight_epoch,
-            tight_list,
             ..
         } = scratch;
         let epoch = *epoch;
         for &id in dirty.iter() {
             parent[id as usize] = id;
+            let cluster = &mut slots[id as usize];
+            cluster.fold.clear();
+            cluster.tight.clear();
         }
         met.clear();
-        tight_list.clear();
-        tight_home.clear();
+        joined.clear();
+        border.clear();
         let touch_home = |v: VertexIndex| home[best_touch[v] as usize];
         let mut meet = |o: u32| {
             if !met.contains(&o) {
@@ -1902,38 +2153,58 @@ impl MicroBlossomAccelerator {
         for &v in touched.iter() {
             let c = touch_home(v);
             // a covered vertex is never claimed as a boundary neighbour, so
-            // an owner here is a clean cluster
+            // an owner here is a cluster whose covers are not dirty, and
+            // they can move
             if owner[v] != NO_CLUSTER {
                 meet(owner[v]);
             }
             let x = vs.active_pu(v);
-            let edges = graph.incident_edges(v);
-            for (&e, &f) in edges.iter().zip(graph.neighbors(v)) {
+            let mut empty = Weight::MAX;
+            for &adj in graph.adjacency(v) {
+                let f = adj.to();
                 let o = owner[f];
-                if o != NO_CLUSTER {
-                    if !slots[o as usize].dirty {
-                        meet(o);
-                    } else if o != c {
-                        union(parent, c, o);
+                if o == c {
+                    // a boundary neighbour this cluster claimed already
+                } else if o != NO_CLUSTER {
+                    if slots[o as usize].dirt != Dirt::Covers {
+                        if !joined.contains(&o) {
+                            joined.push(o);
+                            parent[o as usize] = o;
+                        }
+                        if vs.covered(f) && !border.contains(&f) {
+                            border.push(f);
+                        }
                     }
+                    union(parent, slots, c, o);
                 } else if best_epoch[f] == epoch {
                     let other = touch_home(f);
                     if other != c {
-                        union(parent, c, other);
+                        union(parent, slots, c, other);
                     }
                 } else if fusion.is_boundary(vs.fusion_key[f]) {
                     owner[f] = c;
                     pending.push(f);
                 }
-                // tightness, from one active endpoint as in `edges_from`
-                if config.prematch_enabled
-                    && (f > v || !is_active(vs, fusion, f))
-                    && is_tight(vs, fusion, e_original_weight[e], x, f)
-                {
-                    tight_epoch[e] = epoch;
-                    tight_list.push(e);
-                    tight_home.push(c);
+                match fold_kind(vs, fusion, v, f) {
+                    Some(true) => {
+                        let cluster = &mut slots[c as usize];
+                        cluster.fold.push(FoldEdge {
+                            from: v as u32,
+                            adj,
+                        });
+                        if config.prematch_enabled && is_tight(vs, fusion, adj.weight(), x, f) {
+                            cluster.tight.push(TightEdge::new(adj.edge(), v, f));
+                        }
+                    }
+                    // an edge to an empty regular vertex is never tight
+                    Some(false) => empty = empty.min(adj.weight()),
+                    None => {}
                 }
+            }
+            if empty != Weight::MAX {
+                slots[c as usize]
+                    .fold
+                    .push(FoldEdge::empty_neighbours(v, empty));
             }
         }
         if met.is_empty() {
@@ -1945,12 +2216,166 @@ impl MicroBlossomAccelerator {
         false
     }
 
-    /// Clears what cluster `id` derived: the covers of its non-defect
-    /// vertices, its freezes and its pre-match flags.
-    fn clear_cluster(&mut self, id: u32) {
+    /// Reruns the Pre-Match stage and the convergecast of every cluster in
+    /// `clusters.dirty` from its cached edge lists (its tight edges
+    /// recomputed from its fold list where its covers or the loaded layers
+    /// next to them moved), then marks them clean. Walks no adjacency.
+    fn refold(&mut self) {
+        let prematch = self.config.prematch_enabled;
+        for i in 0..self.clusters.dirty.len() {
+            let id = self.clusters.dirty[i];
+            let cluster = &self.clusters.slots[id as usize];
+            let retighten = prematch && cluster.retighten;
+            if cluster.dirt == Dirt::Edges {
+                self.clear_prematch(id);
+            }
+            if retighten {
+                self.retighten(id);
+            }
+        }
+        if prematch {
+            self.prematch_clusters();
+        }
+        for i in 0..self.clusters.dirty.len() {
+            let id = self.clusters.dirty[i] as usize;
+            let partial = self.fold_cluster(&self.clusters.slots[id]);
+            let cluster = &mut self.clusters.slots[id];
+            cluster.partial = partial;
+            cluster.dirt = Dirt::Clean;
+        }
+        self.clusters.dirty.clear();
+    }
+
+    /// Recomputes cluster `id`'s tight edges from its fold list: a tight
+    /// edge has an active endpoint, so it is folded.
+    fn retighten(&mut self, id: u32) {
+        let cluster = &mut self.clusters.slots[id as usize];
+        cluster.tight.clear();
+        tighten(&self.vs, self.fusion, cluster, 0);
+        cluster.retighten = false;
+    }
+
+    /// The Pre-Match stage of the clusters in `clusters.dirty`, over the
+    /// tight edges each holds. Hands each cluster its freezes and
+    /// pre-matches and keeps the global freeze and pre-match lists exact.
+    fn prematch_clusters(&mut self) {
         let Self {
+            graph,
             vs,
             e_prematch,
+            fusion,
+            scratch,
+            clusters,
+            frozen_list,
+            prematch_list,
+            ..
+        } = self;
+        let Clusters {
+            slots, dirty, home, ..
+        } = clusters;
+        let epoch = scratch.next_epoch();
+        scratch.tight_list.clear();
+        for &id in dirty.iter() {
+            for &t in &slots[id as usize].tight {
+                scratch.tight_epoch[t.edge()] = epoch;
+                scratch.tight_list.push(t);
+            }
+        }
+        let frozen_from = frozen_list.len();
+        prematch_tight(
+            graph,
+            vs,
+            *fusion,
+            scratch,
+            e_prematch,
+            frozen_list,
+            |e, defect| {
+                prematch_list.push(e);
+                slots[home[defect] as usize].prematch.push(e);
+            },
+        );
+        for &v in &frozen_list[frozen_from..] {
+            slots[home[v] as usize].frozen.push(v);
+        }
+        // drop what the dirty clusters gave up; what they applied again is
+        // now listed twice
+        frozen_list.retain(|&v| vs.frozen.get(v));
+        frozen_list.sort_unstable();
+        frozen_list.dedup();
+        prematch_list.retain(|&e| e_prematch.get(e));
+        prematch_list.sort_unstable();
+        prematch_list.dedup();
+    }
+
+    /// Cluster `cluster`'s convergecast partial, folded from its covered
+    /// vertices and its fold list.
+    fn fold_cluster(&self, cluster: &Cluster) -> Convergecast {
+        let vs = &self.vs;
+        let mut cc = Convergecast::EMPTY;
+        for &v in &cluster.covered {
+            Self::fold_vertex(vs.active_pu(v), &mut cc);
+        }
+        for run in cluster.fold.chunk_by(|a, b| a.from == b.from) {
+            let x = vs.active_pu(run[0].from as VertexIndex);
+            for &fe in run {
+                let adj = fe.adj;
+                if !fe.is_edge() {
+                    // a cover growing into empty vertices
+                    if x.speed > 0 {
+                        cc.limit = cc.limit.min(adj.weight() - x.residual);
+                    }
+                } else if cc.conflict.is_none_or(|c| adj.edge() < c) {
+                    self.fold_edge(adj.edge(), adj.weight(), x, adj.to(), &mut cc);
+                }
+            }
+        }
+        cc
+    }
+
+    /// Marks what loading the next layer, `layer`, can change. The
+    /// boundary moves and the §6.3 weights change only at the layer's own
+    /// vertices, so only clusters whose halo holds one can change. If a
+    /// covered vertex can pay the edge into one, propagation enters the
+    /// layer and the cluster's covers move. Otherwise its covers stay: the
+    /// layer's vertices leave its halo (regular and uncovered now, they
+    /// couple it to nothing) and its tight edges are recomputed.
+    fn mark_layer_loaded(&mut self, layer: u32) {
+        let Self { vs, clusters, .. } = self;
+        let in_layer = |v: VertexIndex| vs.fusion_key[v] == layer;
+        for i in 0..clusters.live.len() {
+            let id = clusters.live[i];
+            let cluster = &clusters.slots[id as usize];
+            if cluster.dirt == Dirt::Covers || !cluster.halo.iter().any(|&f| in_layer(f)) {
+                continue;
+            }
+            let reach = cluster.fold.iter().any(|&FoldEdge { from, adj }| {
+                in_layer(adj.to()) && vs.residual[from as VertexIndex] >= adj.weight()
+            });
+            if reach {
+                clusters.mark_covers(id);
+                continue;
+            }
+            clusters.mark_edges(id);
+            let Clusters { slots, owner, .. } = clusters;
+            let cluster = &mut slots[id as usize];
+            cluster.retighten = true;
+            cluster.halo.retain(|&f| {
+                if in_layer(f) {
+                    owner[f] = NO_CLUSTER;
+                }
+                !in_layer(f)
+            });
+        }
+    }
+
+    /// Clears what cluster `id` derived: the covers of its non-defect
+    /// vertices (which leave the active set), its edge lists and ties, its
+    /// freezes and pre-match flags.
+    fn clear_cluster(&mut self, id: u32) {
+        self.clear_prematch(id);
+        let Self {
+            vs,
+            active,
             clusters,
             ..
         } = self;
@@ -1958,18 +2383,33 @@ impl MicroBlossomAccelerator {
         for &v in &cluster.covered {
             if !vs.defect.get(v) {
                 vs.clear_derived(v);
+                active.remove(v);
             }
         }
+        cluster.covered.clear();
+        cluster.fold.clear();
+        cluster.tight.clear();
+        cluster.ties.clear();
+        cluster.retighten = false;
+    }
+
+    /// Clears cluster `id`'s freezes and pre-match flags.
+    fn clear_prematch(&mut self, id: u32) {
+        let Self {
+            vs,
+            e_prematch,
+            clusters,
+            ..
+        } = self;
+        let cluster = &mut clusters.slots[id as usize];
         for &v in &cluster.frozen {
             vs.frozen.unset(v);
         }
         for &e in &cluster.prematch {
             e_prematch.unset(e);
         }
-        cluster.covered.clear();
         cluster.frozen.clear();
         cluster.prematch.clear();
-        cluster.tight = 0;
     }
 
     /// Folds active vertex `x` into the convergecast: whether its cover
@@ -1991,9 +2431,15 @@ impl MicroBlossomAccelerator {
     /// at or above a recorded conflict, so the conflict kept is the
     /// lowest-indexed.
     #[inline]
-    fn fold_edge(&self, e: EdgeIndex, x: ActivePu, y: VertexIndex, cc: &mut Convergecast) {
+    fn fold_edge(
+        &self,
+        e: EdgeIndex,
+        original: Weight,
+        x: ActivePu,
+        y: VertexIndex,
+        cc: &mut Convergecast,
+    ) {
         let vs = &self.vs;
-        let original = self.e_original_weight[e];
         let ky = vs.fusion_key[y];
         if self.fusion.is_boundary(ky) {
             // a cover growing into a boundary
@@ -2069,7 +2515,8 @@ impl MicroBlossomAccelerator {
                     break;
                 }
                 if let Some((x, y)) = active_end(graph, vs, fusion, e) {
-                    self.fold_edge(e, vs.active_pu(x), y, &mut cc);
+                    let original = graph.edge(e).weight;
+                    self.fold_edge(e, original, vs.active_pu(x), y, &mut cc);
                 }
             }
         } else {
@@ -2121,11 +2568,11 @@ impl MicroBlossomAccelerator {
 
     /// The pre-match partner of a specific defect vertex, if any.
     pub fn prematch_partner_of(&self, vertex: VertexIndex) -> Option<PrematchPartner> {
-        let edges = self.graph.incident_edges(vertex);
-        for (&e, &other) in edges.iter().zip(self.graph.neighbors(vertex)) {
-            if !self.e_prematch.get(e) {
+        for adj in self.graph.adjacency(vertex) {
+            if !self.e_prematch.get(adj.edge()) {
                 continue;
             }
+            let other = adj.to();
             return Some(if self.is_boundary(other) {
                 PrematchPartner::Boundary(other)
             } else {
@@ -2401,82 +2848,219 @@ mod tests {
         assert_eq!(dup.radius_of(3), once.radius_of(3));
     }
 
+    /// One step of a hand-built program: ops run back to back, then one
+    /// pass; where it is given, whether the sparse pass must propagate.
+    type Step = (Vec<Op>, Option<bool>);
+
     #[test]
     fn sparse_and_dense_sweeps_are_bit_identical() {
         // drive both modes through the same programs and compare every
-        // response and the full PU state after each step
-        let programs: [(usize, &[VertexIndex], &[Op]); 2] = [
+        // response and the full PU state after each step; a step's ops run
+        // back to back and one pass follows, and where a step says so, the
+        // sparse pass must (or must not) propagate
+        use Instruction::{FindConflict, Grow, LoadDefects, SetCover, SetDirection};
+        let rep = |d| Arc::new(CodeCapacityRepetitionCode::new(d, 0.1).decoding_graph());
+        // three layers of the d = 5 repetition code: vertex v of layer t is
+        // 6t + v, with 0 and 5 virtual, and every edge has weight 2
+        let layered = Arc::new(
+            mb_graph::codes::PhenomenologicalCode::new(
+                CodeCapacityRepetitionCode::new(5, 0.1).decoding_graph(),
+                3,
+                0.1,
+            )
+            .decoding_graph(),
+        );
+        let load = |layer: usize, defects: &[VertexIndex]| {
+            vec![
+                Op::Stage(layer, defects.to_vec()),
+                Op::Execute(LoadDefects {
+                    layer: layer as u32,
+                }),
+            ]
+        };
+        let run = |instruction| vec![Op::Execute(instruction)];
+        let direct = |node, direction| run(SetDirection { node, direction });
+        let programs: Vec<(Arc<DecodingGraph>, Vec<Step>)> = vec![
             (
-                9,
-                &[1, 3, 5, 6],
-                &[
-                    Op::Execute(Instruction::FindConflict),
-                    Op::Execute(Instruction::Grow { length: 1 }),
-                    Op::Execute(Instruction::FindConflict),
-                    // dissolves the settled 5–6 pre-match
-                    Op::MarkCpuOwned(6),
-                    Op::Execute(Instruction::FindConflict),
-                    // the 5–6 conflict edge turns internal to blossom 20
-                    Op::Execute(Instruction::SetCover { from: 5, to: 20 }),
-                    Op::Execute(Instruction::SetCover { from: 6, to: 20 }),
-                    Op::Execute(Instruction::FindConflict),
-                    Op::Execute(Instruction::SetCover { from: 3, to: 20 }),
-                    Op::Execute(Instruction::SetDirection {
-                        node: 20,
-                        direction: HwDirection::Stay,
-                    }),
-                    Op::Execute(Instruction::FindConflict),
-                    Op::Execute(Instruction::Reset),
+                rep(9),
+                vec![
+                    (load(0, &[1, 3, 5, 6]), Some(true)),
+                    (run(FindConflict), None),
+                    (run(Grow { length: 1 }), Some(true)),
+                    (run(FindConflict), None),
+                    // dissolves the settled 5–6 pre-match: Pre-Match
+                    // reruns on the cluster's cached tight edges
+                    (vec![Op::MarkCpuOwned(6)], Some(false)),
+                    (run(FindConflict), None),
+                    // the 5–6 conflict edge turns internal to blossom 20;
+                    // node ids move no cover
+                    (
+                        [SetCover { from: 5, to: 20 }, SetCover { from: 6, to: 20 }]
+                            .map(Op::Execute)
+                            .to_vec(),
+                        Some(false),
+                    ),
+                    (run(FindConflict), None),
+                    (run(SetCover { from: 3, to: 20 }), Some(false)),
+                    (direct(20, HwDirection::Stay), None),
+                    (run(FindConflict), None),
+                    (run(Instruction::Reset), Some(false)),
                 ],
             ),
             (
-                15,
-                &[5, 10],
-                &[
-                    // the covers of 5 and 10 meet at edge 7–8 in one sweep,
-                    // sharing no footprint vertex: the sweep must merge
-                    // their clusters
-                    Op::Execute(Instruction::Grow { length: 5 }),
-                    Op::Execute(Instruction::FindConflict),
+                rep(15),
+                vec![
+                    (load(0, &[5, 10]), Some(true)),
+                    // the covers of 5 and 10 meet at edge 7–8 in one
+                    // sweep, sharing no footprint vertex: the sweep must
+                    // merge their clusters
+                    (run(Grow { length: 5 }), Some(true)),
+                    (run(FindConflict), None),
                     // 10 shrinks away while 5 stays: the edge 7–8 that 5's
                     // side found tight must drop out of the next pass
-                    Op::Execute(Instruction::SetDirection {
-                        node: 5,
-                        direction: HwDirection::Stay,
-                    }),
-                    Op::Execute(Instruction::SetDirection {
-                        node: 10,
-                        direction: HwDirection::Shrink,
-                    }),
-                    Op::Execute(Instruction::FindConflict),
-                    Op::Execute(Instruction::Grow { length: 2 }),
-                    Op::Execute(Instruction::FindConflict),
+                    (direct(5, HwDirection::Stay), None),
+                    (direct(10, HwDirection::Shrink), None),
+                    (run(FindConflict), None),
+                    (run(Grow { length: 2 }), Some(true)),
+                    (run(FindConflict), None),
+                ],
+            ),
+            (
+                rep(15),
+                vec![
+                    (load(0, &[5, 9]), Some(true)),
+                    // radius 3: 5 covers 3..=6 and 9 covers 8..=10, and no
+                    // vertex is offered two deepest covers
+                    (run(Grow { length: 3 }), Some(true)),
+                    (direct(5, HwDirection::Stay), Some(false)),
+                    (direct(5, HwDirection::Grow), Some(false)),
+                    // radius 4: both reach 7 with residual 0, and 5 wins
+                    // the tie on its index
+                    (run(Grow { length: 1 }), Some(true)),
+                    (run(FindConflict), None),
+                    // 5 stops: the faster 9 wins 7, a cover moves without
+                    // any radius changing
+                    (direct(5, HwDirection::Stay), Some(true)),
+                    (run(FindConflict), None),
+                ],
+            ),
+            (
+                rep(15),
+                vec![
+                    (load(0, &[3, 12]), Some(true)),
+                    // radius 4: 3 covers 1..=5, 12 covers 10..=14
+                    (run(Grow { length: 4 }), Some(true)),
+                    // 3's cluster is edges-dirty when a new defect at 4,
+                    // which it covers, is loaded: 4 cuts its path to 5,
+                    // so it is re-derived
+                    (
+                        [run(SetCover { from: 3, to: 30 }), load(0, &[3, 12, 4])].concat(),
+                        Some(true),
+                    ),
+                    (run(FindConflict), None),
+                    // 12's is edges-dirty when a new defect at 9 borders
+                    // its covers without reaching them: it joins as it is
+                    (
+                        [run(SetCover { from: 12, to: 31 }), load(0, &[3, 12, 4, 9])].concat(),
+                        Some(true),
+                    ),
+                    (run(FindConflict), None),
+                ],
+            ),
+            (
+                rep(15),
+                vec![
+                    (load(0, &[2, 4, 6]), Some(true)),
+                    (run(Grow { length: 1 }), Some(true)),
+                    (direct(2, HwDirection::Stay), Some(false)),
+                    (direct(6, HwDirection::Stay), Some(false)),
+                    // 4 grows to radius 3 and covers 3 and 5: the clusters
+                    // of 2 and 6, edges-dirty, join as they are, and of
+                    // their edges to the new covers, tight now, 2–3 is
+                    // folded from 2 and 6–5 from 5
+                    (
+                        [
+                            Grow { length: 2 },
+                            SetCover { from: 2, to: 32 },
+                            SetCover { from: 6, to: 33 },
+                        ]
+                        .map(Op::Execute)
+                        .to_vec(),
+                        Some(true),
+                    ),
+                    (run(FindConflict), None),
+                ],
+            ),
+            (
+                Arc::clone(&layered),
+                vec![
+                    (load(0, &[2]), Some(true)),
+                    // frees 2 from its pre-match across the fusion
+                    // boundary, so it grows
+                    (vec![Op::MarkCpuOwned(2)], Some(false)),
+                    (run(Grow { length: 2 }), Some(true)),
+                    // radius 2 pays the edge up to 8: loading layer 1
+                    // moves the covers
+                    (load(1, &[]), Some(true)),
+                    (run(FindConflict), None),
+                    // 8 holds residual 0, which pays no edge up to 14
+                    (load(2, &[]), Some(false)),
+                    (run(FindConflict), None),
+                ],
+            ),
+            (
+                Arc::clone(&layered),
+                vec![
+                    (load(0, &[2]), Some(true)),
+                    (run(FindConflict), None),
+                    // radius 0 pays no edge into layer 1: the tight edges
+                    // and the pre-match move, the covers do not
+                    (load(1, &[]), Some(false)),
+                    (run(FindConflict), None),
+                    // radius 2: 2 covers 1, 3 and 8, and 14 above 8 is
+                    // in its footprint
+                    (run(Grow { length: 2 }), Some(true)),
+                    // 8 holds residual 0, so loading layer 2 leaves 2's
+                    // cluster edges-dirty (node ids too), and the new
+                    // defect at 14 borders it: it joins as it is, with its
+                    // tight edges recomputed for the new layer
+                    (
+                        [run(SetCover { from: 2, to: 40 }), load(2, &[14])].concat(),
+                        Some(true),
+                    ),
+                    (run(FindConflict), None),
                 ],
             ),
         ];
-        for (d, defects, program) in programs {
+        for (graph, steps) in &programs {
             for prematch in [false, true] {
-                let graph = Arc::new(CodeCapacityRepetitionCode::new(d, 0.1).decoding_graph());
                 let accel = |dense_reference| {
                     let config = AcceleratorConfig {
                         prematch_enabled: prematch,
                         dense_reference,
                         ..AcceleratorConfig::default()
                     };
-                    MicroBlossomAccelerator::new(Arc::clone(&graph), config)
+                    MicroBlossomAccelerator::new(Arc::clone(graph), config)
                 };
                 let (mut sparse, mut dense) = (accel(false), accel(true));
-                for accel in [&mut sparse, &mut dense] {
-                    load_all(accel, defects);
-                }
-                for op in program {
-                    let what = format!("d {d}, prematch {prematch}, {op:?}");
-                    let rs = apply(&mut sparse, op);
-                    let rd = apply(&mut dense, op);
-                    assert_eq!(rs, rd, "{what}");
+                for (ops, propagates) in steps {
+                    let what = format!("prematch {prematch}, {ops:?}");
+                    let before = sparse.propagations;
+                    for op in ops {
+                        let rs = apply(&mut sparse, op);
+                        let rd = apply(&mut dense, op);
+                        assert_eq!(rs, rd, "{what}");
+                    }
                     sparse.settle();
                     dense.settle();
                     assert_same_state(&sparse, &dense, &what);
+                    if let Some(propagates) = *propagates {
+                        assert_eq!(
+                            sparse.propagations > before,
+                            propagates,
+                            "{what}: propagation"
+                        );
+                    }
                 }
             }
         }
@@ -2493,7 +3077,7 @@ mod tests {
                 prematch_enabled: prematch,
                 ..AcceleratorConfig::default()
             };
-            for _ in 0..24 {
+            for run in 0..24 {
                 let shots =
                     [(); 2].map(|_| sampler.sample(&mut rng).syndrome.split_by_layer(graph));
                 let (log, stats) = driver_run(graph, &config, &shots);
@@ -2502,7 +3086,12 @@ mod tests {
                         dense_reference,
                         ..config.clone()
                     };
-                    MicroBlossomAccelerator::new(Arc::clone(graph), config)
+                    let mut accel = MicroBlossomAccelerator::new(Arc::clone(graph), config);
+                    if run == 0 {
+                        // the epoch stamps wrap during this replay
+                        accel.scratch.epoch = u32::MAX - 16;
+                    }
+                    accel
                 };
                 let (mut sparse, mut dense) = (replay(false), replay(true));
                 for op in &log {

@@ -51,6 +51,49 @@ impl EdgeInfo {
     }
 }
 
+/// One entry of a vertex's packed adjacency ([`DecodingGraph::adjacency`]):
+/// an incident edge, its opposite endpoint and its weight, for sweeps that
+/// read all three per neighbour.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Incidence {
+    to: u32,
+    edge: u32,
+    weight: Weight,
+}
+
+impl Incidence {
+    /// An entry for edge `edge` of weight `weight` to vertex `to`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `to` or `edge` does not fit 32 bits.
+    pub fn new(to: VertexIndex, edge: EdgeIndex, weight: Weight) -> Self {
+        Self {
+            to: u32::try_from(to).expect("vertex ids fit 32 bits"),
+            edge: u32::try_from(edge).expect("edge ids fit 32 bits"),
+            weight,
+        }
+    }
+
+    /// The opposite endpoint.
+    #[inline]
+    pub fn to(self) -> VertexIndex {
+        self.to as VertexIndex
+    }
+
+    /// The edge.
+    #[inline]
+    pub fn edge(self) -> EdgeIndex {
+        self.edge as EdgeIndex
+    }
+
+    /// The edge's weight.
+    #[inline]
+    pub fn weight(self) -> Weight {
+        self.weight
+    }
+}
+
 /// A weighted decoding graph.
 ///
 /// Construct one through [`DecodingGraphBuilder`], one of the code
@@ -73,10 +116,12 @@ pub struct DecodingGraph {
     /// shared by every decoder through the graph's `Arc`: the edges
     /// incident to `v` are `adj_edge[adj_start[v]..adj_start[v + 1]]` in
     /// ascending edge order, and `adj_vertex` holds the opposite endpoint of
-    /// each at the same position.
+    /// each at the same position; `adjacency` packs both with the edge's
+    /// weight.
     adj_start: Vec<usize>,
     adj_edge: Vec<EdgeIndex>,
     adj_vertex: Vec<VertexIndex>,
+    adjacency: Vec<Incidence>,
     /// Number of distinct `t` layers (measurement rounds).
     num_layers: usize,
     /// Number of logical observables tracked in `observable_mask` bits.
@@ -145,6 +190,12 @@ impl DecodingGraph {
     /// edge table.
     pub fn neighbors(&self, v: VertexIndex) -> &[VertexIndex] {
         &self.adj_vertex[self.adj_start[v]..self.adj_start[v + 1]]
+    }
+
+    /// [`Self::incident_edges`] and [`Self::neighbors`] of `v` packed with
+    /// each edge's weight, at the same positions.
+    pub fn adjacency(&self, v: VertexIndex) -> &[Incidence] {
+        &self.adjacency[self.adj_start[v]..self.adj_start[v + 1]]
     }
 
     /// Whether vertex `v` is virtual.
@@ -327,11 +378,13 @@ impl DecodingGraphBuilder {
         let mut fill = adj_start.clone();
         let mut adj_edge = vec![0; 2 * self.edges.len()];
         let mut adj_vertex = vec![0; 2 * self.edges.len()];
+        let mut adjacency = vec![Incidence::new(0, 0, 0); 2 * self.edges.len()];
         for (i, edge) in self.edges.iter().enumerate() {
             let (u, v) = edge.vertices;
             for (from, to) in [(u, v), (v, u)] {
                 adj_edge[fill[from]] = i;
                 adj_vertex[fill[from]] = to;
+                adjacency[fill[from]] = Incidence::new(to, i, edge.weight);
                 fill[from] += 1;
             }
         }
@@ -347,6 +400,7 @@ impl DecodingGraphBuilder {
             adj_start,
             adj_edge,
             adj_vertex,
+            adjacency,
             num_layers,
             num_observables: self.num_observables.max(1),
         };
@@ -393,6 +447,20 @@ mod tests {
         assert_eq!(g.neighbors(0), &[1]);
         assert_eq!(g.edge(1).other(1), 2);
         assert_eq!(g.edge(1).other(2), 1);
+        for v in 0..g.vertex_count() {
+            let packed: Vec<_> = g
+                .adjacency(v)
+                .iter()
+                .map(|a| (a.edge(), a.to(), a.weight()))
+                .collect();
+            let apart: Vec<_> = g
+                .incident_edges(v)
+                .iter()
+                .zip(g.neighbors(v))
+                .map(|(&e, &u)| (e, u, g.edge(e).weight))
+                .collect();
+            assert_eq!(packed, apart, "vertex {v}");
+        }
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub use circuit::{
 pub use corpus::{
     graph_fingerprint, CorpusError, CorpusHeader, CorpusWriter, TraceCorpus, TraceRecord,
 };
-pub use graph::{DecodingGraph, DecodingGraphBuilder, EdgeInfo, VertexInfo};
+pub use graph::{DecodingGraph, DecodingGraphBuilder, EdgeInfo, Incidence, VertexInfo};
 pub use lattice::RotatedLattice;
 pub use syndrome::{ErrorPattern, ErrorSampler, Shot, SyndromePattern};
 pub use types::{EdgeIndex, NodeIndex, ObservableMask, Position, VertexIndex, Weight};

@@ -4,7 +4,7 @@
 //! internal allocations: after warm-up, decoding must not touch the heap in
 //! the dual phase. This binary installs a counting global allocator (the
 //! counter is thread-local, so the harness's sibling test threads cannot
-//! perturb a measurement) and checks two levels of the stack:
+//! perturb a measurement) and checks these levels of the stack:
 //!
 //! 1. the raw accelerator + host driver loop — a decode that pre-matching
 //!    resolves entirely in "hardware" performs **zero** allocations once the
@@ -20,15 +20,21 @@
 //!    **zero** bytes on the session thread once the first windows have
 //!    warmed the staging buffers, and with a periodic defect load the
 //!    per-window allocation count settles to a constant (bounded-memory
-//!    ingestion, observable at the allocator).
+//!    ingestion, observable at the allocator);
+//! 4. the solver's round-by-round path — driving the same circuit-level
+//!    shots again allocates the same amount, so the sparse accelerator's
+//!    pooled per-cluster lists stop growing once warm.
 
-use mb_accel::{AcceleratedDual, AcceleratorConfig, MicroBlossomAccelerator, PollEvent};
+use mb_accel::{
+    AcceleratedDual, AcceleratedSolver, AcceleratorConfig, MicroBlossomAccelerator, PollEvent,
+};
 use mb_blossom::DualModule;
 use mb_decoder::{
     BackendSpec, DecodePool, DecoderBackend, MicroBlossomDecoder, WindowConfig, WindowedDecoder,
 };
 use mb_graph::codes::{CodeCapacityRepetitionCode, PhenomenologicalCode};
 use mb_graph::syndrome::ErrorSampler;
+use mb_graph::CircuitLevelCode;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -108,6 +114,40 @@ fn accelerator_dual_phase_is_allocation_free_in_steady_state() {
         allocations() - before,
         0,
         "steady-state dual-phase decoding must not allocate"
+    );
+}
+
+#[test]
+fn round_by_round_solver_allocations_settle() {
+    // the sparse accelerator's clusters keep per-cluster lists (covers,
+    // fold and tight edges, pre-matches, ties) in pooled slots: once a set
+    // of shots has warmed them, decoding the same set again allocates the
+    // same amount (only what the primal module and the returned matchings
+    // take), however often it repeats
+    let circuit = CircuitLevelCode::rotated(5, 5, 0.05).compile();
+    let graph = circuit.graph();
+    let sampler = circuit.sampler();
+    let mut rng = ChaCha8Rng::seed_from_u64(0xA110C);
+    let shots: Vec<Vec<Vec<usize>>> = (0..40)
+        .map(|_| sampler.sample(&mut rng).syndrome.split_by_layer(graph))
+        .collect();
+    let mut solver = AcceleratedSolver::new(Arc::clone(graph), AcceleratorConfig::default());
+    let mut per_pass = Vec::with_capacity(4);
+    for _ in 0..4 {
+        let before = allocations();
+        for rounds in &shots {
+            solver.reset();
+            for defects in rounds {
+                solver.load_round(defects);
+                assert!(solver.drive(None));
+            }
+            drop(solver.matching());
+        }
+        per_pass.push(allocations() - before);
+    }
+    assert_eq!(
+        per_pass[2], per_pass[3],
+        "repeated passes over the same shots must allocate alike: {per_pass:?}"
     );
 }
 

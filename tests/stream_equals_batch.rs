@@ -13,7 +13,7 @@ use mb_graph::syndrome::ErrorSampler;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 #[path = "differential.rs"]
 mod differential;
@@ -57,6 +57,23 @@ fn median(mut samples: [f64; 3]) -> f64 {
     samples[1]
 }
 
+/// The shortest timed sample: what one batch of 1,000 shots takes in the
+/// debug test profile on a 2-core x86-64 host (12-30 ms), long enough that
+/// outside load cannot halve a median, as it can with 5-12 ms samples.
+const MIN_SAMPLE: Duration = Duration::from_millis(30);
+
+/// Shots/s of `batch`, which decodes `shots` shots and returns the time
+/// it timed, run until its timed regions add up to [`MIN_SAMPLE`], so a
+/// faster build or decoder lengthens the sample instead of shortening it.
+fn sampled_rate(shots: usize, mut batch: impl FnMut() -> Duration) -> f64 {
+    let (mut decoded, mut timed) = (0, Duration::ZERO);
+    while decoded == 0 || timed < MIN_SAMPLE {
+        timed += batch();
+        decoded += shots;
+    }
+    decoded as f64 / timed.as_secs_f64().max(1e-9)
+}
+
 #[test]
 fn stream_throughput_tracks_batch_across_worker_counts() {
     // stream/batch throughput on the identical seeded workload: a loose band
@@ -65,34 +82,37 @@ fn stream_throughput_tracks_batch_across_worker_counts() {
     let graph = Arc::new(PhenomenologicalCode::rotated(3, 3, 0.01).decoding_graph());
     let spec = BackendSpec::micro_full(Some(3));
     let seed = 0xBE9C;
-    // each timed sample spans 12-30 ms in the debug test profile on a 2-core
-    // x86-64 host: long enough that outside load cannot halve a median, as
-    // it can with 5-12 ms samples
+    // a timed sample repeats batches of this many shots for at least
+    // MIN_SAMPLE
     let shots = 1000;
     // saturated seeded submission through a fresh stream, drained with
     // close(): shots/s over submit + decode + drain
     let stream_rate = |workers: usize| {
-        let stream = StreamDecoder::builder(spec.clone(), Arc::clone(&graph))
-            .workers(workers)
-            .queue_capacity(shots)
-            .start();
-        let start = Instant::now();
-        let tickets: Vec<_> = (0..shots)
-            .map(|_| stream.submit_seeded(seed).unwrap())
-            .collect();
-        let stats = stream.close();
-        let rate = shots as f64 / start.elapsed().as_secs_f64().max(1e-9);
-        assert_eq!(stats.decoded, shots as u64);
-        for ticket in tickets {
-            ticket.recv().unwrap();
-        }
-        rate
+        sampled_rate(shots, || {
+            let stream = StreamDecoder::builder(spec.clone(), Arc::clone(&graph))
+                .workers(workers)
+                .queue_capacity(shots)
+                .start();
+            let start = Instant::now();
+            let tickets: Vec<_> = (0..shots)
+                .map(|_| stream.submit_seeded(seed).unwrap())
+                .collect();
+            let stats = stream.close();
+            let timed = start.elapsed();
+            assert_eq!(stats.decoded, shots as u64);
+            for ticket in tickets {
+                ticket.recv().unwrap();
+            }
+            timed
+        })
     };
     let batch_rate = |workers: usize| {
         let pipeline = ShardedPipeline::new(spec.clone(), Arc::clone(&graph)).with_shards(workers);
-        let start = Instant::now();
-        assert_eq!(pipeline.run_sampled(shots, seed).len(), shots);
-        shots as f64 / start.elapsed().as_secs_f64().max(1e-9)
+        sampled_rate(shots, || {
+            let start = Instant::now();
+            assert_eq!(pipeline.run_sampled(shots, seed).len(), shots);
+            start.elapsed()
+        })
     };
     // untimed warmup at the largest budget: spawns every pool worker and
     // builds each worker's cached backend before any timed sample
