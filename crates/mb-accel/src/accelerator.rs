@@ -44,12 +44,12 @@
 //! * **edges-dirty** (covers kept): a `SetCover` (node ids), any other
 //!   `SetDirection` (speeds), [`MicroBlossomAccelerator::mark_cpu_owned`]
 //!   (Pre-Match eligibility), and a `load Defects` whose layer only borders
-//!   the covers. An edges-dirty cluster keeps its covers and footprint,
-//!   recomputes its tight edges from its cached fold list only when a
-//!   layer loaded next to it (dropping the layer's vertices from its
-//!   footprint: regular and uncovered now, they couple nothing), reruns
-//!   Pre-Match over its tight edges and refolds its partial from the list,
-//!   walking no adjacency.
+//!   the covers. An edges-dirty cluster keeps its covers and footprint
+//!   (a layer loaded next to it drops the layer's vertices from its
+//!   footprint and its tight edges: regular and uncovered now, they couple
+//!   nothing and bound nothing tight), reruns Pre-Match over its tight
+//!   edges and refolds its partial from its fold list, walking no
+//!   adjacency.
 //!
 //! A `find Conflict` (or `Grow`) on dirty state first re-derives the
 //! covers-dirty clusters together: one propagation from all their defects,
@@ -62,7 +62,13 @@
 //! cluster) and folds its partial. The response is the fold of every
 //! cluster's partial: the global lowest conflict edge, or else `growing`
 //! and the minimum limit. Clusters only merge, until a reset. A pass in
-//! which no cover moved does no work in proportion to the active set.
+//! which no cover moved does no work in proportion to the active set. A
+//! cluster with no defect eligible for pre-matching (every one CPU-owned
+//! or not growing) skips the Pre-Match stage, and one with no growing
+//! cover folds no edge: every pre-match has an eligible defect at one end,
+//! and every edge term of the convergecast a growing cover. Each
+//! cluster's pre-match edges and freezes are the sparse path's record of
+//! them: a reset walks those lists, and the read-out sorts them once.
 //!
 //! The per-visit work is kept to what the hardware's wiring gives a PU for
 //! free. Each vertex's incident edges, far endpoints and weights are one
@@ -902,9 +908,10 @@ struct Cluster {
     fold: Vec<FoldEdge>,
     /// Its tight edges, ascending; their count is its share of
     /// `pus_touched`. Each is in `fold`; the list is kept while its covers
-    /// and the loaded layers next to them are.
+    /// are (a layer loaded next to them only drops the edges into it).
     tight: Vec<TightEdge>,
-    /// Its applied pre-match edges, ascending.
+    /// Its applied pre-match edges, ascending: with `frozen`, the record
+    /// of the `m_e` and freeze flags on the sparse path.
     prematch: Vec<EdgeIndex>,
     /// Its pre-match freezes.
     frozen: Vec<VertexIndex>,
@@ -914,8 +921,6 @@ struct Cluster {
     /// vertices covers of equal, deepest residual from. Only a speed
     /// change of a node one of them stores can move a cover.
     ties: Vec<[u32; 2]>,
-    /// `tight` is to be recomputed from `fold`.
-    retighten: bool,
     /// What the next pass must re-derive.
     dirt: Dirt,
 }
@@ -962,6 +967,8 @@ struct Clusters {
     joined: Vec<u32>,
     /// Their covered vertices next to the propagation's (scratch).
     border: Vec<VertexIndex>,
+    /// The freezes a Pre-Match stage applied (scratch).
+    freezes: Vec<VertexIndex>,
     /// How many of the loaded defects, in load order, have a cluster.
     opened: usize,
 }
@@ -981,6 +988,7 @@ impl Clusters {
             met: Vec::new(),
             joined: Vec::new(),
             border: Vec::new(),
+            freezes: Vec::new(),
             opened: 0,
         }
     }
@@ -1137,7 +1145,6 @@ impl Clusters {
         into.fold.append(&mut from.fold);
         into.tight.append(&mut from.tight);
         into.ties.append(&mut from.ties);
-        into.retighten |= std::mem::take(&mut from.retighten);
         from.dirt = Dirt::Clean;
         self.live.retain(|&c| c != id as u32);
         self.free.push(id as u32);
@@ -1369,9 +1376,11 @@ pub struct MicroBlossomAccelerator {
     clusters: Clusters,
     /// Vertices with the CPU-owned flag set (for O(active) reset).
     cpu_owned_list: Vec<VertexIndex>,
-    /// Vertices currently frozen by a pre-match.
+    /// On the dense reference, the vertices currently frozen by a
+    /// pre-match (the sparse path's clusters list their own).
     frozen_list: Vec<VertexIndex>,
-    /// Edges currently holding a pre-match, ascending.
+    /// On the dense reference, the edges currently holding a pre-match,
+    /// ascending.
     prematch_list: Vec<EdgeIndex>,
     /// Per-vertex state needs recomputation before the next query.
     dirty: bool,
@@ -1736,21 +1745,30 @@ impl MicroBlossomAccelerator {
             self.vs.frozen.clear_all();
             self.e_prematch.clear_all();
         } else {
-            let Self { vs, active, .. } = self;
+            let Self {
+                vs,
+                active,
+                clusters,
+                e_prematch,
+                ..
+            } = self;
             for &v in active.as_slice() {
                 vs.clear_derived(v);
             }
             for &d in &self.defects {
-                self.vs.defect.unset(d);
+                vs.defect.unset(d);
             }
             for &v in &self.cpu_owned_list {
-                self.vs.cpu_owned.unset(v);
+                vs.cpu_owned.unset(v);
             }
-            for &v in &self.frozen_list {
-                self.vs.frozen.unset(v);
-            }
-            for &e in &self.prematch_list {
-                self.e_prematch.unset(e);
+            for &id in &clusters.live {
+                let cluster = &clusters.slots[id as usize];
+                for &v in &cluster.frozen {
+                    vs.frozen.unset(v);
+                }
+                for &e in &cluster.prematch {
+                    e_prematch.unset(e);
+                }
             }
         }
         self.active.clear();
@@ -2086,8 +2104,7 @@ impl MicroBlossomAccelerator {
             for &v in border.iter().filter(|&&v| owner[v] == id) {
                 push_run(graph, vs, *fusion, v, &mut cluster.fold);
             }
-            // (a cluster to retighten anyway is retightened whole)
-            if prematch && !cluster.retighten {
+            if prematch {
                 cluster.tight.retain(|t| !rebuilt(t.ends[0]));
                 tighten(vs, *fusion, cluster, start);
             }
@@ -2217,23 +2234,16 @@ impl MicroBlossomAccelerator {
     }
 
     /// Reruns the Pre-Match stage and the convergecast of every cluster in
-    /// `clusters.dirty` from its cached edge lists (its tight edges
-    /// recomputed from its fold list where its covers or the loaded layers
-    /// next to them moved), then marks them clean. Walks no adjacency.
+    /// `clusters.dirty` from its cached edge lists, then marks them clean.
+    /// Walks no adjacency.
     fn refold(&mut self) {
-        let prematch = self.config.prematch_enabled;
         for i in 0..self.clusters.dirty.len() {
             let id = self.clusters.dirty[i];
-            let cluster = &self.clusters.slots[id as usize];
-            let retighten = prematch && cluster.retighten;
-            if cluster.dirt == Dirt::Edges {
+            if self.clusters.slots[id as usize].dirt == Dirt::Edges {
                 self.clear_prematch(id);
             }
-            if retighten {
-                self.retighten(id);
-            }
         }
-        if prematch {
+        if self.config.prematch_enabled {
             self.prematch_clusters();
         }
         for i in 0..self.clusters.dirty.len() {
@@ -2246,18 +2256,9 @@ impl MicroBlossomAccelerator {
         self.clusters.dirty.clear();
     }
 
-    /// Recomputes cluster `id`'s tight edges from its fold list: a tight
-    /// edge has an active endpoint, so it is folded.
-    fn retighten(&mut self, id: u32) {
-        let cluster = &mut self.clusters.slots[id as usize];
-        cluster.tight.clear();
-        tighten(&self.vs, self.fusion, cluster, 0);
-        cluster.retighten = false;
-    }
-
     /// The Pre-Match stage of the clusters in `clusters.dirty`, over the
     /// tight edges each holds. Hands each cluster its freezes and
-    /// pre-matches and keeps the global freeze and pre-match lists exact.
+    /// pre-matches, the record a reset clears and the read-out reads.
     fn prematch_clusters(&mut self) {
         let Self {
             graph,
@@ -2266,45 +2267,43 @@ impl MicroBlossomAccelerator {
             fusion,
             scratch,
             clusters,
-            frozen_list,
-            prematch_list,
             ..
         } = self;
         let Clusters {
-            slots, dirty, home, ..
+            slots,
+            dirty,
+            home,
+            freezes,
+            ..
         } = clusters;
         let epoch = scratch.next_epoch();
         scratch.tight_list.clear();
         for &id in dirty.iter() {
-            for &t in &slots[id as usize].tight {
+            let cluster = &slots[id as usize];
+            // every pre-match has an eligible defect at one end, and all
+            // the Equations read lies in its cluster
+            let eligible = |d: VertexIndex| vs.speed[d] > 0 && !vs.cpu_owned.get(d);
+            if !cluster.defects.iter().any(|&d| eligible(d)) {
+                continue;
+            }
+            for &t in &cluster.tight {
                 scratch.tight_epoch[t.edge()] = epoch;
                 scratch.tight_list.push(t);
             }
         }
-        let frozen_from = frozen_list.len();
+        freezes.clear();
         prematch_tight(
             graph,
             vs,
             *fusion,
             scratch,
             e_prematch,
-            frozen_list,
-            |e, defect| {
-                prematch_list.push(e);
-                slots[home[defect] as usize].prematch.push(e);
-            },
+            freezes,
+            |e, defect| slots[home[defect] as usize].prematch.push(e),
         );
-        for &v in &frozen_list[frozen_from..] {
+        for &v in freezes.iter() {
             slots[home[v] as usize].frozen.push(v);
         }
-        // drop what the dirty clusters gave up; what they applied again is
-        // now listed twice
-        frozen_list.retain(|&v| vs.frozen.get(v));
-        frozen_list.sort_unstable();
-        frozen_list.dedup();
-        prematch_list.retain(|&e| e_prematch.get(e));
-        prematch_list.sort_unstable();
-        prematch_list.dedup();
     }
 
     /// Cluster `cluster`'s convergecast partial, folded from its covered
@@ -2314,6 +2313,10 @@ impl MicroBlossomAccelerator {
         let mut cc = Convergecast::EMPTY;
         for &v in &cluster.covered {
             Self::fold_vertex(vs.active_pu(v), &mut cc);
+        }
+        if !cc.growing {
+            // every edge term needs a growing cover at one end
+            return cc;
         }
         for run in cluster.fold.chunk_by(|a, b| a.from == b.from) {
             let x = vs.active_pu(run[0].from as VertexIndex);
@@ -2338,7 +2341,7 @@ impl MicroBlossomAccelerator {
     /// covered vertex can pay the edge into one, propagation enters the
     /// layer and the cluster's covers move. Otherwise its covers stay: the
     /// layer's vertices leave its halo (regular and uncovered now, they
-    /// couple it to nothing) and its tight edges are recomputed.
+    /// couple it to nothing), and so do its tight edges into the layer.
     fn mark_layer_loaded(&mut self, layer: u32) {
         let Self { vs, clusters, .. } = self;
         let in_layer = |v: VertexIndex| vs.fusion_key[v] == layer;
@@ -2358,7 +2361,11 @@ impl MicroBlossomAccelerator {
             clusters.mark_edges(id);
             let Clusters { slots, owner, .. } = clusters;
             let cluster = &mut slots[id as usize];
-            cluster.retighten = true;
+            // an edge into the layer was a boundary edge, tight or not, and
+            // goes to an empty regular vertex now: never tight
+            cluster
+                .tight
+                .retain(|t| !in_layer(t.ends[1] as VertexIndex));
             cluster.halo.retain(|&f| {
                 if in_layer(f) {
                     owner[f] = NO_CLUSTER;
@@ -2390,7 +2397,6 @@ impl MicroBlossomAccelerator {
         cluster.fold.clear();
         cluster.tight.clear();
         cluster.ties.clear();
-        cluster.retighten = false;
     }
 
     /// Clears cluster `id`'s freezes and pre-match flags.
@@ -2550,19 +2556,36 @@ impl MicroBlossomAccelerator {
         pairs
     }
 
-    /// Appends the currently pre-matched pairs to `pairs` without
-    /// allocating; the hot-path variant of [`Self::prematched_pairs`] used
-    /// by the host driver's reusable read-out buffer. O(pre-matches): the
-    /// applied pre-match edges are kept as an ascending list.
+    /// Appends the currently pre-matched pairs to `pairs`, in ascending
+    /// order of their edges, without allocating; the hot-path variant of
+    /// [`Self::prematched_pairs`] used by the host driver's reusable
+    /// read-out buffer. O(pre-matches · log): the sparse path's clusters
+    /// each list their own pre-match edges, sorted here once.
     pub fn prematched_pairs_into(&self, pairs: &mut Vec<(VertexIndex, PrematchPartner)>) {
-        for &e in &self.prematch_list {
-            let (a, b) = self.graph.edge(e).vertices;
-            match (self.is_boundary(a), self.is_boundary(b)) {
-                (false, false) => pairs.push((a, PrematchPartner::Defect(b))),
-                (true, false) => pairs.push((b, PrematchPartner::Boundary(a))),
-                (false, true) => pairs.push((a, PrematchPartner::Boundary(b))),
-                (true, true) => unreachable!("pre-match between two boundary vertices"),
-            }
+        if self.config.dense_reference {
+            pairs.extend(self.prematch_list.iter().map(|&e| self.prematch_pair(e)));
+            return;
+        }
+        // each edge sits in its pair's slot until the sort
+        let start = pairs.len();
+        for &id in &self.clusters.live {
+            let edges = &self.clusters.slots[id as usize].prematch;
+            pairs.extend(edges.iter().map(|&e| (e, PrematchPartner::Defect(e))));
+        }
+        pairs[start..].sort_unstable_by_key(|&(e, _)| e);
+        for pair in &mut pairs[start..] {
+            *pair = self.prematch_pair(pair.0);
+        }
+    }
+
+    /// The pre-matched pair pre-match edge `e` holds.
+    fn prematch_pair(&self, e: EdgeIndex) -> (VertexIndex, PrematchPartner) {
+        let (a, b) = self.graph.edge(e).vertices;
+        match (self.is_boundary(a), self.is_boundary(b)) {
+            (false, false) => (a, PrematchPartner::Defect(b)),
+            (true, false) => (b, PrematchPartner::Boundary(a)),
+            (false, true) => (a, PrematchPartner::Boundary(b)),
+            (true, true) => unreachable!("pre-match between two boundary vertices"),
         }
     }
 
@@ -2942,6 +2965,19 @@ mod tests {
                     // any radius changing
                     (direct(5, HwDirection::Stay), Some(true)),
                     (run(FindConflict), None),
+                    // and faster again: 5 wins 7 back
+                    (direct(5, HwDirection::Grow), Some(true)),
+                    (run(FindConflict), None),
+                    // 9 stops and 5 grows on: at radius 8 its cover reaches
+                    // 8 with 9's residual there and, faster, overtakes it
+                    (direct(9, HwDirection::Stay), None),
+                    (run(Grow { length: 4 }), Some(true)),
+                    // 5 shrinks and 9 grows: 5's cover at 9's side drops
+                    // below zero, and 9 wins its vertices back
+                    (direct(5, HwDirection::Shrink), None),
+                    (direct(9, HwDirection::Grow), None),
+                    (run(Grow { length: 3 }), Some(true)),
+                    (run(FindConflict), None),
                 ],
             ),
             (
@@ -2988,6 +3024,31 @@ mod tests {
                         .to_vec(),
                         Some(true),
                     ),
+                    (run(FindConflict), None),
+                ],
+            ),
+            (
+                rep(15),
+                vec![
+                    (load(0, &[7]), Some(true)),
+                    // radius 1 reaches no vertex
+                    (run(Grow { length: 1 }), Some(true)),
+                    (run(FindConflict), None),
+                    // radius 2 reaches 6 and 8, empty till now
+                    (run(Grow { length: 1 }), Some(true)),
+                    (run(FindConflict), None),
+                ],
+            ),
+            (
+                rep(15),
+                vec![
+                    (load(0, &[3, 9]), Some(true)),
+                    // radius 2: 3 covers 2..=4, 9 covers 8..=10
+                    (run(Grow { length: 2 }), Some(true)),
+                    (direct(9, HwDirection::Stay), Some(false)),
+                    // radius 8: 3's new cover at 7 borders 9's cluster at
+                    // 8, which joins as it is
+                    (run(Grow { length: 6 }), Some(true)),
                     (run(FindConflict), None),
                 ],
             ),
@@ -3065,48 +3126,51 @@ mod tests {
             }
         }
         // and the stream a driver issues on circuit-level shots (every
-        // circuit location fails with probability p = 0.5%), replayed op by
-        // op on both modes
-        let circuit = CircuitLevelCode::rotated(5, 5, 0.05).compile();
-        let graph = circuit.graph();
-        let sampler = circuit.sampler();
+        // circuit location fails with probability p / 10: 0.5% at d = 5, and
+        // 0.9% at d = 3, where clusters grow, shrink and meet often),
+        // replayed op by op on both modes
         let mut rng = ChaCha8Rng::seed_from_u64(0x10C5);
         let mut seen = [0usize; 4];
-        for prematch in [true, false] {
-            let config = AcceleratorConfig {
-                prematch_enabled: prematch,
-                ..AcceleratorConfig::default()
-            };
-            for run in 0..24 {
-                let shots =
-                    [(); 2].map(|_| sampler.sample(&mut rng).syndrome.split_by_layer(graph));
-                let (log, stats) = driver_run(graph, &config, &shots);
-                let replay = |dense_reference| {
-                    let config = AcceleratorConfig {
-                        dense_reference,
-                        ..config.clone()
-                    };
-                    let mut accel = MicroBlossomAccelerator::new(Arc::clone(graph), config);
-                    if run == 0 {
-                        // the epoch stamps wrap during this replay
-                        accel.scratch.epoch = u32::MAX - 16;
-                    }
-                    accel
+        for (d, p, runs) in [(5, 0.05, 24), (3, 0.09, 64)] {
+            let circuit = CircuitLevelCode::rotated(d, d, p).compile();
+            let graph = circuit.graph();
+            let sampler = circuit.sampler();
+            for prematch in [true, false] {
+                let config = AcceleratorConfig {
+                    prematch_enabled: prematch,
+                    ..AcceleratorConfig::default()
                 };
-                let (mut sparse, mut dense) = (replay(false), replay(true));
-                for op in &log {
-                    let rs = apply(&mut sparse, op);
-                    let rd = apply(&mut dense, op);
-                    assert_eq!(rs, rd, "prematch {prematch}, {op:?}");
-                    assert_same_state(&sparse, &dense, &format!("prematch {prematch}, {op:?}"));
-                    seen[match op {
-                        Op::Stage(_, defects) if defects.is_empty() => 0,
-                        Op::Stage(..) | Op::Execute(_) => 1,
-                        Op::MarkCpuOwned(_) => 2,
-                        Op::Restore(_) => 3,
-                    }] += 1;
+                for run in 0..runs {
+                    let shots =
+                        [(); 2].map(|_| sampler.sample(&mut rng).syndrome.split_by_layer(graph));
+                    let (log, stats) = driver_run(graph, &config, &shots);
+                    let replay = |dense_reference| {
+                        let config = AcceleratorConfig {
+                            dense_reference,
+                            ..config.clone()
+                        };
+                        let mut accel = MicroBlossomAccelerator::new(Arc::clone(graph), config);
+                        if run == 0 {
+                            // the epoch stamps wrap during this replay
+                            accel.scratch.epoch = u32::MAX - 16;
+                        }
+                        accel
+                    };
+                    let (mut sparse, mut dense) = (replay(false), replay(true));
+                    for op in &log {
+                        let rs = apply(&mut sparse, op);
+                        let rd = apply(&mut dense, op);
+                        assert_eq!(rs, rd, "prematch {prematch}, {op:?}");
+                        assert_same_state(&sparse, &dense, &format!("prematch {prematch}, {op:?}"));
+                        seen[match op {
+                            Op::Stage(_, defects) if defects.is_empty() => 0,
+                            Op::Stage(..) | Op::Execute(_) => 1,
+                            Op::MarkCpuOwned(_) => 2,
+                            Op::Restore(_) => 3,
+                        }] += 1;
+                    }
+                    assert_eq!(sparse.stats, stats, "the replay is the recorded run");
                 }
-                assert_eq!(sparse.stats, stats, "the replay is the recorded run");
             }
         }
         assert!(

@@ -296,8 +296,8 @@ fn ball_around(
         if graph.is_virtual(v) && v != source {
             continue;
         }
-        for (&e, &u) in graph.incident_edges(v).iter().zip(graph.neighbors(v)) {
-            let next = dist + graph.edge(e).weight;
+        for adj in graph.adjacency(v) {
+            let (u, next) = (adj.to(), dist + adj.weight());
             if next <= radius && best.get(&u).is_none_or(|&d| next < d) {
                 best.insert(u, next);
                 heap.push(Reverse((next, u)));

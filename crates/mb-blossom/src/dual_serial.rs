@@ -153,10 +153,9 @@ impl DualModuleSerial {
             if self.graph.is_virtual(vertex) {
                 continue;
             }
-            for &e in self.graph.incident_edges(vertex) {
-                let edge = self.graph.edge(e);
-                let next = edge.other(vertex);
-                let next_residual = residual - edge.weight;
+            for adj in self.graph.adjacency(vertex) {
+                let next = adj.to();
+                let next_residual = residual - adj.weight();
                 if next_residual < 0 {
                     continue;
                 }
@@ -335,8 +334,8 @@ fn touch_side_vertex(
     virtual_vertex: VertexIndex,
     touch: VertexIndex,
 ) -> VertexIndex {
-    for &e in dual.graph.incident_edges(virtual_vertex) {
-        let other = dual.graph.edge(e).other(virtual_vertex);
+    for adj in dual.graph.adjacency(virtual_vertex) {
+        let other = adj.to();
         if dual.covers[other].touches.iter().any(|&(t, _)| t == touch) {
             return other;
         }

@@ -391,7 +391,7 @@ mod tests {
     fn rotated_code_degrees_are_bounded() {
         let g = CodeCapacityRotatedCode::new(7, 0.01).decoding_graph();
         for v in 0..g.vertex_count() {
-            let deg = g.incident_edges(v).len();
+            let deg = g.adjacency(v).len();
             if g.is_virtual(v) {
                 assert!((1..=2).contains(&deg), "virtual degree {deg}");
             } else {

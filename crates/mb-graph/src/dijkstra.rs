@@ -65,8 +65,9 @@ pub fn dijkstra(graph: &DecodingGraph, source: VertexIndex) -> ShortestPaths {
         if graph.is_virtual(v) && v != source {
             continue; // boundary vertices terminate paths
         }
-        for (&e, &u) in graph.incident_edges(v).iter().zip(graph.neighbors(v)) {
-            let next = dist + graph.edge(e).weight;
+        for adj in graph.adjacency(v) {
+            let (e, u) = (adj.edge(), adj.to());
+            let next = dist + adj.weight();
             if distance[u].is_none_or(|d| next < d) {
                 distance[u] = Some(next);
                 predecessor[u] = Some(e);
@@ -153,8 +154,9 @@ impl PathSearch {
             if graph.is_virtual(v) && v != source {
                 continue; // boundary vertices terminate paths
             }
-            for (&e, &u) in graph.incident_edges(v).iter().zip(graph.neighbors(v)) {
-                let next = dist + graph.edge(e).weight;
+            for adj in graph.adjacency(v) {
+                let (e, u) = (adj.edge(), adj.to());
+                let next = dist + adj.weight();
                 if self.dist(u).is_none_or(|d| next < d) {
                     self.slots[u] = Slot {
                         epoch,
@@ -262,8 +264,8 @@ pub fn boundary_distances(graph: &DecodingGraph) -> Vec<Option<Weight>> {
         if distance[v] != Some(dist) {
             continue;
         }
-        for (&e, &u) in graph.incident_edges(v).iter().zip(graph.neighbors(v)) {
-            let next = dist + graph.edge(e).weight;
+        for adj in graph.adjacency(v) {
+            let (u, next) = (adj.to(), dist + adj.weight());
             if distance[u].is_none_or(|d| next < d) {
                 distance[u] = Some(next);
                 heap.push(Reverse((next, u)));

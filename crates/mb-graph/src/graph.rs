@@ -105,7 +105,8 @@ impl Incidence {
 ///
 /// let graph = CodeCapacityRepetitionCode::new(3, 0.1).decoding_graph();
 /// assert_eq!(graph.vertex_count(), 4); // 2 stabilizers + 2 virtual
-/// assert_eq!(graph.incident_edges(1), &[0, 1]);
+/// let edges: Vec<_> = graph.adjacency(1).iter().map(|adj| adj.edge()).collect();
+/// assert_eq!(edges, [0, 1]);
 /// assert!(graph.validate().is_ok());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -113,14 +114,10 @@ pub struct DecodingGraph {
     vertices: Vec<VertexInfo>,
     edges: Vec<EdgeInfo>,
     /// Adjacency in compressed sparse row form, built once per graph and
-    /// shared by every decoder through the graph's `Arc`: the edges
-    /// incident to `v` are `adj_edge[adj_start[v]..adj_start[v + 1]]` in
-    /// ascending edge order, and `adj_vertex` holds the opposite endpoint of
-    /// each at the same position; `adjacency` packs both with the edge's
-    /// weight.
+    /// shared by every decoder through the graph's `Arc`: the entries of
+    /// `v` are `adjacency[adj_start[v]..adj_start[v + 1]]`, one per incident
+    /// edge in ascending edge order.
     adj_start: Vec<usize>,
-    adj_edge: Vec<EdgeIndex>,
-    adj_vertex: Vec<VertexIndex>,
     adjacency: Vec<Incidence>,
     /// Number of distinct `t` layers (measurement rounds).
     num_layers: usize,
@@ -179,21 +176,9 @@ impl DecodingGraph {
         &self.edges
     }
 
-    /// Edges incident to `v`, in ascending edge order.
-    pub fn incident_edges(&self, v: VertexIndex) -> &[EdgeIndex] {
-        &self.adj_edge[self.adj_start[v]..self.adj_start[v + 1]]
-    }
-
-    /// The opposite endpoint of each edge of [`Self::incident_edges`], at
-    /// the same position: `neighbors(v)[i]` is
-    /// `edge(incident_edges(v)[i]).other(v)`, read without touching the
-    /// edge table.
-    pub fn neighbors(&self, v: VertexIndex) -> &[VertexIndex] {
-        &self.adj_vertex[self.adj_start[v]..self.adj_start[v + 1]]
-    }
-
-    /// [`Self::incident_edges`] and [`Self::neighbors`] of `v` packed with
-    /// each edge's weight, at the same positions.
+    /// The edges incident to `v`, in ascending edge order, each with its
+    /// opposite endpoint and its weight, read without touching the edge
+    /// table.
     pub fn adjacency(&self, v: VertexIndex) -> &[Incidence] {
         &self.adjacency[self.adj_start[v]..self.adj_start[v + 1]]
     }
@@ -233,12 +218,11 @@ impl DecodingGraph {
     /// Finds an edge connecting `u` and `v`, if one exists. When parallel
     /// edges exist the minimum-weight one is returned.
     pub fn find_edge(&self, u: VertexIndex, v: VertexIndex) -> Option<EdgeIndex> {
-        self.incident_edges(u)
+        self.adjacency(u)
             .iter()
-            .zip(self.neighbors(u))
-            .filter(|&(_, &w)| w == v)
-            .map(|(&e, _)| e)
-            .min_by_key(|&e| self.edges[e].weight)
+            .filter(|adj| adj.to() == v)
+            .min_by_key(|adj| adj.weight())
+            .map(|adj| adj.edge())
     }
 
     /// Verifies structural invariants; used by tests and by `debug_assert!`s
@@ -267,7 +251,8 @@ impl DecodingGraph {
             }
         }
         for v in 0..self.vertex_count() {
-            for (&e, &u) in self.incident_edges(v).iter().zip(self.neighbors(v)) {
+            for adj in self.adjacency(v) {
+                let (e, u) = (adj.edge(), adj.to());
                 if e >= self.edge_count() {
                     return Err(format!("vertex {v} lists missing edge {e}"));
                 }
@@ -376,14 +361,10 @@ impl DecodingGraphBuilder {
             adj_start[v + 1] += adj_start[v];
         }
         let mut fill = adj_start.clone();
-        let mut adj_edge = vec![0; 2 * self.edges.len()];
-        let mut adj_vertex = vec![0; 2 * self.edges.len()];
         let mut adjacency = vec![Incidence::new(0, 0, 0); 2 * self.edges.len()];
         for (i, edge) in self.edges.iter().enumerate() {
             let (u, v) = edge.vertices;
             for (from, to) in [(u, v), (v, u)] {
-                adj_edge[fill[from]] = i;
-                adj_vertex[fill[from]] = to;
                 adjacency[fill[from]] = Incidence::new(to, i, edge.weight);
                 fill[from] += 1;
             }
@@ -398,8 +379,6 @@ impl DecodingGraphBuilder {
             vertices: self.vertices,
             edges: self.edges,
             adj_start,
-            adj_edge,
-            adj_vertex,
             adjacency,
             num_layers,
             num_observables: self.num_observables.max(1),
@@ -440,26 +419,22 @@ mod tests {
     #[test]
     fn adjacency_is_consistent() {
         let g = small_graph();
-        assert_eq!(g.incident_edges(1), &[0, 1]);
-        assert_eq!(g.incident_edges(2), &[1, 2]);
-        assert_eq!(g.neighbors(1), &[0, 2]);
-        assert_eq!(g.neighbors(2), &[1, 3]);
-        assert_eq!(g.neighbors(0), &[1]);
+        let entries = |v| {
+            g.adjacency(v)
+                .iter()
+                .map(|a| (a.edge(), a.to(), a.weight()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(entries(0), [(0, 1, 2)]);
+        assert_eq!(entries(1), [(0, 0, 2), (1, 2, 2)]);
+        assert_eq!(entries(2), [(1, 1, 2), (2, 3, 2)]);
         assert_eq!(g.edge(1).other(1), 2);
         assert_eq!(g.edge(1).other(2), 1);
         for v in 0..g.vertex_count() {
-            let packed: Vec<_> = g
-                .adjacency(v)
-                .iter()
-                .map(|a| (a.edge(), a.to(), a.weight()))
-                .collect();
-            let apart: Vec<_> = g
-                .incident_edges(v)
-                .iter()
-                .zip(g.neighbors(v))
-                .map(|(&e, &u)| (e, u, g.edge(e).weight))
-                .collect();
-            assert_eq!(packed, apart, "vertex {v}");
+            for a in g.adjacency(v) {
+                assert_eq!(g.edge(a.edge()).other(v), a.to(), "vertex {v}");
+                assert_eq!(g.edge(a.edge()).weight, a.weight(), "vertex {v}");
+            }
         }
     }
 

@@ -101,9 +101,9 @@ impl WindowView {
         let mut seam_of: HashMap<VertexIndex, VertexIndex> = HashMap::new();
         let mut seam_sides = Vec::new();
         for v in base..end {
-            for &e in full.incident_edges(v) {
-                let edge = full.edge(e);
-                let other = edge.other(v);
+            for adj in full.adjacency(v) {
+                let edge = full.edge(adj.edge());
+                let other = adj.to();
                 if (base..end).contains(&other) {
                     if v < other {
                         builder.add_edge(
@@ -383,9 +383,9 @@ mod tests {
             // the seam edge's weight matches some full-graph edge out of `real`
             assert!(
                 graph
-                    .incident_edges(real)
+                    .adjacency(real)
                     .iter()
-                    .any(|&e| graph.edge(e).weight == edge.weight),
+                    .any(|adj| adj.weight() == edge.weight),
                 "seam edge weight {} not among full-graph incident weights",
                 edge.weight
             );

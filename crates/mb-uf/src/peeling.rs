@@ -49,11 +49,11 @@ pub fn peel(
         while head < order.len() {
             let v = order[head];
             head += 1;
-            for &e in graph.incident_edges(v) {
+            for adj in graph.adjacency(v) {
+                let (e, u) = (adj.edge(), adj.to());
                 if !fully_grown[e] {
                     continue;
                 }
-                let u = graph.edge(e).other(v);
                 if visited[u] {
                     continue;
                 }
