@@ -7,7 +7,12 @@
 //!
 //! The rows cover circuit-level noise (p = 0.1% per circuit location) at
 //! d = 3, 5, 7 and phenomenological noise at d = 5, 7 with p = 3% and 5%,
-//! where round-wise fusion meets many defects per layer.
+//! where round-wise fusion meets many defects per layer. Each row also
+//! counts its split shots (the table resolved some clusters, the
+//! accelerator the rest) and the reach-guard fallbacks among them. A
+//! circuit-level row at d ≥ 5 without a split shot fails too, since it
+//! would not audit that path; at d = 3 the graph is small enough that a
+//! shot's defects share one cluster, and none of its 30,000 shots split.
 //!
 //! Usage: `cargo run -r -p bench --bin exactness_audit`
 
@@ -34,6 +39,8 @@ struct Tally {
     invalid: u64,
     regular_boundary_partner: u64,
     wrong_weight: u64,
+    partial: u64,
+    fallback: u64,
 }
 
 impl Tally {
@@ -46,6 +53,8 @@ impl Tally {
         self.invalid += other.invalid;
         self.regular_boundary_partner += other.regular_boundary_partner;
         self.wrong_weight += other.wrong_weight;
+        self.partial += other.partial;
+        self.fallback += other.fallback;
     }
 }
 
@@ -80,6 +89,9 @@ fn audit(
                 tally.wrong_weight += 1;
             }
         }
+        let accel = micro.accel_observability().unwrap_or_default();
+        tally.partial = accel.partial_shots;
+        tally.fallback = accel.reach_fallbacks;
         tally
     };
     std::thread::scope(|scope| {
@@ -97,9 +109,13 @@ fn audit(
 fn main() {
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(4));
     let mut table = Vec::new();
-    let mut failures = 0;
-    let mut record = |name: String, shots: u64, tally: Tally| {
+    let (mut failures, mut unsplit_rows) = (0, 0);
+    let mut record = |name: String, shots: u64, tally: Tally, must_split: bool| {
         failures += tally.failures();
+        if must_split && tally.partial == 0 {
+            println!("{name}: no shot was split, so the split path went unaudited");
+            unsplit_rows += 1;
+        }
         table.push(vec![
             name,
             shots.to_string(),
@@ -107,6 +123,8 @@ fn main() {
             tally.invalid.to_string(),
             tally.regular_boundary_partner.to_string(),
             tally.wrong_weight.to_string(),
+            tally.partial.to_string(),
+            tally.fallback.to_string(),
         ]);
     };
     for d in [3, 5, 7] {
@@ -114,7 +132,12 @@ fn main() {
         let sampler = circuit.sampler();
         let sample = |i| sampler.sample(&mut shot_rng(SEED, i));
         let tally = audit(circuit.graph(), d, CIRCUIT_SHOTS, threads, &sample);
-        record(format!("circuit d={d} p=0.1%"), CIRCUIT_SHOTS, tally);
+        record(
+            format!("circuit d={d} p=0.1%"),
+            CIRCUIT_SHOTS,
+            tally,
+            d >= 5,
+        );
     }
     for d in [5, 7] {
         for p in [0.03, 0.05] {
@@ -126,6 +149,7 @@ fn main() {
                 format!("phenomenological d={d} p={p}"),
                 PHENOMENOLOGICAL_SHOTS,
                 tally,
+                false,
             );
         }
     }
@@ -139,13 +163,15 @@ fn main() {
                 "nonempty",
                 "invalid",
                 "regular boundary partner",
-                "weight differs"
+                "weight differs",
+                "partial",
+                "fallback"
             ],
             &table
         )
     );
     println!("exactness audit: {failures} failing shots");
-    if failures > 0 {
+    if failures > 0 || unsplit_rows > 0 {
         std::process::exit(1);
     }
 }

@@ -699,6 +699,46 @@ mod tests {
         assert!(nontrivial > 20);
     }
 
+    /// The predecoder's reach guard reads a defect's final radius from the
+    /// accelerator: it must be Σ y over the CPU nodes containing the defect,
+    /// blossoms included (an expanded blossom keeps y = 0). A defect the
+    /// CPU never saw is its own hardware-only circle.
+    #[test]
+    fn radius_of_is_the_dual_sum_of_the_nodes_containing_a_defect() {
+        let circuit = mb_graph::CircuitLevelCode::rotated(5, 5, 0.1).compile();
+        let graph = Arc::clone(circuit.graph());
+        let sampler = circuit.sampler();
+        let mut rng = ChaCha8Rng::seed_from_u64(61);
+        let mut solver =
+            crate::AcceleratedSolver::new(Arc::clone(&graph), AcceleratorConfig::default());
+        let (mut checked, mut in_blossom) = (0, 0);
+        for _ in 0..40 {
+            let syndrome = sampler.sample(&mut rng).syndrome;
+            solver.reset();
+            for defects in &syndrome.split_by_layer(&graph) {
+                solver.load_round(defects);
+            }
+            assert!(solver.drive(None));
+            let driver = solver.driver();
+            for &v in &syndrome.defects {
+                if !driver.node_of_hw.contains_key(&(v as HwNodeId)) {
+                    continue;
+                }
+                let containing = driver.nodes.iter().filter(|n| n.defects.contains(&v));
+                let sum: Weight = containing.clone().map(|n| n.y).sum();
+                assert_eq!(driver.accelerator().radius_of(v), sum, "defect {v}");
+                checked += 1;
+                in_blossom += usize::from(
+                    containing
+                        .clone()
+                        .any(|n| !n.children.is_empty() && n.y > 0),
+                );
+            }
+        }
+        assert!(checked > 100, "only {checked} CPU-known defects");
+        assert!(in_blossom > 0, "no defect sat in a live blossom");
+    }
+
     #[test]
     fn reset_restores_a_clean_driver() {
         let graph = Arc::new(CodeCapacityRepetitionCode::new(7, 0.1).decoding_graph());

@@ -21,7 +21,8 @@
 //!   defects, a convergence guard and a coarse deadline check;
 //! * [`predecoder`] — the LUT pre-decoder fast path: isolated defect
 //!   clusters are resolved from a precomputed local match table (pLUTo-style
-//!   lookup parallelism) and only hard shots escalate to the dual phase.
+//!   lookup parallelism) and only the hard clusters escalate to the dual
+//!   phase, under a reach guard that keeps the merged matching exact.
 //!   Every table entry is decoded by the same [`solver`] loop;
 //! * [`resource`] — the resource and clock model reproducing Table 4;
 //! * [`timing`] — conversion from cycle/bus counters to wall-clock latency.

@@ -1,14 +1,16 @@
 //! LUT pre-decoder: table-resolve lone defects and isolated defect pairs,
-//! escalate only hard shots.
+//! escalate only the hard clusters.
 //!
 //! At production-scale physical error rates almost every shot consists of a
 //! handful of *isolated* defect clusters — an adjacent pair from a single
 //! data error, a lone defect next to the boundary — yet the unconditional
 //! decode path pays the full dual-phase machinery for each of them. In the
 //! spirit of pLUTo-style lookup-table parallelism, this module resolves
-//! those common clusters from a precomputed local match table and only
-//! escalates the residual hard shots (larger clusters, table misses) to the
-//! blossom dual phase.
+//! those common clusters from a precomputed local match table and leaves
+//! only the residual hard clusters (larger clusters, table misses) to the
+//! blossom dual phase: a shot whose clusters all hit is resolved outright,
+//! and any other shot is *split*, the accelerator decoding its hard
+//! defects alone.
 //!
 //! # Why the table path is exact
 //!
@@ -18,12 +20,31 @@
 //! the same rule as [`mb_graph::dijkstra`]) is at most `2R`; distinct
 //! clusters are therefore separated by more than `2R`. The table only
 //! stores a cluster whose minimum matching weight `W` satisfies `W ≤ R`.
-//! By LP weak duality the blossom algorithm keeps the dual sum of each
-//! cluster at or below `W ≤ R` at every instant, so two clusters would need
-//! combined duals above `2R` to produce a tight cross-cluster path — which
-//! can never happen. Each cluster thus evolves exactly as it would alone on
-//! the graph, and the unconditional decode of the whole shot decomposes
-//! into the per-cluster decodes the table was built from.
+//! An optimal matching of such a cluster alone has optimal duals summing
+//! to `W` (LP duality), so each of its defects has a radius — Σ y over the
+//! nodes containing it — of at most `R`.
+//!
+//! Merging optimal matchings of disjoint defect sets is optimal when their
+//! final duals, taken together, are still feasible: the combined dual sum
+//! then equals the merged weight, a zero primal–dual gap. Duals of two
+//! parts can only violate feasibility across a pair `u`, `v` from
+//! different parts whose radii add up to more than their distance. Two
+//! table clusters have radii at most `R` each and lie more than `2R`
+//! apart, so a shot whose clusters all hit decomposes into its entries.
+//!
+//! A hard cluster's radii are not bounded by `R`: on a repetition code
+//! (`R = 2`), defects 1 and 2 form a table pair while 5, six away from 2,
+//! has no entry; decoded alone, 5 grows a radius of 10 to the boundary,
+//! which overlaps the pair, and the split would weigh 12 against the
+//! optimum 8 (1 to the boundary, 2 with 5). So a split shot is merged only
+//! under the *reach rule* ([`PreDecoder::hard_part_reaches_resolved`]):
+//! after the hard part is decoded, every hard defect `v` of radius
+//! `r(v) > R` must have no table-resolved defect closer than `r(v) + R`
+//! (a bounded search from `v`); a hard defect with `r(v) ≤ R` needs no
+//! search, since unlinked defects lie more than `2R` apart. When the rule
+//! fails the shot is decoded whole. This is the disjoint-dual-region
+//! argument Fusion Blossom (Wu & Zhong, arXiv:2305.08307) fuses partitions
+//! with.
 //!
 //! To preserve even *degenerate* optimum selection (equal-weight matchings
 //! with different corrections), table entries are not produced by a generic
@@ -53,16 +74,16 @@
 //! The table holds one entry per lone defect, keyed `(a, a)`, and one per
 //! linked pair, keyed `(a, b)` with `a < b`: `O(|V| · k)` entries for `k`
 //! partners per vertex, built once per `(graph, config)` alongside the PU
-//! arrays. A shot escalates as soon as one of its defects is linked to two
-//! others, since every cluster of three or more defects contains such a
-//! defect; otherwise its lone defects and pairs are looked up in ascending
-//! order. Larger clusters are rare at the paper's error rates, and each
+//! arrays. A defect linked to two others, or to one that is, sits in a
+//! cluster of three or more and is hard; every other defect is a lone
+//! defect or half of a pair, looked up in ascending order, and hard when
+//! its entry is missing. Larger clusters are rare at the paper's error rates, and each
 //! extra member would multiply the table by `k`, so the limit is fixed
 //! rather than a knob. An anchor with more than `MAX_PARTNERS` partners
 //! gets no entries, which bounds the table at `(1 + MAX_PARTNERS) · |V|`
-//! entries on any graph; the generated codes stay far below it, and a shot
-//! that would need such an entry escalates, so the cap trades fast-path
-//! coverage for memory, never for correctness.
+//! entries on any graph; the generated codes stay far below it, and a
+//! cluster that would need such an entry is hard, so the cap trades
+//! fast-path coverage for memory, never for correctness.
 
 use crate::accelerator::AcceleratorConfig;
 use crate::solver::AcceleratedSolver;
@@ -71,12 +92,17 @@ use mb_graph::dijkstra::boundary_distances;
 use mb_graph::{DecodingGraph, SyndromePattern, VertexIndex, Weight};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Most partners an anchor may have and still get table entries.
 const MAX_PARTNERS: usize = 64;
 /// `partner_of` value of a defect linked to no other defect of the shot.
 const LONE: u32 = u32::MAX;
+/// `partner_of` value of a defect the table does not resolve: it is linked
+/// to two others (a cluster of three or more), its partner is, or its lone
+/// defect or pair has no entry.
+const HARD: u32 = u32::MAX - 1;
 
 /// Configuration of the LUT pre-decoder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,9 +141,18 @@ pub struct PreDecoder {
     partners: Vec<Vec<VertexIndex>>,
     /// `(a, a)` → lone-defect entry, `(a, b)` with `a < b` → pair entry.
     table: HashMap<(VertexIndex, VertexIndex), PerfectMatching>,
+    /// The graph the partner lists were built on (searched by the reach
+    /// guard).
+    graph: Arc<DecodingGraph>,
     /// Per-shot scratch: the index of each defect's partner in the defect
-    /// list, or [`LONE`].
+    /// list, [`LONE`], or [`HARD`].
     partner_of: Vec<u32>,
+    /// Per-shot scratch: the defects [`Self::resolve_into`] left to the
+    /// accelerator, ascending.
+    hard: Vec<VertexIndex>,
+    /// Reach-guard search scratch (see [`ball_around`]).
+    best: HashMap<VertexIndex, Weight>,
+    heap: BinaryHeap<Reverse<(Weight, VertexIndex)>>,
 }
 
 impl PreDecoder {
@@ -160,7 +195,7 @@ impl PreDecoder {
                 continue;
             }
             ball.clear();
-            ball_around(
+            let _ = ball_around(
                 &graph,
                 &mut best,
                 &mut heap,
@@ -170,6 +205,7 @@ impl PreDecoder {
                     if v > anchor && !graph.is_virtual(v) {
                         ball.push((v, dist));
                     }
+                    ControlFlow::Continue(())
                 },
             );
             ball.sort_unstable();
@@ -203,7 +239,11 @@ impl PreDecoder {
             link_radius,
             partners,
             table,
+            graph,
             partner_of: Vec::new(),
+            hard: Vec::new(),
+            best,
+            heap,
         }
     }
 
@@ -217,15 +257,20 @@ impl PreDecoder {
         self.table.len()
     }
 
-    /// Resolves a full shot from the table.
+    /// Resolves every cluster of a shot the table covers, and returns the
+    /// defects of the others (the *hard* part), ascending.
     ///
     /// `defects` must be the shot's complete defect list, sorted and
     /// deduplicated; the result is therefore invariant to the order rounds
-    /// and defects arrived in. When no defect is linked to two others and
-    /// every lone defect and pair has an entry, the entries' matched pairs
-    /// and boundary matches are appended to `matching` in ascending defect
-    /// order and the call returns `true`; otherwise `matching` is left as
-    /// it was and the shot must escalate to the unconditional dual phase.
+    /// and defects arrived in. A cluster is a lone defect or a linked pair
+    /// with a table entry, or it is hard: three or more defects (each has a
+    /// member linked to two others), or a lone defect or pair without an
+    /// entry. The entries of the table-resolved clusters are appended to
+    /// `matching` in ascending defect order. An empty result is a *hit*:
+    /// `matching` then holds the whole shot's matching. Otherwise the hard
+    /// defects must be decoded by the accelerator, and its matching merged
+    /// only if [`Self::hard_part_reaches_resolved`] says it may be.
+    ///
     /// Classification is pairwise membership testing against the
     /// precomputed partner lists — `O(defects² · log k)`, independent of the
     /// lattice size, with no graph traversal — and the steady-state path
@@ -234,47 +279,105 @@ impl PreDecoder {
         &mut self,
         defects: &[VertexIndex],
         matching: &mut PerfectMatching,
-    ) -> bool {
+    ) -> &[VertexIndex] {
         debug_assert!(defects.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
         let partner_of = &mut self.partner_of;
         partner_of.clear();
         partner_of.resize(defects.len(), LONE);
+        // a second partner puts a defect in a cluster of three or more
+        let mut link = |x: usize, y: usize| {
+            partner_of[x] = if partner_of[x] == LONE {
+                y as u32
+            } else {
+                HARD
+            };
+        };
         for (i, &a) in defects.iter().enumerate() {
             let partners = &self.partners[a];
             for (j, b) in defects.iter().enumerate().skip(i + 1) {
                 if partners.binary_search(b).is_ok() {
-                    // a second partner: a cluster of three or more
-                    if partner_of[i] != LONE || partner_of[j] != LONE {
-                        return false;
-                    }
-                    partner_of[i] = j as u32;
-                    partner_of[j] = i as u32;
+                    link(i, j);
+                    link(j, i);
                 }
             }
         }
-        let (pairs, boundary) = (matching.pairs.len(), matching.boundary.len());
+        self.hard.clear();
         for (i, &a) in defects.iter().enumerate() {
-            let key = match partner_of[i] {
-                LONE => (a, a),
-                j if j as usize > i => (a, defects[j as usize]),
-                _ => continue,
+            let partner = match partner_of[i] {
+                HARD => None,
+                LONE => Some(i),
+                // linked to one defect that is linked to others
+                j if partner_of[j as usize] != i as u32 => None,
+                // the second defect of a resolved pair
+                j if (j as usize) < i => continue,
+                j => Some(j as usize),
             };
-            let Some(entry) = self.table.get(&key) else {
-                matching.pairs.truncate(pairs);
-                matching.boundary.truncate(boundary);
-                return false;
-            };
-            matching.pairs.extend_from_slice(&entry.pairs);
-            matching.boundary.extend_from_slice(&entry.boundary);
+            if let Some(entry) = partner.and_then(|p| self.table.get(&(a, defects[p]))) {
+                matching.pairs.extend_from_slice(&entry.pairs);
+                matching.boundary.extend_from_slice(&entry.boundary);
+            } else {
+                // a pair without an entry takes its partner along
+                if let Some(p) = partner {
+                    partner_of[p] = HARD;
+                }
+                partner_of[i] = HARD;
+                self.hard.push(a);
+            }
         }
-        true
+        &self.hard
+    }
+
+    /// The reach guard of a shot [`Self::resolve_into`] split: whether a
+    /// dual region of its hard part may touch a table-resolved cluster, so
+    /// that the two matchings must not be merged and the shot is decoded
+    /// whole instead.
+    ///
+    /// `defects` is the list the split was made from, and `radius_of(v)`
+    /// the final radius (Σ y over the nodes containing `v`) of each hard
+    /// defect once the accelerator has decoded the hard part. A table
+    /// cluster's radii are at most `R` (see the module docs), so a hard
+    /// defect of radius `r ≤ R` cannot reach one: unlinked defects lie more
+    /// than `2R` apart. A larger radius is searched out to `r + R`, and the
+    /// guard fires when a table-resolved defect lies closer than that.
+    pub fn hard_part_reaches_resolved(
+        &mut self,
+        defects: &[VertexIndex],
+        radius_of: impl Fn(VertexIndex) -> Weight,
+    ) -> bool {
+        let cap = self.link_radius / 2;
+        let Self {
+            graph,
+            partner_of,
+            hard,
+            best,
+            heap,
+            ..
+        } = self;
+        let resolved = |u: &VertexIndex| {
+            defects
+                .binary_search(u)
+                .is_ok_and(|i| partner_of[i] != HARD)
+        };
+        hard.iter().any(|&v| {
+            let reach = radius_of(v) + cap;
+            reach > self.link_radius
+                && ball_around(graph, best, heap, v, reach - 1, |u, _| {
+                    if resolved(&u) {
+                        ControlFlow::Break(())
+                    } else {
+                        ControlFlow::Continue(())
+                    }
+                })
+                .is_break()
+        })
     }
 }
 
 /// Bounded Dijkstra ball of weighted radius `radius` around `source`,
 /// never expanding out of virtual vertices (they terminate paths, the
 /// [`mb_graph::dijkstra`] rule). Calls `visit(vertex, distance)` once per
-/// settled vertex, including the source at distance 0. `best`/`heap` are
+/// settled vertex, in order of distance and including the source at 0,
+/// until it breaks; returns whether one did. `best`/`heap` are
 /// caller-owned scratch, cleared on entry and reused across calls.
 fn ball_around(
     graph: &DecodingGraph,
@@ -282,8 +385,8 @@ fn ball_around(
     heap: &mut BinaryHeap<Reverse<(Weight, VertexIndex)>>,
     source: VertexIndex,
     radius: Weight,
-    mut visit: impl FnMut(VertexIndex, Weight),
-) {
+    mut visit: impl FnMut(VertexIndex, Weight) -> ControlFlow<()>,
+) -> ControlFlow<()> {
     best.clear();
     heap.clear();
     best.insert(source, 0);
@@ -292,7 +395,7 @@ fn ball_around(
         if best[&v] != dist {
             continue;
         }
-        visit(v, dist);
+        visit(v, dist)?;
         if graph.is_virtual(v) && v != source {
             continue;
         }
@@ -304,6 +407,7 @@ fn ball_around(
             }
         }
     }
+    ControlFlow::Continue(())
 }
 
 /// Decodes one candidate on its own: every layer loaded, then one drive.
@@ -413,10 +517,10 @@ mod tests {
         clusters
     }
 
-    /// The partner rule against a union-find oracle: a shot resolves
-    /// exactly when every cluster is a lone defect or a pair with a stored
-    /// entry, the entries then append in cluster order, and a miss leaves
-    /// the matching as it was.
+    /// The partner rule against a union-find oracle: every cluster that is
+    /// a lone defect or a pair with a stored entry is resolved, the entries
+    /// append in cluster order after what `matching` held, and the defects
+    /// of every other cluster come back as the hard part.
     #[test]
     fn resolve_hits_exactly_when_every_cluster_is_a_stored_lone_defect_or_pair() {
         let graph = Arc::new(PhenomenologicalCode::rotated(3, 3, 0.06).decoding_graph());
@@ -427,40 +531,43 @@ mod tests {
             pairs: vec![(0, 1)],
             boundary: vec![(2, 3)],
         };
-        let (mut hits, mut oversized, mut table_misses) = (0, 0, 0);
+        let (mut hits, mut partial, mut oversized, mut table_misses) = (0, 0, 0, 0);
         for _ in 0..300 {
             let defects = sorted_defects(&sampler.sample(&mut rng));
             let mut matching = prior.clone();
-            let hit = pre.resolve_into(&defects, &mut matching);
-            let clusters = oracle_clusters(&graph, pre.link_radius(), &defects);
-            let entries: Option<Vec<&PerfectMatching>> = clusters
-                .iter()
-                .map(|cluster| match cluster[..] {
+            let hard = pre.resolve_into(&defects, &mut matching).to_vec();
+            let (mut expected, mut expected_hard) = (prior.clone(), Vec::new());
+            for cluster in oracle_clusters(&graph, pre.link_radius(), &defects) {
+                let entry = match cluster[..] {
                     [a] => pre.table.get(&(a, a)),
                     [a, b] => pre.table.get(&(a, b)),
-                    _ => None,
-                })
-                .collect();
-            if clusters.iter().any(|cluster| cluster.len() > 2) {
-                oversized += 1;
-            } else if entries.is_none() {
-                table_misses += 1;
+                    _ => {
+                        oversized += 1;
+                        None
+                    }
+                };
+                match entry {
+                    Some(entry) => {
+                        expected.pairs.extend_from_slice(&entry.pairs);
+                        expected.boundary.extend_from_slice(&entry.boundary);
+                    }
+                    None => {
+                        table_misses += usize::from(cluster.len() <= 2);
+                        expected_hard.extend_from_slice(&cluster);
+                    }
+                }
             }
-            let Some(entries) = entries else {
-                assert!(!hit, "{defects:?}: resolved a shot the oracle escalates");
-                assert_eq!(matching, prior, "{defects:?}: a miss changed the matching");
-                continue;
-            };
-            assert!(hit, "{defects:?}: escalated a shot the table covers");
-            let mut expected = prior.clone();
-            for entry in entries {
-                expected.pairs.extend_from_slice(&entry.pairs);
-                expected.boundary.extend_from_slice(&entry.boundary);
+            expected_hard.sort_unstable();
+            assert_eq!(hard, expected_hard, "{defects:?}: wrong hard part");
+            assert_eq!(matching, expected, "{defects:?}: wrong table part");
+            if !defects.is_empty() && hard.is_empty() {
+                hits += 1;
+            } else if hard.len() < defects.len() {
+                partial += 1;
             }
-            assert_eq!(matching, expected, "{defects:?}");
-            hits += usize::from(!defects.is_empty());
         }
         assert!(hits > 0, "p=6% should resolve shots from the table");
+        assert!(partial > 0, "p=6% should split shots");
         assert!(oversized > 0, "p=6% should produce clusters of three");
         assert!(
             table_misses > 0,
@@ -482,8 +589,32 @@ mod tests {
             .expect("code capacity d=5 has a chain of three");
         assert!(linked(chain[0], chain[1]) && linked(chain[1], chain[2]));
         let mut matching = PerfectMatching::default();
-        assert!(!pre.resolve_into(&chain, &mut matching), "{chain:?}");
+        assert_eq!(pre.resolve_into(&chain, &mut matching), chain, "{chain:?}");
         assert_eq!(matching, PerfectMatching::default());
+    }
+
+    /// The reach guard on a repetition code (R = 2): defects 1 and 2 are a
+    /// table pair, 5 a hard lone defect six away from 2.
+    #[test]
+    fn the_reach_guard_searches_only_beyond_the_entry_cap() {
+        let graph =
+            Arc::new(mb_graph::codes::CodeCapacityRepetitionCode::new(21, 0.05).decoding_graph());
+        let mut pre = build(&graph);
+        let defects = [1, 2, 5];
+        assert_eq!(pre.resolve_into(&defects, &mut PerfectMatching::new()), [5]);
+        // r ≤ R needs no search; r + R = 6 is not closer than 6; 7 is
+        assert!(!pre.hard_part_reaches_resolved(&defects, |_| 2));
+        assert!(!pre.hard_part_reaches_resolved(&defects, |_| 4));
+        assert!(pre.hard_part_reaches_resolved(&defects, |_| 5));
+        // other hard defects within reach do not count; 2 is ten from 7
+        let chain = [1, 2, 5, 6, 7];
+        assert_eq!(
+            pre.resolve_into(&chain, &mut PerfectMatching::new()),
+            [5, 6, 7]
+        );
+        let from_7 = |radius| move |v| if v == 7 { radius } else { 0 };
+        assert!(!pre.hard_part_reaches_resolved(&chain, from_7(8)));
+        assert!(pre.hard_part_reaches_resolved(&chain, from_7(9)));
     }
 
     /// A star of `leaves` regular vertices around vertex 0, the only vertex
@@ -512,8 +643,8 @@ mod tests {
         assert_eq!(over.partners[0].len(), MAX_PARTNERS + 1);
         assert_eq!(over.table_len(), 0);
         let mut matching = PerfectMatching::default();
-        assert!(!over.resolve_into(&[0], &mut matching));
-        assert!(!over.resolve_into(&[0, 2], &mut matching));
+        assert_eq!(over.resolve_into(&[0], &mut matching), [0]);
+        assert_eq!(over.resolve_into(&[0, 2], &mut matching), [0, 2]);
         assert_eq!(matching, PerfectMatching::default());
     }
 
@@ -530,7 +661,7 @@ mod tests {
                 continue;
             }
             let mut matching = PerfectMatching::default();
-            if !pre.resolve_into(&defects, &mut matching) {
+            if !pre.resolve_into(&defects, &mut matching).is_empty() {
                 continue;
             }
             resolved += 1;

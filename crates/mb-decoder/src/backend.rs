@@ -157,6 +157,15 @@ pub struct AccelObservability {
     /// Shots the LUT pre-decoder resolved from its local match table
     /// without entering the dual phase (see [`mb_accel::predecoder`]).
     pub predecoded_shots: u64,
+    /// Shots the table resolved in part: the accelerator decoded only the
+    /// clusters the table does not cover, and the two matchings were
+    /// merged. Not counted in [`Self::predecoded_shots`], which stays
+    /// "no accelerator touched".
+    pub partial_shots: u64,
+    /// Shots split like a partial shot whose hard part's dual regions
+    /// could reach a table-resolved cluster, so the whole shot was decoded
+    /// again (see [`mb_accel::PreDecoder::hard_part_reaches_resolved`]).
+    pub reach_fallbacks: u64,
     /// Context-bank restores performed by the streaming scheduler (each one
     /// a software `Mem[VertexPersistent]` fetch; see
     /// [`DecoderBackend::context_restore`]).
@@ -186,6 +195,8 @@ impl AccelObservability {
         self.pus_touched += grew(before.pus_touched, after.pus_touched);
         self.zero_defect_shots += grew(before.zero_defect_shots, after.zero_defect_shots);
         self.predecoded_shots += grew(before.predecoded_shots, after.predecoded_shots);
+        self.partial_shots += grew(before.partial_shots, after.partial_shots);
+        self.reach_fallbacks += grew(before.reach_fallbacks, after.reach_fallbacks);
         self.bank_switches += grew(before.bank_switches, after.bank_switches);
         self.accel_shots += grew(before.accel_shots, after.accel_shots);
     }

@@ -23,6 +23,26 @@
 //! loop itself is [`mb_accel::AcceleratedSolver`], the same loop the LUT
 //! pre-decoder builds its table with; this module decides when to load,
 //! drive and read out, and what to charge to the latency window.
+//!
+//! # What the modeled hardware sees
+//!
+//! With the LUT pre-decoder armed (the default at [`Stage::Full`]), the
+//! table resolves every cluster it can and the accelerator decodes only
+//! the rest ([`mb_accel::predecoder`]). The latency window follows what
+//! the hardware runs:
+//!
+//! * a table hit is charged the final round's load and nothing else;
+//! * a *partial* shot is charged only its hard part's window — its hard
+//!   defects go through the same round loop, every layer loaded, so the
+//!   window still opens at the shot's last round;
+//! * a *reach fallback* (the hard part's duals may reach a table cluster)
+//!   is charged the hard part's window plus the whole shot's, since the
+//!   hardware ran both;
+//! * a shot the table resolves nothing of is decoded and charged whole.
+//!
+//! [`Stage::DualOnly`] never arms the table, and [`Stage::Prematch`] and
+//! [`MicroBlossomConfig::without_predecoder`] do not by default, so the
+//! Figure 10a ladder keeps modelling the whole shot.
 
 use crate::backend::{AccelObservability, DecoderBackend};
 use crate::outcome::{DecodeOutcome, LatencyBreakdown};
@@ -130,11 +150,18 @@ pub struct MicroBlossomDecoder {
     predecoder: Option<PreDecoder>,
     /// Reusable buffer for the sorted, deduplicated shot defect list.
     predecode_scratch: Vec<VertexIndex>,
+    /// Reusable syndrome of a partial shot's hard defects.
+    hard_scratch: SyndromePattern,
     /// Shots (cumulative over this decoder's lifetime) whose syndrome was
     /// empty and took the zero-defect fast path.
     zero_defect_shots: u64,
     /// Shots the LUT pre-decoder resolved without entering the dual phase.
     predecoded_shots: u64,
+    /// Shots whose table-resolved clusters were merged with the
+    /// accelerator's decode of the rest.
+    partial_shots: u64,
+    /// Split shots the reach guard sent back to a whole-shot decode.
+    reach_fallbacks: u64,
     /// Total shots decoded (the fast-path-rate denominator).
     accel_shots: u64,
     /// Context banks indexed by the scheduler's slot id (`None` = free).
@@ -175,8 +202,11 @@ impl MicroBlossomDecoder {
             layers_scratch: Vec::new(),
             predecoder,
             predecode_scratch: Vec::new(),
+            hard_scratch: SyndromePattern::empty(),
             zero_defect_shots: 0,
             predecoded_shots: 0,
+            partial_shots: 0,
+            reach_fallbacks: 0,
             accel_shots: 0,
             banks: Vec::new(),
             bank_switches: 0,
@@ -208,25 +238,64 @@ impl MicroBlossomDecoder {
     /// syndrome's sorted, deduplicated defects, before the accelerator is
     /// touched. A hit is charged the window the escalated path would open
     /// with: the final round's load at [`Stage::Full`], nothing at the batch
-    /// stages. A miss (or an empty shot, which has its own cheaper fast
-    /// path) decodes exactly as an unarmed decoder does. At [`Stage::Full`]
-    /// that is the same round-wise session primitives (`ingest_one_round` /
-    /// `finish_session`) the incremental [`DecoderBackend::ingest_round`]
-    /// path uses, so feeding rounds as they arrive is bit-identical to
-    /// decoding the assembled syndrome.
+    /// stages. Otherwise the accelerator decodes only the hard defects the
+    /// table left ([`PreDecoder::resolve_into`]), and the two matchings are
+    /// merged unless the reach guard fires, in which case the whole shot is
+    /// decoded again (see the module docs for what each is charged). An
+    /// empty shot, or any shot of an unarmed decoder, decodes whole. At
+    /// [`Stage::Full`] that is the same round-wise session primitives
+    /// (`ingest_one_round` / `finish_session`) the incremental
+    /// [`DecoderBackend::ingest_round`] path uses, so feeding rounds as they
+    /// arrive is bit-identical to decoding the assembled syndrome.
     pub fn decode_matching(
         &mut self,
         syndrome: &SyndromePattern,
     ) -> (PerfectMatching, LatencyBreakdown) {
         DecoderBackend::reset(self);
         self.accel_shots += 1;
-        if let Some(matching) = self.try_predecode(&syndrome.defects) {
+        let Some(mut matching) = self.try_predecode(&syndrome.defects) else {
+            return self.decode_whole(syndrome);
+        };
+        if self.hard_scratch.len() == self.predecode_scratch.len() {
+            // the table resolved nothing: a whole-shot escalation
+            return self.decode_whole(syndrome);
+        }
+        if self.hard_scratch.is_empty() {
+            self.predecoded_shots += 1;
             let breakdown = LatencyBreakdown {
                 bus_writes: u64::from(self.config.stage == Stage::Full),
                 ..LatencyBreakdown::default()
             };
             return (matching, breakdown);
         }
+        let hard = std::mem::take(&mut self.hard_scratch);
+        let (hard_matching, mut breakdown) = self.decode_whole(&hard);
+        self.hard_scratch = hard;
+        if self.aborted {
+            return (hard_matching, breakdown);
+        }
+        let accel = self.solver.driver().accelerator();
+        let pre = self
+            .predecoder
+            .as_mut()
+            .expect("a split shot was predecoded");
+        if pre.hard_part_reaches_resolved(&self.predecode_scratch, |v| accel.radius_of(v)) {
+            // the hardware ran the hard part, then runs the whole shot
+            self.reach_fallbacks += 1;
+            DecoderBackend::reset(self);
+            let (whole, rerun) = self.decode_whole(syndrome);
+            breakdown += rerun;
+            return (whole, breakdown);
+        }
+        self.partial_shots += 1;
+        matching.pairs.extend_from_slice(&hard_matching.pairs);
+        matching.boundary.extend_from_slice(&hard_matching.boundary);
+        (matching, breakdown)
+    }
+
+    /// Decodes every defect of `syndrome` on the accelerator, as an unarmed
+    /// decoder does.
+    fn decode_whole(&mut self, syndrome: &SyndromePattern) -> (PerfectMatching, LatencyBreakdown) {
         // reuse the layer buffer across decodes (no steady-state allocation)
         let mut layers = std::mem::take(&mut self.layers_scratch);
         syndrome.split_by_layer_into(&self.graph, &mut layers);
@@ -291,9 +360,10 @@ impl MicroBlossomDecoder {
     }
 
     /// Attempts the LUT fast path on the shot's `defects`: resolves every
-    /// lone defect and isolated pair from the table. Returns the
-    /// complete matching on a hit; on a miss (or an empty shot, which has
-    /// its own cheaper fast path) the caller escalates.
+    /// lone defect and isolated pair the table covers. Returns their
+    /// matching and leaves the rest in `hard_scratch` (empty on a hit);
+    /// returns `None` for an empty shot, which has its own cheaper fast
+    /// path, and for an unarmed decoder.
     fn try_predecode(&mut self, defects: &[VertexIndex]) -> Option<PerfectMatching> {
         let pre = self.predecoder.as_mut()?;
         if defects.is_empty() {
@@ -305,10 +375,9 @@ impl MicroBlossomDecoder {
         sorted.sort_unstable();
         sorted.dedup();
         let mut matching = PerfectMatching::new();
-        if !pre.resolve_into(sorted, &mut matching) {
-            return None;
-        }
-        self.predecoded_shots += 1;
+        let hard = pre.resolve_into(sorted, &mut matching);
+        self.hard_scratch.defects.clear();
+        self.hard_scratch.defects.extend_from_slice(hard);
         Some(matching)
     }
 
@@ -486,6 +555,8 @@ impl DecoderBackend for MicroBlossomDecoder {
             pus_touched: accel.pus_touched(),
             zero_defect_shots: self.zero_defect_shots,
             predecoded_shots: self.predecoded_shots,
+            partial_shots: self.partial_shots,
+            reach_fallbacks: self.reach_fallbacks,
             bank_switches: self.bank_switches,
             accel_shots: self.accel_shots,
         })
@@ -496,7 +567,9 @@ impl DecoderBackend for MicroBlossomDecoder {
 mod tests {
     use super::*;
     use mb_blossom::exact::minimum_matching_weight;
-    use mb_graph::codes::{CodeCapacityRotatedCode, PhenomenologicalCode};
+    use mb_graph::codes::{
+        CodeCapacityRepetitionCode, CodeCapacityRotatedCode, PhenomenologicalCode,
+    };
     use mb_graph::dijkstra::distance_between;
     use mb_graph::syndrome::ErrorSampler;
     use rand::SeedableRng;
@@ -852,7 +925,7 @@ mod tests {
         // both driving policies the table is built for: round-wise (`Full`)
         // and batch (`Prematch` with the LUT armed)
         for stage in [Stage::Full, Stage::Prematch] {
-            let (mut escalated, mut single_cluster_hits) = (0, 0);
+            let (mut escalated, mut partial, mut single_cluster_hits) = (0, 0, 0);
             // the high-p graph escalates; the low-p one hits the table
             for (p, seed) in [(0.08, 13), (0.02, 14)] {
                 let graph = Arc::new(PhenomenologicalCode::rotated(3, 4, p).decoding_graph());
@@ -865,7 +938,12 @@ mod tests {
                         ..config.clone()
                     },
                 );
-                let mut without =
+                let mut without = MicroBlossomDecoder::new(
+                    Arc::clone(&graph),
+                    config.clone().without_predecoder(),
+                );
+                // decodes a split shot's hard defects alone
+                let mut hard_only =
                     MicroBlossomDecoder::new(Arc::clone(&graph), config.without_predecoder());
                 let mut rng = ChaCha8Rng::seed_from_u64(seed);
                 for _ in 0..60 {
@@ -877,6 +955,41 @@ mod tests {
                     let want = without.decode(&shot.syndrome);
                     let fast = post.predecoded_shots > pre.predecoded_shots
                         || post.zero_defect_shots > pre.zero_defect_shots;
+                    let split = post.partial_shots > pre.partial_shots
+                        || post.reach_fallbacks > pre.reach_fallbacks;
+                    if split {
+                        // the accelerator decoded the hard defects and
+                        // nothing else, charging that window alone
+                        let hard_stats = accel_stats(&hard_only);
+                        let hard = hard_only.decode(&with.hard_scratch);
+                        let mut moved = stats_moved(&hard_only, &hard_stats);
+                        let mut charged = hard.breakdown;
+                        if post.reach_fallbacks > pre.reach_fallbacks {
+                            // then the whole shot again, charged on top
+                            assert_eq!(got.matching, want.matching, "{stage:?}: fallback diverged");
+                            let whole = stats_moved(&without, &without_stats);
+                            moved = std::array::from_fn(|k| moved[k] + whole[k]);
+                            charged += want.breakdown;
+                        } else {
+                            partial += 1;
+                        }
+                        assert_eq!(
+                            stats_moved(&with, &with_stats),
+                            moved,
+                            "{stage:?}: split shot did work beyond its hard defects"
+                        );
+                        assert_eq!(got.breakdown, charged, "{stage:?}: split shot window");
+                        // an optimum of its own: same weight and parity
+                        let (got, want) = (got.matching.unwrap(), want.matching.unwrap());
+                        assert!(got.is_valid_for(&shot.syndrome.defects));
+                        assert_eq!(got.weight(&graph), want.weight(&graph), "{stage:?}");
+                        assert_eq!(
+                            got.correction_observable(&graph),
+                            want.correction_observable(&graph),
+                            "{stage:?}: split shot parity"
+                        );
+                        continue;
+                    }
                     if !fast {
                         escalated += 1;
                         assert_eq!(
@@ -931,11 +1044,88 @@ mod tests {
                 }
             }
             assert!(escalated > 0, "{stage:?}: p=0.08 should produce hard shots");
+            assert!(partial > 0, "{stage:?}: p=0.08 should produce split shots");
             assert!(
                 single_cluster_hits > 0,
                 "{stage:?}: p=0.02 should resolve single clusters from the table"
             );
         }
+    }
+
+    /// The counterexample to splitting without a guard: on a repetition
+    /// code (R = 2), defects 1 and 2 form a table pair, and 5 has no entry.
+    /// Decoded alone, 5 grows a radius of 10 to the boundary, which reaches
+    /// the pair; the merged split would weigh 2 + 10 = 12 against the
+    /// optimum 8 (1 to the boundary, 2 with 5).
+    #[test]
+    fn the_reach_guard_decodes_whole_where_a_hard_cluster_reaches_a_table_pair() {
+        let graph = Arc::new(CodeCapacityRepetitionCode::new(21, 0.05).decoding_graph());
+        let syndrome = SyndromePattern::new(vec![1, 2, 5]);
+        let mut decoder = MicroBlossomDecoder::full(Arc::clone(&graph), None);
+        let mut table_part = PerfectMatching::new();
+        let pre = decoder.predecoder.as_mut().unwrap();
+        assert_eq!(pre.resolve_into(&syndrome.defects, &mut table_part), [5]);
+        let mut unarmed = MicroBlossomDecoder::new(
+            Arc::clone(&graph),
+            MicroBlossomConfig::full(&graph, None).without_predecoder(),
+        );
+        let (hard_part, mut charged) = unarmed.decode_matching(&SyndromePattern::new(vec![5]));
+        let naive = table_part.weight(&graph) + hard_part.weight(&graph);
+        assert_eq!(naive, 12, "the unguarded split");
+
+        let (matching, breakdown) = decoder.decode_matching(&syndrome);
+        assert!(matching.is_valid_for(&syndrome.defects));
+        assert_eq!(matching.weight(&graph), 8);
+        assert_eq!(
+            matching.weight(&graph),
+            minimum_matching_weight(&graph, &syndrome.defects).unwrap()
+        );
+        let obs = decoder.accel_observability().unwrap();
+        assert_eq!(
+            (obs.reach_fallbacks, obs.partial_shots, obs.predecoded_shots),
+            (1, 0, 0)
+        );
+        // the fallback is charged both windows the hardware ran
+        let (whole, whole_window) = unarmed.decode_matching(&syndrome);
+        assert_eq!(matching, whole, "the fallback is the whole-shot decode");
+        charged += whole_window;
+        assert_eq!(breakdown, charged);
+    }
+
+    /// Split decoding on circuit-level graphs dense enough for the guard to
+    /// fire: every shot, partial or not, is a valid minimum-weight matching.
+    #[test]
+    fn split_shots_are_exact_where_the_reach_guard_fires() {
+        let (mut partial, mut fallbacks) = (0, 0);
+        for (d, p, shots, seed) in [(5, 0.1, 400, 51), (7, 0.03, 400, 52)] {
+            let circuit = mb_graph::CircuitLevelCode::rotated(d, d, p).compile();
+            let graph = Arc::clone(circuit.graph());
+            let sampler = circuit.sampler();
+            let mut decoder = MicroBlossomDecoder::full(Arc::clone(&graph), Some(d));
+            let mut exact = crate::BackendSpec::Parity.build(Arc::clone(&graph));
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            for _ in 0..shots {
+                let syndrome = sampler.sample(&mut rng).syndrome;
+                let defects = &syndrome.defects;
+                let (matching, _) = decoder.decode_matching(&syndrome);
+                assert!(matching.is_valid_for(defects), "d={d}: {defects:?}");
+                assert!(
+                    matching.correction_matches_syndrome(&graph, defects),
+                    "d={d}"
+                );
+                let want = if defects.len() <= 12 {
+                    minimum_matching_weight(&graph, defects).unwrap()
+                } else {
+                    exact.decode(&syndrome).matching.unwrap().weight(&graph)
+                };
+                assert_eq!(matching.weight(&graph), want, "d={d}: {defects:?}");
+            }
+            let obs = decoder.accel_observability().unwrap();
+            partial += obs.partial_shots;
+            fallbacks += obs.reach_fallbacks;
+        }
+        assert!(partial > 0, "no shot was split");
+        assert!(fallbacks > 0, "the reach guard never fired");
     }
 
     #[test]

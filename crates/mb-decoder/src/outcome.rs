@@ -21,6 +21,16 @@ pub struct LatencyBreakdown {
     pub cpu_obstacles: u64,
 }
 
+/// Counters of two windows the hardware ran one after the other.
+impl std::ops::AddAssign for LatencyBreakdown {
+    fn add_assign(&mut self, other: Self) {
+        self.hardware_cycles += other.hardware_cycles;
+        self.bus_reads += other.bus_reads;
+        self.bus_writes += other.bus_writes;
+        self.cpu_obstacles += other.cpu_obstacles;
+    }
+}
+
 /// Result of decoding one syndrome.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodeOutcome {

@@ -1,13 +1,17 @@
 //! Differential property test of the LUT pre-decoder fast path.
 //!
-//! The pre-decoder contract is bit-identical outcomes: for every shot, the
-//! fast path must produce the same correction (matching, up to pair
-//! ordering) and the same dual objective as the unconditional dual phase,
-//! and escalated shots must replay the unconditional path exactly. This
+//! The pre-decoder contract: a table hit produces the same correction
+//! (matching, up to pair ordering) and the same dual objective as the
+//! unconditional dual phase, and a shot escalated whole replays the
+//! unconditional path exactly. A split shot (the table resolves some
+//! clusters, the accelerator the rest) is an optimum of its own: the same
+//! weight and observable, with accelerator work for its hard defects only.
+//! This
 //! suite proves the contract across the three noise models (code capacity,
 //! phenomenological, circuit level), both ingestion modes (batch and
 //! round-wise streaming), and 1/2/8-worker decode pools.
 
+use mb_accel::{AcceleratorConfig, PreDecoder};
 use mb_blossom::PerfectMatching;
 use mb_decoder::{
     assert_same_decodes, BackendSpec, DecodePool, DecoderBackend, MicroBlossomConfig,
@@ -41,8 +45,9 @@ fn canonical(matching: &PerfectMatching) -> CanonicalMatching {
     (pairs, boundary)
 }
 
-/// The three noise models of the acceptance criteria, as named decoding
-/// graphs with a sampled syndrome workload each.
+/// The three noise models of the acceptance criteria, plus a dense
+/// phenomenological one, as named decoding graphs with a sampled syndrome
+/// workload each.
 fn noise_models() -> Vec<(&'static str, Arc<DecodingGraph>, Vec<SyndromePattern>)> {
     let mut models = Vec::new();
 
@@ -65,6 +70,13 @@ fn noise_models() -> Vec<(&'static str, Arc<DecodingGraph>, Vec<SyndromePattern>
     let shots = (0..60).map(|_| sampler.sample(&mut rng).syndrome).collect();
     models.push(("circuit-level", graph, shots));
 
+    // dense enough that shots split between the table and the accelerator
+    let graph = Arc::new(PhenomenologicalCode::rotated(3, 4, 0.08).decoding_graph());
+    let sampler = ErrorSampler::new(&graph);
+    let mut rng = ChaCha8Rng::seed_from_u64(104);
+    let shots = (0..60).map(|_| sampler.sample(&mut rng).syndrome).collect();
+    models.push(("phenomenological-dense", graph, shots));
+
     models
 }
 
@@ -84,10 +96,15 @@ fn ingestion_modes(
 
 #[test]
 fn lut_outcomes_match_unconditional_path_across_noise_models_and_modes() {
+    let mut partial = 0u64;
     for (model, graph, shots) in noise_models() {
+        // which defects a shot leaves to the accelerator depends only on
+        // the table's keys, which every configuration shares
+        let mut split = PreDecoder::build(Arc::clone(&graph), &AcceleratorConfig::default(), false);
         for (mode, on_config, off_config) in ingestion_modes(&graph) {
             let mut on = MicroBlossomDecoder::new(Arc::clone(&graph), on_config);
-            let mut off = MicroBlossomDecoder::new(Arc::clone(&graph), off_config);
+            let mut off = MicroBlossomDecoder::new(Arc::clone(&graph), off_config.clone());
+            let mut hard_only = MicroBlossomDecoder::new(Arc::clone(&graph), off_config);
             let mut fast = 0u64;
             for (i, syndrome) in shots.iter().enumerate() {
                 let before = on.accel_observability().unwrap();
@@ -101,19 +118,41 @@ fn lut_outcomes_match_unconditional_path_across_noise_models_and_modes() {
                 let got_matching = got.matching.as_ref().unwrap();
                 let want_matching = want.matching.as_ref().unwrap();
                 assert_eq!(
-                    canonical(got_matching),
-                    canonical(want_matching),
-                    "{model}/{mode} shot {i}: matching diverged"
-                );
-                assert_eq!(
                     got_matching.weight(&graph),
                     want_matching.weight(&graph),
                     "{model}/{mode} shot {i}: dual objective diverged"
                 );
+                if after.partial_shots > before.partial_shots {
+                    // a split shot is an optimum of its own: valid, and the
+                    // accelerator decoded its hard defects and nothing else
+                    partial += 1;
+                    assert!(got_matching.is_valid_for(&syndrome.defects));
+                    let hard = split.resolve_into(&syndrome.defects, &mut PerfectMatching::new());
+                    let hard = SyndromePattern::new(hard.to_vec());
+                    let hard_before = hard_only.accel_observability().unwrap();
+                    let alone = hard_only.decode(&hard);
+                    let hard_after = hard_only.accel_observability().unwrap();
+                    assert_eq!(
+                        got.breakdown, alone.breakdown,
+                        "{model}/{mode} shot {i}: split shot charged beyond its hard part"
+                    );
+                    assert_eq!(
+                        after.pus_touched - before.pus_touched,
+                        hard_after.pus_touched - hard_before.pus_touched,
+                        "{model}/{mode} shot {i}: split shot woke PUs beyond its hard part"
+                    );
+                    continue;
+                }
+                assert_eq!(
+                    canonical(got_matching),
+                    canonical(want_matching),
+                    "{model}/{mode} shot {i}: matching diverged"
+                );
                 if after.predecoded_shots == before.predecoded_shots
                     && after.zero_defect_shots == before.zero_defect_shots
+                    && after.reach_fallbacks == before.reach_fallbacks
                 {
-                    // escalated: the replay must be exact to the breakdown
+                    // escalated whole: the replay must be exact to the breakdown
                     assert_eq!(got, want, "{model}/{mode} shot {i}: escalation diverged");
                 }
                 fast += (after.predecoded_shots - before.predecoded_shots)
@@ -127,6 +166,7 @@ fn lut_outcomes_match_unconditional_path_across_noise_models_and_modes() {
             assert_eq!(obs.accel_shots, shots.len() as u64);
         }
     }
+    assert!(partial > 0, "no workload split a shot");
 }
 
 /// The decode keys of `outcomes`, which the pre-decoder-on and -off pools

@@ -23,10 +23,13 @@
 //!    ingestion, observable at the allocator);
 //! 4. the solver's round-by-round path — driving the same circuit-level
 //!    shots again allocates the same amount, so the sparse accelerator's
-//!    pooled per-cluster lists stop growing once warm.
+//!    pooled per-cluster lists stop growing once warm;
+//! 5. split shots — the pre-decoder's split and reach guard allocate
+//!    **zero** once warm, and a split shot's decode allocates a constant.
 
 use mb_accel::{
     AcceleratedDual, AcceleratedSolver, AcceleratorConfig, MicroBlossomAccelerator, PollEvent,
+    PreDecoder,
 };
 use mb_blossom::DualModule;
 use mb_decoder::{
@@ -178,6 +181,66 @@ fn full_decoder_steady_state_allocations_are_stable() {
     assert!(
         steady < per_decode[0],
         "warm decodes must allocate strictly less than the first: {per_decode:?}"
+    );
+}
+
+#[test]
+fn split_shots_settle_to_zero_new_allocations() {
+    // a shot the table resolves in part: the split and the reach guard run
+    // on the pre-decoder's retained scratch, and the decoder's partial
+    // decode allocates the same amount every time (the owned outcome and
+    // matchings it returns, not the classification)
+    let graph = Arc::new(PhenomenologicalCode::rotated(3, 4, 0.08).decoding_graph());
+    let sampler = ErrorSampler::new(&graph);
+    let mut rng = ChaCha8Rng::seed_from_u64(12);
+    let mut decoder = MicroBlossomDecoder::full(Arc::clone(&graph), Some(3));
+    let shot = loop {
+        let shot = sampler.sample(&mut rng);
+        let before = decoder.accel_observability().unwrap().partial_shots;
+        decoder.decode(&shot.syndrome);
+        if decoder.accel_observability().unwrap().partial_shots > before {
+            break shot;
+        }
+    };
+    let mut per_decode = Vec::with_capacity(10);
+    for _ in 0..10 {
+        let before = allocations();
+        let outcome = decoder.decode(&shot.syndrome);
+        per_decode.push(allocations() - before);
+        assert!(outcome.latency_ns > 0.0);
+    }
+    assert!(
+        per_decode[4..].iter().all(|&n| n == per_decode[4]),
+        "per-decode allocation count of a split shot must stabilize: {per_decode:?}"
+    );
+    assert_eq!(
+        decoder.accel_observability().unwrap().partial_shots,
+        11,
+        "every repeat is split"
+    );
+
+    let mut pre = PreDecoder::build(Arc::clone(&graph), &AcceleratorConfig::default(), false);
+    let mut matching = mb_blossom::PerfectMatching::new();
+    let split = |pre: &mut PreDecoder, matching: &mut mb_blossom::PerfectMatching| {
+        matching.pairs.clear();
+        matching.boundary.clear();
+        assert!(!pre
+            .resolve_into(&shot.syndrome.defects, matching)
+            .is_empty());
+        // a radius above the entry cap makes every hard defect search
+        pre.hard_part_reaches_resolved(&shot.syndrome.defects, |_| 4 * graph.max_weight())
+    };
+    for _ in 0..3 {
+        split(&mut pre, &mut matching);
+    }
+    let before = allocations();
+    for _ in 0..5 {
+        split(&mut pre, &mut matching);
+    }
+    assert_eq!(
+        allocations() - before,
+        0,
+        "a warm split and reach search must not allocate"
     );
 }
 
