@@ -144,6 +144,11 @@ impl AcceleratedDual {
         &self.accel
     }
 
+    /// Zeroes the accelerator's cumulative counters.
+    pub(crate) fn clear_stats(&mut self) {
+        self.accel.stats = Default::default();
+    }
+
     fn write(&mut self, instruction: Instruction) -> Option<HwResponse> {
         self.io.writes += 1;
         self.accel.execute(instruction)

@@ -57,7 +57,7 @@ pub use accelerator::{
 };
 pub use driver::{AcceleratedDual, DualContext, IoStats, PollEvent};
 pub use instruction::{HwDirection, HwNodeId, Instruction};
-pub use predecoder::{PreDecoder, PredecoderConfig};
+pub use predecoder::{Classifier, PairTable, PreDecoder, PredecoderConfig};
 pub use resource::{estimate_resources, ResourceEstimate};
 pub use solver::{AcceleratedSolver, SolverContext};
 pub use timing::TimingModel;

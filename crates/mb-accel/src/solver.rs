@@ -74,6 +74,11 @@ impl AcceleratedSolver {
         &self.driver
     }
 
+    /// Zeroes the accelerator's cumulative counters, as on a fresh solver.
+    pub fn clear_stats(&mut self) {
+        self.driver.clear_stats();
+    }
+
     /// Clears the shot: accelerator, driver bookkeeping and primal trees.
     pub fn reset(&mut self) {
         self.driver.reset();

@@ -9,7 +9,7 @@
 //! into [`BackendSpec`], a cloneable, thread-shareable recipe that builds
 //! one backend instance per pipeline worker.
 
-use crate::micro::{MicroBlossomConfig, MicroBlossomDecoder, Stage};
+use crate::micro::{FastPath, MicroBlossomConfig, MicroBlossomDecoder, Stage};
 use crate::outcome::DecodeOutcome;
 use crate::parity::ParityBlossomDecoder;
 use crate::uf::{HeliosLatencyModel, UnionFindDecoderAdapter};
@@ -129,6 +129,18 @@ pub trait DecoderBackend: Send {
     /// is observable from the running system; the benchmark reports it as
     /// `accel.pus_touched_per_shot`.
     fn accel_observability(&self) -> Option<AccelObservability> {
+        None
+    }
+
+    /// How this backend completes a shot that needs no decode engine, as a
+    /// handle the stream front-end can run on any thread: the feeding
+    /// thread then settles a round-fed shot itself, and only a shot the
+    /// handle cannot settle is handed to a worker. `None` (the default) for
+    /// every backend but a Micro Blossom decoder with its LUT pre-decoder
+    /// armed. A settled shot equals [`DecoderBackend::decode`] of the same
+    /// syndrome, and the stream counts it in the pool's
+    /// [`AccelObservability`] counters as if this backend had decoded it.
+    fn fast_path(&self) -> Option<FastPath> {
         None
     }
 }

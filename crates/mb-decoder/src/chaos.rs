@@ -10,6 +10,9 @@
 //!   respawn accounting end to end;
 //! * **worker delays** — sleep a worker for a configured duration before a
 //!   specific shot, widening race windows;
+//! * **feeder panics** — panic the completion of the *N*-th round-fed
+//!   shot, on the feeding thread that settles it or on the worker it
+//!   escalates to;
 //! * **stream round faults** — corrupt, drop, duplicate, or reorder a
 //!   measurement round pushed through a
 //!   [`RoundFeeder`](crate::RoundFeeder), driving the typed-validation and
@@ -86,6 +89,8 @@ pub struct FaultPlan {
     /// `(feeder_seq, round)` → fault. `feeder_seq` counts feeders in
     /// creation order on this plan, from 0.
     round_faults: HashMap<(u64, usize), RoundFault>,
+    /// `feeder_seq`s whose shot panics at its completion step.
+    panic_feeders: Vec<u64>,
     /// `try_submit` sequence numbers forced to report queue-full, from 0.
     queue_full_submits: Vec<u64>,
     /// Per-worker decoded-shot counters (interior, advanced at runtime).
@@ -132,6 +137,15 @@ impl FaultPlan {
         self
     }
 
+    /// Panics the completion step of the `feeder_seq`-th feeder's shot,
+    /// wherever it completes: on the feeding thread that settles it, or on
+    /// the worker it escalates to. Keyed on the feeder rather than on a
+    /// worker's shot counter, because a settled shot never reaches one.
+    pub fn panic_feeder(mut self, feeder_seq: u64) -> Self {
+        self.panic_feeders.push(feeder_seq);
+        self
+    }
+
     /// Injects `fault` into round `round` of the `feeder_seq`-th feeder
     /// created against this plan.
     pub fn round_fault(mut self, feeder_seq: u64, round: usize, fault: RoundFault) -> Self {
@@ -147,7 +161,12 @@ impl FaultPlan {
 
     /// Number of panics this plan will inject (for test assertions).
     pub fn planned_panics(&self) -> usize {
-        self.panic_shots.len()
+        self.panic_shots.len() + self.panic_feeders.len()
+    }
+
+    /// Whether the shot of feeder `feeder_seq` panics at its completion.
+    pub fn feeder_panics(&self, feeder_seq: u64) -> bool {
+        self.panic_feeders.contains(&feeder_seq)
     }
 
     /// Advances worker `worker`'s shot counter and returns the fault to
@@ -236,5 +255,15 @@ mod tests {
         assert_eq!(plan.fault_for_round(0, 2), Some(RoundFault::Drop));
         assert_eq!(plan.fault_for_round(0, 1), None);
         assert_eq!(plan.fault_for_round(1, 2), None);
+    }
+
+    #[test]
+    fn feeder_panics_are_keyed_on_the_feeder() {
+        let plan = FaultPlan::new().panic_feeder(2);
+        assert_eq!(plan.planned_panics(), 1);
+        assert!(plan.feeder_panics(2));
+        assert!(!plan.feeder_panics(1));
+        // no worker's shot counter is involved
+        assert_eq!(plan.next_shot_fault(0), ShotFault::None);
     }
 }

@@ -89,7 +89,7 @@ pub use error::{DecodeError, InvalidDefectReason};
 pub use evaluation::{
     evaluate_circuit, evaluate_decoder, phase_profile, EvaluationResult, PhaseProfile,
 };
-pub use micro::{MicroBlossomConfig, MicroBlossomDecoder, Stage};
+pub use micro::{FastPath, MicroBlossomConfig, MicroBlossomDecoder, Stage};
 pub use outcome::{DecodeOutcome, LatencyBreakdown};
 pub use parity::ParityBlossomDecoder;
 pub use pipeline::{DecodePool, PoolStats, ShardedPipeline, ShotOutcome};

@@ -31,7 +31,10 @@
 //! the rest ([`mb_accel::predecoder`]). The latency window follows what
 //! the hardware runs:
 //!
-//! * a table hit is charged the final round's load and nothing else;
+//! * a zero-defect shot is charged the decoder's own zero-defect window
+//!   (recorded once per decoder), a table hit the final round's load and
+//!   nothing else; neither touches the accelerator ([`FastPath`], which
+//!   the stream front-end also runs on its feeding threads);
 //! * a *partial* shot is charged only its hard part's window — its hard
 //!   defects go through the same round loop, every layer loaded, so the
 //!   window still opens at the shot's last round;
@@ -47,10 +50,11 @@
 use crate::backend::{AccelObservability, DecoderBackend};
 use crate::outcome::{DecodeOutcome, LatencyBreakdown};
 use mb_accel::{
-    AcceleratedSolver, AcceleratorConfig, PreDecoder, PredecoderConfig, SolverContext, TimingModel,
+    AcceleratedSolver, AcceleratorConfig, Classifier, PairTable, PreDecoder, PredecoderConfig,
+    SolverContext, TimingModel,
 };
 use mb_blossom::PerfectMatching;
-use mb_graph::{DecodingGraph, SyndromePattern, VertexIndex};
+use mb_graph::{DecodingGraph, ObservableMask, SyndromePattern, VertexIndex};
 use std::sync::Arc;
 
 /// A rung of the Figure 10a ablation ladder: each stage keeps the ideas of
@@ -135,6 +139,84 @@ impl MicroBlossomConfig {
     }
 }
 
+/// How an armed decoder completes a shot that needs no accelerator: a shot
+/// without defects, or one whose every cluster the LUT pre-decoder
+/// resolves (a *hit*).
+///
+/// It holds the shared pair table, the timing model and the two latency
+/// windows such a shot is charged, so it settles a shot with no decoder at
+/// hand. [`MicroBlossomDecoder`] settles its own shots through it, and
+/// [`DecoderBackend::fast_path`] hands a copy (an `Arc` clone, no table
+/// build) to the stream front-end, which settles round-fed shots on the
+/// thread that fed their rounds: one completion function, two callers.
+#[derive(Debug, Clone)]
+pub struct FastPath {
+    table: Arc<PairTable>,
+    timing: TimingModel,
+    /// The window the decoder's own zero-defect decode is charged, recorded
+    /// once when the decoder is built.
+    zero_defect: LatencyBreakdown,
+    /// The window a hit is charged: the final round's load at
+    /// [`Stage::Full`], nothing at the batch stage.
+    hit: LatencyBreakdown,
+}
+
+/// A shot [`FastPath::settle`] completed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Settled {
+    /// The logical observables its correction flips.
+    pub(crate) observable: ObservableMask,
+    pub(crate) breakdown: LatencyBreakdown,
+    pub(crate) latency_ns: f64,
+    /// A zero-defect shot (otherwise a table hit).
+    pub(crate) zero_defect: bool,
+}
+
+impl FastPath {
+    /// The shared pair table.
+    pub fn table(&self) -> &Arc<PairTable> {
+        &self.table
+    }
+
+    /// Settles the shot whose sorted, deduplicated defects are `defects`,
+    /// or returns `None` when the table leaves hard defects (then in
+    /// `classifier`, for the accelerator). A hit's observable is the XOR of
+    /// its entries' masks, so no correction path is walked; with
+    /// `matching`, its entries are appended there too.
+    pub(crate) fn settle(
+        &self,
+        classifier: &mut Classifier,
+        defects: &[VertexIndex],
+        matching: Option<&mut PerfectMatching>,
+    ) -> Option<Settled> {
+        let (observable, breakdown) = if defects.is_empty() {
+            (0, self.zero_defect)
+        } else {
+            let observable = self.table.resolve(classifier, defects, matching);
+            if !classifier.hard().is_empty() {
+                return None;
+            }
+            (observable, self.hit)
+        };
+        Some(Settled {
+            observable,
+            breakdown,
+            latency_ns: latency_of(&self.timing, breakdown),
+            zero_defect: defects.is_empty(),
+        })
+    }
+}
+
+/// The modeled latency of a window's counters.
+fn latency_of(timing: &TimingModel, breakdown: LatencyBreakdown) -> f64 {
+    timing.latency_ns(
+        breakdown.hardware_cycles,
+        breakdown.bus_reads,
+        breakdown.bus_writes,
+        breakdown.cpu_obstacles,
+    )
+}
+
 /// The Micro Blossom heterogeneous decoder.
 #[derive(Debug, Clone)]
 pub struct MicroBlossomDecoder {
@@ -145,9 +227,11 @@ pub struct MicroBlossomDecoder {
     solver: AcceleratedSolver,
     /// Reusable per-decode buffer for the layer-split syndrome.
     layers_scratch: Vec<Vec<VertexIndex>>,
-    /// LUT pre-decoder (table + classifier), `Some` when the configuration
-    /// enables it above [`Stage::DualOnly`].
-    predecoder: Option<PreDecoder>,
+    /// The LUT fast path, `Some` when the configuration arms the
+    /// pre-decoder above [`Stage::DualOnly`].
+    fast_path: Option<FastPath>,
+    /// Classification scratch for the pre-decoder's table.
+    classifier: Classifier,
     /// Reusable buffer for the sorted, deduplicated shot defect list.
     predecode_scratch: Vec<VertexIndex>,
     /// Reusable syndrome of a partial shot's hard defects.
@@ -193,14 +277,17 @@ impl MicroBlossomDecoder {
         };
         // eager materialization routes every defect through the primal
         // module, which the table path bypasses — treat it as disabled
-        let predecoder = (config.predecoder.enabled && config.stage != Stage::DualOnly)
-            .then(|| PreDecoder::build(Arc::clone(&graph), &accel_config, false));
-        Self {
+        let table = (config.predecoder.enabled && config.stage != Stage::DualOnly).then(|| {
+            let pre = PreDecoder::build(Arc::clone(&graph), &accel_config, false);
+            Arc::clone(pre.table())
+        });
+        let mut decoder = Self {
             solver: AcceleratedSolver::new(Arc::clone(&graph), accel_config),
             graph,
             config,
             layers_scratch: Vec::new(),
-            predecoder,
+            fast_path: None,
+            classifier: Classifier::default(),
             predecode_scratch: Vec::new(),
             hard_scratch: SyndromePattern::empty(),
             zero_defect_shots: 0,
@@ -212,7 +299,25 @@ impl MicroBlossomDecoder {
             bank_switches: 0,
             abort_at: None,
             aborted: false,
+        };
+        if let Some(table) = table {
+            // record the zero-defect window, then zero what it counted: the
+            // decoder reads as freshly built
+            let (_, zero_defect) = decoder.decode_whole(&SyndromePattern::empty());
+            decoder.solver.clear_stats();
+            decoder.zero_defect_shots = 0;
+            let hit = LatencyBreakdown {
+                bus_writes: u64::from(decoder.config.stage == Stage::Full),
+                ..LatencyBreakdown::default()
+            };
+            decoder.fast_path = Some(FastPath {
+                table,
+                timing: decoder.config.timing,
+                zero_defect,
+                hit,
+            });
         }
+        decoder
     }
 
     /// Convenience constructor with the full configuration.
@@ -234,15 +339,18 @@ impl MicroBlossomDecoder {
     /// Decodes a syndrome and returns the perfect matching together with the
     /// latency breakdown.
     ///
-    /// With the LUT pre-decoder armed, the table is tried first, on the
-    /// syndrome's sorted, deduplicated defects, before the accelerator is
-    /// touched. A hit is charged the window the escalated path would open
-    /// with: the final round's load at [`Stage::Full`], nothing at the batch
-    /// stages. Otherwise the accelerator decodes only the hard defects the
-    /// table left ([`PreDecoder::resolve_into`]), and the two matchings are
-    /// merged unless the reach guard fires, in which case the whole shot is
-    /// decoded again (see the module docs for what each is charged). An
-    /// empty shot, or any shot of an unarmed decoder, decodes whole. At
+    /// With the LUT pre-decoder armed, the [`FastPath`] is tried first, on
+    /// the syndrome's sorted, deduplicated defects, before the accelerator
+    /// is touched: an empty shot is charged the decoder's own zero-defect
+    /// window, and a hit the window the escalated path would open with (the
+    /// final round's load at [`Stage::Full`], nothing at the batch stages).
+    /// Neither issues an instruction, not even a reset: the accelerator is
+    /// reset only right before it is used. Otherwise the accelerator
+    /// decodes only the hard defects the table left
+    /// ([`PairTable::resolve`]), and the two matchings are merged unless the
+    /// reach guard fires, in which case the whole shot is decoded again (see
+    /// the module docs for what each is charged). A shot the table resolves
+    /// nothing of, or any shot of an unarmed decoder, decodes whole. At
     /// [`Stage::Full`] that is the same round-wise session primitives
     /// (`ingest_one_round` / `finish_session`) the incremental
     /// [`DecoderBackend::ingest_round`] path uses, so feeding rounds as they
@@ -251,51 +359,76 @@ impl MicroBlossomDecoder {
         &mut self,
         syndrome: &SyndromePattern,
     ) -> (PerfectMatching, LatencyBreakdown) {
-        DecoderBackend::reset(self);
+        let (matching, breakdown, _) = self.decode_shot(syndrome);
+        (matching, breakdown)
+    }
+
+    /// [`Self::decode_matching`], plus the observable of a shot the fast
+    /// path settled (`None` for a shot the accelerator decoded, whose
+    /// correction must be walked).
+    fn decode_shot(
+        &mut self,
+        syndrome: &SyndromePattern,
+    ) -> (PerfectMatching, LatencyBreakdown, Option<ObservableMask>) {
+        // `abort_at` deliberately survives (see `reset`)
+        self.aborted = false;
         self.accel_shots += 1;
-        let Some(mut matching) = self.try_predecode(&syndrome.defects) else {
-            return self.decode_whole(syndrome);
+        let Some(fast) = &self.fast_path else {
+            let (matching, breakdown) = self.decode_whole(syndrome);
+            return (matching, breakdown, None);
         };
-        if self.hard_scratch.len() == self.predecode_scratch.len() {
+        let sorted = &mut self.predecode_scratch;
+        sorted.clear();
+        sorted.extend_from_slice(&syndrome.defects);
+        sorted.sort_unstable();
+        sorted.dedup();
+        let mut matching = PerfectMatching::new();
+        if let Some(settled) = fast.settle(&mut self.classifier, sorted, Some(&mut matching)) {
+            if settled.zero_defect {
+                self.zero_defect_shots += 1;
+            } else {
+                self.predecoded_shots += 1;
+            }
+            return (matching, settled.breakdown, Some(settled.observable));
+        }
+        let hard = self.classifier.hard();
+        if hard.len() == sorted.len() {
             // the table resolved nothing: a whole-shot escalation
-            return self.decode_whole(syndrome);
+            let (whole, breakdown) = self.decode_whole(syndrome);
+            return (whole, breakdown, None);
         }
-        if self.hard_scratch.is_empty() {
-            self.predecoded_shots += 1;
-            let breakdown = LatencyBreakdown {
-                bus_writes: u64::from(self.config.stage == Stage::Full),
-                ..LatencyBreakdown::default()
-            };
-            return (matching, breakdown);
-        }
+        self.hard_scratch.defects.clear();
+        self.hard_scratch.defects.extend_from_slice(hard);
         let hard = std::mem::take(&mut self.hard_scratch);
         let (hard_matching, mut breakdown) = self.decode_whole(&hard);
         self.hard_scratch = hard;
         if self.aborted {
-            return (hard_matching, breakdown);
+            return (hard_matching, breakdown, None);
         }
         let accel = self.solver.driver().accelerator();
-        let pre = self
-            .predecoder
-            .as_mut()
-            .expect("a split shot was predecoded");
-        if pre.hard_part_reaches_resolved(&self.predecode_scratch, |v| accel.radius_of(v)) {
+        let table = self.fast_path.as_ref().expect("armed above").table();
+        let radius_of = |v| accel.radius_of(v);
+        if table.hard_part_reaches_resolved(
+            &mut self.classifier,
+            &self.predecode_scratch,
+            radius_of,
+        ) {
             // the hardware ran the hard part, then runs the whole shot
             self.reach_fallbacks += 1;
-            DecoderBackend::reset(self);
             let (whole, rerun) = self.decode_whole(syndrome);
             breakdown += rerun;
-            return (whole, breakdown);
+            return (whole, breakdown, None);
         }
         self.partial_shots += 1;
         matching.pairs.extend_from_slice(&hard_matching.pairs);
         matching.boundary.extend_from_slice(&hard_matching.boundary);
-        (matching, breakdown)
+        (matching, breakdown, None)
     }
 
-    /// Decodes every defect of `syndrome` on the accelerator, as an unarmed
-    /// decoder does.
+    /// Resets the accelerator and decodes every defect of `syndrome` on it,
+    /// as an unarmed decoder does.
     fn decode_whole(&mut self, syndrome: &SyndromePattern) -> (PerfectMatching, LatencyBreakdown) {
+        self.solver.reset();
         // reuse the layer buffer across decodes (no steady-state allocation)
         let mut layers = std::mem::take(&mut self.layers_scratch);
         syndrome.split_by_layer_into(&self.graph, &mut layers);
@@ -357,28 +490,6 @@ impl MicroBlossomDecoder {
         if !self.supports_context_switching() {
             panic!("{} does not support round-wise ingestion", self.name());
         }
-    }
-
-    /// Attempts the LUT fast path on the shot's `defects`: resolves every
-    /// lone defect and isolated pair the table covers. Returns their
-    /// matching and leaves the rest in `hard_scratch` (empty on a hit);
-    /// returns `None` for an empty shot, which has its own cheaper fast
-    /// path, and for an unarmed decoder.
-    fn try_predecode(&mut self, defects: &[VertexIndex]) -> Option<PerfectMatching> {
-        let pre = self.predecoder.as_mut()?;
-        if defects.is_empty() {
-            return None;
-        }
-        let sorted = &mut self.predecode_scratch;
-        sorted.clear();
-        sorted.extend_from_slice(defects);
-        sorted.sort_unstable();
-        sorted.dedup();
-        let mut matching = PerfectMatching::new();
-        let hard = pre.resolve_into(sorted, &mut matching);
-        self.hard_scratch.defects.clear();
-        self.hard_scratch.defects.extend_from_slice(hard);
-        Some(matching)
     }
 
     /// Runs the dual phase on the loaded shot (counting the zero-defect
@@ -443,12 +554,7 @@ impl MicroBlossomDecoder {
         matching: PerfectMatching,
         breakdown: LatencyBreakdown,
     ) -> DecodeOutcome {
-        let latency_ns = self.config.timing.latency_ns(
-            breakdown.hardware_cycles,
-            breakdown.bus_reads,
-            breakdown.bus_writes,
-            breakdown.cpu_obstacles,
-        );
+        let latency_ns = latency_of(&self.config.timing, breakdown);
         DecodeOutcome::from_matching(&self.graph, matching, latency_ns, breakdown)
     }
 
@@ -478,8 +584,15 @@ impl DecoderBackend for MicroBlossomDecoder {
     }
 
     fn decode(&mut self, syndrome: &SyndromePattern) -> DecodeOutcome {
-        let (matching, breakdown) = self.decode_matching(syndrome);
-        self.outcome_from(matching, breakdown)
+        match self.decode_shot(syndrome) {
+            (matching, breakdown, Some(observable)) => DecodeOutcome {
+                observable,
+                latency_ns: latency_of(&self.config.timing, breakdown),
+                matching: Some(matching),
+                breakdown,
+            },
+            (matching, breakdown, None) => self.outcome_from(matching, breakdown),
+        }
     }
 
     fn reset(&mut self) {
@@ -520,10 +633,18 @@ impl DecoderBackend for MicroBlossomDecoder {
     /// to the sparse active set), the driver's CPU node table, and the
     /// primal trees ([`SolverContext`]). With the LUT pre-decoder armed, the
     /// table needs every round before anything is driven, so such a decoder
-    /// gains nothing from early ingestion: the scheduler decodes its
-    /// assembled syndrome instead, and fast-path shots never occupy a bank.
+    /// gains nothing from early ingestion. It hands the scheduler its
+    /// [`FastPath`] instead ([`DecoderBackend::fast_path`]): a round-fed
+    /// shot without defects, or one the table resolves whole, is settled on
+    /// the thread that fed it, and only a shot with hard defects reaches a
+    /// worker, which decodes its assembled syndrome. No shot of an armed
+    /// decoder occupies a bank.
     fn supports_context_switching(&self) -> bool {
-        self.config.stage == Stage::Full && self.predecoder.is_none()
+        self.config.stage == Stage::Full && self.fast_path.is_none()
+    }
+
+    fn fast_path(&self) -> Option<FastPath> {
+        self.fast_path.clone()
     }
 
     fn context_save(&mut self, slot: usize) {
@@ -915,9 +1036,71 @@ mod tests {
         assert_eq!(easy.bus_reads, 0);
         assert_eq!(easy.bus_writes, 1);
         assert_eq!(easy.cpu_obstacles, 0);
-        // the table is tried before anything is loaded: the opening `Reset`
-        // is the only instruction a hit issues
-        assert_eq!(instructions, 1);
+        // the table is tried before anything is loaded, and the accelerator
+        // is reset only when it is used: a hit issues no instruction at all
+        assert_eq!(instructions, 0);
+    }
+
+    /// The solver is reset only before the accelerator is used, so a hit
+    /// leaves the previous escalation's state in it: every shot of a
+    /// hit → escalation → hit sequence must still decode, and do the same
+    /// accelerator work, as on a fresh decoder.
+    #[test]
+    fn settled_shots_between_escalations_decode_as_on_a_fresh_decoder() {
+        let graph = Arc::new(PhenomenologicalCode::rotated(3, 4, 0.03).decoding_graph());
+        let sampler = ErrorSampler::new(&graph);
+        let mut rng = ChaCha8Rng::seed_from_u64(0x1A2E);
+        let pristine = MicroBlossomDecoder::full(Arc::clone(&graph), Some(3));
+        let mut reused = pristine.clone();
+        let mut settled = Vec::new();
+        for _ in 0..200 {
+            let shot = sampler.sample(&mut rng);
+            let before = reused.accel_observability().unwrap();
+            let used = accel_stats(&reused);
+            let got = reused.decode(&shot.syndrome);
+            let moved = stats_moved(&reused, &used);
+            let after = reused.accel_observability().unwrap();
+            settled.push(
+                after.predecoded_shots + after.zero_defect_shots
+                    > before.predecoded_shots + before.zero_defect_shots,
+            );
+            let mut fresh = pristine.clone();
+            let want = fresh.decode(&shot.syndrome);
+            assert_eq!(got, want, "{:?}", shot.syndrome);
+            assert_eq!(moved, stats_moved(&fresh, &accel_stats(&pristine)));
+        }
+        let sandwiched = settled
+            .windows(3)
+            .filter(|w| matches!(w, [true, false, true]))
+            .count();
+        assert!(sandwiched > 0, "no escalation between two settled shots");
+    }
+
+    /// Recording the zero-defect window leaves no trace: a freshly armed
+    /// decoder has moved no counter, and settles an empty shot exactly as
+    /// its own accelerator decodes one.
+    #[test]
+    fn the_zero_defect_window_is_recorded_without_moving_a_counter() {
+        let graph = Arc::new(PhenomenologicalCode::rotated(3, 4, 0.01).decoding_graph());
+        for stage in [Stage::Full, Stage::Prematch] {
+            let config = MicroBlossomConfig {
+                predecoder: PredecoderConfig::default(),
+                ..MicroBlossomConfig::new(stage, &graph, Some(3))
+            };
+            let mut armed = MicroBlossomDecoder::new(Arc::clone(&graph), config.clone());
+            let mut unarmed =
+                MicroBlossomDecoder::new(Arc::clone(&graph), config.without_predecoder());
+            assert!(armed.fast_path.is_some(), "{stage:?}");
+            assert_eq!(accel_stats(&armed), accel_stats(&unarmed), "{stage:?}");
+            assert_eq!(
+                armed.accel_observability(),
+                unarmed.accel_observability(),
+                "{stage:?}"
+            );
+            let empty = SyndromePattern::empty();
+            assert_eq!(armed.decode(&empty), unarmed.decode(&empty), "{stage:?}");
+            assert_eq!(accel_stats(&armed).instructions, 0, "{stage:?}: settled");
+        }
     }
 
     #[test]
@@ -1013,7 +1196,7 @@ mod tests {
                     defects.sort_unstable();
                     defects.dedup();
                     // one cluster: a lone defect, or two linked ones
-                    let link_radius = with.predecoder.as_ref().unwrap().link_radius();
+                    let link_radius = with.fast_path.as_ref().unwrap().table().link_radius();
                     let single_cluster = match defects[..] {
                         [_] => true,
                         [a, b] => distance_between(&graph, a, b).is_some_and(|d| d <= link_radius),
@@ -1063,8 +1246,13 @@ mod tests {
         let syndrome = SyndromePattern::new(vec![1, 2, 5]);
         let mut decoder = MicroBlossomDecoder::full(Arc::clone(&graph), None);
         let mut table_part = PerfectMatching::new();
-        let pre = decoder.predecoder.as_mut().unwrap();
-        assert_eq!(pre.resolve_into(&syndrome.defects, &mut table_part), [5]);
+        let table = decoder.fast_path.as_ref().unwrap().table();
+        table.resolve(
+            &mut decoder.classifier,
+            &syndrome.defects,
+            Some(&mut table_part),
+        );
+        assert_eq!(decoder.classifier.hard(), [5]);
         let mut unarmed = MicroBlossomDecoder::new(
             Arc::clone(&graph),
             MicroBlossomConfig::full(&graph, None).without_predecoder(),

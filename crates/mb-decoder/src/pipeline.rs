@@ -445,6 +445,21 @@ fn fold_accel(
     }
 }
 
+/// Counts a shot a stream settled on its feeding thread
+/// ([`DecoderBackend::fast_path`]) as the accelerator shot it would have
+/// been on a worker: a zero-defect shot or a table hit.
+pub(crate) fn fold_settled(stats: &Mutex<PoolStats>, zero_defect: bool) {
+    fold(stats, |stats| {
+        let accel = &mut stats.accel;
+        accel.accel_shots += 1;
+        if zero_defect {
+            accel.zero_defect_shots += 1;
+        } else {
+            accel.predecoded_shots += 1;
+        }
+    });
+}
+
 /// Counts a caught shot-scoped panic and the backend rebuild that follows.
 fn fold_respawn(stats: &Mutex<PoolStats>) {
     fold(stats, |stats| {
@@ -684,6 +699,12 @@ impl DecodePool {
     /// A snapshot of this pool's counters; see [`PoolStats`].
     pub fn stats(&self) -> PoolStats {
         *self.stats.lock().expect("pool stats mutex poisoned")
+    }
+
+    /// The counters [`Self::stats`] snapshots, for a stream whose feeding
+    /// threads settle shots without a worker.
+    pub(crate) fn stats_cell(&self) -> Arc<Mutex<PoolStats>> {
+        Arc::clone(&self.stats)
     }
 
     /// How many of this pool's workers a job with the given worker budget

@@ -31,13 +31,26 @@
 //!   context's state bank into its engine
 //!   ([`DecoderBackend::context_restore`]), folds the round in (§6 fusion
 //!   via [`DecoderBackend::ingest_round`]), and banks the state again when
-//!   another context needs the engine. Every other backend — including the
-//!   stream decoder with its LUT pre-decoder armed — buffers the rounds
-//!   until the shot finishes. A finished context whose state never reached
-//!   the engine completes in one step: decode its assembled syndrome — same
-//!   result, no early start. Shots complete out
+//!   another context needs the engine. Every other backend buffers the
+//!   rounds in the slot until the shot finishes. A finished context whose
+//!   state never reached the engine completes in one step: decode its
+//!   assembled syndrome — same result, no early start. Shots complete out
 //!   of order; whole shots, zero-defect shots and buffered shots never
 //!   occupy a bank.
+//! * **settled where the rounds arrive** — the stream decoder with its LUT
+//!   pre-decoder armed (the default `micro_full`) publishes a
+//!   [`FastPath`] to the stream when a worker starts serving it
+//!   ([`DecoderBackend::fast_path`]): the shared pair table, the timing
+//!   model and the decoder's zero-defect window. A [`RoundFeeder`] begun
+//!   after that holds its context's ownership claim back. At
+//!   [`RoundFeeder::finish`] (or drop) it classifies the buffered rounds
+//!   outside the lock, on the caller's thread: a zero-defect shot or a
+//!   table hit is completed right there — its ticket resolves before
+//!   `finish` returns, and it never waits for a worker — and only a shot
+//!   with hard defects has its claim queued for a worker, which decodes
+//!   the assembled syndrome. The outcome is the decoder's own, bit for
+//!   bit, and it counts in [`StreamStats::feeder_settled`] and in the
+//!   pool's accelerator counters.
 //! * **bit-identical to batch** — a shot decodes to exactly the same
 //!   [`ShotOutcome`] the batch pipeline produces for it, regardless of how
 //!   its rounds interleave with other contexts (restoring a bank rebuilds
@@ -79,15 +92,18 @@ use crate::backend::{BackendSpec, DecoderBackend};
 #[cfg(any(test, feature = "chaos"))]
 use crate::chaos::{FaultPlan, RoundFault, ShotFault};
 use crate::error::{validate_defects, DecodeError};
+use crate::micro::FastPath;
 use crate::pipeline::{
-    decode_one, default_shards, shot_rng, DecodePool, JobState, ShotOutcome, MAX_STEAL_CHUNK,
+    decode_one, default_shards, fold_settled, shot_rng, DecodePool, JobState, PoolStats,
+    ShotOutcome, MAX_STEAL_CHUNK,
 };
+use mb_accel::Classifier;
 use mb_graph::syndrome::{ErrorSampler, Shot};
 use mb_graph::{DecodingGraph, ObservableMask, VertexIndex};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 /// How long an idle serving worker parks on the work condvar before
@@ -274,6 +290,9 @@ struct Admission {
     seed: Option<u64>,
     /// Decode deadline armed at submit time (whole shots only).
     deadline: Option<ArmedDeadline>,
+    /// A round-fed shot's feeder, in creation order on the fault plan.
+    #[cfg(any(test, feature = "chaos"))]
+    feeder_seq: Option<u64>,
 }
 
 /// The owner-side ingestion progress of one context: whether the engine has
@@ -318,6 +337,12 @@ struct ContextSlot {
     owner: Option<usize>,
     /// Already enqueued in the owner's mailbox (dedupes wake-ups).
     queued: bool,
+    /// The feeder holds the ownership claim back instead of queueing it at
+    /// admission: it settles the shot itself at finish, and queues the
+    /// claim only if the shot escalates (or `close()` force-finishes it).
+    /// Set when the serving backend has published a [`FastPath`], so no
+    /// claim of a shot settled on its feeder is ever left in the queue.
+    deferred: bool,
     progress: Progress,
 }
 
@@ -330,6 +355,8 @@ impl ContextSlot {
                 expected: 0,
                 seed: None,
                 deadline: None,
+                #[cfg(any(test, feature = "chaos"))]
+                feeder_seq: None,
             },
             reply,
             rounds: VecDeque::new(),
@@ -338,6 +365,7 @@ impl ContextSlot {
             finished_at: None,
             owner: None,
             queued: false,
+            deferred: false,
             progress: Progress::default(),
         }
     }
@@ -467,8 +495,9 @@ impl ContextPool {
 
     /// Force-finishes every unfinished context (used by `close()`): one
     /// pass over the slab, so tearing down thousands of open feeders stays
-    /// O(contexts).
-    fn force_finish_all(&mut self, now: Instant) {
+    /// O(contexts). A context whose feeder held its claim back has it
+    /// queued now, for a worker to complete.
+    fn force_finish_all(&mut self, now: Instant, queue: &mut VecDeque<usize>) {
         let ContextPool {
             entries,
             mailboxes,
@@ -485,7 +514,9 @@ impl ContextPool {
             ctx.finished = true;
             ctx.finished_at = Some(now);
             *unfinished -= 1;
-            if let Some(owner) = ctx.wake_owner() {
+            if std::mem::take(&mut ctx.deferred) {
+                queue.push_back(slot);
+            } else if let Some(owner) = ctx.wake_owner() {
                 mailboxes[owner].push_back(slot);
             }
         }
@@ -556,6 +587,11 @@ struct StreamState {
     waiting_producers: usize,
     /// Every in-flight shot's context and the per-server mailboxes.
     contexts: ContextPool,
+    /// Finished contexts a feeder is settling outside the lock. A closed
+    /// stream's workers wait for them: one may still escalate.
+    settling: usize,
+    /// Recycled classification scratch of the feeders' fast path.
+    settle_scratch: Vec<SettleScratch>,
     /// Recycled round buffers: [`StreamShared::push_context_round`] pops one
     /// here instead of allocating (the producer-side hot path is then
     /// allocation-free at steady state), and the serving workers return
@@ -563,11 +599,38 @@ struct StreamState {
     round_pool: Vec<Vec<VertexIndex>>,
 }
 
+impl StreamState {
+    /// Releases completed context `slot`: records its finish→outcome
+    /// latency, returns its round buffers to the recycle pool and frees the
+    /// slot. Returns the shot's reply handle.
+    fn retire(&mut self, slot: usize) -> OutcomeSender {
+        let mut ctx = self.contexts.release(slot).expect("occupancy checked");
+        if let Some(at) = ctx.finished_at {
+            self.contexts.record_finish_latency(at.elapsed());
+        }
+        let room = ROUND_POOL_CAP.saturating_sub(self.round_pool.len());
+        for mut round in ctx.rounds.drain(..).take(room) {
+            round.clear();
+            self.round_pool.push(round);
+        }
+        ctx.reply
+    }
+}
+
 /// Most recycled round buffers retained; beyond this, drained buffers are
 /// simply dropped. Sized for a saturated stream: (buffered rounds per
 /// context) × (open contexts) rarely exceeds this with eager routing, and a
 /// miss only costs the allocation the pool exists to amortize.
 const ROUND_POOL_CAP: usize = 64;
+
+/// What a feeder settles a shot on: the shot's sorted defects and the
+/// classifier's scratch, recycled through [`StreamState::settle_scratch`]
+/// so the fast path allocates nothing once warm.
+#[derive(Default)]
+struct SettleScratch {
+    defects: Vec<VertexIndex>,
+    classifier: Classifier,
+}
 
 /// Outcome of one [`StreamShared::serve`] call.
 pub(crate) enum ServeOutcome {
@@ -645,6 +708,12 @@ pub(crate) struct StreamShared {
     /// workers at serve entry — all participants share one backend spec, so
     /// they agree on the value.
     eager_routing: AtomicBool,
+    /// The serving backends' [`FastPath`], published by the first worker
+    /// to serve (all participants share one backend spec). Once it is set,
+    /// a feeder settles its own shot when the fast path can.
+    fast_path: OnceLock<FastPath>,
+    /// The pool's counters, for the shots feeders settle.
+    pool_stats: Arc<Mutex<PoolStats>>,
     /// Bumped whenever work a worker could act on appears (queue push,
     /// mailbox push, close). Workers spin on this — lock-free — between
     /// finding the queue dry and parking on the condvar, so a spinning
@@ -655,6 +724,8 @@ pub(crate) struct StreamShared {
     submitted: AtomicU64,
     /// Shots decoded so far.
     decoded: AtomicU64,
+    /// Shots settled on the thread that fed them.
+    feeder_settled: AtomicU64,
     /// Context-bank restores performed by the serving workers.
     bank_switches: AtomicU64,
     /// Shots completed by the degradation fallback after a deadline miss.
@@ -674,6 +745,7 @@ impl StreamShared {
     fn new(
         capacity: usize,
         servers: usize,
+        pool_stats: Arc<Mutex<PoolStats>>,
         #[cfg(any(test, feature = "chaos"))] faults: Option<Arc<FaultPlan>>,
     ) -> Self {
         Self {
@@ -684,6 +756,8 @@ impl StreamShared {
                 waiting_workers: 0,
                 waiting_producers: 0,
                 contexts: ContextPool::new(servers),
+                settling: 0,
+                settle_scratch: Vec::new(),
                 round_pool: Vec::new(),
             }),
             work: Condvar::new(),
@@ -692,9 +766,12 @@ impl StreamShared {
             servers,
             next_server: AtomicUsize::new(0),
             eager_routing: AtomicBool::new(false),
+            fast_path: OnceLock::new(),
+            pool_stats,
             events: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
             decoded: AtomicU64::new(0),
+            feeder_settled: AtomicU64::new(0),
             bank_switches: AtomicU64::new(0),
             degraded: AtomicU64::new(0),
             deadline_misses: AtomicU64::new(0),
@@ -713,10 +790,11 @@ impl StreamShared {
     /// at capacity (or, without `block`, gives up at once), takes the next
     /// submission index, lets `open` fill the shot's new context from
     /// `payload`, allocates the context's [`ContextPool`] slot and queues
-    /// the slot id — the ownership claim a worker pops. Returns the ticket
-    /// and the slot handle `(slot, generation)`. Hands `payload` back
-    /// untouched when the stream is closed or, without `block`, the queue is
-    /// full: the slot is allocated only once the capacity check passed.
+    /// the slot id — the ownership claim a worker pops — unless `open`
+    /// deferred the claim to the feeder's finish. Returns the ticket and
+    /// the slot handle `(slot, generation)`. Hands `payload` back untouched
+    /// when the stream is closed or, without `block`, the queue is full:
+    /// the slot is allocated only once the capacity check passed.
     fn admit<P>(
         &self,
         block: bool,
@@ -737,14 +815,17 @@ impl StreamShared {
         state.next_index += 1;
         let mut ctx = ContextSlot::new(index, reply);
         open(&mut ctx, payload);
+        let deferred = ctx.deferred;
         let (slot, generation) = state.contexts.allocate(ctx);
-        state.queue.push_back(slot);
         self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.events.fetch_add(1, Ordering::Relaxed);
-        let wake_worker = state.waiting_workers > 0;
-        drop(state);
-        if wake_worker {
-            self.work.notify_one();
+        if !deferred {
+            state.queue.push_back(slot);
+            self.events.fetch_add(1, Ordering::Relaxed);
+            let wake_worker = state.waiting_workers > 0;
+            drop(state);
+            if wake_worker {
+                self.work.notify_one();
+            }
         }
         Ok((Ticket { index, cell }, slot, generation))
     }
@@ -821,11 +902,19 @@ impl StreamShared {
         }
     }
 
-    /// Marks context `slot` finished (no more rounds) and hands it to its
-    /// owner for completion. Idempotent; a stale feeder handle is a no-op.
+    /// Marks context `slot` finished (no more rounds) and completes it: a
+    /// context whose feeder held its claim back is settled right here, on
+    /// the caller's thread, when the [`FastPath`] can settle it, and has
+    /// its claim queued otherwise; any other context goes to its owner.
+    /// Idempotent; a stale feeder handle is a no-op.
     fn finish_context(&self, slot: usize, generation: u64) {
         let mut state = self.lock();
-        let contexts = &mut state.contexts;
+        let StreamState {
+            contexts,
+            settling,
+            settle_scratch,
+            ..
+        } = &mut *state;
         let Some(ctx) = contexts.ctx_mut_checked(slot, generation) else {
             return;
         };
@@ -834,11 +923,109 @@ impl StreamShared {
         }
         ctx.finished = true;
         ctx.finished_at = Some(Instant::now());
-        if let Some(owner) = ctx.wake_owner() {
-            contexts.mailboxes[owner].push_back(slot);
+        let fast_path = self.fast_path.get().filter(|_| ctx.deferred);
+        let Some(fast_path) = fast_path else {
+            if let Some(owner) = ctx.wake_owner() {
+                contexts.mailboxes[owner].push_back(slot);
+            }
+            contexts.unfinished -= 1;
+            return self.publish(state);
+        };
+        // the rounds stay in the slot; the classification runs on a copy
+        // of their defects, outside the lock
+        let mut scratch = settle_scratch.pop().unwrap_or_default();
+        scratch.defects.clear();
+        for round in &ctx.rounds {
+            scratch.defects.extend_from_slice(round);
         }
+        let (admission, defects) = (ctx.admission, ctx.defect_count);
         contexts.unfinished -= 1;
-        self.publish(state);
+        *settling += 1;
+        drop(state);
+        self.settle(slot, generation, fast_path, scratch, admission, defects);
+    }
+
+    /// Settles finished context `slot`, whose feeder held its claim back,
+    /// on the calling thread: classifies `scratch.defects` (the buffered
+    /// rounds' defects, `defects` of them) and completes a zero-defect
+    /// shot or table hit right here, or queues the claim of a shot with
+    /// hard defects for a worker. A panic fails this shot alone.
+    fn settle(
+        &self,
+        slot: usize,
+        generation: u64,
+        fast_path: &FastPath,
+        mut scratch: SettleScratch,
+        admission: Admission,
+        defects: usize,
+    ) {
+        // rounds are deduped and sit in disjoint layers: sorting their
+        // concatenation gives the assembled syndrome's defects
+        scratch.defects.sort_unstable();
+        let settled = catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(any(test, feature = "chaos"))]
+            self.inject_shot_fault(None, &admission);
+            let SettleScratch {
+                defects,
+                classifier,
+            } = &mut scratch;
+            fast_path.settle(classifier, defects, None)
+        }));
+        let mut state = self.lock();
+        state.settling -= 1;
+        // at most one scratch per thread settling at once
+        state.settle_scratch.push(scratch);
+        let result = match settled {
+            Ok(Some(settled)) => Ok((
+                ShotOutcome {
+                    shot_index: admission.index,
+                    defects,
+                    decoded_observable: settled.observable,
+                    expected_observable: admission.expected,
+                    latency_ns: settled.latency_ns,
+                    breakdown: settled.breakdown,
+                    degraded: false,
+                },
+                settled.zero_defect,
+            )),
+            Ok(None) => {
+                // hard defects: hand the claim to a worker, as at admission
+                if let Some(ctx) = state.contexts.ctx_mut_checked(slot, generation) {
+                    ctx.deferred = false;
+                    state.queue.push_back(slot);
+                }
+                return self.publish(state);
+            }
+            Err(payload) => Err(DecodeError::WorkerPanic {
+                message: crate::pipeline::panic_message(payload),
+            }),
+        };
+        let reply = state
+            .contexts
+            .ctx_mut_checked(slot, generation)
+            .is_some()
+            .then(|| state.retire(slot));
+        if state.closed {
+            // a closed stream's workers wait for the settling feeders
+            self.publish(state);
+        } else {
+            drop(state);
+        }
+        let Some(reply) = reply else {
+            return; // abandoned while settling: the ticket reports it
+        };
+        match result {
+            Ok((outcome, zero_defect)) => {
+                fold_settled(&self.pool_stats, zero_defect);
+                self.feeder_settled.fetch_add(1, Ordering::Relaxed);
+                self.decoded.fetch_add(1, Ordering::Relaxed);
+                reply.deliver(outcome);
+            }
+            Err(error) => {
+                self.worker_panics.fetch_add(1, Ordering::Relaxed);
+                reply.fail(error);
+            }
+        }
     }
 
     /// Marks the stream closed and wakes everyone: workers drain the queue
@@ -850,7 +1037,10 @@ impl StreamShared {
     fn close(&self) {
         let mut state = self.lock();
         state.closed = true;
-        state.contexts.force_finish_all(Instant::now());
+        let StreamState {
+            contexts, queue, ..
+        } = &mut *state;
+        contexts.force_finish_all(Instant::now(), queue);
         self.publish(state);
         self.space.notify_all();
     }
@@ -861,6 +1051,7 @@ impl StreamShared {
         StreamStats {
             submitted: self.submitted.load(Ordering::Relaxed),
             decoded: self.decoded.load(Ordering::Relaxed),
+            feeder_settled: self.feeder_settled.load(Ordering::Relaxed),
             contexts_peak: state.contexts.peak,
             bank_switches: self.bank_switches.load(Ordering::Relaxed),
             rounds_routed: state.contexts.rounds_routed,
@@ -915,6 +1106,11 @@ impl StreamShared {
     ) -> ServeOutcome {
         let eager = backend.supports_context_switching();
         self.eager_routing.store(eager, Ordering::Relaxed);
+        if self.fast_path.get().is_none() {
+            if let Some(fast_path) = backend.fast_path() {
+                let _ = self.fast_path.set(fast_path);
+            }
+        }
         let mut worker = Server {
             id: server,
             backend,
@@ -945,16 +1141,25 @@ impl StreamShared {
     }
 
     /// Consults the fault plan at a shot's completion step — once per shot,
-    /// whole or round-fed; a scheduled [`ShotFault::Panic`] unwinds into
-    /// the per-context isolation scope exactly like a backend bug would.
+    /// whole or round-fed, on the serving worker `server` or (`None`) on
+    /// the feeding thread that settles it; a scheduled panic unwinds into
+    /// the completion's isolation scope exactly like a backend bug would.
+    /// Only a worker draws from its shot counter ([`ShotFault`]); a
+    /// feeder-keyed panic fires wherever its shot completes.
     #[cfg(any(test, feature = "chaos"))]
-    fn inject_shot_fault(&self, server: usize) {
-        if let Some(plan) = &self.faults {
+    fn inject_shot_fault(&self, server: Option<usize>, admission: &Admission) {
+        let Some(plan) = &self.faults else {
+            return;
+        };
+        if let Some(server) = server {
             match plan.next_shot_fault(server) {
                 ShotFault::Panic => panic!("chaos: injected panic (stream server {server})"),
                 ShotFault::Delay(delay) => std::thread::sleep(delay),
                 ShotFault::None => {}
             }
+        }
+        if let Some(seq) = admission.feeder_seq.filter(|&seq| plan.feeder_panics(seq)) {
+            panic!("chaos: injected panic (feeder {seq})");
         }
     }
 
@@ -1044,7 +1249,7 @@ impl StreamShared {
                     }
                     return None;
                 }
-                if state.closed {
+                if state.closed && state.settling == 0 {
                     return Some(ServeOutcome::Closed);
                 }
                 self.events.load(Ordering::Relaxed)
@@ -1129,7 +1334,7 @@ impl StreamShared {
             }
         } else {
             #[cfg(any(test, feature = "chaos"))]
-            self.inject_shot_fault(worker.id);
+            self.inject_shot_fault(Some(worker.id), &admission);
             let result = if prog.in_engine() {
                 let outcome = self.finish_rounds(worker, slot, &mut prog);
                 Ok(ShotOutcome {
@@ -1306,13 +1511,10 @@ impl StreamShared {
     fn complete_context(&self, slot: usize, result: Result<ShotOutcome, DecodeError>) {
         let reply = {
             let mut state = self.lock();
-            let Some(ctx) = state.contexts.release(slot) else {
+            if state.contexts.ctx_mut(slot).is_none() {
                 return; // abandoned while decoding
-            };
-            if let Some(at) = ctx.finished_at {
-                state.contexts.record_finish_latency(at.elapsed());
             }
-            ctx.reply
+            state.retire(slot)
         };
         match result {
             Ok(outcome) => {
@@ -1409,7 +1611,7 @@ pub enum TrySubmitError {
 ///
 /// Created by [`StreamDecoder::begin_shot`]; the shot occupies a
 /// [`ContextPool`] slot from that moment (and, briefly, a queue slot for
-/// its ownership claim). Push each measurement round as it arrives, then
+/// its ownership claim, unless the feeder settles the shot itself). Push each measurement round as it arrives, then
 /// call [`RoundFeeder::finish`] for the ticket. Rounds are the decoding
 /// graph's fusion layers, in order; pushing fewer rounds than the graph has
 /// layers leaves the remaining layers empty. Each push is validated up
@@ -1558,7 +1760,11 @@ impl RoundFeeder {
         self.pushed
     }
 
-    /// Marks the shot complete and returns its ticket.
+    /// Marks the shot complete and returns its ticket. When the serving
+    /// backend published a [`FastPath`] before this feeder began, a
+    /// zero-defect shot or table hit is settled here, on the calling
+    /// thread, and the returned ticket is already resolved; any other shot
+    /// goes to a worker.
     pub fn finish(mut self) -> Ticket {
         let ticket = self.ticket.take().expect("finish consumes the feeder");
         self.shared.finish_context(self.slot, self.generation);
@@ -1583,6 +1789,13 @@ pub struct StreamStats {
     pub submitted: u64,
     /// Shots decoded (equals `submitted` after a clean close).
     pub decoded: u64,
+    /// Round-fed shots settled on the thread that fed them, counted in
+    /// `decoded` too: with a backend that publishes a
+    /// [`DecoderBackend::fast_path`] (Micro Blossom with its LUT
+    /// pre-decoder armed), every zero-defect shot and table hit whose feeder
+    /// began after the first worker started serving. Such a shot never
+    /// waits for a worker.
+    pub feeder_settled: u64,
     /// Peak number of concurrently in-flight shots — how much of the
     /// [`ContextPool`] was ever in use at once. Every shot holds a context
     /// from admission to outcome, so queued whole shots count as well as
@@ -1606,9 +1819,10 @@ pub struct StreamStats {
     /// Shots whose deadline expired before their exact decode finished —
     /// degraded or failed, per their [`DeadlineFallback`].
     pub deadline_misses: u64,
-    /// Decode panics caught and isolated by this stream's serving workers;
-    /// each one failed exactly the shots whose state died with the poisoned
-    /// backend and was followed by a backend respawn.
+    /// Decode panics caught and isolated by this stream: on a serving
+    /// worker, each one failed exactly the shots whose state died with the
+    /// poisoned backend and was followed by a backend respawn; in a
+    /// feeder's settling of its own shot, it failed that shot alone.
     pub worker_panics: u64,
 }
 
@@ -1667,14 +1881,16 @@ impl StreamBuilder {
         };
         let participants = self.workers.clamp(1, pool_ref.workers());
         let capacity = self.capacity.unwrap_or_else(|| (2 * participants).max(8));
+        let pool_stats = pool_ref.stats_cell();
         #[cfg(any(test, feature = "chaos"))]
         let shared = Arc::new(StreamShared::new(
             capacity,
             participants,
+            pool_stats,
             self.faults.clone(),
         ));
         #[cfg(not(any(test, feature = "chaos")))]
-        let shared = Arc::new(StreamShared::new(capacity, participants));
+        let shared = Arc::new(StreamShared::new(capacity, participants, pool_stats));
         let job = Arc::new(JobState::new_stream(
             self.spec.clone(),
             Arc::clone(&self.graph),
@@ -1824,19 +2040,16 @@ impl StreamDecoder {
     /// queues its ownership claim (blocking while the queue is full). The
     /// worker that claims the context folds each pushed round into that
     /// context's banked state as it arrives; any number of feeders may be
-    /// open concurrently, their shots completing out of order. A closed
-    /// stream reports [`DecodeError::StreamClosed`].
+    /// open concurrently, their shots completing out of order. Once a
+    /// worker has published the backend's [`FastPath`], the claim is held
+    /// back instead and the feeder settles its shot at finish when it can
+    /// (see [`RoundFeeder::finish`]). A closed stream reports
+    /// [`DecodeError::StreamClosed`].
     ///
     /// `expected` is the ground-truth observable recorded in the outcome
     /// (pass 0 when unknown; [`ShotOutcome::is_logical_error`] is then
     /// meaningless for this shot).
     pub fn begin_shot(&self, expected: ObservableMask) -> Result<RoundFeeder, DecodeError> {
-        let (ticket, slot, generation) = self
-            .shared
-            .admit(true, expected, |ctx, expected| {
-                ctx.admission.expected = expected
-            })
-            .map_err(|_| DecodeError::StreamClosed)?;
         #[cfg(any(test, feature = "chaos"))]
         let feeder_seq = self
             .shared
@@ -1844,6 +2057,20 @@ impl StreamDecoder {
             .as_ref()
             .map(|plan| plan.next_feeder_seq())
             .unwrap_or(0);
+        // with a published fast path the feeder settles its own shot, so
+        // its claim waits for the finish
+        let deferred = self.shared.fast_path.get().is_some();
+        let (ticket, slot, generation) = self
+            .shared
+            .admit(true, expected, |ctx, expected| {
+                ctx.admission.expected = expected;
+                #[cfg(any(test, feature = "chaos"))]
+                {
+                    ctx.admission.feeder_seq = Some(feeder_seq);
+                }
+                ctx.deferred = deferred;
+            })
+            .map_err(|_| DecodeError::StreamClosed)?;
         Ok(RoundFeeder {
             slot,
             generation,
@@ -2807,6 +3034,9 @@ mod tests {
             let stats = stream.close();
             let name = spec.name();
             assert_eq!(stats.decoded, (streams * waves) as u64, "{name}");
+            // the second wave began after the first had completed, so after
+            // a worker published the armed decoder's fast path
+            assert_eq!(stats.feeder_settled > 0, !banked, "{name}");
             assert_eq!(stats.contexts_peak, streams as u64, "{name}");
             let p99_us = stats.finish_p99_us.expect("round-fed shots completed");
             assert!(p99_us < 2_000_000.0, "{name}: finish p99 {p99_us:.0} us");
@@ -2819,6 +3049,132 @@ mod tests {
                 assert!(accel.fast_path_rate().unwrap() > 0.0);
             }
         }
+    }
+
+    /// Waits until a serving worker has published the backend's fast path:
+    /// every feeder begun afterwards settles its own shot when it can.
+    fn wait_for_fast_path(stream: &StreamDecoder) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while stream.shared.fast_path.get().is_none() {
+            assert!(Instant::now() < deadline, "no worker published a fast path");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Feeds `shot` round by round and finishes it.
+    fn feed(stream: &StreamDecoder, graph: &DecodingGraph, shot: &Shot) -> Ticket {
+        let mut feeder = stream.begin_shot(shot.observable).unwrap();
+        for round in shot.syndrome.split_by_layer(graph) {
+            feeder.push_round(&round).unwrap();
+        }
+        feeder.finish()
+    }
+
+    #[test]
+    fn settled_shots_resolve_at_finish_while_the_only_worker_is_busy() {
+        let graph = Arc::new(PhenomenologicalCode::rotated(3, 4, 0.03).decoding_graph());
+        let shots = sample_shots(&graph, 60, 0x5E77);
+        let spec = BackendSpec::micro_full(Some(3));
+        let reference = ShardedPipeline::new(spec.clone(), Arc::clone(&graph)).run_shots(&shots);
+        let pool = Arc::new(DecodePool::new(1));
+        // the worker's first completion sleeps: it holds the only worker
+        let hold = Duration::from_secs(2);
+        let stream = StreamDecoder::builder(spec, Arc::clone(&graph))
+            .pool(Arc::clone(&pool))
+            .workers(1)
+            .queue_capacity(64)
+            .fault_plan(Arc::new(FaultPlan::new().delay_worker(0, 0, hold)))
+            .start();
+        wait_for_fast_path(&stream);
+        let held = stream.submit(shots[0].clone()).unwrap();
+        while stream.queue_depth() > 0 {
+            std::thread::yield_now();
+        }
+        let started = Instant::now();
+        let mut escalated = Vec::new();
+        let mut settled = 0;
+        for (i, shot) in shots.iter().enumerate() {
+            let ticket = feed(&stream, &graph, shot);
+            match ticket.try_recv() {
+                Some(outcome) => {
+                    let outcome = outcome.expect("settled without faults");
+                    assert_eq!(outcome.shot_index, i + 1);
+                    let outcome = ShotOutcome {
+                        shot_index: i,
+                        ..outcome
+                    };
+                    assert_eq!(outcome, reference[i], "settled shot {i}");
+                    settled += 1;
+                }
+                None => escalated.push((i, ticket)),
+            }
+        }
+        // the worker was busy throughout: the held shot is still pending
+        assert!(held.try_recv().is_none(), "the worker was released early");
+        assert!(started.elapsed() < hold);
+        assert!(settled > 0, "p=3% has zero-defect shots and table hits");
+        assert!(!escalated.is_empty(), "p=3% has shots with hard defects");
+        assert_eq!(stream.stats().feeder_settled, settled);
+        // shots with hard defects still reach the worker
+        for (i, ticket) in escalated {
+            let outcome = ticket.recv().unwrap();
+            assert_eq!(
+                ShotOutcome {
+                    shot_index: i,
+                    ..outcome
+                },
+                reference[i]
+            );
+        }
+        let stats = stream.close();
+        assert_eq!(stats.decoded, stats.submitted);
+        assert_eq!(stats.feeder_settled, settled);
+        // a settled shot counts in the pool's accelerator counters
+        let accel = pool.stats().accel;
+        assert_eq!(accel.accel_shots, stats.decoded);
+        assert!(accel.zero_defect_shots + accel.predecoded_shots >= settled);
+    }
+
+    #[test]
+    fn a_panic_settling_a_shot_on_its_feeder_fails_only_that_shot() {
+        let graph = Arc::new(PhenomenologicalCode::rotated(3, 4, 0.03).decoding_graph());
+        let shots = sample_shots(&graph, 24, 0xFA11);
+        let spec = BackendSpec::micro_full(Some(3));
+        let reference = ShardedPipeline::new(spec.clone(), Arc::clone(&graph)).run_shots(&shots);
+        // a shot the fast path settles: no accelerator cycle in its window
+        let k = (1..shots.len())
+            .find(|&i| reference[i].breakdown.hardware_cycles == 0)
+            .expect("p=3% has settled shots");
+        let pool = Arc::new(DecodePool::new(1));
+        let stream = StreamDecoder::builder(spec, Arc::clone(&graph))
+            .pool(Arc::clone(&pool))
+            .workers(1)
+            .fault_plan(Arc::new(FaultPlan::new().panic_feeder(k as u64)))
+            .start();
+        wait_for_fast_path(&stream);
+        for (i, shot) in shots.iter().enumerate() {
+            let ticket = feed(&stream, &graph, shot);
+            if i == k {
+                // failed on the feeding thread, at finish
+                match ticket.try_recv() {
+                    Some(Err(DecodeError::WorkerPanic { message })) => {
+                        assert!(
+                            message.contains("chaos: injected panic (feeder"),
+                            "{message}"
+                        )
+                    }
+                    other => panic!("shot {k}: expected a feeder panic, got {other:?}"),
+                }
+            } else {
+                assert_eq!(ticket.recv().unwrap(), reference[i], "shot {i}");
+            }
+        }
+        let stats = stream.close();
+        assert_eq!(stats.worker_panics, 1);
+        assert_eq!(stats.decoded, shots.len() as u64 - 1);
+        // no worker panicked, so none was respawned
+        assert_eq!(pool.stats().worker_panics, 0);
+        assert_eq!(pool.stats().worker_respawns, 0);
     }
 
     #[test]

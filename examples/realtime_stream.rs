@@ -5,10 +5,16 @@
 //! logical-error and submit-to-result latency estimates.
 //!
 //! The stream decoder here has its LUT pre-decoder armed, so it does not
-//! switch contexts: the workers buffer each shot's rounds and decode the
-//! assembled syndrome once the last round arrives (a decoder without the
-//! LUT would fold each round in on arrival instead, round-wise fusion,
-//! §6). Either way the outcome is the batch decode's, bit for bit.
+//! switch contexts: each shot's rounds buffer in its context until the
+//! last round arrives. Then the producer's own `finish` call classifies
+//! them: a zero-defect shot or a table hit is settled right there, on the
+//! producer thread, and only a shot with hard defects goes to a worker,
+//! which decodes the assembled syndrome (a decoder without the LUT would
+//! fold each round in on arrival instead, round-wise fusion, §6). Either
+//! way the outcome is the batch decode's, bit for bit.
+//!
+//! Exits non-zero unless every shot was decoded and some were settled on
+//! the producer thread, so a run shows the fast path is still taken.
 //!
 //! Run with: `cargo run -r --example realtime_stream`
 
@@ -92,8 +98,13 @@ fn main() {
 
     let stats = stream.close();
     println!(
-        "\ndone: {} shots submitted, {} decoded; each shot's rounds were buffered \
-         and decoded once its last round arrived.",
-        stats.submitted, stats.decoded
+        "\ndone: {} shots submitted, {} decoded; {} zero-defect shots and table \
+         hits were settled on the producer thread, the rest decoded by a worker \
+         once their last round arrived.",
+        stats.submitted, stats.decoded, stats.feeder_settled
     );
+    if stats.decoded != stats.submitted || stats.feeder_settled == 0 {
+        eprintln!("error: every shot must decode, and some must settle on the producer thread");
+        std::process::exit(1);
+    }
 }

@@ -25,13 +25,18 @@
 //!    shots again allocates the same amount, so the sparse accelerator's
 //!    pooled per-cluster lists stop growing once warm;
 //! 5. split shots — the pre-decoder's split and reach guard allocate
-//!    **zero** once warm, and a split shot's decode allocates a constant.
+//!    **zero** once warm, and a split shot's decode allocates a constant;
+//! 6. round-fed shots a stream settles on the feeding thread (zero-defect
+//!    shots and table hits) — begin, push, finish and the settling itself
+//!    allocate a constant per shot on that thread: the ticket's outcome
+//!    cell and the context's round queue, nothing that grows.
 
 use mb_accel::{
     AcceleratedDual, AcceleratedSolver, AcceleratorConfig, MicroBlossomAccelerator, PollEvent,
     PreDecoder,
 };
 use mb_blossom::DualModule;
+use mb_decoder::stream::StreamDecoder;
 use mb_decoder::{
     BackendSpec, DecodePool, DecoderBackend, MicroBlossomDecoder, WindowConfig, WindowedDecoder,
 };
@@ -334,4 +339,63 @@ fn windowed_ingestion_allocations_stabilize_under_defect_load() {
         interior.iter().all(|&n| n == steady),
         "per-window allocation count must stabilize: {per_window:?}"
     );
+}
+
+#[test]
+fn round_fed_settled_shots_allocate_a_constant_per_shot() {
+    let graph = Arc::new(PhenomenologicalCode::rotated(3, 4, 0.02).decoding_graph());
+    // a shot the table resolves whole, found on a decoder of the same spec
+    let sampler = ErrorSampler::new(&graph);
+    let mut rng = ChaCha8Rng::seed_from_u64(0x5E7);
+    let mut decoder = MicroBlossomDecoder::full(Arc::clone(&graph), Some(3));
+    let hit = loop {
+        let shot = sampler.sample(&mut rng);
+        let before = decoder.accel_observability().unwrap().predecoded_shots;
+        decoder.decode(&shot.syndrome);
+        if decoder.accel_observability().unwrap().predecoded_shots > before {
+            break shot.syndrome.split_by_layer(&graph);
+        }
+    };
+    let empty = vec![Vec::new(); graph.num_layers()];
+    let stream = StreamDecoder::builder(BackendSpec::micro_full(Some(3)), Arc::clone(&graph))
+        .pool(Arc::new(DecodePool::new(1)))
+        .workers(1)
+        .start();
+    // feeds one shot and returns its allocations on this thread, and
+    // whether its ticket resolved at finish (settled on this thread)
+    let feed = |rounds: &[Vec<usize>]| {
+        let before = allocations();
+        let mut feeder = stream.begin_shot(0).unwrap();
+        for round in rounds {
+            feeder.push_round(round).unwrap();
+        }
+        let ticket = feeder.finish();
+        let allocated = allocations() - before;
+        let settled = match ticket.try_recv() {
+            Some(outcome) => outcome.is_ok(),
+            None => {
+                ticket.recv().unwrap();
+                false
+            }
+        };
+        (allocated, settled)
+    };
+    // until a worker has published the fast path, shots go to the worker
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while !feed(&empty).1 {
+        assert!(std::time::Instant::now() < deadline, "no shot settled");
+    }
+    let mut per_shot = Vec::with_capacity(16);
+    for i in 0..16 {
+        let (allocated, settled) = feed(if i % 2 == 0 { &hit } else { &empty });
+        assert!(settled, "shot {i} was not settled at finish");
+        per_shot.push(allocated);
+    }
+    assert!(
+        per_shot[4..].iter().all(|&n| n == per_shot[4]),
+        "per-shot allocation count of settled round-fed shots must stabilize: {per_shot:?}"
+    );
+    let stats = stream.close();
+    assert_eq!(stats.decoded, stats.submitted);
+    assert!(stats.feeder_settled >= 16);
 }

@@ -143,22 +143,27 @@ fn stream_panic_storm_spares_unaffected_shots() {
 
 #[test]
 fn round_fed_shots_draw_shot_faults_too() {
-    // every shot draws exactly one shot fault at its completion step,
-    // round-fed ones included: with shots fed one at a time through one
-    // worker, its k-th shot panics whether the context buffered its rounds
-    // (pre-decoder armed) or banked them, and only that shot fails
+    // every round-fed shot meets the fault plan at its completion step: with
+    // shots fed one at a time through one worker, the scheduled k-th shot
+    // panics whether its context banked its rounds (no pre-decoder: every
+    // shot completes on the worker, so the worker's k-th shot) or buffered
+    // them (pre-decoder armed: a zero-defect shot or table hit is settled on
+    // the feeding thread and never reaches the worker, so the panic is keyed
+    // on the k-th feeder), and only that shot fails
     let graph = graph();
     let shots = sample_shots(&graph, 12, 0xFEE0);
     let k = 5;
     for (name, spec) in specs(&graph) {
-        if name == "union-find" {
-            continue;
-        }
+        let plan = match name {
+            "union-find" => continue,
+            "micro-full" => FaultPlan::new().panic_feeder(k),
+            _ => FaultPlan::new().panic_worker(0, k),
+        };
         let reference = ShardedPipeline::new(spec.clone(), Arc::clone(&graph)).run_shots(&shots);
         let stream = StreamDecoder::builder(spec, Arc::clone(&graph))
             .pool(Arc::new(DecodePool::new(1)))
             .workers(1)
-            .fault_plan(Arc::new(FaultPlan::new().panic_worker(0, k)))
+            .fault_plan(Arc::new(plan))
             .start();
         for (i, shot) in shots.iter().enumerate() {
             let mut feeder = stream.begin_shot(shot.observable).unwrap();

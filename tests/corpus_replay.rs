@@ -12,7 +12,11 @@
 //!   fresh checksum so they reach the parser, decode `Ok` or fail typed
 //!   too, under an allocator that fails any allocation over 64 MiB. So do
 //!   seeded mutations of a graph's JSON description, through the JSON
-//!   parser and through `GraphDescription::from_json` and `to_graph`.
+//!   parser and through `GraphDescription::from_json` and `to_graph`, and
+//!   seeded mutations of the round payloads a producer pushes into a
+//!   stream whose feeders settle their own shots: every push is accepted
+//!   or fails typed, and every shot decodes as the batch decode of the
+//!   rounds it accepted.
 //! * **Differential replay** (`replay_matrix`): one corpus replays
 //!   identically across 3 backends × 1/2/8-worker pools ×
 //!   batch/stream/windowed ingestion,
@@ -35,12 +39,15 @@ use mb_decoder::replay::{
     assert_same_decodes, record_circuit_run, record_tilted_run, recorded_circuit, replay_corpus,
     replay_matrix, RecordedCircuit, ReplayMode,
 };
-use mb_decoder::{BackendSpec, DecodeOutcome, MicroBlossomConfig, Stage};
+use mb_decoder::stream::StreamDecoder;
+use mb_decoder::{
+    BackendSpec, DecodeError, DecodeOutcome, DecodePool, MicroBlossomConfig, Stage, Ticket,
+};
 use mb_graph::circuit::{CircuitLevelCode, MechanismTilt};
 use mb_graph::codes::CodeCapacityRotatedCode;
 use mb_graph::corpus::{graph_fingerprint, CorpusError, CorpusWriter, TraceCorpus};
 use mb_graph::export::GraphDescription;
-use mb_graph::{json, DecodingGraph};
+use mb_graph::{json, DecodingGraph, SyndromePattern, VertexIndex};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -264,6 +271,136 @@ fn seeded_mutations_of_graph_json_fail_typed() {
     assert!(
         built > 0 && described > built && parsed > described,
         "{parsed} parsed, {described} described, {built} built"
+    );
+}
+
+/// One seeded mutation of a valid round payload for layer `layer`: an
+/// out-of-range, virtual or wrong-layer vertex slipped in, every defect
+/// repeated, or the whole layer repeated (an oversized round), or the
+/// payload unchanged.
+fn mutate_round(
+    graph: &DecodingGraph,
+    round: &[VertexIndex],
+    layer: usize,
+    state: &mut u64,
+) -> Vec<VertexIndex> {
+    let mut payload = round.to_vec();
+    let pick = |state: &mut u64, n: usize| (splitmix64(state) % n as u64) as usize;
+    let at = pick(state, payload.len() + 1);
+    match splitmix64(state) % 8 {
+        0 => payload.insert(at, graph.vertex_count() + pick(state, 1 << 20)),
+        1 => {
+            let virtuals: Vec<_> = (0..graph.vertex_count())
+                .filter(|&v| graph.is_virtual(v))
+                .collect();
+            payload.insert(at, virtuals[pick(state, virtuals.len())]);
+        }
+        2 => {
+            let other = (layer + 1 + pick(state, graph.num_layers() - 1)) % graph.num_layers();
+            let stray: Vec<_> = graph
+                .vertices_in_layer(other)
+                .filter(|&v| !graph.is_virtual(v))
+                .collect();
+            payload.insert(at, stray[pick(state, stray.len())]);
+        }
+        3 => payload = payload.iter().flat_map(|&d| [d; 64]).collect(),
+        4 if pick(state, 4) == 0 => {
+            let whole: Vec<_> = graph
+                .vertices_in_layer(layer)
+                .filter(|&v| !graph.is_virtual(v))
+                .collect();
+            payload = whole
+                .iter()
+                .cycle()
+                .take(whole.len() * 64)
+                .copied()
+                .collect();
+        }
+        _ => {}
+    }
+    payload
+}
+
+#[test]
+fn seeded_mutations_of_round_payloads_fail_typed_against_an_armed_stream() {
+    // hostile round payloads against a stream that settles zero-defect
+    // shots and table hits on the feeding thread: out-of-range, virtual and
+    // wrong-layer vertices, duplicate-heavy and oversized rounds, rounds
+    // past the last layer, shots finished early and feeders dropped
+    // mid-shot. Every push is accepted or fails typed (a rejected round is
+    // not consumed, so the producer then pushes the clean one), every
+    // ticket resolves, every shot equals the batch decode of the rounds it
+    // accepted, and nothing panics or allocates past the cap
+    let circuit = CircuitLevelCode::rotated(3, 3, 0.02).compile();
+    let graph = Arc::clone(circuit.graph());
+    let layers = graph.num_layers();
+    let sampler = circuit.sampler();
+    let spec = BackendSpec::micro_full(Some(3));
+    let mut batch = spec.build(Arc::clone(&graph));
+    let stream = StreamDecoder::builder(spec, Arc::clone(&graph))
+        .pool(Arc::new(DecodePool::new(1)))
+        .workers(1)
+        .start();
+    let mut check = |(ticket, accepted): (Ticket, Vec<VertexIndex>)| {
+        let outcome = ticket.recv().expect("every ticket resolves");
+        let want = batch.decode(&SyndromePattern::new(accepted));
+        assert_eq!(outcome.decoded_observable, want.observable);
+        assert_eq!(outcome.breakdown, want.breakdown);
+        assert_eq!(outcome.latency_ns, want.latency_ns);
+    };
+    let mut rng = ChaCha8Rng::seed_from_u64(0xFEED);
+    let mut state = 0x0F33_D000;
+    let (mut rejected, mut dropped) = (0usize, 0usize);
+    let mut pending: Vec<(Ticket, Vec<VertexIndex>)> = Vec::new();
+    for shot in 0..400 {
+        let rounds = sampler.sample(&mut rng).syndrome.split_by_layer(&graph);
+        let mut feeder = stream.begin_shot(0).expect("the stream is open");
+        let kept = match splitmix64(&mut state) % 8 {
+            0 => (splitmix64(&mut state) % layers as u64) as usize,
+            _ => layers,
+        };
+        let mut accepted = Vec::new();
+        for (layer, round) in rounds.iter().enumerate().take(kept) {
+            let payload = mutate_round(&graph, round, layer, &mut state);
+            match feeder.push_round(&payload) {
+                Ok(()) => accepted.extend_from_slice(&payload),
+                Err(DecodeError::InvalidDefect { .. }) => {
+                    rejected += 1;
+                    feeder.push_round(round).expect("the clean round fits");
+                    accepted.extend_from_slice(round);
+                }
+                Err(error) => panic!("shot {shot} layer {layer}: {error:?}"),
+            }
+        }
+        if kept == layers && splitmix64(&mut state).is_multiple_of(8) {
+            let extra = feeder.push_round(&[]);
+            assert!(
+                matches!(extra, Err(DecodeError::LayerOverflow { .. })),
+                "shot {shot}: {extra:?}"
+            );
+        }
+        if splitmix64(&mut state).is_multiple_of(16) {
+            // the shot completes with its accepted rounds, unobserved
+            drop(feeder);
+            dropped += 1;
+        } else {
+            pending.push((feeder.finish(), accepted));
+        }
+        if pending.len() >= 8 {
+            pending.drain(..).for_each(&mut check);
+        }
+    }
+    pending.into_iter().for_each(check);
+    let stats = stream.close();
+    assert_eq!(stats.decoded, stats.submitted, "every shot completed");
+    assert_eq!(stats.worker_panics, 0);
+    assert!(
+        rejected > 0 && dropped > 0,
+        "{rejected} rejected, {dropped} dropped"
+    );
+    assert!(
+        stats.feeder_settled > 0,
+        "no shot was settled on its feeder"
     );
 }
 
